@@ -8,7 +8,9 @@
 
 use crate::LatencySegments;
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{CpuAnalytic, GradientBackend, GradientOutput};
+use robo_dynamics::engine::{
+    gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, GradientOutput,
+};
 use robo_dynamics::{
     forward_dynamics, mass_matrix_inverse, rnea, rnea_derivatives, DynamicsGradient, DynamicsModel,
 };
@@ -114,9 +116,10 @@ impl CpuBaseline {
                 minv: &inp.minv,
             })
             .collect();
-        self.backend
-            .gradient_batch_on(self.engine, &states)
-            .expect("input dimensions must match the model")
+        let mut out = BatchOutput::new();
+        gradient_batch_on_into(&self.backend, self.engine, &states, &mut out)
+            .expect("input dimensions must match the model");
+        (0..states.len()).map(|i| out.gradient_at(i)).collect()
     }
 
     /// Measures the single-computation latency (mean of `trials`), the

@@ -3,7 +3,8 @@
 //!
 //! * [`CpuBaseline`] — the dynamics-gradient kernel on the host CPU,
 //!   parallelized across trajectory time steps through the shared
-//!   [`robo_dynamics::batch::BatchEngine`] (a persistent [`ThreadPool`]
+//!   [`robo_dynamics::batch::BatchEngine`] (a persistent
+//!   [`ThreadPool`](robo_dynamics::batch::ThreadPool)
 //!   with per-worker workspaces), timed with `std::time::Instant` (the
 //!   paper's Pinocchio-on-i7 counterpart);
 //! * [`GpuModel`] — an analytic RTX 2080-class latency model encoding
@@ -29,11 +30,9 @@
 
 mod cpu;
 mod gpu;
-mod pool;
 
 pub use cpu::{random_inputs, trajectory_inputs, CpuBaseline, GradientInput};
 pub use gpu::GpuModel;
-pub use pool::ThreadPool;
 
 /// A single-computation latency broken into Algorithm 1's three steps,
 /// as stacked in the paper's Figure 10.

@@ -1,17 +1,17 @@
 //! The engine layer's backends compared on identical per-call gradient
-//! workloads, all through the `GradientBackend` trait — the backend
+//! workloads, all through the `DynamicsBackend` trait — the backend
 //! selection data behind README's Performance notes.
 //!
 //! `cpu` measures the analytical workspace kernels, `accel` the *software
 //! simulation cost* of the compiled-netlist accelerator path (its modeled
 //! hardware latency is a static cycle count, not this number), and `fd`
 //! the finite-difference oracle. `trait_batch` drives the shared
-//! `BatchEngine` through the trait's batch entry point.
+//! `BatchEngine` through `gradient_batch_on_into`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use robo_baselines::{random_inputs, GradientInput};
-use robo_dynamics::batch::GradientState;
-use robo_dynamics::engine::{GradientBackend, GradientOutput};
+use robo_dynamics::batch::{BatchEngine, GradientState};
+use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, GradientOutput};
 use robo_model::robots;
 use robo_sim::{BackendKind, RobotPlan};
 use std::hint::black_box;
@@ -59,11 +59,16 @@ fn bench_trait_batch(c: &mut Criterion) {
         let states = states_of(&inputs);
         g.throughput(Throughput::Elements(steps as u64));
         let backend = plan.cpu_backend();
+        let mut out = BatchOutput::new();
         g.bench_with_input(
             BenchmarkId::new("cpu_trait_batch", steps),
             &states,
             |b, states| {
-                b.iter(|| black_box(backend.gradient_batch(states).expect("inputs match plan")));
+                b.iter(|| {
+                    gradient_batch_on_into(&backend, BatchEngine::global(), states, &mut out)
+                        .expect("inputs match plan");
+                    black_box(&out);
+                });
             },
         );
     }

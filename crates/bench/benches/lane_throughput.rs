@@ -9,7 +9,7 @@
 //!   `eval_batch_into` SoA sweep;
 //! * `cpu_grad_*` — the full dynamics-gradient kernel through the
 //!   [`CpuAnalytic`] backend: serial `gradient_into` loop vs the wide
-//!   `gradient_batch_into` override;
+//!   `gradient_batch_into` lane path;
 //! * `accel_grad_*` — the same comparison through the simulated
 //!   accelerator backend;
 //!
@@ -31,7 +31,9 @@ use robo_codegen::{
     generate_x_unit_with_mask, optimize, BatchEvalWorkspace, CompiledNetlist, EvalWorkspace,
 };
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{CpuAnalytic, GradientBackend, GradientBatchOutput, GradientOutput};
+use robo_dynamics::engine::{
+    gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, GradientOutput, KernelKind,
+};
 use robo_dynamics::DynamicsModel;
 use robo_model::robots;
 use robo_sim::AcceleratorBackend;
@@ -39,16 +41,15 @@ use robo_sparsity::superposition_pattern;
 use robo_spatial::Lanes;
 use std::hint::black_box;
 
-/// Serial reference: the trait's default batch shape (gradient_into loop
-/// through one dense scratch), hand-rolled so it measures the scalar path
-/// even on backends that override `gradient_batch_into`.
+/// Serial reference: a `gradient_into` loop through one dense scratch,
+/// so it measures the scalar path state by state.
 fn serial_batch(
-    backend: &mut dyn GradientBackend,
+    backend: &mut dyn DynamicsBackend,
     states: &[GradientState<'_, f64>],
     scratch: &mut GradientOutput,
-    out: &mut GradientBatchOutput,
+    out: &mut BatchOutput,
 ) {
-    out.reset(states.len(), backend.dof());
+    out.reset(KernelKind::Gradient, states.len(), backend.dof());
     for (i, s) in states.iter().enumerate() {
         backend
             .gradient_into(s.q, s.qd, s.qdd, s.minv, scratch)
@@ -95,7 +96,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
 
     let mut cpu = CpuAnalytic::<f64>::with_model(model.clone());
     let mut scratch = GradientOutput::for_dof(model.dof());
-    let mut batch_out = GradientBatchOutput::new();
+    let mut batch_out = BatchOutput::new();
     let cpu_serial = time_median_ns(env.grad_reps, env.grad_batch, || {
         serial_batch(&mut cpu, &grad_states, &mut scratch, &mut batch_out);
         black_box(&batch_out);
@@ -121,7 +122,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     // --- Two-level threads × lanes scheduling ---------------------------
     let engine = BatchEngine::global();
     let engine_lanes = time_median_ns(env.grad_reps, env.grad_batch, || {
-        cpu.gradient_batch_on_into(engine, &grad_states, &mut batch_out)
+        gradient_batch_on_into(&cpu, engine, &grad_states, &mut batch_out)
             .expect("dimensions match");
         black_box(&batch_out);
     });

@@ -26,7 +26,7 @@
 //! state), the speedup ratios, and the host provenance block are written
 //! to `BENCH_6.json` at the repository root (override with `BENCH_OUT`;
 //! CI's traced re-run writes `BENCH_6.traced.json`) — the CI artifact
-//! gated by `analyse`/`bench_guard`. `BENCH_QUICK=1` shrinks the run for
+//! gated by `analyse gate`. `BENCH_QUICK=1` shrinks the run for
 //! CI and `BENCH_TRIALS=N` repeats it for the confidence-interval gate;
 //! see [`robo_bench::harness`].
 
@@ -34,7 +34,7 @@ use robo_bench::harness::{self, tape_states, time_median_ns, BenchEnv};
 use robo_bench::report::{speedup, BenchReport, HostInfo};
 use robo_codegen::{generate_x_pipeline, optimize, BatchEvalWorkspace, CompiledNetlist};
 use robo_dynamics::batch::GradientState;
-use robo_dynamics::engine::{CpuAnalytic, GradientBackend, GradientBatchOutput};
+use robo_dynamics::engine::{BatchOutput, CpuAnalytic, DynamicsBackend};
 use robo_dynamics::DynamicsModel;
 use robo_model::robots;
 use robo_sparsity::superposition_pattern;
@@ -93,7 +93,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
 
     let mut cpu_portable = CpuAnalytic::<f64>::with_model_tier(model.clone(), ExecTier::Portable);
     let mut cpu_native = CpuAnalytic::<f64>::with_model_tier(model.clone(), tier);
-    let mut batch_out = GradientBatchOutput::new();
+    let mut batch_out = BatchOutput::new();
     let grad_portable = time_median_ns(env.grad_reps, env.grad_batch, || {
         cpu_portable
             .gradient_batch_into(&grad_states, &mut batch_out)

@@ -1,7 +1,6 @@
 //! Statistics for the perf-study harness: per-key medians with bootstrap
 //! confidence intervals over N trials, report tables (text + markdown),
-//! and the CI-aware regression gate that subsumes `bench_guard`'s fixed
-//! tolerance band.
+//! and the one CI regression gate.
 //!
 //! Two input kinds feed the `analyse` binary:
 //!
@@ -10,19 +9,20 @@
 //! * Chrome-trace JSON files written by `robo-trace` — every span
 //!   instance becomes a duration sample for its span kind.
 //!
-//! The gate compares speedup ratios (and, on request, medians — only
-//! meaningful same-machine) against a baseline report. With at least
-//! [`GateConfig::DEFAULT_MIN_TRIALS`] samples per key it uses an
-//! overlapping-interval rule: the key regresses only when its whole
-//! bootstrap confidence interval falls below the baseline (with a small
-//! [`GateConfig::ci_slack`] for day-to-day machine drift). With fewer
-//! samples it falls back to the single-sample
-//! [`GuardConfig`] tolerance band
-//! (default 30%) — wide because a lone sample carries no spread
-//! information. The 1.0 "the optimized path must stay a win" floor from
-//! `bench_guard` gates in both modes.
+//! The gate compares speedup ratios and latency percentiles (and, on
+//! request, every median — only meaningful same-machine) against a
+//! baseline report. Every key must pass three rules at once:
+//!
+//! * the **band**: the median across trials stays within
+//!   [`GateConfig::band`] (default 30%) of the baseline;
+//! * the **interval**: with at least [`GateConfig::min_trials`] samples,
+//!   the whole bootstrap confidence interval must not clear the baseline
+//!   by more than [`GateConfig::ci_slack`] (default 10%);
+//! * the **floor**: a speedup the baseline records as a win (≥
+//!   [`GateConfig::floor`], default 1.0) must stay one in the median —
+//!   "the optimized path silently became the slow path" fails even
+//!   against a generous baseline.
 
-use crate::regression::GuardConfig;
 use crate::report::{is_latency_key, latency_stem, median, BenchReport, Table};
 use crate::report::{LATENCY_P50_SUFFIX, LATENCY_P99_SUFFIX};
 use robo_trace::Trace;
@@ -60,8 +60,8 @@ impl Stats {
     /// medians of `BOOTSTRAP_RESAMPLES` (200) resamples.
     ///
     /// A single sample gets a degenerate interval (`lo == hi == median`):
-    /// one observation carries no spread information, which is exactly
-    /// why the gate falls back to the tolerance band there.
+    /// one observation carries no spread information, which is why the
+    /// gate's interval rule waits for [`GateConfig::min_trials`] samples.
     ///
     /// # Panics
     ///
@@ -181,35 +181,46 @@ pub fn trace_samples(traces: &[Trace]) -> KeyedSamples {
 }
 
 /// Gate policy: how current trials compare against the committed
-/// baseline.
+/// baseline (see the [module docs](self) for the three rules).
 #[derive(Debug, Clone, Copy)]
 pub struct GateConfig {
-    /// Single-sample fallback band (and the 1.0 floor rule), identical to
-    /// `bench_guard`'s policy.
-    pub band: GuardConfig,
-    /// Relative slack under the baseline the whole CI must clear before a
+    /// Largest relative move of the median in the bad direction: a
+    /// speedup must stay ≥ baseline × (1 − band), a latency ≤ baseline ×
+    /// (1 + band). Wide, because shared runners jitter.
+    pub band: f64,
+    /// Relative slack the whole confidence interval must clear before a
     /// key counts as regressed (machine drift allowance). Much tighter
-    /// than the 30% band — the spread information is in the interval.
+    /// than the band — the spread information is in the interval.
     pub ci_slack: f64,
     /// Minimum samples per key before the interval rule applies.
     pub min_trials: usize,
+    /// Speedups the baseline records at or above this value (wins) must
+    /// keep a median at or above it.
+    pub floor: f64,
 }
 
 impl GateConfig {
+    /// Default band: 30%.
+    pub const DEFAULT_BAND: f64 = 0.30;
+
     /// Default CI slack: 10%.
     pub const DEFAULT_CI_SLACK: f64 = 0.10;
 
     /// Default trials needed for the interval rule (the CI bench jobs run
     /// exactly this many).
     pub const DEFAULT_MIN_TRIALS: usize = 3;
+
+    /// Default floor for speedups that were wins in the baseline.
+    pub const DEFAULT_FLOOR: f64 = 1.0;
 }
 
 impl Default for GateConfig {
     fn default() -> Self {
         Self {
-            band: GuardConfig::default(),
+            band: Self::DEFAULT_BAND,
             ci_slack: Self::DEFAULT_CI_SLACK,
             min_trials: Self::DEFAULT_MIN_TRIALS,
+            floor: Self::DEFAULT_FLOOR,
         }
     }
 }
@@ -232,51 +243,49 @@ fn gate_key(
     failures: &mut Vec<String>,
 ) {
     let stats = Stats::from_samples(samples);
-    let ci_mode = samples.len() >= config.min_trials;
-    let (tol, probe) = if ci_mode {
-        // Overlapping-interval rule: only regressed when the *entire*
-        // CI clears the baseline in the bad direction.
-        let probe = match direction {
-            Direction::HigherIsBetter => stats.hi,
-            Direction::LowerIsBetter => stats.lo,
-        };
-        (config.ci_slack, probe)
-    } else {
-        (config.band.speedup_tolerance, stats.median)
+    // Signed relative move in the bad direction: positive is worse.
+    let worse = |v: f64| match direction {
+        Direction::HigherIsBetter => (base - v) / base,
+        Direction::LowerIsBetter => (v - base) / base,
     };
-    let mode = if ci_mode {
+    // The interval's edge nearest the baseline: the whole CI is at least
+    // this much worse.
+    let ci_edge = match direction {
+        Direction::HigherIsBetter => stats.hi,
+        Direction::LowerIsBetter => stats.lo,
+    };
+    let (what, unit) = match direction {
+        Direction::HigherIsBetter => ("speedup", "x"),
+        Direction::LowerIsBetter => ("median", " ns"),
+    };
+    let trials = if stats.n >= config.min_trials {
         format!("95% CI {} of {} trials", stats.interval(), stats.n)
     } else {
-        format!("{} trial(s), {:.0}% band", stats.n, tol * 100.0)
+        format!("{} trial(s)", stats.n)
     };
-    match direction {
-        Direction::HigherIsBetter => {
-            let allowed = base * (1.0 - tol);
-            if probe < allowed {
-                failures.push(format!(
-                    "speedup `{name}` regressed: median {:.3}x vs baseline {base:.3}x \
-                     (allowed ≥ {allowed:.3}x; {mode})",
-                    stats.median
-                ));
-            } else if base >= config.band.speedup_floor && stats.median < config.band.speedup_floor
-            {
-                failures.push(format!(
-                    "speedup `{name}` fell below the floor: median {:.3}x < {:.3}x \
-                     (baseline {base:.3}x was a win; the optimized path lost to its fallback)",
-                    stats.median, config.band.speedup_floor
-                ));
-            }
-        }
-        Direction::LowerIsBetter => {
-            let allowed = base * (1.0 + tol);
-            if probe > allowed {
-                failures.push(format!(
-                    "median `{name}` regressed: {:.1} ns vs baseline {base:.1} ns \
-                     (allowed ≤ {allowed:.1} ns; {mode})",
-                    stats.median
-                ));
-            }
-        }
+    if worse(stats.median) > config.band {
+        failures.push(format!(
+            "{what} `{name}` regressed: median {:.3}{unit} vs baseline {base:.3}{unit}, \
+             beyond the {:.0}% band ({trials})",
+            stats.median,
+            config.band * 100.0
+        ));
+    } else if stats.n >= config.min_trials && worse(ci_edge) > config.ci_slack {
+        failures.push(format!(
+            "{what} `{name}` regressed: median {:.3}{unit} vs baseline {base:.3}{unit}, \
+             whole CI beyond the {:.0}% slack ({trials})",
+            stats.median,
+            config.ci_slack * 100.0
+        ));
+    } else if direction == Direction::HigherIsBetter
+        && base >= config.floor
+        && stats.median < config.floor
+    {
+        failures.push(format!(
+            "speedup `{name}` fell below the floor: median {:.3}x < {:.3}x \
+             (baseline {base:.3}x was a win; the optimized path lost to its fallback)",
+            stats.median, config.floor
+        ));
     }
 }
 
@@ -311,21 +320,17 @@ pub fn gate_speedups(
 }
 
 /// Gates current trial medians (nanoseconds, lower is better) against the
-/// baseline report's medians.
-///
-/// Medians are machine-specific, so this is only meaningful when both
-/// sides ran on the same machine — the disabled-vs-absent tracing delta
-/// in CI, where baseline and current come from the same job. Zero-valued
-/// baseline medians are skipped.
-pub fn gate_medians(
+/// baseline report's medians, for every key `keep` accepts.
+fn gate_medians_where(
     baseline: &BenchReport,
     trials: &[BenchReport],
     config: GateConfig,
+    keep: impl Fn(&str) -> bool,
 ) -> Vec<String> {
     let (medians, _) = bench_samples(trials);
     let mut failures = Vec::new();
     for (name, base) in baseline.medians() {
-        if *base == 0.0 {
+        if *base == 0.0 || !keep(name) {
             continue;
         }
         if let Some(samples) = medians.get(name) {
@@ -340,6 +345,33 @@ pub fn gate_medians(
         }
     }
     failures
+}
+
+/// Gates every current trial median (nanoseconds, lower is better)
+/// against the baseline report's medians.
+///
+/// Medians are machine-specific, so this is only meaningful when both
+/// sides ran on the same machine — the disabled-vs-absent tracing delta
+/// in CI, where baseline and current come from the same job. Zero-valued
+/// baseline medians are skipped.
+pub fn gate_medians(
+    baseline: &BenchReport,
+    trials: &[BenchReport],
+    config: GateConfig,
+) -> Vec<String> {
+    gate_medians_where(baseline, trials, config, |_| true)
+}
+
+/// Gates the latency percentiles (`*_p50_ns` / `*_p99_ns` medians from
+/// the serving load generator), lower is better. Part of the default
+/// gate: a baseline carries latency keys only when it was produced on the
+/// machine class the gate runs on.
+pub fn gate_latency(
+    baseline: &BenchReport,
+    trials: &[BenchReport],
+    config: GateConfig,
+) -> Vec<String> {
+    gate_medians_where(baseline, trials, config, is_latency_key)
 }
 
 /// Renders the per-key median/CI table for N bench trial reports.
@@ -500,15 +532,27 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("wide_vs_scalar"));
         assert!(failures[0].contains("regressed"));
+
+        // The same injection in one combined report beside an unchanged
+        // key: the band catches it without an interval, and only it.
+        let base = report(&[], &[("wide_vs_scalar", 2.0), ("threaded_vs_interp", 1.5)]);
+        let one = [report(
+            &[],
+            &[("wide_vs_scalar", 0.9), ("threaded_vs_interp", 1.5)],
+        )];
+        let failures = gate_speedups(&base, &one, GateConfig::default());
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("wide_vs_scalar"));
     }
 
     #[test]
     fn interval_rule_tolerates_one_noisy_trial() {
-        // Median dip below the old 30% band edge, but one good trial keeps
-        // the CI overlapping the baseline: the interval rule passes where
-        // a single-sample band check on the worst trial would fail.
+        // The worst trial sits 40% under the baseline, but the median
+        // stays inside the band and one good trial keeps the CI
+        // overlapping the baseline: the gate passes where a band check on
+        // the worst trial alone would fail.
         let base = report(&[], &[("wide_vs_scalar", 2.0)]);
-        let noisy = [1.2, 1.3, 2.1].map(|v| report(&[], &[("wide_vs_scalar", v)]));
+        let noisy = [1.2, 1.6, 2.1].map(|v| report(&[], &[("wide_vs_scalar", v)]));
         assert!(gate_speedups(&base, &noisy, GateConfig::default()).is_empty());
     }
 
@@ -523,6 +567,32 @@ mod tests {
         let failures = gate_speedups(&base, &bad, GateConfig::default());
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("band"));
+    }
+
+    #[test]
+    fn band_gates_the_median_even_when_the_interval_overlaps() {
+        // {0.5, 0.6, 0.95} × baseline: one good trial keeps the CI's upper
+        // edge within the 10% slack, but the median sits 40% under the
+        // baseline — outside the band.
+        let base = report(&[], &[("wide_vs_scalar", 2.0)]);
+        let trials = [1.0, 1.2, 1.9].map(|v| report(&[], &[("wide_vs_scalar", v)]));
+        let failures = gate_speedups(&base, &trials, GateConfig::default());
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("30% band"), "{failures:?}");
+    }
+
+    #[test]
+    fn jitter_within_the_band_passes_but_the_floor_still_gates() {
+        let base = report(&[], &[("wide_vs_scalar", 1.35)]);
+        // 1.35 → 1.05 is a 22% drop: inside the 30% band, above the floor.
+        let jitter = [report(&[], &[("wide_vs_scalar", 1.05)])];
+        assert!(gate_speedups(&base, &jitter, GateConfig::default()).is_empty());
+        // 1.35 → 0.97 is still inside the band but the optimized path now
+        // loses to its fallback: the floor catches it.
+        let lost = [report(&[], &[("wide_vs_scalar", 0.97)])];
+        let failures = gate_speedups(&base, &lost, GateConfig::default());
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("floor"));
     }
 
     #[test]
@@ -617,6 +687,26 @@ mod tests {
         let failures = gate_medians(&base, &slow, GateConfig::default());
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("serve_iiwa14_c4_p99_ns"));
+    }
+
+    #[test]
+    fn latency_gate_skips_plain_medians() {
+        // The default gate's median half: latency keys only. Tripling a
+        // plain (machine-specific) median never gates; a latency key in
+        // the band passes, and a doubled one fails.
+        let base = report(
+            &[("some_bench", 123.4), ("serve_iiwa14_c4_p99_ns", 90_000.0)],
+            &[],
+        );
+        let ok = [report(
+            &[("some_bench", 370.2), ("serve_iiwa14_c4_p99_ns", 100_000.0)],
+            &[],
+        )];
+        assert!(gate_latency(&base, &ok, GateConfig::default()).is_empty());
+        let slow = [report(&[("serve_iiwa14_c4_p99_ns", 180_000.0)], &[])];
+        let failures = gate_latency(&base, &slow, GateConfig::default());
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("median `serve_iiwa14_c4_p99_ns` regressed"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use robo_bench::analyse::trace_table;
 use robo_bench::harness::gradient_cases;
 use robo_codegen::{generate_x_pipeline, optimize, CompiledNetlist};
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{GradientBackend, GradientBatchOutput};
+use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, DynamicsBackend};
 use robo_model::robots;
 use robo_sim::engine::RobotPlan;
 use robo_sparsity::superposition_pattern;
@@ -76,7 +76,7 @@ fn run_pipeline(tier: ExecTier) -> (usize, usize) {
         .iter()
         .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
         .collect();
-    let mut batch_out = GradientBatchOutput::new();
+    let mut batch_out = BatchOutput::new();
     let mut cpu = plan.cpu_backend();
     cpu.gradient_batch_into(&grad_states, &mut batch_out)
         .expect("dimensions match");
@@ -86,7 +86,7 @@ fn run_pipeline(tier: ExecTier) -> (usize, usize) {
         .expect("dimensions match");
 
     // Thread fan-out through the shared engine.
-    cpu.gradient_batch_on_into(BatchEngine::global(), &grad_states, &mut batch_out)
+    gradient_batch_on_into(&cpu, BatchEngine::global(), &grad_states, &mut batch_out)
         .expect("dimensions match");
 
     // A short iLQR solve: backward + forward passes per iteration.

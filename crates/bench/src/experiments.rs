@@ -6,7 +6,7 @@
 
 use crate::report::{speedup, us, Table};
 use robo_baselines::{random_inputs, CpuBaseline, GpuModel};
-use robo_dynamics::engine::GradientBackend;
+use robo_dynamics::engine::{DynamicsBackend, GradientOutput};
 use robo_fixed::{Fix12_4, Fix14_18, Fix14_6, Fix18_14, Fix32_16, Fix8_4};
 use robo_model::{robots, RobotModel};
 use robo_sim::{CoprocessorSystem, IoChannel};
@@ -267,19 +267,15 @@ pub fn fig12_precision(quick: bool) -> String {
     // marshals inputs to `S` and outputs back, as the hardware I/O does).
     let robot = robots::iiwa14();
     let input = &random_inputs(&robot, 1, 0xF12)[0];
-    let reference = robo_sim::AcceleratorBackend::<f64>::new(&robot)
-        .gradient(&input.q, &input.qd, &input.qdd, &input.minv)
-        .expect("input matches robot");
+    let reference = boundary_gradient(robo_sim::AcceleratorBackend::<f64>::new(&robot), input);
     let scale = reference.dqdd_dq.max_abs().max(1.0);
     fn kernel_err<S: Scalar>(
         robot: &RobotModel,
         input: &robo_baselines::GradientInput,
-        reference: &robo_dynamics::DynamicsGradient<f64>,
+        reference: &GradientOutput,
         scale: f64,
     ) -> (String, f64) {
-        let out = robo_sim::AcceleratorBackend::<S>::new(robot)
-            .gradient(&input.q, &input.qd, &input.qdd, &input.minv)
-            .expect("input matches robot");
+        let out = boundary_gradient(robo_sim::AcceleratorBackend::<S>::new(robot), input);
         let err = out.dqdd_dq.max_abs_diff(&reference.dqdd_dq) / scale;
         (S::name(), err)
     }
@@ -601,27 +597,36 @@ pub fn ablation_folding() -> String {
     t.render()
 }
 
+/// One gradient through a backend's `f64` engine boundary (the backend
+/// marshals the input to its scalar type and the result back).
+fn boundary_gradient(
+    mut backend: impl DynamicsBackend,
+    input: &robo_baselines::GradientInput,
+) -> GradientOutput {
+    let mut out = GradientOutput::new();
+    backend
+        .gradient_into(&input.q, &input.qd, &input.qdd, &input.minv, &mut out)
+        .expect("input matches robot");
+    out
+}
+
 /// Ablation: per-operation rounding vs wide (DSP-cascade) accumulation in
 /// the fixed-point functional units.
 pub fn ablation_accumulator() -> String {
     let robot = robots::iiwa14();
     let input = &random_inputs(&robot, 1, 0xACC)[0];
-    let reference = robo_sim::AcceleratorBackend::<f64>::new(&robot)
-        .gradient(&input.q, &input.qd, &input.qdd, &input.minv)
-        .expect("input matches robot");
+    let reference = boundary_gradient(robo_sim::AcceleratorBackend::<f64>::new(&robot), input);
     let scale = reference.dqdd_dq.max_abs().max(1.0);
 
     fn err_for<S: Scalar>(
         robot: &RobotModel,
         input: &robo_baselines::GradientInput,
-        reference: &robo_dynamics::DynamicsGradient<f64>,
+        reference: &GradientOutput,
         scale: f64,
         accumulation: robo_sim::Accumulation,
     ) -> f64 {
         let sim = robo_sim::AcceleratorSim::<S>::with_accumulation(robot, accumulation);
-        let out = robo_sim::AcceleratorBackend::from_sim(sim)
-            .gradient(&input.q, &input.qd, &input.qdd, &input.minv)
-            .expect("input matches robot");
+        let out = boundary_gradient(robo_sim::AcceleratorBackend::from_sim(sim), input);
         out.dqdd_dq.max_abs_diff(&reference.dqdd_dq) / scale
     }
 

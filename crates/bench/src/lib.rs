@@ -12,14 +12,13 @@
 //! The perf-study side lives in three modules: [`harness`] (the
 //! `BENCH_QUICK`/`BENCH_TRIALS`/`BENCH_OUT` knobs and shared timing
 //! helpers), [`analyse`] (per-key medians with bootstrap confidence
-//! intervals and the CI-aware regression gate), and [`regression`] (the
-//! single-sample tolerance-band guard the gate falls back to). The
-//! `analyse` and `trace_pipeline` binaries drive them.
+//! intervals and the CI regression gate), and [`report`] (tables and the
+//! `BENCH_*.json` format). The `analyse` and `trace_pipeline` binaries
+//! drive them.
 
 #![warn(missing_docs)]
 
 pub mod analyse;
 pub mod experiments;
 pub mod harness;
-pub mod regression;
 pub mod report;

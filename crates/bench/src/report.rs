@@ -251,6 +251,77 @@ impl BenchReport {
     pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
+
+    /// Parses a [`BenchReport::to_json`] artifact back into a report
+    /// (medians and speedups; the `host` block is provenance and is
+    /// skipped). Hand-rolled for that exact shape — the workspace builds
+    /// offline, without serde.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed line when a section entry is
+    /// not a `"name": number` pair.
+    pub fn from_json(json: &str) -> Result<Self, String> {
+        #[derive(PartialEq)]
+        enum Section {
+            None,
+            Medians,
+            Speedups,
+            Skip,
+        }
+        let mut report = Self::new();
+        let mut section = Section::None;
+        for raw in json.lines() {
+            let line = raw.trim().trim_end_matches(',');
+            if line.is_empty() || line == "{" || line == "}" {
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix('"') {
+                if let Some((key, after)) = rest.split_once('"') {
+                    let after = after.trim_start();
+                    if let Some(value) = after.strip_prefix(':') {
+                        let value = value.trim();
+                        if value.starts_with('{') {
+                            section = match key {
+                                "medians_ns" => Section::Medians,
+                                "speedups" => Section::Speedups,
+                                _ => Section::Skip,
+                            };
+                            // One-line empty section: `"speedups": {}`.
+                            if value.contains('}') {
+                                section = Section::None;
+                            }
+                            continue;
+                        }
+                        match section {
+                            Section::None => {
+                                return Err(format!("entry outside any section: `{line}`"))
+                            }
+                            Section::Skip => continue,
+                            Section::Medians | Section::Speedups => {
+                                let num: f64 = value
+                                    .parse()
+                                    .map_err(|_| format!("malformed number in `{line}`"))?;
+                                if section == Section::Medians {
+                                    report.record_median_ns(key, num);
+                                } else {
+                                    report.record_speedup(key, num);
+                                }
+                                continue;
+                            }
+                        }
+                    }
+                }
+                return Err(format!("malformed entry `{line}`"));
+            }
+            // A bare `}` closing a section (possibly followed by a comma,
+            // already stripped).
+            if line.starts_with('}') {
+                section = Section::None;
+            }
+        }
+        Ok(report)
+    }
 }
 
 /// Suffix convention for 50th-percentile latency medians recorded by the
@@ -305,6 +376,36 @@ pub fn speedup(ratio: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_round_trips() {
+        let mut r = BenchReport::new();
+        r.record_median_ns("some_bench", 123.4);
+        r.record_speedup("wide_vs_scalar", 2.5);
+        r.record_speedup("threaded_vs_interp", 1.4);
+        r.set_host(HostInfo {
+            cpu_model: "Test".into(),
+            features: "sse2".into(),
+            cores: 2,
+            rustc: "rustc x".into(),
+            tier: "sse2".into(),
+        });
+        let parsed = BenchReport::from_json(&r.to_json()).expect("parses own output");
+        assert_eq!(parsed.median_ns("some_bench"), Some(123.4));
+        assert_eq!(parsed.speedup_of("wide_vs_scalar"), Some(2.5));
+        assert_eq!(parsed.speedup_of("threaded_vs_interp"), Some(1.4));
+        // The host block is provenance, not data — skipped on parse.
+        assert!(parsed.host().is_none());
+    }
+
+    #[test]
+    fn json_parse_rejects_garbage() {
+        assert!(BenchReport::from_json("{\n  \"medians_ns\": {\n    \"a\": nope\n  }\n}").is_err());
+        assert!(BenchReport::from_json("\"floating\": 1.0").is_err());
+        // Empty sections are fine.
+        let r = BenchReport::from_json("{\n  \"medians_ns\": {},\n  \"speedups\": {}\n}").unwrap();
+        assert_eq!(r.median_ns("anything"), None);
+    }
 
     #[test]
     fn renders_aligned_table() {

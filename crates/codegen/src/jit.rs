@@ -73,6 +73,25 @@ pub struct JitReport {
     pub patches: usize,
 }
 
+impl std::ops::Add for JitReport {
+    type Output = Self;
+
+    /// The report of two tapes taken together.
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            blocks: self.blocks + rhs.blocks,
+            code_bytes: self.code_bytes + rhs.code_bytes,
+            patches: self.patches + rhs.patches,
+        }
+    }
+}
+
+impl std::iter::Sum for JitReport {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
+}
+
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod native {
     use super::JitReport;

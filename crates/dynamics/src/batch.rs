@@ -238,15 +238,18 @@ impl Drop for ThreadPool {
     }
 }
 
-/// A borrowed view of one dynamics-gradient evaluation point, as consumed
-/// by [`BatchEngine::dynamics_gradient_batch`].
+/// A borrowed view of one evaluation point, as consumed by
+/// [`BatchEngine::dynamics_gradient_batch`] and, for every kernel of the
+/// family, by the engine's `DynamicsBackend::run_batch_into`.
 #[derive(Debug, Clone, Copy)]
 pub struct GradientState<'a, S> {
     /// Joint positions.
     pub q: &'a [S],
     /// Joint velocities.
     pub qd: &'a [S],
-    /// Joint accelerations the gradient is taken about.
+    /// The kernel's third input: the joint accelerations `q̈` the
+    /// gradient (or inverse dynamics) is taken about, or the applied
+    /// torques `τ` for forward dynamics.
     pub qdd: &'a [S],
     /// The mass-matrix inverse `M⁻¹` (host-computed, §5.1).
     pub minv: &'a MatN<S>,

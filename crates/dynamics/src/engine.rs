@@ -3,25 +3,30 @@
 //! The paper's methodology parameterizes a hardware template per robot
 //! morphology once, then reuses the resulting datapath for every control
 //! iteration (§4–5). This module is the software seam that mirrors that
-//! discipline: every consumer of the dynamics-gradient kernel — the iLQR /
-//! MPC linearization, the CPU baseline, the coprocessor stream, the
-//! experiment harness, the CLI — obtains gradients through one trait,
-//! [`GradientBackend`], instead of hand-wiring a specific kernel entry
-//! point.
+//! discipline: every consumer of the kernel family — the iLQR / MPC
+//! linearization, the CPU baseline, the coprocessor stream, the serving
+//! tier, the experiment harness, the CLI — goes through one trait,
+//! [`DynamicsBackend`], whose single compute entry
+//! [`run_batch_into`](DynamicsBackend::run_batch_into) takes a
+//! [`KernelKind`] tag, a batch of states, and one flat [`BatchOutput`]
+//! (the Dadu-RBD shape: one multifunction pipeline, selected by a kernel
+//! tag).
 //!
-//! Three families of backends implement the trait:
+//! Three backends implement the trait:
 //!
-//! * [`CpuAnalytic`] — the host's analytical workspace kernels
-//!   ([`crate::dynamics_gradient_into`]), in any scalar type `S`;
+//! * [`CpuAnalytic`] — the host's analytical workspace kernels, in any
+//!   scalar type `S`;
 //! * `AcceleratorBackend` (in `robo-sim`) — the morphology-customized
 //!   accelerator simulation executing compiled netlists;
 //! * [`FiniteDiff`] — a finite-difference oracle for validation.
 //!
-//! The trait boundary is `f64`: backends computing in another scalar type
-//! (the accelerator's Q16.16, the Figure 12 sweep types) cast at the
-//! boundary exactly as the hardware's I/O marshalling does (§6.2). Each
-//! backend owns its warm workspaces, so `gradient_into` is allocation-free
-//! in steady state; [`GradientBackend::fork`] hands each worker of the
+//! The first two are thin wrappers over one [`BackendCore`] driving a
+//! [`Datapath`] (`DynamicsModel` or `AcceleratorSim`): the core owns the
+//! `f64` ↔ `S` boundary casts (the hardware's I/O marshalling, §6.2), the
+//! lane-group path that runs a tier's worth of states per wide kernel
+//! instruction, the ragged scalar tail, and the dispatch on the kernel
+//! tag. Each backend owns its warm workspaces, so steady-state calls are
+//! allocation-free; [`DynamicsBackend::fork`] hands each worker of the
 //! shared [`BatchEngine`] a private instance over the same immutable plan.
 
 use crate::batch::{BatchEngine, GradientState};
@@ -33,9 +38,11 @@ use crate::{
 };
 use robo_model::RobotModel;
 use robo_spatial::{ExecTier, MatN, Scalar, WideScalar, WideVisit};
+use std::any::Any;
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// Error from an engine-boundary gradient call.
+/// Error from an engine-boundary kernel call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// An input's length (or matrix dimension) disagrees with the plan's
@@ -73,11 +80,11 @@ impl std::error::Error for EngineError {}
 /// shows the same morphology-pruned datapath profitably serves a *family*
 /// of kernels on shared multifunctional pipelines. Every layer of this
 /// stack — netlist generation (`generate_kernel_netlist` in
-/// `robo-codegen`), the engine ([`DynamicsBackend::run_into`]), the plan
-/// (`RobotPlan` in `robo-sim`), serving (`GradientRequest` in
+/// `robo-codegen`), the engine ([`DynamicsBackend::run_batch_into`]), the
+/// plan (`RobotPlan` in `robo-sim`), serving (`GradientRequest` in
 /// `robo-serve`), and the CLI (`--kernel`) — is parameterized by this
 /// enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum KernelKind {
     /// RNEA: joint torques `τ(q, q̇, q̈)`.
     InverseDynamics,
@@ -85,6 +92,7 @@ pub enum KernelKind {
     ForwardDynamics,
     /// The dynamics gradient `∂q̈/∂q`, `∂q̈/∂q̇` (plus the ∇ID stage) —
     /// the paper's original workload.
+    #[default]
     Gradient,
 }
 
@@ -110,6 +118,14 @@ impl KernelKind {
             Self::Gradient => 2,
         }
     }
+
+    /// Whether [`BackendCore`] evaluates this kernel a lane group at a
+    /// time. Only the gradient does: `id`/`fd` run the scalar path state
+    /// by state until a measured change widens them (the ABA's
+    /// positive-pivot assert inspects lane 0 only).
+    pub fn runs_in_lanes(self) -> bool {
+        self == Self::Gradient
+    }
 }
 
 impl std::fmt::Display for KernelKind {
@@ -133,8 +149,8 @@ impl std::str::FromStr for KernelKind {
     }
 }
 
-/// Validates one gradient evaluation point against a backend's joint
-/// count; every [`GradientBackend`] implementation calls this at entry.
+/// Validates one evaluation point against a backend's joint count; every
+/// [`DynamicsBackend::run_batch_into`] implementation calls this at entry.
 ///
 /// # Errors
 ///
@@ -166,9 +182,9 @@ pub fn check_dims<S: Scalar>(
     Ok(())
 }
 
-/// The engine's output buffer: the four gradient matrices in host `f64`,
-/// reusable across calls (warm buffers make repeated `gradient_into`
-/// calls allocation-free).
+/// The single-state gradient output: the four gradient matrices in host
+/// `f64`, reusable across calls (warm buffers make repeated
+/// `gradient_into` calls allocation-free).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientOutput {
     /// `∂q̈/∂q` (Algorithm 1 output).
@@ -222,16 +238,26 @@ impl GradientOutput {
     }
 }
 
-/// Flat structure-of-arrays output for a whole gradient batch: four
-/// buffers of `count · dof · dof` values, state-major then row-major, so
-/// batch producers write (and consumers like the iLQR linearization read)
-/// contiguous per-state blocks with zero per-state allocation once warm.
+/// Flat structure-of-arrays output for a whole batch of any kernel:
+/// state-major, row-major within a state, so batch producers write (and
+/// consumers like the iLQR linearization read) contiguous per-state
+/// blocks with zero per-state allocation once warm.
+///
+/// Only the buffers of the batch's kernel are written (the rest keep
+/// their contents): `tau` for [`KernelKind::InverseDynamics`], `qdd` for
+/// [`KernelKind::ForwardDynamics`], the four gradient buffers for
+/// [`KernelKind::Gradient`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct GradientBatchOutput {
+pub struct BatchOutput {
+    kernel: KernelKind,
     count: usize,
     dof: usize,
-    /// `∂q̈/∂q` for every state; state `i` owns
-    /// `[i·dof², (i+1)·dof²)`, row-major within the block.
+    /// `τ` for every state; state `i` owns `[i·dof, (i+1)·dof)`.
+    pub tau: Vec<f64>,
+    /// `q̈` for every state, same layout as `tau`.
+    pub qdd: Vec<f64>,
+    /// `∂q̈/∂q` for every state; state `i` owns `[i·dof², (i+1)·dof²)`,
+    /// row-major within the block.
     pub dqdd_dq: Vec<f64>,
     /// `∂q̈/∂q̇`, same layout.
     pub dqdd_dqd: Vec<f64>,
@@ -241,23 +267,46 @@ pub struct GradientBatchOutput {
     pub dtau_dqd: Vec<f64>,
 }
 
-impl GradientBatchOutput {
-    /// An empty output; [`GradientBatchOutput::reset`] sizes it.
-    pub fn new() -> Self {
-        Self::default()
+/// The gradient-only callers' name for [`BatchOutput`].
+pub type GradientBatchOutput = BatchOutput;
+
+impl BatchOutput {
+    /// An empty output; [`BatchOutput::reset`] sizes it.
+    pub const fn new() -> Self {
+        Self {
+            kernel: KernelKind::Gradient,
+            count: 0,
+            dof: 0,
+            tau: Vec::new(),
+            qdd: Vec::new(),
+            dqdd_dq: Vec::new(),
+            dqdd_dqd: Vec::new(),
+            dtau_dq: Vec::new(),
+            dtau_dqd: Vec::new(),
+        }
     }
 
-    /// Sizes the buffers for `count` states of `dof` joints. Shrinking or
-    /// re-using at the same size never reallocates, so a warm output makes
-    /// repeated batch calls allocation-free.
-    pub fn reset(&mut self, count: usize, dof: usize) {
+    /// Sizes `kernel`'s buffers for `count` states of `dof` joints.
+    /// Shrinking or re-using at the same size never reallocates, so a
+    /// warm output makes repeated batch calls allocation-free.
+    pub fn reset(&mut self, kernel: KernelKind, count: usize, dof: usize) {
+        self.kernel = kernel;
         self.count = count;
         self.dof = dof;
-        let len = count * dof * dof;
-        self.dqdd_dq.resize(len, 0.0);
-        self.dqdd_dqd.resize(len, 0.0);
-        self.dtau_dq.resize(len, 0.0);
-        self.dtau_dqd.resize(len, 0.0);
+        match kernel {
+            KernelKind::InverseDynamics => self.tau.resize(count * dof, 0.0),
+            KernelKind::ForwardDynamics => self.qdd.resize(count * dof, 0.0),
+            KernelKind::Gradient => {
+                for buf in self.gradient_mut() {
+                    buf.resize(count * dof * dof, 0.0);
+                }
+            }
+        }
+    }
+
+    /// The kernel whose results the output currently holds.
+    pub fn kernel(&self) -> KernelKind {
+        self.kernel
     }
 
     /// Number of states the output currently holds.
@@ -270,34 +319,66 @@ impl GradientBatchOutput {
         self.dof
     }
 
-    fn block(&self, buf: &'static str, i: usize) -> core::ops::Range<usize> {
-        assert!(i < self.count, "state {i} out of range for {buf}");
-        let n2 = self.dof * self.dof;
-        i * n2..(i + 1) * n2
+    /// The four gradient buffers, in field order.
+    fn gradient_mut(&mut self) -> [&mut Vec<f64>; 4] {
+        [
+            &mut self.dqdd_dq,
+            &mut self.dqdd_dqd,
+            &mut self.dtau_dq,
+            &mut self.dtau_dqd,
+        ]
     }
 
-    /// State `i`'s `∂q̈/∂q` block (row-major `dof × dof`).
+    fn block(&self, buf: &'static str, i: usize, len: usize) -> core::ops::Range<usize> {
+        assert!(i < self.count, "state {i} out of range for {buf}");
+        i * len..(i + 1) * len
+    }
+
+    /// State `i`'s `τ` (an inverse-dynamics batch).
     ///
     /// # Panics
     ///
-    /// Panics if `i >= count()` (all four accessors).
+    /// Panics if `i >= count()` (all six accessors).
+    pub fn tau_at(&self, i: usize) -> &[f64] {
+        &self.tau[self.block("tau", i, self.dof)]
+    }
+
+    /// State `i`'s `q̈` (a forward-dynamics batch).
+    pub fn qdd_at(&self, i: usize) -> &[f64] {
+        &self.qdd[self.block("qdd", i, self.dof)]
+    }
+
+    /// State `i`'s `∂q̈/∂q` block (row-major `dof × dof`).
     pub fn dqdd_dq_at(&self, i: usize) -> &[f64] {
-        &self.dqdd_dq[self.block("dqdd_dq", i)]
+        &self.dqdd_dq[self.block("dqdd_dq", i, self.dof * self.dof)]
     }
 
     /// State `i`'s `∂q̈/∂q̇` block.
     pub fn dqdd_dqd_at(&self, i: usize) -> &[f64] {
-        &self.dqdd_dqd[self.block("dqdd_dqd", i)]
+        &self.dqdd_dqd[self.block("dqdd_dqd", i, self.dof * self.dof)]
     }
 
     /// State `i`'s `∂τ/∂q` block.
     pub fn dtau_dq_at(&self, i: usize) -> &[f64] {
-        &self.dtau_dq[self.block("dtau_dq", i)]
+        &self.dtau_dq[self.block("dtau_dq", i, self.dof * self.dof)]
     }
 
     /// State `i`'s `∂τ/∂q̇` block.
     pub fn dtau_dqd_at(&self, i: usize) -> &[f64] {
-        &self.dtau_dqd[self.block("dtau_dqd", i)]
+        &self.dtau_dqd[self.block("dtau_dqd", i, self.dof * self.dof)]
+    }
+
+    /// Writes state `i`'s four gradient blocks from row-major sources in
+    /// field order, each element through `f`. The one scatter loop behind
+    /// the scalar path, the lane groups and [`BatchOutput::store`].
+    fn put_gradient<T>(&mut self, i: usize, src: [&[T]; 4], f: impl Fn(&T) -> f64) {
+        let range = self.block("gradient", i, self.dof * self.dof);
+        for (buf, src) in self.gradient_mut().into_iter().zip(src) {
+            debug_assert_eq!(src.len(), range.len(), "gradient block shape");
+            for (dst, x) in buf[range.clone()].iter_mut().zip(src) {
+                *dst = f(x);
+            }
+        }
     }
 
     /// Copies one dense [`GradientOutput`] into state `i`'s blocks.
@@ -306,236 +387,81 @@ impl GradientBatchOutput {
     ///
     /// Panics if `i >= count()` or `out`'s matrices are not `dof × dof`.
     pub fn store(&mut self, i: usize, out: &GradientOutput) {
+        let mats = [&out.dqdd_dq, &out.dqdd_dqd, &out.dtau_dq, &out.dtau_dqd];
+        for m in mats {
+            assert_eq!(
+                (m.rows(), m.cols()),
+                (self.dof, self.dof),
+                "gradient block shape"
+            );
+        }
+        self.put_gradient(i, mats.map(MatN::as_slice), |x| *x);
+    }
+
+    /// Copies state `i`'s gradient blocks into a dense output. Resizing
+    /// at an unchanged size never reallocates, so warm buffers make this
+    /// allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= count()`.
+    pub fn copy_gradient(&self, i: usize, out: &mut GradientOutput) {
         let n = self.dof;
-        let range = self.block("store", i);
         for (flat, mat) in [
-            (&mut self.dqdd_dq, &out.dqdd_dq),
-            (&mut self.dqdd_dqd, &out.dqdd_dqd),
-            (&mut self.dtau_dq, &out.dtau_dq),
-            (&mut self.dtau_dqd, &out.dtau_dqd),
+            (self.dqdd_dq_at(i), &mut out.dqdd_dq),
+            (self.dqdd_dqd_at(i), &mut out.dqdd_dqd),
+            (self.dtau_dq_at(i), &mut out.dtau_dq),
+            (self.dtau_dqd_at(i), &mut out.dtau_dqd),
         ] {
-            assert_eq!((mat.rows(), mat.cols()), (n, n), "gradient block shape");
-            let dst = &mut flat[range.clone()];
-            for r in 0..n {
-                for c in 0..n {
-                    dst[r * n + c] = mat[(r, c)];
-                }
-            }
+            mat.resize_zeroed(n, n);
+            mat.as_mut_slice().copy_from_slice(flat);
         }
     }
 
-    /// Reassembles state `i`'s blocks into an owned [`DynamicsGradient`]
-    /// (for callers on the legacy vector-of-gradients shape).
+    /// Copies state `i`'s results, whatever the batch's kernel, into
+    /// single-state buffers: the gradient blocks into `grad`, or `τ` /
+    /// `q̈` into `vector`. The other destination is left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= count()`.
+    pub fn copy_state(&self, i: usize, grad: &mut GradientOutput, vector: &mut Vec<f64>) {
+        let src = match self.kernel {
+            KernelKind::Gradient => return self.copy_gradient(i, grad),
+            KernelKind::InverseDynamics => self.tau_at(i),
+            KernelKind::ForwardDynamics => self.qdd_at(i),
+        };
+        vector.clear();
+        vector.extend_from_slice(src);
+    }
+
+    /// Reassembles state `i`'s gradient blocks into an owned
+    /// [`DynamicsGradient`] (for callers on the vector-of-gradients
+    /// shape).
     ///
     /// # Panics
     ///
     /// Panics if `i >= count()`.
     pub fn gradient_at(&self, i: usize) -> DynamicsGradient<f64> {
-        let n = self.dof;
-        let unflatten = |flat: &[f64]| {
-            let mut m = MatN::zeros(n, n);
-            for r in 0..n {
-                for c in 0..n {
-                    m[(r, c)] = flat[r * n + c];
-                }
-            }
-            m
-        };
-        DynamicsGradient {
-            dqdd_dq: unflatten(self.dqdd_dq_at(i)),
-            dqdd_dqd: unflatten(self.dqdd_dqd_at(i)),
-            id_gradient: InverseDynamicsGradient {
-                dtau_dq: unflatten(self.dtau_dq_at(i)),
-                dtau_dqd: unflatten(self.dtau_dqd_at(i)),
-            },
-        }
+        let mut out = GradientOutput::new();
+        self.copy_gradient(i, &mut out);
+        out.into_dynamics_gradient()
     }
 }
 
-/// A dynamics-gradient provider behind the accelerator's exact interface
-/// (Figure 9): given the host's `(q, q̇, q̈, M⁻¹)`, fill in
-/// `(∂q̈/∂q, ∂q̈/∂q̇)` and the step-2 intermediates.
-///
-/// Backends own their warm workspaces (hence `&mut self`); sharing across
-/// the [`BatchEngine`]'s workers goes through [`GradientBackend::fork`],
-/// which hands each worker a private instance over the same immutable,
-/// `Arc`-shared per-robot plan. [`gradient_batch`](Self::gradient_batch)
-/// is the batch entry point built on that mechanism.
-pub trait GradientBackend: Send + Sync {
-    /// Short name for reports (`"cpu"`, `"accel"`, `"fd"`, …).
-    fn name(&self) -> &'static str;
-
-    /// The plan's joint count; inputs must match it.
-    fn dof(&self) -> usize;
-
-    /// Computes one dynamics gradient (Algorithm 1 given host-computed
-    /// `q̈` and `M⁻¹`) into `out`. Allocation-free once the backend and
-    /// `out` are warm (except [`FiniteDiff`], which is an oracle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DimensionMismatch`] when any input dimension
-    /// disagrees with [`GradientBackend::dof`].
-    fn gradient_into(
-        &mut self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        minv: &MatN<f64>,
-        out: &mut GradientOutput,
-    ) -> Result<(), EngineError>;
-
-    /// A private instance for one batch worker, sharing this backend's
-    /// immutable plan (model, netlists) but owning fresh workspaces.
-    fn fork(&self) -> Box<dyn GradientBackend + '_>;
-
-    /// States evaluated per wide kernel instruction by
-    /// [`GradientBackend::gradient_batch_into`] — 1 for serial backends
-    /// (the default), the active tier's lane width for wide ones.
-    fn serve_width(&self) -> usize {
-        1
-    }
-
-    /// Computes a batch of gradients serially into a flat SoA output.
-    ///
-    /// The default loops [`GradientBackend::gradient_into`] through one
-    /// dense scratch block. Wide backends ([`CpuAnalytic`], the
-    /// accelerator) override it to run [`GradientBackend::serve_width`]
-    /// states per instruction, allocation-free once `self` and `out` are
-    /// warm, with per-state results bit-identical to the serial path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first malformed evaluation point's [`EngineError`];
-    /// `out` contents are unspecified on error.
-    fn gradient_batch_into(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-    ) -> Result<(), EngineError> {
-        out.reset(states.len(), self.dof());
-        let mut scratch = GradientOutput::for_dof(self.dof());
-        for (i, s) in states.iter().enumerate() {
-            self.gradient_into(s.q, s.qd, s.qdd, s.minv, &mut scratch)?;
-            out.store(i, &scratch);
-        }
-        Ok(())
-    }
-
-    /// Computes a batch of gradients data-parallel on `engine` into a flat
-    /// SoA output — two-level parallelism: workers claim chunks of whole
-    /// lane groups ([`GradientBackend::serve_width`] states each, at
-    /// least ~4 states per claim), and each chunk runs through the
-    /// worker's (possibly wide) [`GradientBackend::gradient_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing chunk's [`EngineError`]; `out` contents
-    /// are unspecified on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker panicked while processing a chunk.
-    fn gradient_batch_on_into(
-        &self,
-        engine: &BatchEngine,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-    ) -> Result<(), EngineError> {
-        let dof = self.dof();
-        // Whole lane groups per claimed chunk, topped up to at least
-        // ~4 states so narrow (or serial) widths don't pay a claim per
-        // state or two.
-        let w = self.serve_width().max(1);
-        let chunk_len = w * 4usize.div_ceil(w);
-        let parts = engine.run_with_state(
-            states.len().div_ceil(chunk_len),
-            || self.fork(),
-            |backend, ci| {
-                let lo = ci * chunk_len;
-                let hi = usize::min(lo + chunk_len, states.len());
-                let mut part = GradientBatchOutput::new();
-                backend
-                    .gradient_batch_into(&states[lo..hi], &mut part)
-                    .map(|()| part)
-            },
-        );
-        out.reset(states.len(), dof);
-        let n2 = dof * dof;
-        for (ci, part) in parts.into_iter().enumerate() {
-            let part = part?;
-            let lo = ci * chunk_len * n2;
-            let hi = lo + part.count() * n2;
-            out.dqdd_dq[lo..hi].copy_from_slice(&part.dqdd_dq);
-            out.dqdd_dqd[lo..hi].copy_from_slice(&part.dqdd_dqd);
-            out.dtau_dq[lo..hi].copy_from_slice(&part.dtau_dq);
-            out.dtau_dqd[lo..hi].copy_from_slice(&part.dtau_dqd);
-        }
-        Ok(())
-    }
-
-    /// Computes a batch of gradients data-parallel on `engine`, one forked
-    /// backend instance per participating worker (the paper's §6.1 batch
-    /// structure). Convenience wrapper over
-    /// [`GradientBackend::gradient_batch_on_into`] returning owned
-    /// per-state gradients; serving-path callers should use the `_into`
-    /// form and keep its flat buffers warm.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first item's [`EngineError`] if any evaluation point is
-    /// malformed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker panicked while processing an item.
-    fn gradient_batch_on(
-        &self,
-        engine: &BatchEngine,
-        states: &[GradientState<'_, f64>],
-    ) -> Result<Vec<DynamicsGradient<f64>>, EngineError> {
-        let mut out = GradientBatchOutput::new();
-        self.gradient_batch_on_into(engine, states, &mut out)?;
-        Ok((0..states.len()).map(|i| out.gradient_at(i)).collect())
-    }
-
-    /// Like [`GradientBackend::gradient_batch_on`], on the process-wide
-    /// [`BatchEngine::global`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first item's [`EngineError`] if any evaluation point is
-    /// malformed.
-    fn gradient_batch(
-        &self,
-        states: &[GradientState<'_, f64>],
-    ) -> Result<Vec<DynamicsGradient<f64>>, EngineError> {
-        self.gradient_batch_on(BatchEngine::global(), states)
-    }
-
-    /// Convenience allocating entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DimensionMismatch`] when any input dimension
-    /// disagrees with [`GradientBackend::dof`].
-    fn gradient(
-        &mut self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        minv: &MatN<f64>,
-    ) -> Result<DynamicsGradient<f64>, EngineError> {
-        let mut out = GradientOutput::for_dof(self.dof());
-        self.gradient_into(q, qd, qdd, minv, &mut out)?;
-        Ok(out.into_dynamics_gradient())
+/// Writes one state's vector result (`τ` or `q̈`) into its block of a flat
+/// batch buffer.
+fn put_row<S: Scalar>(buf: &mut [f64], i: usize, src: &[S]) {
+    let n = src.len();
+    for (dst, x) in buf[i * n..(i + 1) * n].iter_mut().zip(src) {
+        *dst = x.to_f64();
     }
 }
 
-/// Output buffer for [`DynamicsBackend::run_into`]: one field family per
-/// [`KernelKind`], reusable across calls so warm kernel evaluations are
-/// allocation-free. Only the fields of the requested kernel are written:
-/// `tau` for [`KernelKind::InverseDynamics`], `qdd` for
+/// Single-state output buffer for [`DynamicsBackend::run_into`]: one field
+/// family per [`KernelKind`], reusable across calls so warm kernel
+/// evaluations are allocation-free. Only the fields of the requested
+/// kernel are written: `tau` for [`KernelKind::InverseDynamics`], `qdd` for
 /// [`KernelKind::ForwardDynamics`], `grad` for [`KernelKind::Gradient`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelOutput {
@@ -564,30 +490,104 @@ impl KernelOutput {
     }
 }
 
-/// The multifunction face of a backend: one selector over the whole
-/// kernel family (RNEA / FD / ∇ID) instead of bespoke call paths — the
-/// engine-layer mirror of Dadu-RBD's shared multifunctional pipelines.
+/// A kernel-family provider behind the accelerator's exact interface
+/// (Figure 9): given the host's `(q, q̇, third, M⁻¹)` for a batch of
+/// states, fill in the tagged kernel's outputs.
 ///
-/// [`GradientBackend`] remains as the compat surface (it is this trait's
-/// supertrait), so gradient-only consumers — iLQR, MPC, `stream_batch` —
-/// keep compiling unchanged; `Box<dyn DynamicsBackend>` upcasts to
-/// `Box<dyn GradientBackend>` where needed.
+/// The `third` input slot ([`GradientState::qdd`]) is kernel-dependent,
+/// mirroring the accelerator's fixed input register file: it carries `q̈`
+/// for [`KernelKind::InverseDynamics`] and [`KernelKind::Gradient`], and
+/// `τ` for [`KernelKind::ForwardDynamics`]. `minv` is consumed by the FD
+/// composition `q̈ = M⁻¹(τ − C)` and the gradient's step 3; the
+/// inverse-dynamics kernel validates but ignores it (the datapath always
+/// latches the full register file).
 ///
-/// The `third` input slot is kernel-dependent, mirroring the accelerator's
-/// fixed input register file: it carries `q̈` for
-/// [`KernelKind::InverseDynamics`] and [`KernelKind::Gradient`], and `τ`
-/// for [`KernelKind::ForwardDynamics`]. `minv` is consumed by the FD
-/// composition `q̈ = M⁻¹(τ − C)` and the gradient's step 3; the inverse-
-/// dynamics kernel validates but ignores it (the datapath always latches
-/// the full register file).
-pub trait DynamicsBackend: GradientBackend {
-    /// Evaluates `kernel` at one state, writing the kernel's fields of
-    /// `out`.
+/// A backend implements one compute entry,
+/// [`run_batch_into`](Self::run_batch_into); the single-state and
+/// gradient-only forms are provided wrappers over it. Backends own their
+/// warm workspaces (hence `&mut self`); sharing across the
+/// [`BatchEngine`]'s workers goes through [`DynamicsBackend::fork`], which
+/// hands each worker a private instance over the same immutable,
+/// `Arc`-shared per-robot plan (see [`gradient_batch_on_into`]).
+pub trait DynamicsBackend: Send + Sync {
+    /// Short name for reports (`"cpu"`, `"accel"`, `"fd"`, …).
+    fn name(&self) -> &'static str;
+
+    /// The plan's joint count; inputs must match it.
+    fn dof(&self) -> usize;
+
+    /// A private instance for one batch worker, sharing this backend's
+    /// immutable plan (model, netlists) but owning fresh workspaces.
+    fn fork(&self) -> Box<dyn DynamicsBackend + '_>;
+
+    /// States evaluated per wide kernel instruction by
+    /// [`DynamicsBackend::run_batch_into`] for kernels that
+    /// [run in lanes](KernelKind::runs_in_lanes) — 1 for serial backends
+    /// (the default), the active tier's lane width for wide ones.
+    fn serve_width(&self) -> usize {
+        1
+    }
+
+    /// Evaluates `kernel` at every state into one flat output, resized to
+    /// `states.len()` — the single compute entry. Allocation-free once
+    /// `self` and `out` are warm (except [`FiniteDiff`], which is an
+    /// oracle), with per-state results bit-identical to one-state calls.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed state's
+    /// [`EngineError::DimensionMismatch`]; `out` contents are unspecified
+    /// on error.
+    fn run_batch_into(
+        &mut self,
+        kernel: KernelKind,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
+    ) -> Result<(), EngineError>;
+
+    /// A gradient batch: [`DynamicsBackend::run_batch_into`] with
+    /// [`KernelKind::Gradient`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`DynamicsBackend::run_batch_into`].
+    fn gradient_batch_into(
+        &mut self,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
+    ) -> Result<(), EngineError> {
+        self.run_batch_into(KernelKind::Gradient, states, out)
+    }
+
+    /// Computes one dynamics gradient (Algorithm 1 given host-computed
+    /// `q̈` and `M⁻¹`) into `out`: a one-state gradient batch.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::DimensionMismatch`] when any input dimension
-    /// disagrees with [`GradientBackend::dof`].
+    /// disagrees with [`DynamicsBackend::dof`].
+    fn gradient_into(
+        &mut self,
+        q: &[f64],
+        qd: &[f64],
+        qdd: &[f64],
+        minv: &MatN<f64>,
+        out: &mut GradientOutput,
+    ) -> Result<(), EngineError> {
+        with_scratch(|batch| {
+            self.gradient_batch_into(&[GradientState { q, qd, qdd, minv }], batch)?;
+            batch.copy_gradient(0, out);
+            Ok(())
+        })
+    }
+
+    /// Evaluates `kernel` at one state, writing the kernel's fields of
+    /// `out`: a one-state batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::DimensionMismatch`] when any input dimension
+    /// disagrees with [`DynamicsBackend::dof`].
     fn run_into(
         &mut self,
         kernel: KernelKind,
@@ -596,201 +596,498 @@ pub trait DynamicsBackend: GradientBackend {
         third: &[f64],
         minv: &MatN<f64>,
         out: &mut KernelOutput,
-    ) -> Result<(), EngineError>;
+    ) -> Result<(), EngineError> {
+        with_scratch(|batch| {
+            let state = GradientState {
+                q,
+                qd,
+                qdd: third,
+                minv,
+            };
+            self.run_batch_into(kernel, &[state], batch)?;
+            let vector = if kernel == KernelKind::ForwardDynamics {
+                &mut out.qdd
+            } else {
+                &mut out.tau
+            };
+            batch.copy_state(0, &mut out.grad, vector);
+            Ok(())
+        })
+    }
+}
 
-    /// Convenience allocating entry point for [`run_into`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_into`].
-    ///
-    /// [`run_into`]: DynamicsBackend::run_into
-    fn run(
-        &mut self,
+/// The gradient consumers' name for [`DynamicsBackend`]: one trait, two
+/// names, so `&dyn GradientBackend` and `Box<dyn DynamicsBackend>` are the
+/// same type.
+pub use self::DynamicsBackend as GradientBackend;
+
+/// Runs `f` on this thread's warm one-state batch — the scratch behind
+/// the provided single-state wrappers, so they stay allocation-free once
+/// warm without a buffer in every backend.
+fn with_scratch<R>(f: impl FnOnce(&mut BatchOutput) -> R) -> R {
+    thread_local! {
+        static SCRATCH: Cell<BatchOutput> = const { Cell::new(BatchOutput::new()) };
+    }
+    // Taken rather than borrowed: a nested call (a decorator wrapping
+    // another backend) gets a fresh scratch instead of a double borrow.
+    let mut batch = SCRATCH.take();
+    let result = f(&mut batch);
+    SCRATCH.set(batch);
+    result
+}
+
+/// Computes a gradient batch data-parallel on `engine` into a flat output
+/// — two-level parallelism: workers claim chunks of whole lane groups
+/// ([`DynamicsBackend::serve_width`] states each, at least ~4 states per
+/// claim), and each chunk runs through a [`fork`](DynamicsBackend::fork)
+/// of `backend` (the paper's §6.1 batch structure).
+///
+/// # Errors
+///
+/// Returns the first failing chunk's [`EngineError`]; `out` contents are
+/// unspecified on error.
+///
+/// # Panics
+///
+/// Panics if a worker panicked while processing a chunk.
+pub fn gradient_batch_on_into(
+    backend: &dyn DynamicsBackend,
+    engine: &BatchEngine,
+    states: &[GradientState<'_, f64>],
+    out: &mut BatchOutput,
+) -> Result<(), EngineError> {
+    let dof = backend.dof();
+    // Whole lane groups per claimed chunk, topped up to at least ~4
+    // states so narrow (or serial) widths don't pay a claim per state or
+    // two.
+    let w = backend.serve_width().max(1);
+    let chunk_len = w * 4usize.div_ceil(w);
+    let parts = engine.run_with_state(
+        states.len().div_ceil(chunk_len),
+        || backend.fork(),
+        |backend, ci| {
+            let lo = ci * chunk_len;
+            let hi = usize::min(lo + chunk_len, states.len());
+            let mut part = BatchOutput::new();
+            backend
+                .gradient_batch_into(&states[lo..hi], &mut part)
+                .map(|()| part)
+        },
+    );
+    out.reset(KernelKind::Gradient, states.len(), dof);
+    let n2 = dof * dof;
+    for (ci, part) in parts.into_iter().enumerate() {
+        let mut part = part?;
+        let lo = ci * chunk_len * n2;
+        let hi = lo + part.count() * n2;
+        for (dst, src) in out.gradient_mut().into_iter().zip(part.gradient_mut()) {
+            dst[lo..hi].copy_from_slice(src);
+        }
+    }
+    Ok(())
+}
+
+/// One morphology's kernel family at one scalar type: the datapath a
+/// [`BackendCore`] drives. [`DynamicsModel`] (the host's analytical
+/// kernels) and `AcceleratorSim` (the simulated accelerator, in
+/// `robo-sim`) implement it.
+pub trait Datapath: Send + Sync + 'static {
+    /// The arithmetic type every kernel computes in.
+    type Scalar: Scalar;
+    /// This datapath rebuilt at another scalar type (the tier's wide lane
+    /// type, for the lane-group path).
+    type At<T: Scalar>: Datapath<Scalar = T>;
+    /// Warm evaluation buffers; they hold the last evaluation's outputs.
+    type Workspace: Send + Sync;
+
+    /// Trace span of one [`BackendCore::run_batch_into`] call, indexed by
+    /// [`KernelKind::index`].
+    const BATCH_SPANS: [&'static str; 3];
+    /// Trace span of one lane group's kernel evaluation.
+    const LANE_SPAN: &'static str;
+
+    /// Joint count.
+    fn dof(&self) -> usize;
+
+    /// Rebuilds the datapath at scalar type `T`; every constant goes
+    /// through `f64`, exact for every supported scalar.
+    fn cast_to<T: Scalar>(&self) -> Self::At<T>;
+
+    /// A workspace pre-sized for this datapath.
+    fn workspace(&self) -> Self::Workspace;
+
+    /// Evaluates `kernel` at one state (the `third` slot as for
+    /// [`DynamicsBackend`]), leaving the outputs in `ws`.
+    fn eval(
+        &self,
         kernel: KernelKind,
-        q: &[f64],
-        qd: &[f64],
-        third: &[f64],
-        minv: &MatN<f64>,
-    ) -> Result<KernelOutput, EngineError> {
-        let mut out = KernelOutput::for_dof(self.dof());
-        self.run_into(kernel, q, qd, third, minv, &mut out)?;
-        Ok(out)
+        q: &[Self::Scalar],
+        qd: &[Self::Scalar],
+        third: &[Self::Scalar],
+        minv: &MatN<Self::Scalar>,
+        ws: &mut Self::Workspace,
+    );
+
+    /// `τ` from the last inverse-dynamics evaluation.
+    fn tau(ws: &Self::Workspace) -> &[Self::Scalar];
+
+    /// `q̈` from the last forward-dynamics evaluation.
+    fn qdd(ws: &Self::Workspace) -> &[Self::Scalar];
+
+    /// The last gradient evaluation's `[∂q̈/∂q, ∂q̈/∂q̇, ∂τ/∂q, ∂τ/∂q̇]`.
+    fn grad(ws: &Self::Workspace) -> [&MatN<Self::Scalar>; 4];
+}
+
+/// The host's analytical kernels: RNEA via [`rnea_into`], FD via the O(n)
+/// ABA ([`aba_into`]), and the gradient via [`dynamics_gradient_into`].
+impl<S: Scalar> Datapath for DynamicsModel<S> {
+    type Scalar = S;
+    type At<T: Scalar> = DynamicsModel<T>;
+    type Workspace = (GradWorkspace<S>, AbaWorkspace<S>);
+
+    const BATCH_SPANS: [&'static str; 3] = ["kernel.cpu.id", "kernel.cpu.fd", "grad.cpu.batch"];
+    const LANE_SPAN: &'static str = "grad.wide";
+
+    fn dof(&self) -> usize {
+        DynamicsModel::dof(self)
+    }
+
+    fn cast_to<T: Scalar>(&self) -> DynamicsModel<T> {
+        DynamicsModel::cast_to(self)
+    }
+
+    fn workspace(&self) -> Self::Workspace {
+        (
+            GradWorkspace::for_model(self),
+            AbaWorkspace::for_model(self),
+        )
+    }
+
+    fn eval(
+        &self,
+        kernel: KernelKind,
+        q: &[S],
+        qd: &[S],
+        third: &[S],
+        minv: &MatN<S>,
+        (grad, aba): &mut Self::Workspace,
+    ) {
+        match kernel {
+            KernelKind::InverseDynamics => rnea_into(self, q, qd, third, &mut grad.rnea),
+            KernelKind::ForwardDynamics => aba_into(self, q, qd, third, aba),
+            KernelKind::Gradient => dynamics_gradient_into(self, q, qd, third, minv, grad),
+        }
+    }
+
+    fn tau((grad, _): &Self::Workspace) -> &[S] {
+        &grad.rnea.tau
+    }
+
+    fn qdd((_, aba): &Self::Workspace) -> &[S] {
+        &aba.qdd
+    }
+
+    fn grad((grad, _): &Self::Workspace) -> [&MatN<S>; 4] {
+        [&grad.dqdd_dq, &grad.dqdd_dqd, &grad.dtau_dq, &grad.dtau_dqd]
     }
 }
 
 /// Casts a borrowed `f64` slice into a warm scratch vector (identity for
-/// `S = f64`), without allocating once the scratch has capacity. Shared by
-/// every backend that computes in a non-host scalar type — the software
-/// analogue of the coprocessor's I/O marshalling (§6.2).
-pub fn cast_slice_into<S: Scalar>(src: &[f64], dst: &mut Vec<S>) {
+/// `S = f64`) without allocating once the scratch has capacity.
+fn cast_slice_into<S: Scalar>(src: &[f64], dst: &mut Vec<S>) {
     dst.clear();
     dst.extend(src.iter().map(|x| S::from_f64(*x)));
 }
 
 /// Casts a borrowed `f64` matrix into a warm scratch matrix.
-pub fn cast_mat_into<S: Scalar>(src: &MatN<f64>, dst: &mut MatN<S>) {
+fn cast_mat_into<S: Scalar>(src: &MatN<f64>, dst: &mut MatN<S>) {
     dst.resize_zeroed(src.rows(), src.cols());
-    for i in 0..src.rows() {
-        for j in 0..src.cols() {
-            dst[(i, j)] = S::from_f64(src[(i, j)]);
-        }
+    for (d, x) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
+        *d = S::from_f64(*x);
     }
 }
 
-/// Casts a scalar slice back into a warm `f64` output vector (the return
-/// half of the I/O marshalling).
-pub fn cast_slice_out<S: Scalar>(src: &[S], dst: &mut Vec<f64>) {
-    dst.clear();
-    dst.extend(src.iter().map(|x| x.to_f64()));
+/// The one backend core over a [`Datapath`]: the `f64` ↔ `S` boundary
+/// casts, the lane-group path, the ragged scalar tail, and the dispatch on
+/// [`KernelKind`]. [`CpuAnalytic`] and `AcceleratorBackend` are thin
+/// wrappers over it.
+///
+/// The lane-group path runs the datapath rebuilt at the lane type of the
+/// core's [`ExecTier`], `Arc`-shared by forks. Every tier is
+/// bit-identical to the scalar path, so the tier affects throughput only.
+pub struct BackendCore<D: Datapath> {
+    dp: Arc<D>,
+    tier: ExecTier,
+    ws: D::Workspace,
+    q: Vec<D::Scalar>,
+    qd: Vec<D::Scalar>,
+    third: Vec<D::Scalar>,
+    minv: MatN<D::Scalar>,
+    /// The lane-group path at the tier's lane type, type-erased so the
+    /// core stays independent of the lane width.
+    lanes: Box<dyn LaneGroup>,
 }
 
-/// Casts a scalar matrix back into an `f64` output matrix.
-pub fn cast_mat_out<S: Scalar>(src: &MatN<S>, dst: &mut MatN<f64>) {
-    dst.resize_zeroed(src.rows(), src.cols());
-    for i in 0..src.rows() {
-        for j in 0..src.cols() {
-            dst[(i, j)] = src[(i, j)].to_f64();
-        }
+impl<D: Datapath> core::fmt::Debug for BackendCore<D> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("BackendCore")
+            .field("scalar", &D::Scalar::name())
+            .field("dof", &self.dp.dof())
+            .field("tier", &self.tier)
+            .field("serve_width", &self.lanes.width())
+            .finish_non_exhaustive()
     }
 }
 
-/// Object-safe face of the wide (lane-transposed) gradient kernel at an
-/// erased lane type, selected per [`ExecTier`]. The lane element type
-/// always equals the owning backend's scalar type, so wide results stay
-/// bit-identical to the scalar kernel.
-trait WideGradPath: Send + Sync {
-    /// Lane width: states per wide kernel instruction.
-    fn width(&self) -> usize;
-
-    /// Runs one full lane group (`states.len() == width()`), scattering
-    /// per-state results into `out` at state indices `base..`.
-    fn run_group(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-        base: usize,
-    );
-
-    /// A fresh-workspace instance over the same `Arc`-shared wide model.
-    fn fork_path(&self) -> Box<dyn WideGradPath>;
-}
-
-/// The concrete wide path at lane type `V`: the plan splat into `V`'s
-/// lanes plus lane-transposed staging buffers.
-struct WideGrad<V: WideScalar> {
-    model: Arc<DynamicsModel<V>>,
-    ws: GradWorkspace<V>,
-    q_w: Vec<V>,
-    qd_w: Vec<V>,
-    qdd_w: Vec<V>,
-    minv_w: MatN<V>,
-}
-
-impl<V: WideScalar> WideGrad<V> {
-    fn new(model: Arc<DynamicsModel<V>>) -> Self {
-        let n = model.dof();
-        Self {
-            ws: GradWorkspace::for_model(&model),
-            q_w: vec![V::splat(V::Elem::zero()); n],
-            qd_w: vec![V::splat(V::Elem::zero()); n],
-            qdd_w: vec![V::splat(V::Elem::zero()); n],
-            minv_w: MatN::zeros(n, n),
-            model,
-        }
-    }
-}
-
-impl<V: WideScalar> WideGradPath for WideGrad<V> {
-    fn width(&self) -> usize {
-        V::WIDTH
-    }
-
-    fn run_group(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-        base: usize,
-    ) {
-        let n = self.model.dof();
-        let w = V::WIDTH;
-        debug_assert_eq!(states.len(), w, "run_group takes one full lane group");
-        let marshal = robo_trace::span_items("lane.marshal", w);
-        for (l, s) in states.iter().enumerate() {
-            for k in 0..n {
-                self.q_w[k].set_lane(l, V::Elem::from_f64(s.q[k]));
-                self.qd_w[k].set_lane(l, V::Elem::from_f64(s.qd[k]));
-                self.qdd_w[k].set_lane(l, V::Elem::from_f64(s.qdd[k]));
+impl<D: Datapath> BackendCore<D> {
+    /// Builds the core over a shared datapath at `tier` (clamped to what
+    /// the host supports), widening the datapath once for the lane-group
+    /// path.
+    pub fn new(dp: Arc<D>, tier: ExecTier) -> Self {
+        struct Widen<'a, D>(&'a D);
+        impl<D: Datapath> WideVisit<D::Scalar> for Widen<'_, D> {
+            type Out = Box<dyn LaneGroup>;
+            fn visit<V: WideScalar<Elem = D::Scalar>>(self) -> Box<dyn LaneGroup> {
+                Box::new(LaneGroupAt::new(Arc::new(self.0.cast_to::<V>())))
             }
-            for r in 0..n {
-                for c in 0..n {
-                    self.minv_w[(r, c)].set_lane(l, V::Elem::from_f64(s.minv[(r, c)]));
+        }
+        let tier = tier.clamp_to_host();
+        let lanes = D::Scalar::dispatch_wide(tier, Widen(&*dp));
+        Self::with_lanes(dp, tier, lanes)
+    }
+
+    fn with_lanes(dp: Arc<D>, tier: ExecTier, lanes: Box<dyn LaneGroup>) -> Self {
+        let n = dp.dof();
+        Self {
+            ws: dp.workspace(),
+            q: Vec::with_capacity(n),
+            qd: Vec::with_capacity(n),
+            third: Vec::with_capacity(n),
+            minv: MatN::zeros(n, n),
+            lanes,
+            tier,
+            dp,
+        }
+    }
+
+    /// A fresh-workspace instance sharing both datapaths (scalar and
+    /// widened) — nothing is re-widened.
+    pub fn fork(&self) -> Self {
+        Self::with_lanes(Arc::clone(&self.dp), self.tier, self.lanes.fork())
+    }
+
+    /// The shared scalar datapath.
+    pub fn datapath(&self) -> &Arc<D> {
+        &self.dp
+    }
+
+    /// The widened datapath the lane groups run (a `D::At<V>` for the
+    /// tier's lane type `V`), for diagnostics that know the lane type.
+    pub fn lane_datapath(&self) -> Arc<dyn Any + Send + Sync> {
+        self.lanes.datapath()
+    }
+
+    /// The execution tier of the lane-group path (already clamped to host
+    /// support).
+    pub fn tier(&self) -> ExecTier {
+        self.tier
+    }
+
+    /// Joint count.
+    pub fn dof(&self) -> usize {
+        self.dp.dof()
+    }
+
+    /// States per lane group — the tier's lane width for `D::Scalar`.
+    pub fn serve_width(&self) -> usize {
+        self.lanes.width()
+    }
+
+    /// [`DynamicsBackend::run_batch_into`] for every core-backed backend:
+    /// full lane groups of [`serve_width`](Self::serve_width) states run
+    /// through one wide kernel evaluation each (for kernels that
+    /// [run in lanes](KernelKind::runs_in_lanes)); every other state takes
+    /// the scalar path, cast to `D::Scalar` at the boundary.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed state's [`EngineError`] before any
+    /// output is written.
+    pub fn run_batch_into(
+        &mut self,
+        kernel: KernelKind,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
+    ) -> Result<(), EngineError> {
+        let _span = robo_trace::span_items(D::BATCH_SPANS[kernel.index()], states.len());
+        let n = self.dp.dof();
+        for s in states {
+            check_dims(n, s.q, s.qd, s.qdd, s.minv)?;
+        }
+        out.reset(kernel, states.len(), n);
+        let w = self.lanes.width();
+        let full = if kernel.runs_in_lanes() {
+            states.len() / w
+        } else {
+            0
+        };
+        for g in 0..full {
+            self.lanes
+                .eval_group(&states[g * w..(g + 1) * w], out, g * w);
+        }
+        // The ragged tail (or the whole batch of a scalar kernel).
+        for (i, s) in states.iter().enumerate().skip(full * w) {
+            cast_slice_into(s.q, &mut self.q);
+            cast_slice_into(s.qd, &mut self.qd);
+            cast_slice_into(s.qdd, &mut self.third);
+            // Inverse dynamics never reads M⁻¹, so its cast is skipped.
+            if kernel != KernelKind::InverseDynamics {
+                cast_mat_into(s.minv, &mut self.minv);
+            }
+            self.dp.eval(
+                kernel,
+                &self.q,
+                &self.qd,
+                &self.third,
+                &self.minv,
+                &mut self.ws,
+            );
+            match kernel {
+                KernelKind::InverseDynamics => put_row(&mut out.tau, i, D::tau(&self.ws)),
+                KernelKind::ForwardDynamics => put_row(&mut out.qdd, i, D::qdd(&self.ws)),
+                KernelKind::Gradient => {
+                    let g = D::grad(&self.ws).map(MatN::as_slice);
+                    out.put_gradient(i, g, |x| x.to_f64());
                 }
             }
         }
+        Ok(())
+    }
+}
+
+/// Object-safe face of the lane-group path at an erased lane type. The
+/// lane element type always equals the core's scalar type, so wide
+/// results stay bit-identical to the scalar path.
+trait LaneGroup: Send + Sync {
+    /// Lane width: states per wide kernel evaluation.
+    fn width(&self) -> usize;
+
+    /// Runs the gradient over one full lane group
+    /// (`states.len() == width()`), scattering per-state results into
+    /// `out` at state indices `base..`.
+    fn eval_group(&mut self, states: &[GradientState<'_, f64>], out: &mut BatchOutput, base: usize);
+
+    /// A fresh-workspace instance over the same `Arc`-shared datapath.
+    fn fork(&self) -> Box<dyn LaneGroup>;
+
+    /// The shared widened datapath.
+    fn datapath(&self) -> Arc<dyn Any + Send + Sync>;
+}
+
+/// The lane-group path at the wide datapath `P`: the datapath plus
+/// lane-transposed staging buffers.
+struct LaneGroupAt<P: Datapath> {
+    dp: Arc<P>,
+    ws: P::Workspace,
+    q: Vec<P::Scalar>,
+    qd: Vec<P::Scalar>,
+    qdd: Vec<P::Scalar>,
+    minv: MatN<P::Scalar>,
+}
+
+impl<P: Datapath> LaneGroupAt<P>
+where
+    P::Scalar: WideScalar,
+{
+    fn new(dp: Arc<P>) -> Self {
+        let n = dp.dof();
+        let zero = P::Scalar::zero();
+        Self {
+            ws: dp.workspace(),
+            q: vec![zero; n],
+            qd: vec![zero; n],
+            qdd: vec![zero; n],
+            minv: MatN::zeros(n, n),
+            dp,
+        }
+    }
+}
+
+impl<P: Datapath> LaneGroup for LaneGroupAt<P>
+where
+    P::Scalar: WideScalar,
+{
+    fn width(&self) -> usize {
+        P::Scalar::WIDTH
+    }
+
+    fn eval_group(
+        &mut self,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
+        base: usize,
+    ) {
+        type Elem<P> = <<P as Datapath>::Scalar as WideScalar>::Elem;
+        let w = P::Scalar::WIDTH;
+        debug_assert_eq!(states.len(), w, "a lane group is exactly one width");
+        let marshal = robo_trace::span_items("lane.marshal", w);
+        for (l, s) in states.iter().enumerate() {
+            let set = |dst: &mut [P::Scalar], src: &[f64]| {
+                for (v, x) in dst.iter_mut().zip(src) {
+                    v.set_lane(l, Elem::<P>::from_f64(*x));
+                }
+            };
+            set(&mut self.q, s.q);
+            set(&mut self.qd, s.qd);
+            set(&mut self.qdd, s.qdd);
+            set(self.minv.as_mut_slice(), s.minv.as_slice());
+        }
         drop(marshal);
-        let kernel = robo_trace::span_items("grad.wide", w);
-        dynamics_gradient_into(
-            &self.model,
-            &self.q_w,
-            &self.qd_w,
-            &self.qdd_w,
-            &self.minv_w,
+        let kernel = robo_trace::span_items(P::LANE_SPAN, w);
+        self.dp.eval(
+            KernelKind::Gradient,
+            &self.q,
+            &self.qd,
+            &self.qdd,
+            &self.minv,
             &mut self.ws,
         );
         drop(kernel);
         let _scatter = robo_trace::span_items("lane.scatter", w);
-        let n2 = n * n;
+        let g = P::grad(&self.ws).map(MatN::as_slice);
         for l in 0..w {
-            let dst = (base + l) * n2;
-            for r in 0..n {
-                for c in 0..n {
-                    let k = dst + r * n + c;
-                    out.dqdd_dq[k] = self.ws.dqdd_dq[(r, c)].lane(l).to_f64();
-                    out.dqdd_dqd[k] = self.ws.dqdd_dqd[(r, c)].lane(l).to_f64();
-                    out.dtau_dq[k] = self.ws.dtau_dq[(r, c)].lane(l).to_f64();
-                    out.dtau_dqd[k] = self.ws.dtau_dqd[(r, c)].lane(l).to_f64();
-                }
-            }
+            out.put_gradient(base + l, g, |x| x.lane(l).to_f64());
         }
     }
 
-    fn fork_path(&self) -> Box<dyn WideGradPath> {
-        Box::new(Self::new(Arc::clone(&self.model)))
+    fn fork(&self) -> Box<dyn LaneGroup> {
+        Box::new(Self::new(Arc::clone(&self.dp)))
+    }
+
+    fn datapath(&self) -> Arc<dyn Any + Send + Sync> {
+        self.dp.clone()
     }
 }
 
-/// Builds the wide path for the lane type `S` serves on `tier`.
-fn make_wide_path<S: Scalar>(model: &DynamicsModel<S>, tier: ExecTier) -> Box<dyn WideGradPath> {
-    struct Mk<'a, S: Scalar>(&'a DynamicsModel<S>);
-    impl<S: Scalar> WideVisit<S> for Mk<'_, S> {
-        type Out = Box<dyn WideGradPath>;
-        fn visit<V: WideScalar<Elem = S>>(self) -> Box<dyn WideGradPath> {
-            Box::new(WideGrad::<V>::new(Arc::new(self.0.cast_to::<V>())))
-        }
-    }
-    S::dispatch_wide(tier, Mk(model))
-}
-
-/// The host's analytical kernel (Algorithm 1 via the allocation-free
-/// workspace path), computing in scalar type `S` — `f64` for the CPU
-/// baseline, or any `Fixed{i,f}` for the paper's numeric-type study.
+/// The host's analytical kernels behind the engine boundary, computing in
+/// scalar type `S` — `f64` for the CPU baseline, or any `Fixed{i,f}` for
+/// the paper's numeric-type study.
 ///
-/// Forks share the `Arc`-held [`DynamicsModel`]; each fork owns a warm
-/// [`GradWorkspace`] plus cast scratch, so steady-state calls are
-/// allocation-free. For `S = f64` the boundary casts are exact identities
-/// and results are bit-identical to [`crate::dynamics_gradient_into`].
+/// A thin wrapper over [`BackendCore`]: forks share the `Arc`-held
+/// [`DynamicsModel`] and its widened copy; each fork owns warm workspaces
+/// and cast scratch, so steady-state calls are allocation-free. For
+/// `S = f64` the boundary casts are exact identities and results are
+/// bit-identical to [`crate::dynamics_gradient_into`].
 ///
-/// The batch path serves whole lane groups through the wide kernel at
-/// the lane type of the backend's [`ExecTier`] — by default the fastest
-/// tier the host supports, overridable with
-/// [`CpuAnalytic::with_model_tier`]. Every tier is bit-identical, so the
-/// choice affects throughput only.
+/// Gradient batches run whole lane groups at the lane type of the
+/// backend's [`ExecTier`] — by default the fastest tier the host
+/// supports, overridable with [`CpuAnalytic::with_model_tier`]. Every tier
+/// is bit-identical, so the choice affects throughput only.
 ///
 /// # Examples
 ///
 /// ```
-/// use robo_dynamics::engine::{CpuAnalytic, GradientBackend, GradientOutput};
+/// use robo_dynamics::engine::{CpuAnalytic, DynamicsBackend, GradientOutput};
 /// use robo_dynamics::{forward_dynamics, mass_matrix_inverse, DynamicsModel};
 /// use robo_model::robots;
 ///
@@ -805,35 +1102,16 @@ fn make_wide_path<S: Scalar>(model: &DynamicsModel<S>, tier: ExecTier) -> Box<dy
 /// backend.gradient_into(&q, &qd, &qdd, &minv, &mut out).unwrap();
 /// assert_eq!(out.dqdd_dq.rows(), 7);
 /// ```
+#[derive(Debug)]
 pub struct CpuAnalytic<S: Scalar> {
-    model: Arc<DynamicsModel<S>>,
-    tier: ExecTier,
-    ws: GradWorkspace<S>,
-    aba: AbaWorkspace<S>,
-    q_s: Vec<S>,
-    qd_s: Vec<S>,
-    qdd_s: Vec<S>,
-    minv_s: MatN<S>,
-    /// Wide serving path at the tier's lane type, type-erased so the
-    /// backend itself stays independent of the lane width.
-    wide: Box<dyn WideGradPath>,
-    scratch: GradientOutput,
-}
-
-impl<S: Scalar> core::fmt::Debug for CpuAnalytic<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("CpuAnalytic")
-            .field("scalar", &S::name())
-            .field("dof", &self.model.dof())
-            .field("tier", &self.tier)
-            .field("serve_width", &self.wide.width())
-            .finish_non_exhaustive()
-    }
+    core: BackendCore<DynamicsModel<S>>,
 }
 
 impl<S: Scalar> Clone for CpuAnalytic<S> {
     fn clone(&self) -> Self {
-        Self::from_parts(Arc::clone(&self.model), self.tier, self.wide.fork_path())
+        Self {
+            core: self.core.fork(),
+        }
     }
 }
 
@@ -855,176 +1133,47 @@ impl<S: Scalar> CpuAnalytic<S> {
     /// (clamped to what the host supports). All tiers are bit-identical;
     /// only throughput differs.
     pub fn with_model_tier(model: Arc<DynamicsModel<S>>, tier: ExecTier) -> Self {
-        let tier = tier.clamp_to_host();
-        let wide = make_wide_path(&model, tier);
-        Self::from_parts(model, tier, wide)
-    }
-
-    /// Builds over an already-constructed wide path — how forks and
-    /// clones avoid re-widening the model.
-    fn from_parts(
-        model: Arc<DynamicsModel<S>>,
-        tier: ExecTier,
-        wide: Box<dyn WideGradPath>,
-    ) -> Self {
-        let n = model.dof();
         Self {
-            ws: GradWorkspace::for_model(&model),
-            aba: AbaWorkspace::for_model(&model),
-            q_s: Vec::with_capacity(n),
-            qd_s: Vec::with_capacity(n),
-            qdd_s: Vec::with_capacity(n),
-            minv_s: MatN::zeros(n, n),
-            scratch: GradientOutput::for_dof(n),
-            tier,
-            wide,
-            model,
+            core: BackendCore::new(model, tier),
         }
     }
 
     /// The shared dynamics model.
     pub fn model(&self) -> &Arc<DynamicsModel<S>> {
-        &self.model
+        self.core.datapath()
     }
 
     /// The execution tier the wide batch path runs at (already clamped to
     /// host support).
     pub fn tier(&self) -> ExecTier {
-        self.tier
+        self.core.tier()
     }
 }
 
-impl<S: Scalar> GradientBackend for CpuAnalytic<S> {
+impl<S: Scalar> DynamicsBackend for CpuAnalytic<S> {
     fn name(&self) -> &'static str {
         "cpu"
     }
 
     fn dof(&self) -> usize {
-        self.model.dof()
+        self.core.dof()
     }
 
-    fn gradient_into(
-        &mut self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        minv: &MatN<f64>,
-        out: &mut GradientOutput,
-    ) -> Result<(), EngineError> {
-        check_dims(self.dof(), q, qd, qdd, minv)?;
-        cast_slice_into(q, &mut self.q_s);
-        cast_slice_into(qd, &mut self.qd_s);
-        cast_slice_into(qdd, &mut self.qdd_s);
-        cast_mat_into(minv, &mut self.minv_s);
-        dynamics_gradient_into(
-            &self.model,
-            &self.q_s,
-            &self.qd_s,
-            &self.qdd_s,
-            &self.minv_s,
-            &mut self.ws,
-        );
-        cast_mat_out(&self.ws.dqdd_dq, &mut out.dqdd_dq);
-        cast_mat_out(&self.ws.dqdd_dqd, &mut out.dqdd_dqd);
-        cast_mat_out(&self.ws.dtau_dq, &mut out.dtau_dq);
-        cast_mat_out(&self.ws.dtau_dqd, &mut out.dtau_dqd);
-        Ok(())
-    }
-
-    fn fork(&self) -> Box<dyn GradientBackend + '_> {
+    fn fork(&self) -> Box<dyn DynamicsBackend + '_> {
         Box::new(self.clone())
     }
 
     fn serve_width(&self) -> usize {
-        self.wide.width()
+        self.core.serve_width()
     }
 
-    /// The wide SoA override: full lane groups of [`serve_width`] states
-    /// are lane-transposed into the tier's wide staging and run through
-    /// one wide [`dynamics_gradient_into`] call; the ragged tail takes
-    /// the scalar path. Allocation-free once `self` and `out` are warm,
-    /// and per-state bit-identical to serial
-    /// [`CpuAnalytic::gradient_into`] calls on every tier.
-    ///
-    /// [`serve_width`]: GradientBackend::serve_width
-    fn gradient_batch_into(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-    ) -> Result<(), EngineError> {
-        let _span = robo_trace::span_items("grad.cpu.batch", states.len());
-        let n = self.dof();
-        for s in states {
-            check_dims(n, s.q, s.qd, s.qdd, s.minv)?;
-        }
-        out.reset(states.len(), n);
-        let w = self.wide.width();
-        let full = states.len() / w;
-        for chunk in 0..full {
-            let base = chunk * w;
-            self.wide.run_group(&states[base..base + w], out, base);
-        }
-        // Ragged tail through the scalar kernel; `scratch` is a warm field
-        // (temporarily moved out to satisfy the borrow checker).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (i, s) in states.iter().enumerate().skip(full * w) {
-            self.gradient_into(s.q, s.qd, s.qdd, s.minv, &mut scratch)?;
-            out.store(i, &scratch);
-        }
-        self.scratch = scratch;
-        Ok(())
-    }
-}
-
-impl<S: Scalar> DynamicsBackend for CpuAnalytic<S> {
-    /// RNEA via the allocation-free [`rnea_into`], FD via the O(n) ABA
-    /// ([`aba_into`]), the gradient via the existing analytical kernel —
-    /// each bit-identical to its direct `robo_dynamics` kernel in `S`,
-    /// cast at the `f64` trait boundary.
-    fn run_into(
+    fn run_batch_into(
         &mut self,
         kernel: KernelKind,
-        q: &[f64],
-        qd: &[f64],
-        third: &[f64],
-        minv: &MatN<f64>,
-        out: &mut KernelOutput,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
     ) -> Result<(), EngineError> {
-        match kernel {
-            KernelKind::Gradient => self.gradient_into(q, qd, third, minv, &mut out.grad),
-            KernelKind::InverseDynamics => {
-                check_dims(self.dof(), q, qd, third, minv)?;
-                let _span = robo_trace::span("kernel.cpu.id");
-                cast_slice_into(q, &mut self.q_s);
-                cast_slice_into(qd, &mut self.qd_s);
-                cast_slice_into(third, &mut self.qdd_s);
-                rnea_into(
-                    &self.model,
-                    &self.q_s,
-                    &self.qd_s,
-                    &self.qdd_s,
-                    &mut self.ws.rnea,
-                );
-                cast_slice_out(&self.ws.rnea.tau, &mut out.tau);
-                Ok(())
-            }
-            KernelKind::ForwardDynamics => {
-                check_dims(self.dof(), q, qd, third, minv)?;
-                let _span = robo_trace::span("kernel.cpu.fd");
-                cast_slice_into(q, &mut self.q_s);
-                cast_slice_into(qd, &mut self.qd_s);
-                cast_slice_into(third, &mut self.qdd_s);
-                aba_into(
-                    &self.model,
-                    &self.q_s,
-                    &self.qd_s,
-                    &self.qdd_s,
-                    &mut self.aba,
-                );
-                cast_slice_out(&self.aba.qdd, &mut out.qdd);
-                Ok(())
-            }
-        }
+        self.core.run_batch_into(kernel, states, out)
     }
 }
 
@@ -1067,7 +1216,7 @@ impl FiniteDiff {
     }
 }
 
-impl GradientBackend for FiniteDiff {
+impl DynamicsBackend for FiniteDiff {
     fn name(&self) -> &'static str {
         "fd"
     }
@@ -1076,62 +1225,55 @@ impl GradientBackend for FiniteDiff {
         self.model.dof()
     }
 
-    fn gradient_into(
-        &mut self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        minv: &MatN<f64>,
-        out: &mut GradientOutput,
-    ) -> Result<(), EngineError> {
-        check_dims(self.dof(), q, qd, qdd, minv)?;
-        let id = findiff::rnea_gradient_fd(&self.model, q, qd, qdd, self.step);
-        minv.neg_mul_mat_into(&id.dtau_dq, &mut out.dqdd_dq);
-        minv.neg_mul_mat_into(&id.dtau_dqd, &mut out.dqdd_dqd);
-        out.dtau_dq = id.dtau_dq;
-        out.dtau_dqd = id.dtau_dqd;
-        Ok(())
-    }
-
-    fn fork(&self) -> Box<dyn GradientBackend + '_> {
+    fn fork(&self) -> Box<dyn DynamicsBackend + '_> {
         Box::new(self.clone())
     }
-}
 
-impl DynamicsBackend for FiniteDiff {
-    /// The oracle routes: RNEA through the allocating reference kernel,
-    /// FD through the *CRBA + LDLT* factorization (`forward_dynamics`) —
-    /// a genuinely independent algorithm from the analytic backends' ABA
-    /// and the accelerator's `M⁻¹(τ − C)` composition, which is what makes
-    /// it a useful cross-check — and the gradient through central
-    /// differences. Allocates per call, as the gradient oracle does.
-    fn run_into(
+    /// The oracle routes, state by state: RNEA through the allocating
+    /// reference kernel, FD through the *CRBA + LDLT* factorization
+    /// (`forward_dynamics`) — a genuinely independent algorithm from the
+    /// analytic backends' ABA and the accelerator's `M⁻¹(τ − C)`
+    /// composition, which is what makes it a useful cross-check — and the
+    /// gradient through central differences.
+    fn run_batch_into(
         &mut self,
         kernel: KernelKind,
-        q: &[f64],
-        qd: &[f64],
-        third: &[f64],
-        minv: &MatN<f64>,
-        out: &mut KernelOutput,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
     ) -> Result<(), EngineError> {
-        match kernel {
-            KernelKind::Gradient => self.gradient_into(q, qd, third, minv, &mut out.grad),
-            KernelKind::InverseDynamics => {
-                check_dims(self.dof(), q, qd, third, minv)?;
-                out.tau.clear();
-                out.tau
-                    .extend_from_slice(&crate::rnea(&self.model, q, qd, third).tau);
-                Ok(())
-            }
-            KernelKind::ForwardDynamics => {
-                check_dims(self.dof(), q, qd, third, minv)?;
-                let qdd = forward_dynamics(&self.model, q, qd, third)
-                    .expect("oracle forward dynamics requires an SPD mass matrix");
-                out.qdd.clear();
-                out.qdd.extend_from_slice(&qdd);
-                Ok(())
+        let n = self.dof();
+        for s in states {
+            check_dims(n, s.q, s.qd, s.qdd, s.minv)?;
+        }
+        out.reset(kernel, states.len(), n);
+        for (i, s) in states.iter().enumerate() {
+            match kernel {
+                KernelKind::InverseDynamics => {
+                    put_row(
+                        &mut out.tau,
+                        i,
+                        &crate::rnea(&self.model, s.q, s.qd, s.qdd).tau,
+                    );
+                }
+                KernelKind::ForwardDynamics => {
+                    let qdd = forward_dynamics(&self.model, s.q, s.qd, s.qdd)
+                        .expect("oracle forward dynamics requires an SPD mass matrix");
+                    put_row(&mut out.qdd, i, &qdd);
+                }
+                KernelKind::Gradient => {
+                    let id = findiff::rnea_gradient_fd(&self.model, s.q, s.qd, s.qdd, self.step);
+                    let mut grad = GradientOutput {
+                        dtau_dq: id.dtau_dq,
+                        dtau_dqd: id.dtau_dqd,
+                        ..GradientOutput::for_dof(n)
+                    };
+                    s.minv.neg_mul_mat_into(&grad.dtau_dq, &mut grad.dqdd_dq);
+                    s.minv.neg_mul_mat_into(&grad.dtau_dqd, &mut grad.dqdd_dqd);
+                    out.store(i, &grad);
+                }
             }
         }
+        Ok(())
     }
 }
 
@@ -1159,14 +1301,22 @@ mod tests {
         (q, qd, qdd, minv)
     }
 
+    fn grad_of(
+        backend: &mut dyn DynamicsBackend,
+        (q, qd, qdd, minv): &(Vec<f64>, Vec<f64>, Vec<f64>, MatN<f64>),
+    ) -> DynamicsGradient<f64> {
+        let mut out = GradientOutput::new();
+        backend.gradient_into(q, qd, qdd, minv, &mut out).unwrap();
+        out.into_dynamics_gradient()
+    }
+
     #[test]
     fn cpu_backend_is_bit_identical_to_direct_kernel() {
         let robot = robots::iiwa14();
-        let (q, qd, qdd, minv) = case(&robot, 11);
-        let mut backend = CpuAnalytic::<f64>::new(&robot);
-        let got = backend.gradient(&q, &qd, &qdd, &minv).unwrap();
+        let c = case(&robot, 11);
+        let got = grad_of(&mut CpuAnalytic::<f64>::new(&robot), &c);
         let model = DynamicsModel::<f64>::new(&robot);
-        let want = dynamics_gradient_from_qdd(&model, &q, &qd, &qdd, &minv);
+        let want = dynamics_gradient_from_qdd(&model, &c.0, &c.1, &c.2, &c.3);
         assert_eq!(got.dqdd_dq, want.dqdd_dq);
         assert_eq!(got.dqdd_dqd, want.dqdd_dqd);
         assert_eq!(got.id_gradient.dtau_dq, want.id_gradient.dtau_dq);
@@ -1175,11 +1325,9 @@ mod tests {
     #[test]
     fn fd_backend_close_to_analytic() {
         let robot = robots::hyq();
-        let (q, qd, qdd, minv) = case(&robot, 23);
-        let mut cpu = CpuAnalytic::<f64>::new(&robot);
-        let mut fd = FiniteDiff::new(&robot);
-        let a = cpu.gradient(&q, &qd, &qdd, &minv).unwrap();
-        let b = fd.gradient(&q, &qd, &qdd, &minv).unwrap();
+        let c = case(&robot, 23);
+        let a = grad_of(&mut CpuAnalytic::<f64>::new(&robot), &c);
+        let b = grad_of(&mut FiniteDiff::new(&robot), &c);
         let scale = a.dqdd_dq.max_abs().max(1.0);
         assert!(a.dqdd_dq.max_abs_diff(&b.dqdd_dq) / scale < 1e-4);
         assert!(a.dqdd_dqd.max_abs_diff(&b.dqdd_dqd) / scale < 1e-4);
@@ -1208,7 +1356,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_through_trait() {
+    fn engine_batch_matches_serial_through_trait() {
         let robot = robots::iiwa14();
         let cases: Vec<_> = (0..5).map(|k| case(&robot, 100 + k)).collect();
         let states: Vec<GradientState<'_, f64>> = cases
@@ -1216,36 +1364,15 @@ mod tests {
             .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
             .collect();
         let backend = CpuAnalytic::<f64>::new(&robot);
-        let batch = backend.gradient_batch(&states).unwrap();
+        let mut batch = BatchOutput::new();
+        gradient_batch_on_into(&backend, BatchEngine::global(), &states, &mut batch).unwrap();
         let mut serial = CpuAnalytic::<f64>::new(&robot);
-        for (got, (q, qd, qdd, minv)) in batch.iter().zip(cases.iter()) {
-            let want = serial.gradient(q, qd, qdd, minv).unwrap();
+        for (i, c) in cases.iter().enumerate() {
+            let want = grad_of(&mut serial, c);
+            let got = batch.gradient_at(i);
             assert_eq!(got.dqdd_dq, want.dqdd_dq);
             assert_eq!(got.dqdd_dqd, want.dqdd_dqd);
         }
-    }
-
-    #[test]
-    fn batch_propagates_dimension_errors() {
-        let robot = robots::iiwa14();
-        let (q, qd, qdd, minv) = case(&robot, 9);
-        let bad = MatN::<f64>::identity(2);
-        let states = [
-            GradientState {
-                q: &q,
-                qd: &qd,
-                qdd: &qdd,
-                minv: &minv,
-            },
-            GradientState {
-                q: &q,
-                qd: &qd,
-                qdd: &qdd,
-                minv: &bad,
-            },
-        ];
-        let backend = CpuAnalytic::<f64>::new(&robot);
-        assert!(backend.gradient_batch(&states).is_err());
     }
 
     #[test]
@@ -1258,13 +1385,13 @@ mod tests {
             .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
             .collect();
         let mut backend = CpuAnalytic::<f64>::new(&robot);
-        let mut out = GradientBatchOutput::new();
+        let mut out = BatchOutput::new();
         backend.gradient_batch_into(&states, &mut out).unwrap();
         assert_eq!(out.count(), 7);
         assert_eq!(out.dof(), 7);
         let mut serial = CpuAnalytic::<f64>::new(&robot);
-        for (i, (q, qd, qdd, minv)) in cases.iter().enumerate() {
-            let want = serial.gradient(q, qd, qdd, minv).unwrap();
+        for (i, c) in cases.iter().enumerate() {
+            let want = grad_of(&mut serial, c);
             let got = out.gradient_at(i);
             assert_eq!(got.dqdd_dq, want.dqdd_dq, "state {i}");
             assert_eq!(got.dqdd_dqd, want.dqdd_dqd, "state {i}");
@@ -1283,11 +1410,9 @@ mod tests {
             .collect();
         let backend = CpuAnalytic::<f64>::new(&robot);
         let engine = BatchEngine::new(3);
-        let mut parallel = GradientBatchOutput::new();
-        backend
-            .gradient_batch_on_into(&engine, &states, &mut parallel)
-            .unwrap();
-        let mut serial = GradientBatchOutput::new();
+        let mut parallel = BatchOutput::new();
+        gradient_batch_on_into(&backend, &engine, &states, &mut parallel).unwrap();
+        let mut serial = BatchOutput::new();
         CpuAnalytic::<f64>::new(&robot)
             .gradient_batch_into(&states, &mut serial)
             .unwrap();
@@ -1295,9 +1420,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_into_default_matches_override_for_fd() {
-        // FiniteDiff uses the trait's default (serial, per-state) path;
-        // sanity-check the SoA plumbing end to end on it too.
+    fn finite_diff_batch_matches_its_single_calls() {
         let robot = robots::iiwa14();
         let cases: Vec<_> = (0..3).map(|k| case(&robot, 50 + k)).collect();
         let states: Vec<GradientState<'_, f64>> = cases
@@ -1305,12 +1428,41 @@ mod tests {
             .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
             .collect();
         let mut fd = FiniteDiff::new(&robot);
-        let mut out = GradientBatchOutput::new();
+        let mut out = BatchOutput::new();
         fd.gradient_batch_into(&states, &mut out).unwrap();
-        for (i, (q, qd, qdd, minv)) in cases.iter().enumerate() {
-            let want = fd.gradient(q, qd, qdd, minv).unwrap();
-            assert_eq!(out.gradient_at(i).dqdd_dq, want.dqdd_dq);
+        for (i, c) in cases.iter().enumerate() {
+            assert_eq!(out.gradient_at(i).dqdd_dq, grad_of(&mut fd, c).dqdd_dq);
         }
+    }
+
+    #[test]
+    fn vector_kernels_fill_only_their_buffer() {
+        let robot = robots::iiwa14();
+        let cases: Vec<_> = (0..6).map(|k| case(&robot, 70 + k)).collect();
+        let states: Vec<GradientState<'_, f64>> = cases
+            .iter()
+            .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
+            .collect();
+        let mut cpu = CpuAnalytic::<f64>::new(&robot);
+        let mut out = BatchOutput::new();
+        cpu.run_batch_into(KernelKind::InverseDynamics, &states, &mut out)
+            .unwrap();
+        assert_eq!(
+            (out.kernel(), out.tau.len(), out.qdd.len()),
+            (KernelKind::InverseDynamics, 42, 0)
+        );
+        let model = DynamicsModel::<f64>::new(&robot);
+        for (i, (q, qd, qdd, _)) in cases.iter().enumerate() {
+            assert_eq!(
+                out.tau_at(i),
+                crate::rnea(&model, q, qd, qdd).tau.as_slice()
+            );
+        }
+        let mut single = KernelOutput::new();
+        let (q, qd, qdd, minv) = &cases[2];
+        cpu.run_into(KernelKind::ForwardDynamics, q, qd, qdd, minv, &mut single)
+            .unwrap();
+        assert!(single.tau.is_empty() && single.qdd.len() == 7);
     }
 
     #[test]
@@ -1333,11 +1485,14 @@ mod tests {
             },
         ];
         let mut backend = CpuAnalytic::<f64>::new(&robot);
-        let mut out = GradientBatchOutput::new();
+        let mut out = BatchOutput::new();
         assert!(backend.gradient_batch_into(&states, &mut out).is_err());
-        assert!(backend
-            .gradient_batch_on_into(BatchEngine::global(), &states, &mut out)
-            .is_err());
+        assert!(
+            gradient_batch_on_into(&backend, BatchEngine::global(), &states, &mut out).is_err()
+        );
+        for kernel in KernelKind::ALL {
+            assert!(backend.run_batch_into(kernel, &states, &mut out).is_err());
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@
 //!   flushing when a batch fills **or** when the oldest queued request has
 //!   lingered past the configurable deadline — so a lone request still
 //!   sees bounded latency (a ragged, partial-lane flush) while bursts ride
-//!   full lanes.
+//!   full lanes. Every flush is one kernel-tagged `run_batch_into` call;
+//!   the engine decides which kernels run in lane groups.
 //! * **Backpressure** — the queue is bounded; when it is full, submission
 //!   fails fast with [`ServeError::Overloaded`] and hands the request
 //!   buffer back ([`Rejected`]) instead of queueing unbounded work. A

@@ -29,8 +29,9 @@ pub struct ServeStats {
     pub shed: u64,
     /// Micro-batcher flushes executed.
     pub flushes: u64,
-    /// Flushes whose batch was not a whole number of lane groups (linger
-    /// deadline or drain fired before the batch filled).
+    /// Flushes of a kernel that runs in lane groups whose batch was not a
+    /// whole number of them (linger deadline or drain fired before the
+    /// batch filled).
     pub ragged_flushes: u64,
     /// Deepest any shard queue has been — the backpressure observable to
     /// alert on before shedding starts.

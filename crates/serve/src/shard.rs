@@ -5,9 +5,7 @@ use crate::error::{Rejected, ServeError};
 use crate::slot::{GradientRequest, ResponseSlot, SlotInner};
 use crate::ServeConfig;
 use robo_dynamics::batch::GradientState;
-use robo_dynamics::engine::{
-    check_dims, DynamicsBackend, GradientBatchOutput, GradientOutput, KernelKind, KernelOutput,
-};
+use robo_dynamics::engine::{check_dims, BatchOutput, DynamicsBackend, KernelKind};
 use robo_sim::engine::{BackendKind, RobotPlan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,34 +203,15 @@ impl Shard {
     /// completes every slot. Alloc-free once warm: the lane-view vector is
     /// recycled across flushes and outputs land in the callers' buffers.
     ///
-    /// The gradient kernel runs through the wide batch path (SIMD lane
-    /// groups); the vector-valued kernels (`id`, `fd`) are latency-bound
-    /// single evaluations, so the batch is a plain loop of `run_into`
-    /// calls reusing the worker's scratch [`KernelOutput`].
+    /// One `run_batch_into` call evaluates the shard's kernel over the
+    /// whole batch — the engine alone decides which kernels run in lane
+    /// groups — and each request gets its state's block back.
     fn flush(
         &self,
         backend: &mut dyn DynamicsBackend,
         local: &mut Vec<Pending>,
         states_buf: &mut Vec<GradientState<'static, f64>>,
-        batch: &mut GradientBatchOutput,
-        kout: &mut KernelOutput,
-    ) {
-        match self.kernel {
-            KernelKind::Gradient => self.flush_gradient(backend, local, states_buf, batch),
-            KernelKind::InverseDynamics | KernelKind::ForwardDynamics => {
-                self.flush_vector(backend, local, kout)
-            }
-        }
-    }
-
-    /// Gradient-kernel flush: one wide `gradient_batch_into` over the
-    /// whole coalesced batch.
-    fn flush_gradient(
-        &self,
-        backend: &mut dyn DynamicsBackend,
-        local: &mut Vec<Pending>,
-        states_buf: &mut Vec<GradientState<'static, f64>>,
-        batch: &mut GradientBatchOutput,
+        batch: &mut BatchOutput,
     ) {
         let n = local.len();
         let result = {
@@ -244,12 +223,12 @@ impl Shard {
                 qdd: &p.req.qdd,
                 minv: &p.req.minv,
             }));
-            let result = backend.gradient_batch_into(&states, batch);
+            let result = backend.run_batch_into(self.kernel, &states, batch);
             *states_buf = park_states(states);
             result
         };
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        if !n.is_multiple_of(self.plan.serve_width().max(1)) {
+        if self.kernel.runs_in_lanes() && !n.is_multiple_of(self.plan.serve_width().max(1)) {
             self.stats.ragged_flushes.fetch_add(1, Ordering::Relaxed);
         }
         let _span = robo_trace::span_items("serve.respond", n);
@@ -259,46 +238,10 @@ impl Shard {
             // still completed (buffer returned untouched) rather than
             // stranding a parked client.
             if result.is_ok() {
-                copy_block(batch, i, &mut p.req.out);
+                batch.copy_state(i, &mut p.req.out, &mut p.req.out_vec);
             }
             // Count before waking the client, so a stats snapshot taken
             // right after a wait() returns already sees the completion.
-            self.stats.completed.fetch_add(1, Ordering::Relaxed);
-            p.slot.fulfil(p.req);
-        }
-    }
-
-    /// Vector-kernel flush (`id`/`fd`): evaluate each request through the
-    /// family and copy the result into its `out_vec` buffer. Lane-group
-    /// raggedness does not apply — there is no wide path to leave idle —
-    /// so only `flushes` is counted.
-    fn flush_vector(
-        &self,
-        backend: &mut dyn DynamicsBackend,
-        local: &mut Vec<Pending>,
-        kout: &mut KernelOutput,
-    ) {
-        let n = local.len();
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        let _span = robo_trace::span_items("serve.flush", n);
-        for mut p in local.drain(..) {
-            let result = backend.run_into(
-                self.kernel,
-                &p.req.q,
-                &p.req.qd,
-                &p.req.qdd,
-                &p.req.minv,
-                kout,
-            );
-            if result.is_ok() {
-                let src = match self.kernel {
-                    KernelKind::InverseDynamics => &kout.tau,
-                    KernelKind::ForwardDynamics => &kout.qdd,
-                    KernelKind::Gradient => unreachable!("gradient takes the wide path"),
-                };
-                p.req.out_vec.clear();
-                p.req.out_vec.extend_from_slice(src);
-            }
             self.stats.completed.fetch_add(1, Ordering::Relaxed);
             p.slot.fulfil(p.req);
         }
@@ -311,36 +254,9 @@ fn worker_loop(shard: &Shard) {
     let mut backend = shard.plan.backend(shard.kind);
     let mut local: Vec<Pending> = Vec::with_capacity(shard.max_batch);
     let mut states: Vec<GradientState<'static, f64>> = Vec::with_capacity(shard.max_batch);
-    let mut batch = GradientBatchOutput::new();
-    let mut kout = KernelOutput::new();
+    let mut batch = BatchOutput::new();
     while shard.collect(&mut local) {
-        shard.flush(
-            backend.as_mut(),
-            &mut local,
-            &mut states,
-            &mut batch,
-            &mut kout,
-        );
-    }
-}
-
-/// Copies state `i`'s SoA blocks into a caller's dense output buffer.
-/// `resize_zeroed` at an unchanged size is a no-op, so warm buffers make
-/// this pure copying.
-fn copy_block(batch: &GradientBatchOutput, i: usize, out: &mut GradientOutput) {
-    let n = batch.dof();
-    for (flat, mat) in [
-        (batch.dqdd_dq_at(i), &mut out.dqdd_dq),
-        (batch.dqdd_dqd_at(i), &mut out.dqdd_dqd),
-        (batch.dtau_dq_at(i), &mut out.dtau_dq),
-        (batch.dtau_dqd_at(i), &mut out.dtau_dqd),
-    ] {
-        mat.resize_zeroed(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                mat[(r, c)] = flat[r * n + c];
-            }
-        }
+        shard.flush(backend.as_mut(), &mut local, &mut states, &mut batch);
     }
 }
 

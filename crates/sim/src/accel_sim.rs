@@ -215,7 +215,13 @@ impl<S: Scalar> AcceleratorSim<S> {
 
     /// Whether every functional unit currently executes through the JIT.
     pub fn jit_enabled(&self) -> bool {
-        self.x_units.iter().all(crate::XUnit::jit_enabled)
+        self.jit_report().is_some()
+    }
+
+    /// The JIT's emission report summed over every functional unit's
+    /// compiled tapes; `None` when any of them runs the threaded tape.
+    pub fn jit_report(&self) -> Option<robo_codegen::JitReport> {
+        self.x_units.iter().map(crate::XUnit::jit_report).sum()
     }
 
     /// Builds a simulator for an explicit customized design.

@@ -249,9 +249,9 @@ pub struct KernelInput<S> {
 /// [`BatchEngine`](robo_dynamics::batch::BatchEngine) drives its own fork
 /// (private warm [`crate::SimWorkspace`]s, shared compiled netlists)
 /// through [`AcceleratorBackend::compute_batch`](crate::AcceleratorBackend::compute_batch)
-/// over lane-group chunks — two-level (threads × lanes) parallelism
-/// mirroring the parallel accelerator instances of §6.3's multi-robot
-/// deployment.
+/// — the engine's one lane path — over lane-group chunks: two-level
+/// (threads × lanes) parallelism mirroring the parallel accelerator
+/// instances of §6.3's multi-robot deployment.
 ///
 /// # Panics
 ///
@@ -269,6 +269,7 @@ pub fn stream_batch<S: robo_spatial::Scalar>(
         system.accelerator().params().dof,
         "simulator and coprocessor system must target the same robot"
     );
+    use robo_dynamics::engine::DynamicsBackend;
     let backend = crate::AcceleratorBackend::from_sim(sim.clone());
     // Whole lane groups per worker chunk, topped up to at least ~4 states
     // per claim so narrow tiers don't shred the batch.
@@ -276,7 +277,7 @@ pub fn stream_batch<S: robo_spatial::Scalar>(
     let chunk_len = w * 4usize.div_ceil(w);
     let parts = robo_dynamics::batch::BatchEngine::global().run_with_state(
         inputs.len().div_ceil(chunk_len),
-        || backend.fork_native(),
+        || backend.clone(),
         |backend, ci| {
             let lo = ci * chunk_len;
             let hi = usize::min(lo + chunk_len, inputs.len());

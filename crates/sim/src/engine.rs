@@ -1,253 +1,108 @@
 //! The sim-side half of the engine layer: the accelerator backend and the
 //! per-robot [`RobotPlan`].
 //!
-//! `robo-dynamics::engine` defines the [`GradientBackend`] seam and the
-//! host-side backends; this module adds the piece only the simulator crate
-//! can provide — [`AcceleratorBackend`], which routes `gradient_into`
-//! through the morphology-customized [`AcceleratorSim`] (compiled netlists,
-//! pruned multiplier trees, static cycle schedule) — and ties everything
-//! together in [`RobotPlan`]: *customize once per robot, hand out backends
-//! many times* (the paper's §4–5 methodology as a software object).
+//! `robo-dynamics::engine` defines the [`DynamicsBackend`] seam, the
+//! [`BackendCore`] every analytic backend shares, and the host-side
+//! backends; this module adds the piece only the simulator crate can
+//! provide — the [`Datapath`] of the morphology-customized
+//! [`AcceleratorSim`] (compiled netlists, pruned multiplier trees, static
+//! cycle schedule) and the [`AcceleratorBackend`] over it — and ties
+//! everything together in [`RobotPlan`]: *customize once per robot, hand
+//! out backends many times* (the paper's §4–5 methodology as a software
+//! object).
 
 use crate::{AcceleratorSim, KernelInput, SimOutput, SimWorkspace};
-use robo_codegen::{generate_kernel_family, CompiledNetlist, OptReport, SharingReport};
+use robo_codegen::{generate_kernel_family, CompiledNetlist, JitReport, OptReport, SharingReport};
 use robo_dynamics::batch::GradientState;
 use robo_dynamics::engine::{
-    cast_mat_into, cast_mat_out, cast_slice_into, cast_slice_out, check_dims, CpuAnalytic,
-    DynamicsBackend, EngineError, FiniteDiff, GradientBackend, GradientBatchOutput, GradientOutput,
-    KernelKind, KernelOutput,
+    BackendCore, BatchOutput, CpuAnalytic, Datapath, DynamicsBackend, EngineError, FiniteDiff,
+    KernelKind,
 };
 use robo_dynamics::{DynamicsModel, MorphologyKey};
 use robo_model::RobotModel;
 use robo_sparsity::{superposition_pattern, Mask6};
 use robo_spatial::{ExecTier, MatN, Scalar, WideScalar, WideVisit};
 use robomorphic_core::Accelerator;
+use std::any::Any;
 use std::sync::Arc;
 
-/// Object-safe face of the wide (lane-transposed) simulated serving path
-/// at an erased lane type, selected per [`ExecTier`]. The lane element
-/// type always equals the owning backend's scalar type `S`, so wide
-/// results stay bit-identical to the scalar simulator.
-trait WideSimPath<S: Scalar>: Send + Sync {
-    /// Lane width: states per wide simulated pass.
-    fn width(&self) -> usize;
+/// The simulated accelerator as a [`Datapath`]: RNEA, the fused
+/// `M⁻¹(τ − C)` forward dynamics, and the gradient, all through the
+/// pruned X-units.
+impl<S: Scalar> Datapath for AcceleratorSim<S> {
+    type Scalar = S;
+    type At<T: Scalar> = AcceleratorSim<T>;
+    type Workspace = SimWorkspace<S>;
 
-    /// Live references sharing the inner wide simulator (plan-sharing
-    /// diagnostics).
-    fn sim_refs(&self) -> usize;
+    const BATCH_SPANS: [&'static str; 3] =
+        ["kernel.accel.id", "kernel.accel.fd", "grad.accel.batch"];
+    const LANE_SPAN: &'static str = "accel.wide";
 
-    /// Runs one full lane group (`states.len() == width()`) through the
-    /// `f64` boundary, scattering per-state results into `out` at state
-    /// indices `base..`.
-    fn run_group_grad(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-        base: usize,
-    );
-
-    /// Runs one full native-`S` lane group (`inputs.len() == width()`),
-    /// appending per-state outputs in input order.
-    fn run_group_native(&mut self, inputs: &[KernelInput<S>], outputs: &mut Vec<SimOutput<S>>);
-
-    /// A fresh-workspace instance over the same `Arc`-shared wide
-    /// simulator.
-    fn fork_path(&self) -> Box<dyn WideSimPath<S>>;
-}
-
-/// The concrete wide path at lane type `V`: the customized design rebuilt
-/// at `V`, plus lane-transposed staging buffers.
-struct WideSim<V: WideScalar> {
-    sim: Arc<AcceleratorSim<V>>,
-    ws: SimWorkspace<V>,
-    q_w: Vec<V>,
-    qd_w: Vec<V>,
-    qdd_w: Vec<V>,
-    minv_w: MatN<V>,
-}
-
-impl<V: WideScalar> WideSim<V> {
-    fn new(sim: Arc<AcceleratorSim<V>>) -> Self {
-        let n = sim.dof();
-        Self {
-            ws: SimWorkspace::for_sim(&sim),
-            q_w: vec![V::splat(V::Elem::zero()); n],
-            qd_w: vec![V::splat(V::Elem::zero()); n],
-            qdd_w: vec![V::splat(V::Elem::zero()); n],
-            minv_w: MatN::zeros(n, n),
-            sim,
-        }
+    fn dof(&self) -> usize {
+        AcceleratorSim::dof(self)
     }
 
-    /// Lane-transposes one group already in `V::Elem` into the staging
-    /// buffers and runs the wide simulator; returns the schedule cycles.
-    fn run_staged(&mut self) -> usize {
-        self.sim.compute_gradient_into(
-            &self.q_w,
-            &self.qd_w,
-            &self.qdd_w,
-            &self.minv_w,
-            &mut self.ws,
-        )
-    }
-}
-
-impl<V: WideScalar> WideSimPath<V::Elem> for WideSim<V> {
-    fn width(&self) -> usize {
-        V::WIDTH
+    fn cast_to<T: Scalar>(&self) -> AcceleratorSim<T> {
+        AcceleratorSim::cast_to(self)
     }
 
-    fn sim_refs(&self) -> usize {
-        Arc::strong_count(&self.sim)
+    fn workspace(&self) -> SimWorkspace<S> {
+        SimWorkspace::for_sim(self)
     }
 
-    fn run_group_grad(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-        base: usize,
+    fn eval(
+        &self,
+        kernel: KernelKind,
+        q: &[S],
+        qd: &[S],
+        third: &[S],
+        minv: &MatN<S>,
+        ws: &mut SimWorkspace<S>,
     ) {
-        let n = self.sim.dof();
-        let w = V::WIDTH;
-        debug_assert_eq!(states.len(), w, "run_group_grad takes one full lane group");
-        let marshal = robo_trace::span_items("lane.marshal", w);
-        for (l, s) in states.iter().enumerate() {
-            for k in 0..n {
-                self.q_w[k].set_lane(l, V::Elem::from_f64(s.q[k]));
-                self.qd_w[k].set_lane(l, V::Elem::from_f64(s.qd[k]));
-                self.qdd_w[k].set_lane(l, V::Elem::from_f64(s.qdd[k]));
-            }
-            for r in 0..n {
-                for c in 0..n {
-                    self.minv_w[(r, c)].set_lane(l, V::Elem::from_f64(s.minv[(r, c)]));
-                }
-            }
-        }
-        drop(marshal);
-        let kernel = robo_trace::span_items("accel.wide", w);
-        self.run_staged();
-        drop(kernel);
-        let _scatter = robo_trace::span_items("lane.scatter", w);
-        let n2 = n * n;
-        for l in 0..w {
-            let dst = (base + l) * n2;
-            for r in 0..n {
-                for c in 0..n {
-                    let k = dst + r * n + c;
-                    out.dqdd_dq[k] = self.ws.dqdd_dq[(r, c)].lane(l).to_f64();
-                    out.dqdd_dqd[k] = self.ws.dqdd_dqd[(r, c)].lane(l).to_f64();
-                    out.dtau_dq[k] = self.ws.dtau_dq[(r, c)].lane(l).to_f64();
-                    out.dtau_dqd[k] = self.ws.dtau_dqd[(r, c)].lane(l).to_f64();
-                }
-            }
-        }
+        let _cycles = match kernel {
+            KernelKind::InverseDynamics => self.compute_rnea_into(q, qd, third, ws),
+            KernelKind::ForwardDynamics => self.compute_fd_into(q, qd, third, minv, ws),
+            KernelKind::Gradient => self.compute_gradient_into(q, qd, third, minv, ws),
+        };
     }
 
-    fn run_group_native(
-        &mut self,
-        inputs: &[KernelInput<V::Elem>],
-        outputs: &mut Vec<SimOutput<V::Elem>>,
-    ) {
-        let n = self.sim.dof();
-        let w = V::WIDTH;
-        debug_assert_eq!(
-            inputs.len(),
-            w,
-            "run_group_native takes one full lane group"
-        );
-        for (l, inp) in inputs.iter().enumerate() {
-            for k in 0..n {
-                self.q_w[k].set_lane(l, inp.q[k]);
-                self.qd_w[k].set_lane(l, inp.qd[k]);
-                self.qdd_w[k].set_lane(l, inp.qdd[k]);
-            }
-            for r in 0..n {
-                for c in 0..n {
-                    self.minv_w[(r, c)].set_lane(l, inp.minv[(r, c)]);
-                }
-            }
-        }
-        let cycles = self.run_staged();
-        for l in 0..w {
-            let unlane = |m: &MatN<V>| {
-                let mut out = MatN::zeros(n, n);
-                for r in 0..n {
-                    for c in 0..n {
-                        out[(r, c)] = m[(r, c)].lane(l);
-                    }
-                }
-                out
-            };
-            outputs.push(SimOutput {
-                dtau_dq: unlane(&self.ws.dtau_dq),
-                dtau_dqd: unlane(&self.ws.dtau_dqd),
-                dqdd_dq: unlane(&self.ws.dqdd_dq),
-                dqdd_dqd: unlane(&self.ws.dqdd_dqd),
-                cycles,
-            });
-        }
+    fn tau(ws: &SimWorkspace<S>) -> &[S] {
+        &ws.tau
     }
 
-    fn fork_path(&self) -> Box<dyn WideSimPath<V::Elem>> {
-        Box::new(Self::new(Arc::clone(&self.sim)))
+    fn qdd(ws: &SimWorkspace<S>) -> &[S] {
+        &ws.qdd
+    }
+
+    fn grad(ws: &SimWorkspace<S>) -> [&MatN<S>; 4] {
+        [&ws.dqdd_dq, &ws.dqdd_dqd, &ws.dtau_dq, &ws.dtau_dqd]
     }
 }
 
-/// Builds the wide simulated path for the lane type `S` serves on `tier`.
-fn make_wide_sim_path<S: Scalar>(
-    sim: &AcceleratorSim<S>,
-    tier: ExecTier,
-) -> Box<dyn WideSimPath<S>> {
-    struct Mk<'a, S: Scalar>(&'a AcceleratorSim<S>);
-    impl<S: Scalar> WideVisit<S> for Mk<'_, S> {
-        type Out = Box<dyn WideSimPath<S>>;
-        fn visit<V: WideScalar<Elem = S>>(self) -> Box<dyn WideSimPath<S>> {
-            Box::new(WideSim::<V>::new(Arc::new(self.0.cast_to::<V>())))
-        }
-    }
-    S::dispatch_wide(tier, Mk(sim))
-}
-
-/// A [`GradientBackend`] executing on the simulated morphology-customized
+/// A [`DynamicsBackend`] executing on the simulated morphology-customized
 /// accelerator, in the accelerator's scalar type `S` (`f64` for parity
 /// studies, `Fix32_16` for the paper's Q16.16 datapath).
 ///
-/// The simulator — holding the customized design and every link unit's
-/// compiled netlist — is `Arc`-shared: [`GradientBackend::fork`] gives each
-/// batch worker a private warm [`SimWorkspace`] over the *same* netlists,
-/// exactly as parallel host threads would share one memory-mapped
-/// accelerator (§6.3). The trait boundary is `f64`; inputs are marshalled
-/// to `S` and outputs back, mirroring the coprocessor's I/O conversion
-/// (§6.2). Use [`AcceleratorBackend::compute`] to stay in `S` end to end.
+/// A thin wrapper over [`BackendCore`]. The simulator — holding the
+/// customized design and every link unit's compiled netlist — is
+/// `Arc`-shared, and so is its widened copy: [`DynamicsBackend::fork`]
+/// gives each batch worker private warm [`SimWorkspace`]s over the *same*
+/// netlists, exactly as parallel host threads would share one
+/// memory-mapped accelerator (§6.3). The trait boundary is `f64`; inputs
+/// are marshalled to `S` and outputs back, mirroring the coprocessor's
+/// I/O conversion (§6.2).
+#[derive(Debug)]
 pub struct AcceleratorBackend<S: Scalar> {
-    sim: Arc<AcceleratorSim<S>>,
-    tier: ExecTier,
-    ws: SimWorkspace<S>,
-    q_s: Vec<S>,
-    qd_s: Vec<S>,
-    qdd_s: Vec<S>,
-    minv_s: MatN<S>,
-    /// Wide serving path: the same customized design rebuilt at the
-    /// tier's lane type, type-erased so the backend stays independent of
-    /// the lane width.
-    wide: Box<dyn WideSimPath<S>>,
-    scratch: GradientOutput,
-}
-
-impl<S: Scalar> std::fmt::Debug for AcceleratorBackend<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AcceleratorBackend")
-            .field("scalar", &S::name())
-            .field("dof", &self.sim.dof())
-            .field("tier", &self.tier)
-            .field("serve_width", &self.wide.width())
-            .finish_non_exhaustive()
-    }
+    core: BackendCore<AcceleratorSim<S>>,
 }
 
 impl<S: Scalar> Clone for AcceleratorBackend<S> {
+    /// A fork: the same shared simulators (scalar and wide), fresh warm
+    /// workspaces.
     fn clone(&self) -> Self {
-        self.fork_native()
+        Self {
+            core: self.core.fork(),
+        }
     }
 }
 
@@ -281,98 +136,34 @@ impl<S: Scalar> AcceleratorBackend<S> {
     /// [`ExecTier`] (clamped to what the host supports). All tiers are
     /// bit-identical; only throughput differs.
     pub fn from_shared_tier(sim: Arc<AcceleratorSim<S>>, tier: ExecTier) -> Self {
-        let tier = tier.clamp_to_host();
-        let wide = make_wide_sim_path(&sim, tier);
-        Self::from_parts(sim, tier, wide)
-    }
-
-    /// Builds over an already-constructed wide path — how forks (and
-    /// [`RobotPlan`]) avoid re-widening the design.
-    fn from_parts(
-        sim: Arc<AcceleratorSim<S>>,
-        tier: ExecTier,
-        wide: Box<dyn WideSimPath<S>>,
-    ) -> Self {
-        let ws = SimWorkspace::for_sim(&sim);
-        let n = sim.dof();
         Self {
-            ws,
-            q_s: Vec::with_capacity(n),
-            qd_s: Vec::with_capacity(n),
-            qdd_s: Vec::with_capacity(n),
-            minv_s: MatN::zeros(n, n),
-            scratch: GradientOutput::for_dof(n),
-            tier,
-            wide,
-            sim,
+            core: BackendCore::new(sim, tier),
         }
     }
 
     /// The shared simulator.
     pub fn sim(&self) -> &Arc<AcceleratorSim<S>> {
-        &self.sim
+        self.core.datapath()
     }
 
     /// The execution tier the wide batch paths run at (already clamped to
     /// host support).
     pub fn tier(&self) -> ExecTier {
-        self.tier
-    }
-
-    /// States evaluated per wide simulated pass — the active tier's lane
-    /// width for `S`.
-    pub fn serve_width(&self) -> usize {
-        self.wide.width()
+        self.core.tier()
     }
 
     /// Cycles one gradient takes on the design's static schedule
     /// (constant per design — Figure 10's latency measurement).
     pub fn cycles_per_gradient(&self) -> usize {
-        self.sim.design().schedule().single_latency_cycles()
+        self.sim().design().schedule().single_latency_cycles()
     }
 
-    /// A concretely-typed fork (same shared simulators — scalar and wide —
-    /// fresh warm workspaces) for callers that need the native-scalar
-    /// entry point.
-    pub fn fork_native(&self) -> Self {
-        Self::from_parts(Arc::clone(&self.sim), self.tier, self.wide.fork_path())
-    }
-
-    /// Runs one gradient natively in `S`, without the `f64` boundary
-    /// marshalling — the entry point for consumers that already hold
-    /// accelerator-typed data (e.g. the coprocessor stream).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DimensionMismatch`] when any input dimension
-    /// disagrees with the plan's joint count.
-    pub fn compute(
-        &mut self,
-        q: &[S],
-        qd: &[S],
-        qdd: &[S],
-        minv: &MatN<S>,
-    ) -> Result<SimOutput<S>, EngineError> {
-        check_dims(self.sim.dof(), q, qd, qdd, minv)?;
-        let cycles = self
-            .sim
-            .compute_gradient_into(q, qd, qdd, minv, &mut self.ws);
-        Ok(SimOutput {
-            dtau_dq: self.ws.dtau_dq.clone(),
-            dtau_dqd: self.ws.dtau_dqd.clone(),
-            dqdd_dq: self.ws.dqdd_dq.clone(),
-            dqdd_dqd: self.ws.dqdd_dqd.clone(),
-            cycles,
-        })
-    }
-
-    /// Runs a native-`S` batch through the wide simulator: full lane
-    /// groups of [`AcceleratorBackend::serve_width`] states are
-    /// lane-transposed and computed by one wide pass each, the ragged
-    /// tail by the scalar simulator. Outputs are appended to `outputs` in
-    /// input order, each bit-identical to a serial
-    /// [`AcceleratorBackend::compute`] call on the same state — on every
-    /// tier.
+    /// Runs a native-`S` gradient batch — the entry point for consumers
+    /// that already hold accelerator-typed data (the coprocessor stream).
+    /// It takes the same lane path as every `f64` batch: each supported
+    /// scalar widens to `f64` exactly and narrows back bit-identically,
+    /// so every output equals a direct scalar-simulator run on the same
+    /// state, on every tier. Outputs are appended in input order.
     ///
     /// # Errors
     ///
@@ -384,145 +175,66 @@ impl<S: Scalar> AcceleratorBackend<S> {
         inputs: &[KernelInput<S>],
         outputs: &mut Vec<SimOutput<S>>,
     ) -> Result<(), EngineError> {
-        let n = self.sim.dof();
-        for inp in inputs {
-            check_dims(n, &inp.q, &inp.qd, &inp.qdd, &inp.minv)?;
-        }
-        let w = self.wide.width();
-        let full = inputs.len() / w;
-        outputs.reserve(inputs.len());
-        for chunk in 0..full {
-            let base = chunk * w;
-            self.wide.run_group_native(&inputs[base..base + w], outputs);
-        }
-        for inp in &inputs[full * w..] {
-            let out = self.compute(&inp.q, &inp.qd, &inp.qdd, &inp.minv)?;
-            outputs.push(out);
-        }
-        Ok(())
-    }
-}
-
-impl<S: Scalar> GradientBackend for AcceleratorBackend<S> {
-    fn name(&self) -> &'static str {
-        "accel"
-    }
-
-    fn dof(&self) -> usize {
-        self.sim.dof()
-    }
-
-    fn gradient_into(
-        &mut self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        minv: &MatN<f64>,
-        out: &mut GradientOutput,
-    ) -> Result<(), EngineError> {
-        check_dims(self.dof(), q, qd, qdd, minv)?;
-        cast_slice_into(q, &mut self.q_s);
-        cast_slice_into(qd, &mut self.qd_s);
-        cast_slice_into(qdd, &mut self.qdd_s);
-        cast_mat_into(minv, &mut self.minv_s);
-        let _cycles = self.sim.compute_gradient_into(
-            &self.q_s,
-            &self.qd_s,
-            &self.qdd_s,
-            &self.minv_s,
-            &mut self.ws,
-        );
-        cast_mat_out(&self.ws.dqdd_dq, &mut out.dqdd_dq);
-        cast_mat_out(&self.ws.dqdd_dqd, &mut out.dqdd_dqd);
-        cast_mat_out(&self.ws.dtau_dq, &mut out.dtau_dq);
-        cast_mat_out(&self.ws.dtau_dqd, &mut out.dtau_dqd);
-        Ok(())
-    }
-
-    fn fork(&self) -> Box<dyn GradientBackend + '_> {
-        Box::new(self.fork_native())
-    }
-
-    fn serve_width(&self) -> usize {
-        self.wide.width()
-    }
-
-    /// The wide SoA override: full lane groups of
-    /// [`AcceleratorBackend::serve_width`] states are marshalled to `S`,
-    /// lane-transposed, and run through one wide simulated pass; the
-    /// ragged tail takes the scalar simulator. Allocation-free once
-    /// `self` and `out` are warm, and per-state bit-identical to serial
-    /// [`GradientBackend::gradient_into`] calls on every tier.
-    fn gradient_batch_into(
-        &mut self,
-        states: &[GradientState<'_, f64>],
-        out: &mut GradientBatchOutput,
-    ) -> Result<(), EngineError> {
-        let _span = robo_trace::span_items("grad.accel.batch", states.len());
-        let n = self.dof();
-        for s in states {
-            check_dims(n, s.q, s.qd, s.qdd, s.minv)?;
-        }
-        out.reset(states.len(), n);
-        let w = self.wide.width();
-        let full = states.len() / w;
-        for chunk in 0..full {
-            let base = chunk * w;
-            self.wide.run_group_grad(&states[base..base + w], out, base);
-        }
-        // Ragged tail through the scalar simulator; `scratch` is a warm
-        // field (temporarily moved out to satisfy the borrow checker).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (i, s) in states.iter().enumerate().skip(full * w) {
-            self.gradient_into(s.q, s.qd, s.qdd, s.minv, &mut scratch)?;
-            out.store(i, &scratch);
-        }
-        self.scratch = scratch;
+        let widen = |v: &[S]| v.iter().map(|x| x.to_f64()).collect::<Vec<f64>>();
+        let host: Vec<_> = inputs
+            .iter()
+            .map(|i| {
+                (
+                    widen(&i.q),
+                    widen(&i.qd),
+                    widen(&i.qdd),
+                    i.minv.cast::<f64>(),
+                )
+            })
+            .collect();
+        let states: Vec<GradientState<'_, f64>> = host
+            .iter()
+            .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
+            .collect();
+        let mut batch = BatchOutput::new();
+        self.core
+            .run_batch_into(KernelKind::Gradient, &states, &mut batch)?;
+        let n = self.core.dof();
+        let narrow = |flat: &[f64]| {
+            let data: Vec<S> = flat.iter().map(|x| S::from_f64(*x)).collect();
+            MatN::from_row_major(n, n, &data)
+        };
+        let cycles = self.cycles_per_gradient();
+        outputs.extend((0..inputs.len()).map(|i| SimOutput {
+            dtau_dq: narrow(batch.dtau_dq_at(i)),
+            dtau_dqd: narrow(batch.dtau_dqd_at(i)),
+            dqdd_dq: narrow(batch.dqdd_dq_at(i)),
+            dqdd_dqd: narrow(batch.dqdd_dqd_at(i)),
+            cycles,
+        }));
         Ok(())
     }
 }
 
 impl<S: Scalar> DynamicsBackend for AcceleratorBackend<S> {
-    fn run_into(
+    fn name(&self) -> &'static str {
+        "accel"
+    }
+
+    fn dof(&self) -> usize {
+        self.core.dof()
+    }
+
+    fn fork(&self) -> Box<dyn DynamicsBackend + '_> {
+        Box::new(self.clone())
+    }
+
+    fn serve_width(&self) -> usize {
+        self.core.serve_width()
+    }
+
+    fn run_batch_into(
         &mut self,
         kernel: KernelKind,
-        q: &[f64],
-        qd: &[f64],
-        third: &[f64],
-        minv: &MatN<f64>,
-        out: &mut KernelOutput,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
     ) -> Result<(), EngineError> {
-        match kernel {
-            KernelKind::Gradient => self.gradient_into(q, qd, third, minv, &mut out.grad),
-            KernelKind::InverseDynamics => {
-                check_dims(self.dof(), q, qd, third, minv)?;
-                let _span = robo_trace::span("kernel.accel.id");
-                cast_slice_into(q, &mut self.q_s);
-                cast_slice_into(qd, &mut self.qd_s);
-                cast_slice_into(third, &mut self.qdd_s);
-                self.sim
-                    .compute_rnea_into(&self.q_s, &self.qd_s, &self.qdd_s, &mut self.ws);
-                cast_slice_out(&self.ws.tau, &mut out.tau);
-                Ok(())
-            }
-            KernelKind::ForwardDynamics => {
-                check_dims(self.dof(), q, qd, third, minv)?;
-                let _span = robo_trace::span("kernel.accel.fd");
-                cast_slice_into(q, &mut self.q_s);
-                cast_slice_into(qd, &mut self.qd_s);
-                cast_slice_into(third, &mut self.qdd_s); // τ rides the third slot
-                cast_mat_into(minv, &mut self.minv_s);
-                self.sim.compute_fd_into(
-                    &self.q_s,
-                    &self.qd_s,
-                    &self.qdd_s,
-                    &self.minv_s,
-                    &mut self.ws,
-                );
-                cast_slice_out(&self.ws.qdd, &mut out.qdd);
-                Ok(())
-            }
-        }
+        self.core.run_batch_into(kernel, states, out)
     }
 }
 
@@ -539,7 +251,7 @@ pub struct KernelFamily {
     pub sharing: SharingReport,
 }
 
-/// Which [`GradientBackend`] a consumer wants — the CLI's `--backend`
+/// Which [`DynamicsBackend`] a consumer wants — the CLI's `--backend`
 /// vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
@@ -594,7 +306,7 @@ impl std::str::FromStr for BackendKind {
 ///
 /// The plan holds the dynamics model, the morphology-derived superposition
 /// sparsity mask, the customized accelerator design with its optimized,
-/// compiled per-link netlists, and hands out [`GradientBackend`]s whose
+/// compiled per-link netlists, and hands out [`DynamicsBackend`]s whose
 /// warm workspaces execute over those `Arc`-shared artifacts. Cloning the
 /// plan, forking a backend, or spreading work across [`BatchEngine`]
 /// threads never re-derives any of it.
@@ -612,17 +324,17 @@ impl std::str::FromStr for BackendKind {
 /// let mut backend = plan.backend(BackendKind::Accel);
 /// assert_eq!(backend.name(), "accel");
 /// ```
+#[derive(Clone)]
 pub struct RobotPlan {
     robot: RobotModel,
     model: Arc<DynamicsModel<f64>>,
     mask: Mask6,
-    sim: Arc<AcceleratorSim<f64>>,
-    tier: ExecTier,
     key: MorphologyKey,
     family: Arc<KernelFamily>,
-    /// Prototype wide path, widened once at plan build; every accelerator
-    /// backend and fork shares its inner wide simulator.
-    wide_proto: Box<dyn WideSimPath<f64>>,
+    /// Prototype accelerator backend, widened once at plan build; every
+    /// accelerator backend the plan hands out is a fork of it, sharing
+    /// its scalar and wide simulators.
+    accel: AcceleratorBackend<f64>,
 }
 
 impl std::fmt::Debug for RobotPlan {
@@ -630,24 +342,9 @@ impl std::fmt::Debug for RobotPlan {
         f.debug_struct("RobotPlan")
             .field("robot", &self.robot.name())
             .field("dof", &self.model.dof())
-            .field("tier", &self.tier)
-            .field("serve_width", &self.wide_proto.width())
+            .field("tier", &self.tier())
+            .field("serve_width", &self.serve_width())
             .finish_non_exhaustive()
-    }
-}
-
-impl Clone for RobotPlan {
-    fn clone(&self) -> Self {
-        Self {
-            robot: self.robot.clone(),
-            model: Arc::clone(&self.model),
-            mask: self.mask,
-            sim: Arc::clone(&self.sim),
-            tier: self.tier,
-            key: self.key,
-            family: Arc::clone(&self.family),
-            wide_proto: self.wide_proto.fork_path(),
-        }
     }
 }
 
@@ -678,16 +375,16 @@ impl RobotPlan {
             let _span = robo_trace::span("plan.customize");
             let mut sim = AcceleratorSim::new(robot);
             if tier == ExecTier::Jit {
-                // Before `make_wide_sim_path`: `cast_to` carries the JIT
-                // flag onto the wide simulator, so the whole serving
-                // stack — scalar and wide — runs stitched code.
+                // Before widening: `cast_to` carries the JIT flag onto
+                // the wide simulator, so the whole serving stack —
+                // scalar and wide — runs stitched code.
                 sim.enable_jit();
             }
             Arc::new(sim)
         };
-        let wide_proto = {
+        let accel = {
             let _span = robo_trace::span("plan.widen");
-            make_wide_sim_path(&sim, tier)
+            AcceleratorBackend::from_shared_tier(sim, tier)
         };
         let model = {
             let _span = robo_trace::span("plan.model");
@@ -716,39 +413,49 @@ impl RobotPlan {
             robot: robot.clone(),
             model,
             mask,
-            sim,
-            tier,
             key,
             family,
-            wide_proto,
+            accel,
         }
     }
 
     /// The execution tier the plan's backends serve wide batches at
     /// (already clamped to host support).
     pub fn tier(&self) -> ExecTier {
-        self.tier
+        self.accel.tier()
     }
 
-    /// The template JIT's emission report when the plan's kernel-family
-    /// tape runs stitched native code; `None` when the plan executes
-    /// the threaded tape instead (the JIT tier was not requested, or
-    /// emission fell back — e.g. the code buffer could not be mapped).
-    pub fn jit_report(&self) -> Option<robo_codegen::JitReport> {
-        self.family.tape.jit_report()
+    /// The template JIT's emission report, summed over every X-unit tape
+    /// the accelerator backends execute — the scalar simulator's and the
+    /// widened one's. `None` when any of those tapes runs the threaded
+    /// tape instead (the JIT tier was not requested, or emission fell
+    /// back — e.g. the code buffer could not be mapped).
+    pub fn jit_report(&self) -> Option<JitReport> {
+        /// Downcasts the lane datapath at the lane type the tier
+        /// dispatches to — the same dispatch that widened it.
+        struct Wide(Arc<dyn Any + Send + Sync>);
+        impl WideVisit<f64> for Wide {
+            type Out = Option<JitReport>;
+            fn visit<V: WideScalar<Elem = f64>>(self) -> Option<JitReport> {
+                self.0.downcast_ref::<AcceleratorSim<V>>()?.jit_report()
+            }
+        }
+        let wide = f64::dispatch_wide(self.tier(), Wide(self.accel.core.lane_datapath()))?;
+        Some(self.sim().jit_report()? + wide)
     }
 
     /// States evaluated per wide kernel instruction by the plan's
     /// backends — the tier's `f64` lane width.
     pub fn serve_width(&self) -> usize {
-        self.wide_proto.width()
+        self.accel.serve_width()
     }
 
     /// Live references sharing the plan's wide simulator — a diagnostic
     /// hook for the plan-once contract (backends and forks share the
     /// widened design; nothing re-widens it).
     pub fn wide_sim_refs(&self) -> usize {
-        self.wide_proto.sim_refs()
+        // Less the handle this call holds.
+        Arc::strong_count(&self.accel.core.lane_datapath()) - 1
     }
 
     /// The source morphology.
@@ -769,7 +476,7 @@ impl RobotPlan {
 
     /// The customized accelerator design (schedule, resources).
     pub fn design(&self) -> &Accelerator {
-        self.sim.design()
+        self.sim().design()
     }
 
     /// The morphology-derived superposition sparsity mask shared by every
@@ -780,7 +487,7 @@ impl RobotPlan {
 
     /// The shared accelerator simulator (compiled netlists included).
     pub fn sim(&self) -> &Arc<AcceleratorSim<f64>> {
-        &self.sim
+        self.accel.sim()
     }
 
     /// Degrees of freedom.
@@ -791,17 +498,13 @@ impl RobotPlan {
     /// A CPU analytical backend over the plan's shared model, at the
     /// plan's tier.
     pub fn cpu_backend(&self) -> CpuAnalytic<f64> {
-        CpuAnalytic::with_model_tier(Arc::clone(&self.model), self.tier)
+        CpuAnalytic::with_model_tier(Arc::clone(&self.model), self.tier())
     }
 
     /// An accelerator backend over the plan's shared simulators (scalar
     /// and wide — nothing is re-customized or re-widened per backend).
     pub fn accelerator_backend(&self) -> AcceleratorBackend<f64> {
-        AcceleratorBackend::from_parts(
-            Arc::clone(&self.sim),
-            self.tier,
-            self.wide_proto.fork_path(),
-        )
+        self.accel.clone()
     }
 
     /// A finite-difference oracle over the plan's shared model.
@@ -823,8 +526,7 @@ impl RobotPlan {
 
     /// A boxed backend of the requested kind — the CLI/`--backend` entry
     /// point. The returned [`DynamicsBackend`] runs every kernel of the
-    /// family through [`DynamicsBackend::run_into`]; gradient-only
-    /// consumers coerce it to `Box<dyn GradientBackend>` unchanged.
+    /// family through [`DynamicsBackend::run_batch_into`].
     pub fn backend(&self, kind: BackendKind) -> Box<dyn DynamicsBackend> {
         match kind {
             BackendKind::Cpu => Box::new(self.cpu_backend()),
@@ -837,8 +539,18 @@ impl RobotPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robo_dynamics::{forward_dynamics, mass_matrix_inverse};
+    use robo_dynamics::engine::{GradientOutput, KernelOutput};
+    use robo_dynamics::{forward_dynamics, mass_matrix_inverse, DynamicsGradient};
     use robo_model::robots;
+
+    fn grad_of(
+        backend: &mut dyn DynamicsBackend,
+        (q, qd, qdd, minv): &(Vec<f64>, Vec<f64>, Vec<f64>, MatN<f64>),
+    ) -> DynamicsGradient<f64> {
+        let mut out = GradientOutput::new();
+        backend.gradient_into(q, qd, qdd, minv, &mut out).unwrap();
+        out.into_dynamics_gradient()
+    }
 
     fn case(plan: &RobotPlan) -> (Vec<f64>, Vec<f64>, Vec<f64>, MatN<f64>) {
         let n = plan.dof();
@@ -870,7 +582,7 @@ mod tests {
         let sim_count = Arc::strong_count(plan.sim());
         let wide_count = plan.wide_sim_refs();
         let accel = plan.accelerator_backend();
-        let _fork = accel.fork_native();
+        let _fork = accel.clone();
         assert_eq!(Arc::strong_count(plan.sim()), sim_count + 2);
         // The wide simulator is widened once in the plan and shared by
         // every backend and fork — never rebuilt.
@@ -900,14 +612,14 @@ mod tests {
             .collect();
 
         let mut wide = plan.accelerator_backend();
-        let mut got = GradientBatchOutput::new();
+        let mut got = BatchOutput::new();
         wide.gradient_batch_into(&states, &mut got).unwrap();
 
         // Serial reference through the same backend's scalar path.
         let mut serial = plan.accelerator_backend();
         let mut scratch = GradientOutput::for_dof(n);
-        let mut want = GradientBatchOutput::new();
-        want.reset(states.len(), n);
+        let mut want = BatchOutput::new();
+        want.reset(KernelKind::Gradient, states.len(), n);
         for (i, s) in states.iter().enumerate() {
             serial
                 .gradient_into(s.q, s.qd, s.qdd, s.minv, &mut scratch)
@@ -918,9 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn native_compute_batch_matches_serial_compute() {
-        // The native-S wide path must be bit-identical to serial compute()
-        // calls — including in the accelerator's fixed-point type.
+    fn native_compute_batch_matches_scalar_simulator() {
+        // The native-S batch must be bit-identical to direct scalar
+        // simulator runs — including in the accelerator's fixed-point
+        // type.
         use robo_fixed::Fix32_16;
         let robot = robots::iiwa14();
         let plan = RobotPlan::new(&robot);
@@ -949,11 +662,10 @@ mod tests {
         let mut batched = Vec::new();
         backend.compute_batch(&inputs, &mut batched).unwrap();
         assert_eq!(batched.len(), inputs.len());
-        let mut serial = backend.fork_native();
         for (inp, got) in inputs.iter().zip(&batched) {
-            let want = serial
-                .compute(&inp.q, &inp.qd, &inp.qdd, &inp.minv)
-                .unwrap();
+            let want = backend
+                .sim()
+                .compute_gradient(&inp.q, &inp.qd, &inp.qdd, &inp.minv);
             assert_eq!(got.dtau_dq, want.dtau_dq);
             assert_eq!(got.dtau_dqd, want.dtau_dqd);
             assert_eq!(got.dqdd_dq, want.dqdd_dq);
@@ -965,10 +677,9 @@ mod tests {
     #[test]
     fn accel_backend_matches_raw_sim() {
         let plan = RobotPlan::new(&robots::iiwa14());
-        let (q, qd, qdd, minv) = case(&plan);
-        let mut backend = plan.accelerator_backend();
-        let got = backend.gradient(&q, &qd, &qdd, &minv).unwrap();
-        let want = plan.sim().compute_gradient(&q, &qd, &qdd, &minv);
+        let c = case(&plan);
+        let got = grad_of(&mut plan.accelerator_backend(), &c);
+        let want = plan.sim().compute_gradient(&c.0, &c.1, &c.2, &c.3);
         assert_eq!(got.dqdd_dq, want.dqdd_dq);
         assert_eq!(got.dqdd_dqd, want.dqdd_dqd);
         assert_eq!(got.id_gradient.dtau_dq, want.dtau_dq);
@@ -979,9 +690,11 @@ mod tests {
         let plan = RobotPlan::new(&robots::iiwa14());
         let (q, qd, qdd, minv) = case(&plan);
         let mut backend = plan.accelerator_backend();
-        let out = backend.compute(&q, &qd, &qdd, &minv).unwrap();
-        assert_eq!(out.cycles, backend.cycles_per_gradient());
-        assert_eq!(out.cycles, 34);
+        let mut out = Vec::new();
+        let input = KernelInput { q, qd, qdd, minv };
+        backend.compute_batch(&[input], &mut out).unwrap();
+        assert_eq!(out[0].cycles, backend.cycles_per_gradient());
+        assert_eq!(out[0].cycles, 34);
     }
 
     #[test]
@@ -1024,8 +737,12 @@ mod tests {
             } else {
                 &qdd
             };
-            let want = cpu.run(kernel, &q, &qd, third, &minv).unwrap();
-            let got = accel.run(kernel, &q, &qd, third, &minv).unwrap();
+            let (mut want, mut got) = (KernelOutput::new(), KernelOutput::new());
+            cpu.run_into(kernel, &q, &qd, third, &minv, &mut want)
+                .unwrap();
+            accel
+                .run_into(kernel, &q, &qd, third, &minv, &mut got)
+                .unwrap();
             match kernel {
                 KernelKind::InverseDynamics => {
                     for (g, w) in got.tau.iter().zip(&want.tau) {
@@ -1048,14 +765,31 @@ mod tests {
     }
 
     #[test]
-    fn boxed_dynamics_backend_coerces_to_gradient_backend() {
-        // The compat contract: gradient-only consumers take the new boxed
-        // backend unchanged via dyn upcasting.
+    fn gradient_backend_names_the_same_trait() {
+        // Gradient-only consumers take the boxed backend unchanged: the
+        // two trait names are one trait.
+        use robo_dynamics::engine::GradientBackend;
         let plan = RobotPlan::new(&robots::iiwa14());
-        let (q, qd, qdd, minv) = case(&plan);
         let boxed: Box<dyn DynamicsBackend> = plan.backend(BackendKind::Accel);
-        let mut legacy: Box<dyn GradientBackend> = boxed;
-        assert!(legacy.gradient(&q, &qd, &qdd, &minv).is_ok());
+        let mut gradient_only: Box<dyn GradientBackend> = boxed;
+        assert!(grad_of(gradient_only.as_mut(), &case(&plan)).dqdd_dq.rows() == 7);
+    }
+
+    #[test]
+    fn jit_report_covers_the_scalar_and_wide_xunit_tapes() {
+        let plan = RobotPlan::with_tier(&robots::iiwa14(), ExecTier::Jit);
+        if plan.tier() != ExecTier::Jit || !plan.sim().jit_enabled() {
+            // No JIT on this host: the report must say so.
+            assert!(plan.jit_report().is_none());
+            return;
+        }
+        let scalar = plan.sim().jit_report().expect("scalar tapes emitted");
+        let both = plan.jit_report().expect("wide tapes emitted");
+        assert!(
+            both.code_bytes > scalar.code_bytes,
+            "{both:?} vs {scalar:?}"
+        );
+        assert!(RobotPlan::new(&robots::iiwa14()).jit_report().is_none());
     }
 
     #[test]
@@ -1075,11 +809,9 @@ mod tests {
     fn fixed_point_backend_marshals_at_boundary() {
         use robo_fixed::Fix32_16;
         let plan = RobotPlan::new(&robots::iiwa14());
-        let (q, qd, qdd, minv) = case(&plan);
-        let mut fx = AcceleratorBackend::<Fix32_16>::new(plan.robot());
-        let fx_grad = fx.gradient(&q, &qd, &qdd, &minv).unwrap();
-        let mut f64_backend = plan.accelerator_backend();
-        let ref_grad = f64_backend.gradient(&q, &qd, &qdd, &minv).unwrap();
+        let c = case(&plan);
+        let fx_grad = grad_of(&mut AcceleratorBackend::<Fix32_16>::new(plan.robot()), &c);
+        let ref_grad = grad_of(&mut plan.accelerator_backend(), &c);
         // Q16.16 keeps ~4 fractional digits; the marshalled result must be
         // near the f64 reference but generally not equal.
         let scale = ref_grad.dqdd_dq.max_abs().max(1.0);

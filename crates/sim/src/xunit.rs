@@ -21,6 +21,7 @@
 
 use robo_codegen::{
     generate_x_unit_with_mask, generate_xt_unit_with_mask, optimize, snap, CompiledNetlist,
+    JitReport,
 };
 use robo_model::{JointType, RobotModel};
 use robo_sparsity::{x_pattern, Mask6};
@@ -179,7 +180,13 @@ impl<S: Scalar> XUnit<S> {
 
     /// Whether both compiled tapes currently execute through the JIT.
     pub fn jit_enabled(&self) -> bool {
-        self.fwd.jit_report().is_some() && self.bwd.jit_report().is_some()
+        self.jit_report().is_some()
+    }
+
+    /// The JIT's emission report summed over both compiled tapes; `None`
+    /// unless both execute stitched code.
+    pub fn jit_report(&self) -> Option<JitReport> {
+        Some(self.fwd.jit_report()? + self.bwd.jit_report()?)
     }
 
     /// The compiled tape models per-operation rounding only; wide MAC

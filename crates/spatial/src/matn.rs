@@ -103,6 +103,11 @@ impl<S: Scalar> MatN<S> {
         &self.data
     }
 
+    /// A mutable view of the underlying row-major data.
+    pub fn as_mut_slice(&mut self) -> &mut [S] {
+        &mut self.data
+    }
+
     /// Converts between scalar types through `f64`.
     pub fn cast<T: Scalar>(&self) -> MatN<T> {
         MatN {

@@ -3,8 +3,8 @@
 //! PR 5's serving paths were hard-wired to the portable
 //! [`Lanes<S, 4>`](crate::Lanes); this trait is what lets the portable and
 //! native SIMD tiers share one code path. Anything that lane-transposes a
-//! batch — the compiled-tape batch evaluator, the engine backends' wide
-//! gradient overrides, the accelerator's streaming interface — is written
+//! batch — the compiled-tape batch evaluator, the engine's lane-group
+//! path, the accelerator's streaming interface — is written
 //! against `V: WideScalar<Elem = S>` and receives the concrete lane type
 //! for the active [`ExecTier`](crate::ExecTier) through
 //! [`Scalar::dispatch_wide`](crate::Scalar::dispatch_wide).

@@ -15,7 +15,7 @@
 //! comparison.
 
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{CpuAnalytic, GradientBackend, GradientBatchOutput};
+use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend};
 use robo_dynamics::{
     forward_dynamics, forward_kinematics, link_origin_world, mass_matrix_inverse,
     position_jacobian, DynamicsModel,
@@ -171,12 +171,12 @@ pub fn solve<S: Scalar>(task: &ReachingTask, opts: &IlqrOptions) -> IlqrResult {
     solve_with_backend(task, opts, &backend)
 }
 
-/// Solves the task with iLQR using an arbitrary [`GradientBackend`] — e.g.
+/// Solves the task with iLQR using an arbitrary [`DynamicsBackend`] — e.g.
 /// a simulated (or real) accelerator in the loop, swapped in one line.
 ///
 /// The backward pass linearizes all time steps data-parallel on the shared
 /// batch engine (the per-time-step parallelism of §6.1); each worker
-/// receives a [`GradientBackend::fork`] of `backend` over the same shared
+/// receives a [`DynamicsBackend::fork`] of `backend` over the same shared
 /// plan.
 ///
 /// # Panics
@@ -185,7 +185,7 @@ pub fn solve<S: Scalar>(task: &ReachingTask, opts: &IlqrOptions) -> IlqrResult {
 pub fn solve_with_backend(
     task: &ReachingTask,
     opts: &IlqrOptions,
-    backend: &dyn GradientBackend,
+    backend: &dyn DynamicsBackend,
 ) -> IlqrResult {
     let n = task.n();
     assert_eq!(task.x0.len(), 2 * n, "x0 must have length 2n");
@@ -337,7 +337,7 @@ fn feedback_roll(
 fn backward_pass(
     task: &ReachingTask,
     model: &DynamicsModel<f64>,
-    backend: &dyn GradientBackend,
+    backend: &dyn DynamicsBackend,
     xs: &[Vec<f64>],
     us: &[Vec<f64>],
     reg: f64,
@@ -392,7 +392,7 @@ fn backward_pass(
     // workers fork the backend over the shared plan, and wide backends run
     // `serve_width()` time steps per kernel instruction (the active
     // `ExecTier`'s lane width) — filling one flat
-    // `GradientBatchOutput` whose per-step blocks the Riccati recursion
+    // `BatchOutput` whose per-step blocks the Riccati recursion
     // below indexes directly. Non-finite gradients (e.g. fixed-point
     // garbage) also map to None.
     let prep: Vec<Option<(Vec<f64>, MatN<f64>)>> = BatchEngine::global().run_with_state(
@@ -420,10 +420,8 @@ fn backward_pass(
             }
         })
         .collect();
-    let mut lin = GradientBatchOutput::new();
-    backend
-        .gradient_batch_on_into(BatchEngine::global(), &states, &mut lin)
-        .ok()?;
+    let mut lin = BatchOutput::new();
+    gradient_batch_on_into(backend, BatchEngine::global(), &states, &mut lin).ok()?;
     drop(states);
     for t in 0..horizon {
         if !lin.dqdd_dq_at(t).iter().all(|v| v.is_finite()) {

@@ -8,7 +8,7 @@
 //! * [`run_mpc`] / [`solve_with_backend`] — closed-loop receding-horizon
 //!   MPC and single-trajectory optimization with the gradient kernel
 //!   behind the engine layer's
-//!   [`GradientBackend`](robo_dynamics::engine::GradientBackend) trait, so
+//!   [`DynamicsBackend`](robo_dynamics::engine::DynamicsBackend) trait, so
 //!   a simulated (or real) accelerator runs in the loop as a one-line
 //!   backend swap;
 //! * [`ControlRateModel`] — the analytical model converting per-step

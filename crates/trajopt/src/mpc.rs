@@ -11,9 +11,9 @@
 //! run in the loop.
 
 use crate::ilqr::{solve_with_backend, IlqrOptions, ReachingTask};
-use robo_dynamics::engine::{EngineError, GradientBackend, GradientOutput};
+use robo_dynamics::batch::GradientState;
+use robo_dynamics::engine::{BatchOutput, DynamicsBackend, EngineError, KernelKind};
 use robo_dynamics::{forward_dynamics, DynamicsModel};
-use robo_spatial::MatN;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of a closed-loop MPC run.
@@ -63,15 +63,15 @@ impl MpcResult {
     }
 }
 
-/// A [`GradientBackend`] decorator counting kernel invocations. Atomic,
-/// because the optimizer linearizes time steps in parallel on the batch
-/// engine, and forks share the counter.
+/// A [`DynamicsBackend`] decorator counting gradient evaluations (one per
+/// state). Atomic, because the optimizer linearizes time steps in
+/// parallel on the batch engine, and forks share the counter.
 struct CountingBackend<'a> {
-    inner: Box<dyn GradientBackend + 'a>,
+    inner: Box<dyn DynamicsBackend + 'a>,
     calls: &'a AtomicUsize,
 }
 
-impl GradientBackend for CountingBackend<'_> {
+impl DynamicsBackend for CountingBackend<'_> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -80,23 +80,27 @@ impl GradientBackend for CountingBackend<'_> {
         self.inner.dof()
     }
 
-    fn gradient_into(
-        &mut self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        minv: &MatN<f64>,
-        out: &mut GradientOutput,
-    ) -> Result<(), EngineError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.gradient_into(q, qd, qdd, minv, out)
-    }
-
-    fn fork(&self) -> Box<dyn GradientBackend + '_> {
+    fn fork(&self) -> Box<dyn DynamicsBackend + '_> {
         Box::new(CountingBackend {
             inner: self.inner.fork(),
             calls: self.calls,
         })
+    }
+
+    fn serve_width(&self) -> usize {
+        self.inner.serve_width()
+    }
+
+    fn run_batch_into(
+        &mut self,
+        kernel: KernelKind,
+        states: &[GradientState<'_, f64>],
+        out: &mut BatchOutput,
+    ) -> Result<(), EngineError> {
+        if kernel == KernelKind::Gradient {
+            self.calls.fetch_add(states.len(), Ordering::Relaxed);
+        }
+        self.inner.run_batch_into(kernel, states, out)
     }
 }
 
@@ -111,7 +115,7 @@ impl GradientBackend for CountingBackend<'_> {
 pub fn run_mpc(
     task: &ReachingTask,
     config: &MpcConfig,
-    backend: &dyn GradientBackend,
+    backend: &dyn DynamicsBackend,
 ) -> MpcResult {
     let n = task.robot.dof();
     let plant = DynamicsModel::<f64>::new(&task.robot);

@@ -8,7 +8,7 @@
 //!
 //! Runs the same receding-horizon controller twice — once with the plan's
 //! CPU analytic backend, once with the Q16.16 accelerator simulation —
-//! swapping nothing but the [`GradientBackend`] handed to `run_mpc`. Also
+//! swapping nothing but the [`DynamicsBackend`] handed to `run_mpc`. Also
 //! accounts the accelerator's cycle budget for the whole run.
 
 use robomorphic::core::FpgaPlatform;

@@ -208,7 +208,7 @@ pub fn cmd_check(source: &str) -> Result<String, CliError> {
 
 /// `robomorphic check <robot> --backend {cpu,accel,fd} --tier T` — like
 /// [`cmd_check`], but running the gradient spot-check through the chosen
-/// [`GradientBackend`](robo_dynamics::engine::GradientBackend) of a
+/// [`DynamicsBackend`](robo_dynamics::engine::DynamicsBackend) of a
 /// once-built [`robo_sim::RobotPlan`] at the chosen execution tier
 /// (clamped to what the host supports; all tiers are bit-identical).
 ///
@@ -332,19 +332,21 @@ fn check_body(
         plan.serve_width()
     );
     // The JIT line is load-bearing: CI greps for "jit: active" to fail
-    // the build when a `--tier jit` run silently fell back.
+    // the build when a `--tier jit` run silently fell back. It covers the
+    // X-unit tapes the accelerator backends actually run, scalar and wide.
     if tier == robo_spatial::ExecTier::Jit {
         match plan.jit_report() {
             Some(report) => {
                 let _ = writeln!(
                     out,
-                    "  jit: active ({} blocks, {} code bytes, {} patches)",
+                    "  jit: active ({} blocks, {} code bytes, {} patches across the scalar \
+                     and wide X-unit tapes)",
                     report.blocks, report.code_bytes, report.patches
                 );
             }
             None => {
                 let reason = if plan.tier() == robo_spatial::ExecTier::Jit {
-                    "code buffer unavailable".to_owned()
+                    "an X-unit tape did not emit".to_owned()
                 } else {
                     format!("tier clamped to {}", plan.tier())
                 };
@@ -382,73 +384,49 @@ fn check_body(
     );
     // Kernel spot-check through the selected engine backend: the gradient
     // against the finite-difference oracle, `id`/`fd` against the CPU
-    // analytical reference kernels (RNEA / ABA).
+    // analytical reference kernels (RNEA / ABA). The fd kernel gets the
+    // torques RNEA produces for the sampled q̈, so it must recover that q̈
+    // (up to cross-algorithm rounding: ABA / M⁻¹(τ−C) vs the reference).
     use robo_dynamics::engine::{KernelKind, KernelOutput};
     let input = &robo_baselines::random_inputs(&robot, 1, 0xC11)[0];
-    match kernel {
+    let tau = robo_dynamics::rnea(model, &input.q, &input.qd, &input.qdd).tau;
+    let third = match kernel {
+        KernelKind::ForwardDynamics => &tau,
+        KernelKind::Gradient | KernelKind::InverseDynamics => &input.qdd,
+    };
+    let mut kout = KernelOutput::new();
+    plan.backend(kind)
+        .run_into(kernel, &input.q, &input.qd, third, &input.minv, &mut kout)
+        .expect("generated input matches the robot");
+    let max_err = |got: &[f64], want: &[f64]| {
+        got.iter()
+            .zip(want)
+            .fold(0.0_f64, |a, (g, w)| a.max((g - w).abs()))
+    };
+    let (what, err, tol) = match kernel {
         KernelKind::Gradient => {
-            let g = plan
-                .backend(kind)
-                .gradient(&input.q, &input.qd, &input.qdd, &input.minv)
-                .expect("generated input matches the robot");
             let fd = robo_dynamics::findiff::rnea_gradient_fd(
                 model, &input.q, &input.qd, &input.qdd, 1e-6,
             );
-            let err = g.id_gradient.dtau_dq.max_abs_diff(&fd.dtau_dq);
-            let _ = writeln!(
-                out,
-                "  `{kind}` backend gradient vs finite differences: {:.2e} max abs error {}",
-                err,
-                if err < 1e-3 { "(ok)" } else { "(FAIL)" }
-            );
+            let err = kout.grad.dtau_dq.max_abs_diff(&fd.dtau_dq);
+            ("gradient vs finite differences", err, 1e-3)
         }
-        KernelKind::InverseDynamics => {
-            let mut kout = KernelOutput::new();
-            plan.backend(kind)
-                .run_into(
-                    kernel,
-                    &input.q,
-                    &input.qd,
-                    &input.qdd,
-                    &input.minv,
-                    &mut kout,
-                )
-                .expect("generated input matches the robot");
-            let want = robo_dynamics::rnea(model, &input.q, &input.qd, &input.qdd).tau;
-            let err = kout
-                .tau
-                .iter()
-                .zip(&want)
-                .fold(0.0_f64, |a, (g, w)| a.max((g - w).abs()));
-            let _ = writeln!(
-                out,
-                "  `{kind}` backend id kernel vs CPU RNEA reference: {:.2e} max abs error {}",
-                err,
-                if err < 1e-8 { "(ok)" } else { "(FAIL)" }
-            );
-        }
-        KernelKind::ForwardDynamics => {
-            // Feed the torques RNEA produces for the sampled q̈, so the fd
-            // kernel must recover that q̈ exactly (up to cross-algorithm
-            // rounding: ABA / M⁻¹(τ−C) vs the reference).
-            let tau = robo_dynamics::rnea(model, &input.q, &input.qd, &input.qdd).tau;
-            let mut kout = KernelOutput::new();
-            plan.backend(kind)
-                .run_into(kernel, &input.q, &input.qd, &tau, &input.minv, &mut kout)
-                .expect("generated input matches the robot");
-            let err = kout
-                .qdd
-                .iter()
-                .zip(&input.qdd)
-                .fold(0.0_f64, |a, (g, w)| a.max((g - w).abs()));
-            let _ = writeln!(
-                out,
-                "  `{kind}` backend fd kernel round-trips RNEA torques: {:.2e} max abs error {}",
-                err,
-                if err < 1e-6 { "(ok)" } else { "(FAIL)" }
-            );
-        }
-    }
+        KernelKind::InverseDynamics => (
+            "id kernel vs CPU RNEA reference",
+            max_err(&kout.tau, &tau),
+            1e-8,
+        ),
+        KernelKind::ForwardDynamics => (
+            "fd kernel round-trips RNEA torques",
+            max_err(&kout.qdd, &input.qdd),
+            1e-6,
+        ),
+    };
+    let _ = writeln!(
+        out,
+        "  `{kind}` backend {what}: {err:.2e} max abs error {}",
+        if err < tol { "(ok)" } else { "(FAIL)" }
+    );
     Ok(out)
 }
 
@@ -631,6 +609,76 @@ coalescing/backpressure counters. Defaults: --clients 4, --requests 64,
 "
 }
 
+/// The command line of `check` and `serve`: the `<robot>` positional, the
+/// flags both share (`--backend`, `--tier`, `--kernel`), and the
+/// command's own valued flags.
+struct Flags<'a> {
+    source: &'a str,
+    backend: robo_sim::BackendKind,
+    tier: robo_spatial::ExecTier,
+    kernel: robo_dynamics::engine::KernelKind,
+    /// The command's own flags with their values, in order.
+    extra: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Parses `cmd`'s arguments — `backend` is its default `--backend` —
+    /// accepting the flags in `extra` beside the shared ones.
+    fn parse(
+        cmd: &str,
+        rest: &'a [String],
+        mut backend: robo_sim::BackendKind,
+        extra: &[&str],
+    ) -> Result<Self, CliError> {
+        let mut tier = robo_spatial::ExecTier::detect();
+        let mut kernel = robo_dynamics::engine::KernelKind::Gradient;
+        let mut source = None;
+        let mut values = Vec::new();
+        let mut args = rest.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))
+            };
+            match arg {
+                "--backend" => backend = value()?.parse().map_err(CliError::Usage)?,
+                "--tier" => {
+                    tier = value()?
+                        .parse()
+                        .map_err(|e: robo_spatial::ParseTierError| {
+                            CliError::Usage(e.to_string())
+                        })?;
+                }
+                "--kernel" => kernel = value()?.parse().map_err(CliError::Usage)?,
+                flag if extra.contains(&flag) => values.push((flag, value()?)),
+                flag if flag.starts_with("--") => {
+                    return Err(CliError::Usage(format!("unknown {cmd} flag `{flag}`")));
+                }
+                s if source.is_none() => source = Some(s),
+                other => {
+                    return Err(CliError::Usage(format!("unexpected argument `{other}`")));
+                }
+            }
+        }
+        Ok(Self {
+            source: source.ok_or_else(|| CliError::Usage(format!("{cmd} needs a <robot>")))?,
+            backend,
+            tier,
+            kernel,
+            extra: values,
+        })
+    }
+
+    /// The last value given for one of the command's own flags.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.extra
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+}
+
 /// Dispatches a command line (without the program name).
 ///
 /// # Errors
@@ -646,128 +694,30 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         [cmd, source, dest] if cmd == "convert" => cmd_convert(source, dest),
         [cmd, rest @ ..] if cmd == "check" && !rest.is_empty() => {
-            let mut source: Option<&str> = None;
-            let mut kind = robo_sim::BackendKind::Cpu;
-            let mut tier = robo_spatial::ExecTier::detect();
-            let mut kernel = robo_dynamics::engine::KernelKind::Gradient;
-            let mut trace_out: Option<&str> = None;
-            fn flag_value<'r>(
-                rest: &'r [String],
-                i: &mut usize,
-                flag: &str,
-            ) -> Result<&'r String, CliError> {
-                *i += 1;
-                rest.get(*i)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-            }
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--backend" => {
-                        kind = flag_value(rest, &mut i, "--backend")?
-                            .parse()
-                            .map_err(CliError::Usage)?;
-                    }
-                    "--tier" => {
-                        tier = flag_value(rest, &mut i, "--tier")?.parse().map_err(
-                            |e: robo_spatial::ParseTierError| CliError::Usage(e.to_string()),
-                        )?;
-                    }
-                    "--kernel" => {
-                        kernel = flag_value(rest, &mut i, "--kernel")?
-                            .parse()
-                            .map_err(CliError::Usage)?;
-                    }
-                    "--trace" => trace_out = Some(flag_value(rest, &mut i, "--trace")?),
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown check flag `{flag}`")));
-                    }
-                    s if source.is_none() => source = Some(s),
-                    extra => {
-                        return Err(CliError::Usage(format!("unexpected argument `{extra}`")));
-                    }
-                }
-                i += 1;
-            }
-            let Some(source) = source else {
-                return Err(CliError::Usage("check needs a <robot>".to_owned()));
-            };
-            cmd_check_traced_kernel(source, kind, tier, trace_out, kernel)
+            let f = Flags::parse("check", rest, robo_sim::BackendKind::Cpu, &["--trace"])?;
+            cmd_check_traced_kernel(f.source, f.backend, f.tier, f.value("--trace"), f.kernel)
         }
         [cmd, rest @ ..] if cmd == "serve" && !rest.is_empty() => {
-            let mut source: Option<&str> = None;
-            let mut kind = robo_sim::BackendKind::Accel;
-            let mut tier = robo_spatial::ExecTier::detect();
-            let mut kernel = robo_dynamics::engine::KernelKind::Gradient;
-            let mut clients = 4usize;
-            let mut requests = 64usize;
-            let mut linger_us = 200u64;
-            fn flag_value<'r>(
-                rest: &'r [String],
-                i: &mut usize,
-                flag: &str,
-            ) -> Result<&'r String, CliError> {
-                *i += 1;
-                rest.get(*i)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-            }
-            fn parse_count(value: &str, flag: &str) -> Result<u64, CliError> {
-                value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("{flag} needs a number, got `{value}`")))
-            }
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--backend" => {
-                        kind = flag_value(rest, &mut i, "--backend")?
-                            .parse()
-                            .map_err(CliError::Usage)?;
-                    }
-                    "--tier" => {
-                        tier = flag_value(rest, &mut i, "--tier")?.parse().map_err(
-                            |e: robo_spatial::ParseTierError| CliError::Usage(e.to_string()),
-                        )?;
-                    }
-                    "--kernel" => {
-                        kernel = flag_value(rest, &mut i, "--kernel")?
-                            .parse()
-                            .map_err(CliError::Usage)?;
-                    }
-                    "--clients" => {
-                        clients = parse_count(flag_value(rest, &mut i, "--clients")?, "--clients")?
-                            as usize;
-                    }
-                    "--requests" => {
-                        requests =
-                            parse_count(flag_value(rest, &mut i, "--requests")?, "--requests")?
-                                as usize;
-                    }
-                    "--linger-us" => {
-                        linger_us =
-                            parse_count(flag_value(rest, &mut i, "--linger-us")?, "--linger-us")?;
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown serve flag `{flag}`")));
-                    }
-                    s if source.is_none() => source = Some(s),
-                    extra => {
-                        return Err(CliError::Usage(format!("unexpected argument `{extra}`")));
-                    }
-                }
-                i += 1;
-            }
-            let Some(source) = source else {
-                return Err(CliError::Usage("serve needs a <robot>".to_owned()));
+            let f = Flags::parse(
+                "serve",
+                rest,
+                robo_sim::BackendKind::Accel,
+                &["--clients", "--requests", "--linger-us"],
+            )?;
+            let count = |flag: &str, default: u64| -> Result<u64, CliError> {
+                f.value(flag).map_or(Ok(default), |v| {
+                    v.parse()
+                        .map_err(|_| CliError::Usage(format!("{flag} needs a number, got `{v}`")))
+                })
             };
             cmd_serve(
-                source,
-                kind,
-                tier,
-                kernel,
-                clients,
-                requests,
-                std::time::Duration::from_micros(linger_us),
+                f.source,
+                f.backend,
+                f.tier,
+                f.kernel,
+                count("--clients", 4)? as usize,
+                count("--requests", 64)? as usize,
+                std::time::Duration::from_micros(count("--linger-us", 200)?),
             )
         }
         _ => Err(CliError::Usage(usage().to_owned())),

@@ -24,7 +24,7 @@
 //! | [`collision`] | `robo-collision` | capsule collision checking and its robomorphic template |
 //! | [`trajopt`] | `robo-trajopt` | iLQR nonlinear MPC and the control-rate analysis |
 //! | [`trace`] | `robo-trace` | pipeline span tracing emitting Chrome-trace JSON (recording gated behind the `trace` cargo feature, on by default) |
-//! | [`engine`] | `robo-dynamics` + `robo-sim` | the plan-once/execute-many engine layer: [`RobotPlan`](engine::RobotPlan) and the [`GradientBackend`](engine::GradientBackend) trait every gradient consumer goes through |
+//! | [`engine`] | `robo-dynamics` + `robo-sim` | the plan-once/execute-many engine layer: [`RobotPlan`](engine::RobotPlan) and the [`DynamicsBackend`](engine::DynamicsBackend) trait every kernel consumer goes through |
 //! | [`serve`] | `robo-serve` | the gradient-serving tier: [`GradientServer`](serve::GradientServer) with a morphology-keyed plan cache, per-shard dynamic micro-batching, and backpressure |
 //!
 //! # Quickstart
@@ -68,13 +68,13 @@ pub use robo_trajopt as trajopt;
 pub use robomorphic_core as core;
 
 /// The engine layer in one place: build a [`engine::RobotPlan`] once per
-/// morphology, then hand out [`engine::GradientBackend`]s — CPU analytic,
+/// morphology, then hand out [`engine::DynamicsBackend`]s — CPU analytic,
 /// simulated accelerator, or finite differences — to every consumer.
 ///
 /// # Examples
 ///
 /// ```
-/// use robomorphic::engine::{BackendKind, GradientBackend, RobotPlan};
+/// use robomorphic::engine::{BackendKind, DynamicsBackend, RobotPlan};
 /// use robomorphic::model::robots;
 ///
 /// let plan = RobotPlan::new(&robots::iiwa14());
@@ -84,8 +84,8 @@ pub use robomorphic_core as core;
 pub mod engine {
     pub use robo_dynamics::batch::GradientState;
     pub use robo_dynamics::engine::{
-        CpuAnalytic, DynamicsBackend, EngineError, FiniteDiff, GradientBackend,
-        GradientBatchOutput, GradientOutput, KernelKind, KernelOutput,
+        gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, EngineError, FiniteDiff,
+        GradientBackend, GradientBatchOutput, GradientOutput, KernelKind, KernelOutput,
     };
     pub use robo_dynamics::MorphologyKey;
     pub use robo_sim::engine::{AcceleratorBackend, BackendKind, RobotPlan};

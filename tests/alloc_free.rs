@@ -277,12 +277,12 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
         }
     }
 
-    // The wide SoA batch overrides: with a warm backend and a warm
-    // GradientBatchOutput, whole lane-grouped batches (full W-groups plus
-    // the scalar tail) are allocation-free as well. The GradientState
-    // views are built outside the counted region — they are borrows the
-    // caller constructs once per batch. (The trait's serial default, used
-    // by FiniteDiff, allocates a scratch per call and is exempt.)
+    // The wide SoA batch path: with a warm backend and a warm
+    // BatchOutput, whole lane-grouped batches (full W-groups plus the
+    // scalar tail) are allocation-free as well. The GradientState views
+    // are built outside the counted region — they are borrows the caller
+    // constructs once per batch. (FiniteDiff, an oracle, allocates per
+    // state and is exempt.)
     let batch_cases: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = (0..7)
         .map(|k| {
             let q: Vec<f64> = (0..n).map(|i| 0.09 * (i + k) as f64 - 0.25).collect();
@@ -300,7 +300,7 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
             minv: &minv,
         })
         .collect();
-    let mut batch_out = robomorphic::engine::GradientBatchOutput::new();
+    let mut batch_out = robomorphic::engine::BatchOutput::new();
     for kind in [
         robomorphic::engine::BackendKind::Cpu,
         robomorphic::engine::BackendKind::Accel,
@@ -320,6 +320,27 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
             before,
             "`{kind}` wide batch path allocated in steady state"
         );
+
+        // The one compute entry, for every kernel of the family: a warm
+        // backend and a warm batch output keep whole batches (lane groups
+        // plus the scalar tail for the gradient, the scalar path for
+        // id/fd) allocation-free.
+        for kernel in robomorphic::engine::KernelKind::ALL {
+            backend
+                .run_batch_into(kernel, &states, &mut batch_out)
+                .expect("dimensions match the plan");
+            let before = allocations();
+            for _ in 0..16 {
+                backend
+                    .run_batch_into(kernel, &states, &mut batch_out)
+                    .expect("dimensions match the plan");
+            }
+            assert_eq!(
+                allocations(),
+                before,
+                "`{kind}` run_batch_into `{kernel}` allocated in steady state"
+            );
+        }
     }
 
     // The serving tier end-to-end: once a morphology is registered (plan

@@ -20,7 +20,8 @@
 use proptest::prelude::*;
 use robomorphic::dynamics::{dynamics_gradient_from_qdd, mass_matrix_inverse, DynamicsModel};
 use robomorphic::engine::{
-    AcceleratorBackend, BackendKind, GradientBackend, GradientOutput, RobotPlan,
+    AcceleratorBackend, BackendKind, GradientBackend, GradientOutput, KernelKind, KernelOutput,
+    RobotPlan,
 };
 use robomorphic::model::{robots, RobotModel};
 use robomorphic::sim::{AcceleratorSim, XUnitBackend};
@@ -133,6 +134,102 @@ proptest! {
     }
 }
 
+/// Asserts `run_batch_into(kernel, states)` equals per-state `run_into`
+/// bit for bit, for one backend at one batch size.
+fn check_batch_entry(
+    plan: &RobotPlan,
+    kind: BackendKind,
+    kernel: KernelKind,
+    vals: &[f64],
+    count: usize,
+) {
+    use robomorphic::dynamics::batch::GradientState;
+    use robomorphic::engine::BatchOutput;
+    let n = plan.dof();
+    type OwnedState = (Vec<f64>, Vec<f64>, Vec<f64>, MatN<f64>);
+    let cases: Vec<OwnedState> = (0..count)
+        .map(|k| {
+            let q = take(vals, 3 * k, n, 1.0);
+            let minv = mass_matrix_inverse(plan.model(), &q).expect("SPD");
+            (
+                q,
+                take(vals, 3 * k + 1, n, 1.5),
+                take(vals, 3 * k + 2, n, 2.0),
+                minv,
+            )
+        })
+        .collect();
+    let states: Vec<GradientState<'_, f64>> = cases
+        .iter()
+        .map(|(q, qd, third, minv)| GradientState {
+            q,
+            qd,
+            qdd: third,
+            minv,
+        })
+        .collect();
+    let mut backend = plan.backend(kind);
+    let mut batch = BatchOutput::new();
+    backend
+        .run_batch_into(kernel, &states, &mut batch)
+        .expect("dimensions match the plan");
+    assert_eq!((batch.kernel(), batch.count()), (kernel, count));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut single = KernelOutput::new();
+    for (i, (q, qd, third, minv)) in cases.iter().enumerate() {
+        backend
+            .run_into(kernel, q, qd, third, minv, &mut single)
+            .expect("dimensions match the plan");
+        let (got, want): (Vec<&[f64]>, Vec<&[f64]>) = match kernel {
+            KernelKind::InverseDynamics => (vec![batch.tau_at(i)], vec![&single.tau]),
+            KernelKind::ForwardDynamics => (vec![batch.qdd_at(i)], vec![&single.qdd]),
+            KernelKind::Gradient => (
+                vec![
+                    batch.dqdd_dq_at(i),
+                    batch.dqdd_dqd_at(i),
+                    batch.dtau_dq_at(i),
+                    batch.dtau_dqd_at(i),
+                ],
+                vec![
+                    single.grad.dqdd_dq.as_slice(),
+                    single.grad.dqdd_dqd.as_slice(),
+                    single.grad.dtau_dq.as_slice(),
+                    single.grad.dtau_dqd.as_slice(),
+                ],
+            ),
+        };
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                bits(g),
+                bits(w),
+                "`{kind}` {kernel}: batch of {count}, state {i} differs from run_into"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+    /// The one compute entry against its single-state wrapper, for every
+    /// backend and kernel, at sizes around the lane width: empty, one,
+    /// a partial group, exactly one group, one past it, and two groups
+    /// plus a ragged tail of three.
+    #[test]
+    fn batch_entry_is_bit_identical_to_single_states(
+        vals in proptest::collection::vec(-1.0..1.0f64, 64)
+    ) {
+        let plan = RobotPlan::new(&robots::iiwa14());
+        for kind in BackendKind::ALL {
+            let w = plan.backend(kind).serve_width();
+            for count in [0, 1, w - 1, w, w + 1, 2 * w + 3] {
+                for kernel in KernelKind::ALL {
+                    check_batch_entry(&plan, kind, kernel, &vals, count);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_backend_rejects_mismatched_dimensions() {
     let robot = robots::iiwa14();
@@ -160,7 +257,8 @@ fn every_backend_rejects_mismatched_dimensions() {
 fn batch_entry_point_matches_serial_calls() {
     // The trait's batch path (what stream_batch and iLQR's backward pass
     // build on) must equal one-at-a-time calls for every backend.
-    use robomorphic::dynamics::batch::GradientState;
+    use robomorphic::dynamics::batch::{BatchEngine, GradientState};
+    use robomorphic::engine::{gradient_batch_on_into, BatchOutput};
     let robot = robots::hyq();
     let plan = RobotPlan::new(&robot);
     let n = plan.dof();
@@ -190,7 +288,10 @@ fn batch_entry_point_matches_serial_calls() {
 
     for kind in BackendKind::ALL {
         let mut backend = plan.backend(kind);
-        let batch = backend.gradient_batch(&views).expect("dimensions match");
+        let mut flat = BatchOutput::new();
+        gradient_batch_on_into(backend.as_ref(), BatchEngine::global(), &views, &mut flat)
+            .expect("dimensions match");
+        let batch: Vec<_> = (0..flat.count()).map(|i| flat.gradient_at(i)).collect();
         assert_eq!(batch.len(), states.len());
         let mut out = GradientOutput::for_dof(n);
         for ((q, qd, qdd, minv), b) in states.iter().zip(&batch) {

@@ -10,9 +10,9 @@
 //!   scalar tail) vs per-state `eval_into`;
 //! * the dynamics kernels on a widened model: `rnea_into` and
 //!   `dynamics_gradient_into` vs scalar runs of the same model;
-//! * the engine layer: every backend's `gradient_batch_into` (the wide
-//!   overrides on `CpuAnalytic` and the accelerator, and the serial trait
-//!   default on `FiniteDiff`) vs a hand-rolled `gradient_into` loop.
+//! * the engine layer: every backend's `gradient_batch_into` (the shared
+//!   lane-group core under `CpuAnalytic` and the accelerator, and
+//!   `FiniteDiff`'s per-state loop) vs a hand-rolled `gradient_into` loop.
 //!
 //! All comparisons go through `to_f64().to_bits()` so that even a sign-off
 //! on `-0.0` vs `0.0` would be caught. Batch sizes are drawn from ranges
@@ -24,7 +24,7 @@ use robomorphic::codegen::{
     generate_x_unit_with_mask, optimize, BatchEvalWorkspace, CompiledNetlist, EvalWorkspace,
 };
 use robomorphic::dynamics::batch::GradientState;
-use robomorphic::dynamics::engine::{GradientBatchOutput, GradientOutput};
+use robomorphic::dynamics::engine::{BatchOutput, GradientOutput, KernelKind};
 use robomorphic::dynamics::{
     dynamics_gradient_into, forward_dynamics, mass_matrix_inverse, rnea_into, DynamicsModel,
     GradWorkspace, RneaWorkspace,
@@ -237,8 +237,9 @@ proptest! {
     }
 
     /// Every engine backend's SoA batch path reproduces a hand-rolled
-    /// serial `gradient_into` loop exactly — the wide overrides on the CPU
-    /// and accelerator backends, and the serial default on `FiniteDiff`.
+    /// serial `gradient_into` loop exactly — the lane-group core on the
+    /// CPU and accelerator backends, and the per-state loop of
+    /// `FiniteDiff`.
     #[test]
     fn backend_batches_match_serial_bitwise(
         seed in 0.0..1.0f64,
@@ -266,8 +267,8 @@ proptest! {
 
         for kind in [BackendKind::Cpu, BackendKind::Accel, BackendKind::FiniteDiff] {
             let mut backend = plan.backend(kind);
-            let mut want = GradientBatchOutput::new();
-            want.reset(count, n);
+            let mut want = BatchOutput::new();
+            want.reset(KernelKind::Gradient, count, n);
             let mut scratch = GradientOutput::for_dof(n);
             for (i, s) in states.iter().enumerate() {
                 backend
@@ -276,7 +277,7 @@ proptest! {
                 want.store(i, &scratch);
             }
 
-            let mut got = GradientBatchOutput::new();
+            let mut got = BatchOutput::new();
             backend
                 .gradient_batch_into(&states, &mut got)
                 .expect("dimensions match the plan");

@@ -8,11 +8,13 @@
 //! equality (not a tolerance) is the contract. Pipelined submissions from
 //! many slots force multi-request flushes; tiny linger deadlines force
 //! partial-lane (ragged) ones; both shapes are asserted per backend and
-//! per host-supported execution tier.
+//! per host-supported execution tier. The vector kernels (`id`, `fd`) go
+//! through the same flush, so deep batches of them are held to the same
+//! exact contract against a direct `run_into`.
 
 use proptest::prelude::*;
 use robomorphic::dynamics::{forward_dynamics, mass_matrix_inverse};
-use robomorphic::engine::{BackendKind, RobotPlan};
+use robomorphic::engine::{BackendKind, KernelKind, KernelOutput, RobotPlan};
 use robomorphic::model::robots;
 use robomorphic::serve::{GradientRequest, GradientServer, ResponseSlot, ServeConfig};
 use robomorphic::spatial::ExecTier;
@@ -80,6 +82,69 @@ fn check_parity(
     }
 }
 
+/// Queues `2 · serve_width + extra` requests of a vector kernel into one
+/// flush (the linger outlasts the submissions, the batch stays under
+/// `max_batch`) and asserts each response is bit-identical to a direct
+/// `run_into` on the same backend.
+fn check_vector_kernel_parity(
+    backend: BackendKind,
+    kernel: KernelKind,
+    vals: &[f64],
+    extra: usize,
+) {
+    let server = GradientServer::with_config(ServeConfig {
+        workers: 1,
+        backend,
+        max_linger: Duration::from_millis(100),
+        ..ServeConfig::default()
+    });
+    let key = server.register(&robots::iiwa14());
+    let plan = server.plan(key).expect("registered");
+    let count = 2 * plan.serve_width() + extra;
+    let requests: Vec<GradientRequest> = (0..count)
+        .map(|k| {
+            let mut req = GradientRequest::for_kernel(plan.dof(), kernel);
+            fill_request(&plan, vals, k, &mut req);
+            if kernel == KernelKind::ForwardDynamics {
+                // fd's third slot carries torques.
+                for (i, t) in req.qdd.iter_mut().enumerate() {
+                    *t = 2.0 * vals[(3 * k + i + 13) % vals.len()];
+                }
+            }
+            req
+        })
+        .collect();
+    let slots: Vec<ResponseSlot> = (0..count).map(|_| ResponseSlot::new()).collect();
+    for (req, slot) in requests.iter().zip(&slots) {
+        server.submit(key, req.clone(), slot).expect("admitted");
+    }
+
+    let mut direct = plan.backend(backend);
+    let mut want = KernelOutput::new();
+    for (k, (req, slot)) in requests.iter().zip(&slots).enumerate() {
+        let served = slot.wait();
+        direct
+            .run_into(kernel, &req.q, &req.qd, &req.qdd, &req.minv, &mut want)
+            .expect("dimensions match");
+        let want = match kernel {
+            KernelKind::InverseDynamics => &want.tau,
+            _ => &want.qdd,
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&served.out_vec),
+            bits(want),
+            "served {kernel} response {k}/{count} must be bit-identical to the direct \
+             {backend:?} run_into"
+        );
+    }
+    assert_eq!(
+        server.stats().flushes,
+        1,
+        "all {count} requests share one flush"
+    );
+}
+
 fn host_tiers() -> Vec<ExecTier> {
     let mut tiers = vec![ExecTier::Portable];
     let native = ExecTier::detect();
@@ -108,6 +173,20 @@ proptest! {
                 let plan = RobotPlan::with_tier(&robots::iiwa14(), tier);
                 let count = plan.serve_width() + extra;
                 check_parity(backend, tier, &vals, count, Duration::from_micros(100));
+            }
+        }
+    }
+
+    /// Deep batches of the vector kernels (≥ 2 lane groups per flush) stay
+    /// exact, request by request.
+    #[test]
+    fn served_id_and_fd_batches_are_bit_identical_to_direct_calls(
+        vals in proptest::collection::vec(-1.0..1.0f64, 64),
+        extra in 0usize..3,
+    ) {
+        for backend in [BackendKind::Cpu, BackendKind::Accel] {
+            for kernel in [KernelKind::InverseDynamics, KernelKind::ForwardDynamics] {
+                check_vector_kernel_parity(backend, kernel, &vals, extra);
             }
         }
     }

@@ -113,7 +113,7 @@ fn live_pipeline_trace_covers_the_span_taxonomy() {
             minv: &minv,
         })
         .collect();
-    let mut batch_out = robomorphic::engine::GradientBatchOutput::new();
+    let mut batch_out = robomorphic::engine::BatchOutput::new();
     plan.backend(BackendKind::Cpu)
         .gradient_batch_into(&cases, &mut batch_out)
         .expect("dimensions match");
