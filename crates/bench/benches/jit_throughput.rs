@@ -1,31 +1,25 @@
-//! Copy-and-patch template JIT vs the direct-threaded tape.
+//! Copy-and-patch template JIT vs the `match` interpreter.
 //!
-//! The threaded tape dispatches every scheduled superinstruction block
-//! through one indirect call, and every handler re-loads its operand
-//! indices from the `OpArgs` table and re-indexes the register file per
-//! instruction. For `f64` tapes the template JIT
-//! ([`CompiledNetlist::enable_jit`]) removes all of that: each decoded
-//! instruction is lowered **inline** to 2–4 SSE scalar instructions
-//! with the operand byte offsets patched into their disp32 fields — a
-//! straight-line leaf function with no dispatch, no calls, and no
-//! operand-table traffic. The lowering preserves the interpreter's
-//! semantics exactly (two rounding steps for fused opcodes, sign-bit
-//! negation, all reads before the single store), so the comparison is
-//! bit-identical by construction and measures execution overhead
-//! alone.
+//! Every compiled `f64` tape runs a JIT-emitted function on x86-64
+//! Linux: [`CompiledNetlist::compile`] lowers each fused instruction
+//! **inline** to 2–4 SSE scalar instructions with the operand byte
+//! offsets patched into their disp32 fields — a straight-line leaf
+//! function with no dispatch, no calls, and no operand-table traffic.
+//! The lowering preserves the interpreter's semantics exactly (two
+//! rounding steps for fused opcodes, sign-bit negation, all reads before
+//! the single store, fusion order), so the comparison is bit-identical
+//! by construction and measures execution overhead alone.
 //!
-//! Three comparisons, all single-threaded:
+//! Two comparisons, all single-threaded, each on one tape through
+//! `eval_into_regs_interp` (the oracle) and `eval_into_regs` (the
+//! emitted function):
 //!
-//! * `tape_threaded_scalar` vs `tape_jit_scalar` — the compiled iiwa
+//! * `tape_interp_scalar` vs `tape_jit_scalar` — the compiled iiwa
 //!   full-pipeline X tape, per-state scalar evaluation. The speedup key
-//!   `jit_vs_threaded` is the PR's acceptance floor (≥ 1.15×) and the
-//!   one `ci/bench_baseline_10.json` gates.
-//! * `tape_interp_scalar` vs `tape_jit_scalar` — the same tape through
-//!   the `match`-dispatch oracle, for the cumulative `jit_vs_interp`
-//!   ratio (scheduling + threading + stitching).
-//! * `family_threaded_scalar` vs `family_jit_scalar` — the fused
-//!   RNEA/FD/∇ID multifunction family tape, the largest tape the
-//!   serving path JIT-enables (`RobotPlan::with_tier(.., Jit)`).
+//!   `jit_vs_interp` is the one `ci/bench_baseline_10.json` gates.
+//! * `family_interp_scalar` vs `family_jit_scalar` — the fused
+//!   RNEA/FD/∇ID multifunction family tape, the largest tape in the
+//!   workspace; `family_jit_vs_interp` is informational.
 //!
 //! Results (median ns per state), the speedup ratios, and the host
 //! provenance block go to `BENCH_10.json` at the repository root
@@ -33,9 +27,9 @@
 //! and `BENCH_TRIALS=N` repeats it for the confidence-interval gate;
 //! see [`robo_bench::harness`].
 //!
-//! On hosts without the JIT (non-x86-64, non-Linux) the JIT-enabled
-//! tape transparently runs threaded; the bench prints a warning and the
-//! ratios degrade to ~1.0 — the gate only runs on the x86-64 CI runner.
+//! On hosts without the JIT (non-x86-64, non-Linux) both sides run the
+//! interpreter; the bench prints a warning and the ratios degrade to
+//! ~1.0 — the gate only runs on the x86-64 CI runner.
 
 use robo_bench::harness::{self, tape_states, time_median_ns_interleaved, BenchEnv};
 use robo_bench::report::{speedup, BenchReport, HostInfo};
@@ -73,27 +67,23 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     let robot = robots::iiwa14();
     let sup = superposition_pattern(&robot);
 
-    // The iiwa full-pipeline tape, threaded and JIT-stitched.
+    // The iiwa full-pipeline tape.
     let tape = CompiledNetlist::<f64>::compile(&optimize(&generate_x_pipeline(&robot, sup)));
-    let mut jit_tape = tape.clone();
-    if !jit_tape.enable_jit() {
+    if tape.jit_report().is_none() {
         println!(
             "jit_throughput: WARNING: JIT unavailable on this host — \
-             measuring the threaded fallback"
+             both sides run the interpreter"
         );
     }
     let states = tape_states(env.tape_batch, tape.input_names().len());
 
-    // The fused multifunction family tape — the one the serving path
-    // JIT-enables.
+    // The fused multifunction family tape.
     let (family_netlist, _, _) = generate_kernel_family(&robot, sup, &KernelKind::ALL)
         .expect("distinct kernels never collide on output names");
     let family = CompiledNetlist::<f64>::compile(&family_netlist);
-    let mut family_jit = family.clone();
-    family_jit.enable_jit();
     let family_states = tape_states(env.tape_batch, family.input_names().len());
 
-    // Interleaved A/B/C sweeps: dispatch differences on these tapes are
+    // Interleaved A/B sweeps: dispatch differences on these tapes are
     // tens of ns/state, so back-to-back whole-path runs on a shared
     // 1-core runner would let machine drift masquerade as a speedup (or
     // eat a real one). Round-robin reps bias every path equally.
@@ -103,46 +93,42 @@ fn run_once(env: &BenchEnv) -> BenchReport {
         &mut [
             &mut scalar_sweep(&tape, &states, true),
             &mut scalar_sweep(&tape, &states, false),
-            &mut scalar_sweep(&jit_tape, &states, false),
         ],
     );
-    let (tape_interp, tape_threaded, tape_jit) = (medians[0], medians[1], medians[2]);
+    let (tape_interp, tape_jit) = (medians[0], medians[1]);
     let medians = time_median_ns_interleaved(
         env.reps,
         env.tape_batch,
         &mut [
+            &mut scalar_sweep(&family, &family_states, true),
             &mut scalar_sweep(&family, &family_states, false),
-            &mut scalar_sweep(&family_jit, &family_states, false),
         ],
     );
-    let (family_threaded, family_jit_ns) = (medians[0], medians[1]);
+    let (family_interp, family_jit) = (medians[0], medians[1]);
 
     report.record_median_ns("tape_interp_scalar", tape_interp);
-    report.record_median_ns("tape_threaded_scalar", tape_threaded);
     report.record_median_ns("tape_jit_scalar", tape_jit);
-    report.record_median_ns("family_threaded_scalar", family_threaded);
-    report.record_median_ns("family_jit_scalar", family_jit_ns);
-    report.record_speedup("jit_vs_threaded", tape_threaded / tape_jit);
+    report.record_median_ns("family_interp_scalar", family_interp);
+    report.record_median_ns("family_jit_scalar", family_jit);
     report.record_speedup("jit_vs_interp", tape_interp / tape_jit);
-    report.record_speedup("family_jit_vs_threaded", family_threaded / family_jit_ns);
+    report.record_speedup("family_jit_vs_interp", family_interp / family_jit);
 
-    match jit_tape.jit_report() {
+    match tape.jit_report() {
         Some(r) => println!(
-            "jit_throughput: pipeline tape stitched: {} blocks, {} code bytes, {} patches",
-            r.blocks, r.code_bytes, r.patches
+            "jit_throughput: pipeline tape emitted: {} instrs, {} code bytes, {} patches",
+            r.instrs, r.code_bytes, r.patches
         ),
-        None => println!("jit_throughput: pipeline tape runs threaded (no JIT)"),
+        None => println!("jit_throughput: pipeline tape runs the interpreter (no JIT)"),
     }
     for (name, ns) in [
         ("tape_interp_scalar", tape_interp),
-        ("tape_threaded_scalar", tape_threaded),
         ("tape_jit_scalar", tape_jit),
-        ("family_threaded_scalar", family_threaded),
-        ("family_jit_scalar", family_jit_ns),
+        ("family_interp_scalar", family_interp),
+        ("family_jit_scalar", family_jit),
     ] {
         println!("jit_throughput/{name:<24} median: {ns:10.1} ns/state");
     }
-    for name in ["jit_vs_threaded", "jit_vs_interp", "family_jit_vs_threaded"] {
+    for name in ["jit_vs_interp", "family_jit_vs_interp"] {
         let ratio = report.speedup_of(name).expect("just recorded");
         println!("jit_throughput/{name:<24} speedup: {}", speedup(ratio));
     }

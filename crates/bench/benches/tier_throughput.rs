@@ -1,34 +1,28 @@
 //! Tiered-execution throughput: native SIMD lanes vs the portable
-//! `Lanes<f64, 4>` fallback, and the direct-threaded tape vs the `match`
-//! interpreter.
+//! `Lanes<f64, 4>` fallback.
 //!
-//! Three comparisons, each single-threaded and bit-identical by
+//! Two comparisons, each single-threaded and bit-identical by
 //! construction (so they are pure throughput measurements):
 //!
-//! * `tape_interp_scalar` vs `tape_threaded_scalar` — the compiled
-//!   full-pipeline X tape (every joint's unit merged, the per-state
-//!   transform work of a whole forward sweep) evaluated per state through
-//!   the legacy `match` interpreter (`eval_into_regs_interp`, kept as the
-//!   correctness oracle) vs the direct-threaded superinstruction tape
-//!   that now backs `eval_into`;
-//! * `tape_portable4` vs `tape_native` — one SoA batch sweep through the
+//! * `tape_portable4` vs `tape_native` — one SoA batch sweep of the
+//!   compiled full-pipeline X tape (every joint's unit merged, the
+//!   per-state transform work of a whole forward sweep) through the
 //!   portable `Lanes<f64, 4>` workspace vs the tier-dispatched workspace
 //!   (`tiered_workspace(ExecTier::detect())` — AVX2 `F64x4`, SSE2/NEON
 //!   `F64x2`, or the same portable lanes when the host has nothing
-//!   better);
+//!   better); both run their JIT-emitted tapes where the lane type has a
+//!   row;
 //! * `cpu_grad_portable4` vs `cpu_grad_native` — the full
 //!   dynamics-gradient kernel through [`CpuAnalytic`] built at
 //!   `ExecTier::Portable` vs the host-detected tier.
 //!
-//! The acceptance floor for this PR is `tape_native` ≥ 1.3× the portable
-//! `Lanes<4>` path on hosts with a native tier, and the threaded tape
-//! beating the interpreter at scalar width. Results (median ns per
-//! state), the speedup ratios, and the host provenance block are written
-//! to `BENCH_6.json` at the repository root (override with `BENCH_OUT`;
-//! CI's traced re-run writes `BENCH_6.traced.json`) — the CI artifact
-//! gated by `analyse gate`. `BENCH_QUICK=1` shrinks the run for
-//! CI and `BENCH_TRIALS=N` repeats it for the confidence-interval gate;
-//! see [`robo_bench::harness`].
+//! The interpreter-vs-JIT comparison on the same tape lives in
+//! `jit_throughput`. Results (median ns per state), the speedup ratios,
+//! and the host provenance block are written to `BENCH_6.json` at the
+//! repository root (override with `BENCH_OUT`; CI's traced re-run writes
+//! `BENCH_6.traced.json`) — the CI artifact gated by `analyse gate`.
+//! `BENCH_QUICK=1` shrinks the run for CI and `BENCH_TRIALS=N` repeats it
+//! for the confidence-interval gate; see [`robo_bench::harness`].
 
 use robo_bench::harness::{self, tape_states, time_median_ns, BenchEnv};
 use robo_bench::report::{speedup, BenchReport, HostInfo};
@@ -52,22 +46,6 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     let n_out = tape.num_outputs();
     let states = tape_states(env.tape_batch, tape.input_names().len());
     let state_refs: Vec<&[f64]> = states.iter().map(|s| s.as_slice()).collect();
-
-    // --- Threaded tape vs match interpreter, scalar width ---------------
-    let mut regs = vec![0.0_f64; tape.num_regs()];
-    let mut out_one = vec![0.0_f64; n_out];
-    let tape_interp = time_median_ns(env.reps, env.tape_batch, || {
-        for s in &states {
-            tape.eval_into_regs_interp(s, &mut regs, &mut out_one);
-            black_box(&out_one);
-        }
-    });
-    let tape_threaded = time_median_ns(env.reps, env.tape_batch, || {
-        for s in &states {
-            tape.eval_into_regs(s, &mut regs, &mut out_one);
-            black_box(&out_one);
-        }
-    });
 
     // --- Portable Lanes<4> vs native-tier SoA sweep ----------------------
     let mut portable_ws = BatchEvalWorkspace::<Lanes<f64, 4>>::for_netlist(&tape);
@@ -107,20 +85,15 @@ fn run_once(env: &BenchEnv) -> BenchReport {
         black_box(&batch_out);
     });
 
-    report.record_median_ns("tape_interp_scalar", tape_interp);
-    report.record_median_ns("tape_threaded_scalar", tape_threaded);
     report.record_median_ns("tape_portable4", tape_portable);
     report.record_median_ns("tape_native", tape_native);
     report.record_median_ns("cpu_grad_portable4", grad_portable);
     report.record_median_ns("cpu_grad_native", grad_native);
-    report.record_speedup("threaded_vs_interp", tape_interp / tape_threaded);
     report.record_speedup("native_vs_portable4", tape_portable / tape_native);
     report.record_speedup("cpu_native_vs_portable", grad_portable / grad_native);
 
     println!("tier_throughput: host tier {tier}, native lane type {lane_name}");
     for (name, ns) in [
-        ("tape_interp_scalar", tape_interp),
-        ("tape_threaded_scalar", tape_threaded),
         ("tape_portable4", tape_portable),
         ("tape_native", tape_native),
         ("cpu_grad_portable4", grad_portable),
@@ -128,11 +101,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     ] {
         println!("tier_throughput/{name:<22} median: {ns:10.1} ns/state");
     }
-    for name in [
-        "threaded_vs_interp",
-        "native_vs_portable4",
-        "cpu_native_vs_portable",
-    ] {
+    for name in ["native_vs_portable4", "cpu_native_vs_portable"] {
         let ratio = report.speedup_of(name).expect("just recorded");
         println!("tier_throughput/{name:<22} speedup: {}", speedup(ratio));
     }

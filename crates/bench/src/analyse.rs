@@ -22,6 +22,9 @@
 //!   [`GateConfig::floor`], default 1.0) must stay one in the median —
 //!   "the optimized path silently became the slow path" fails even
 //!   against a generous baseline.
+//!
+//! A gated baseline key that no trial reports fails too, by name:
+//! deleting or renaming a bench key must not silently un-gate it.
 
 use crate::report::{is_latency_key, latency_stem, median, BenchReport, Table};
 use crate::report::{LATENCY_P50_SUFFIX, LATENCY_P99_SUFFIX};
@@ -289,11 +292,21 @@ fn gate_key(
     }
 }
 
+/// The failure for a gated baseline key that no trial reports.
+fn missing_key(what: &str, name: &str) -> String {
+    format!(
+        "{what} `{name}` has no trial sample: the baseline gates it but no trial \
+         reports it (retire it from the baseline if the bench no longer measures it)"
+    )
+}
+
 /// Gates current trial speedups against the baseline report's ratios.
 ///
-/// Only keys present in both the baseline and at least one trial gate —
-/// adding or renaming benches never trips the gate. Zero-valued baseline
-/// entries are skipped (a zero-time span yields meaningless ratios).
+/// Every non-zero baseline key must be reported by at least one trial —
+/// a missing one fails by name — while trial keys the baseline lacks
+/// never gate, so adding benches never trips the gate. Zero-valued
+/// baseline entries are skipped (a zero-time span yields meaningless
+/// ratios).
 pub fn gate_speedups(
     baseline: &BenchReport,
     trials: &[BenchReport],
@@ -305,22 +318,24 @@ pub fn gate_speedups(
         if *base == 0.0 {
             continue;
         }
-        if let Some(samples) = speedups.get(name) {
-            gate_key(
+        match speedups.get(name) {
+            Some(samples) => gate_key(
                 name,
                 *base,
                 samples,
                 Direction::HigherIsBetter,
                 config,
                 &mut failures,
-            );
+            ),
+            None => failures.push(missing_key("speedup", name)),
         }
     }
     failures
 }
 
 /// Gates current trial medians (nanoseconds, lower is better) against the
-/// baseline report's medians, for every key `keep` accepts.
+/// baseline report's medians, for every key `keep` accepts; a kept
+/// baseline key no trial reports fails by name.
 fn gate_medians_where(
     baseline: &BenchReport,
     trials: &[BenchReport],
@@ -333,15 +348,16 @@ fn gate_medians_where(
         if *base == 0.0 || !keep(name) {
             continue;
         }
-        if let Some(samples) = medians.get(name) {
-            gate_key(
+        match medians.get(name) {
+            Some(samples) => gate_key(
                 name,
                 *base,
                 samples,
                 Direction::LowerIsBetter,
                 config,
                 &mut failures,
-            );
+            ),
+            None => failures.push(missing_key("median", name)),
         }
     }
     failures
@@ -535,10 +551,10 @@ mod tests {
 
         // The same injection in one combined report beside an unchanged
         // key: the band catches it without an interval, and only it.
-        let base = report(&[], &[("wide_vs_scalar", 2.0), ("threaded_vs_interp", 1.5)]);
+        let base = report(&[], &[("wide_vs_scalar", 2.0), ("jit_vs_interp", 1.5)]);
         let one = [report(
             &[],
-            &[("wide_vs_scalar", 0.9), ("threaded_vs_interp", 1.5)],
+            &[("wide_vs_scalar", 0.9), ("jit_vs_interp", 1.5)],
         )];
         let failures = gate_speedups(&base, &one, GateConfig::default());
         assert_eq!(failures.len(), 1);
@@ -607,14 +623,29 @@ mod tests {
     }
 
     #[test]
-    fn missing_and_zero_keys_never_gate() {
-        let base = report(
-            &[("zero_bench", 0.0)],
-            &[("removed_bench", 9.0), ("zero_ratio", 0.0)],
-        );
+    fn zero_and_new_keys_never_gate() {
+        let base = report(&[("zero_bench", 0.0)], &[("zero_ratio", 0.0)]);
         let cur = [report(&[("other", 5.0)], &[("brand_new", 0.1)])];
         assert!(gate_speedups(&base, &cur, GateConfig::default()).is_empty());
         assert!(gate_medians(&base, &cur, GateConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn a_gated_key_no_trial_reports_fails_by_name() {
+        // A bench key deleted (or renamed) while its baseline still gates
+        // it must fail, not silently un-gate.
+        let base = report(
+            &[("serve_iiwa14_c1_p99_ns", 90_000.0), ("plain_bench", 10.0)],
+            &[("removed_ratio", 1.5), ("kept_ratio", 2.0)],
+        );
+        let cur = [report(&[("plain_bench", 10.0)], &[("kept_ratio", 2.0)])];
+        let failures = gate_speedups(&base, &cur, GateConfig::default());
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("`removed_ratio`"));
+        assert!(failures[0].contains("no trial sample"));
+        let failures = gate_latency(&base, &cur, GateConfig::default());
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("`serve_iiwa14_c1_p99_ns`"));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! and writes the Chrome-trace JSON (open in Perfetto / `about:tracing`).
 //!
 //! ```text
-//! trace_pipeline [--out <trace.json>] [--tier auto|portable|sse2|avx2|neon|jit]
+//! trace_pipeline [--out <trace.json>] [--tier auto|portable|sse2|avx2|neon]
 //! ```
 //!
 //! The run covers every instrumented stage: plan build
 //! (`plan.build`/`plan.customize`/`plan.widen`/`plan.model`/
 //! `plan.sparsity`), netlist optimization (`netlist.optimize`), tape
-//! compilation (`tape.compile`/`tape.lower`/`tape.fuse`/`tape.schedule`),
+//! compilation (`tape.compile`/`tape.lower`/`tape.fuse`/`tape.jit.emit`),
 //! tiered batch evaluation (`tape.eval`), the wide gradient backends
 //! (`lane.marshal`/`grad.wide`/`accel.wide`/`lane.scatter`,
 //! `grad.cpu.batch`/`grad.accel.batch`), thread fan-out
@@ -119,7 +119,7 @@ fn main() {
             }
             other => fail(&format!(
                 "unknown argument `{other}`\nusage: trace_pipeline [--out <trace.json>] \
-                 [--tier auto|portable|sse2|avx2|neon|jit]"
+                 [--tier auto|portable|sse2|avx2|neon]"
             )),
         }
         i += 1;

@@ -702,7 +702,6 @@ pub fn codegen_stats() -> String {
         "X-unit DSP muls (min..max, dense=36)",
         "opt: nodes pre->post",
         "tape: instrs pre->post fusion",
-        "threaded: instrs->blocks",
         "jit: code B / patches",
         "top-level instances",
         "verilog lint",
@@ -714,14 +713,13 @@ pub fn codegen_stats() -> String {
         let mut nodes_after = 0;
         let mut tape_before = 0;
         let mut tape_after = 0;
-        let mut threaded_blocks = 0;
         let mut jit_bytes = 0;
         let mut jit_patches = 0;
         let mut jit_ok = true;
         let mut lint_ok = true;
         for j in 0..robot.dof() {
             let (opt, report) = optimize_with_report(&generate_x_unit(&robot, j));
-            let mut compiled = CompiledNetlist::<f64>::compile(&opt);
+            let compiled = CompiledNetlist::<f64>::compile(&opt);
             let report = report.with_fusion(compiled.fusion_counts());
             let muls = report.after.muls;
             lo = lo.min(muls);
@@ -730,11 +728,12 @@ pub fn codegen_stats() -> String {
             nodes_after += report.nodes_after;
             tape_before += compiled.tape_len() + compiled.fusion_counts().total();
             tape_after += compiled.tape_len();
-            threaded_blocks += compiled.threaded_blocks();
-            jit_ok &= compiled.enable_jit();
-            if let Some(r) = compiled.jit_report() {
-                jit_bytes += r.code_bytes;
-                jit_patches += r.patches;
+            match compiled.jit_report() {
+                Some(r) => {
+                    jit_bytes += r.code_bytes;
+                    jit_patches += r.patches;
+                }
+                None => jit_ok = false,
             }
             lint_ok &= lint(&to_verilog(&opt, RtlFormat::q16_16())).is_ok();
         }
@@ -745,7 +744,6 @@ pub fn codegen_stats() -> String {
             format!("{lo}..{hi}"),
             format!("{nodes_before}->{nodes_after}"),
             format!("{tape_before}->{tape_after}"),
-            format!("{tape_after}->{threaded_blocks}"),
             if jit_ok {
                 format!("{jit_bytes} / {jit_patches}")
             } else {
@@ -761,12 +759,9 @@ pub fn codegen_stats() -> String {
     t.note("matches the reference transform exactly (tested in robo-codegen)");
     t.note("tape column: peephole fusion (mul+add etc.) shrinking the compiled");
     t.note("register tape, two rounding steps preserved (bit-identical, not FMA)");
-    t.note("threaded column: direct-threaded dispatch blocks after opcode-affinity");
-    t.note("scheduling clusters same-opcode runs and tiling folds them into");
-    t.note("x2/x4 superinstructions (shared by the scalar and wide lowerings)");
     t.note("jit column: machine-code bytes / patched immediates the template JIT");
-    t.note("stitches across the robot's X-unit f64 tapes (inline SSE lowering;");
-    t.note("n/a when the host has no JIT backend)");
+    t.note("emits at compile time across the robot's X-unit f64 tapes (scalar SSE");
+    t.note("row; n/a when the host has no JIT backend)");
     t.note(format!(
         "serving tier on this host: {} ({} f64 / {} f32 states per wide instruction)",
         tier,

@@ -382,7 +382,7 @@ mod tests {
         let mut r = BenchReport::new();
         r.record_median_ns("some_bench", 123.4);
         r.record_speedup("wide_vs_scalar", 2.5);
-        r.record_speedup("threaded_vs_interp", 1.4);
+        r.record_speedup("jit_vs_interp", 1.4);
         r.set_host(HostInfo {
             cpu_model: "Test".into(),
             features: "sse2".into(),
@@ -393,7 +393,7 @@ mod tests {
         let parsed = BenchReport::from_json(&r.to_json()).expect("parses own output");
         assert_eq!(parsed.median_ns("some_bench"), Some(123.4));
         assert_eq!(parsed.speedup_of("wide_vs_scalar"), Some(2.5));
-        assert_eq!(parsed.speedup_of("threaded_vs_interp"), Some(1.4));
+        assert_eq!(parsed.speedup_of("jit_vs_interp"), Some(1.4));
         // The host block is provenance, not data — skipped on parse.
         assert!(parsed.host().is_none());
     }

@@ -13,6 +13,11 @@
 //! * **a flat tape** — nodes become fixed-width instructions executed in
 //!   one linear sweep (the software analogue of Dadu-RBD-style compiled
 //!   dataflow pipelines);
+//! * **one emitted function per tape** — on x86-64 Linux the template JIT
+//!   (`crate::jit`) lowers the tape of every float lane type with an
+//!   inline encoding into straight-line native code at compile time; every
+//!   other tape runs the `match` interpreter, which stays the bit-exact
+//!   oracle;
 //! * **liveness-based register reuse** — values are assigned to a small
 //!   recycled slot file instead of one slot per node, so the working set
 //!   stays cache-resident;
@@ -28,8 +33,8 @@
 //! compiled results are bit-identical to the interpreter's in every scalar
 //! type.
 
+use crate::jit::JitTape;
 use crate::netlist::{Netlist, Node};
-use crate::threaded::{Opcode, ThreadedTape};
 use robo_dynamics::batch::BatchEngine;
 use robo_spatial::{ExecTier, Lanes, Scalar, WideScalar, WideVisit};
 
@@ -45,7 +50,7 @@ use robo_spatial::{ExecTier, Lanes, Scalar, WideScalar, WideVisit};
 /// bit-identical in every scalar type — this is instruction fusion, not
 /// FMA contraction.
 #[derive(Debug, Clone, Copy)]
-enum Instr {
+pub(crate) enum Instr {
     Const {
         idx: u32,
         dst: u32,
@@ -105,7 +110,7 @@ enum Instr {
 
 impl Instr {
     /// The register this instruction writes.
-    fn dst(self) -> u32 {
+    pub(crate) fn dst(self) -> u32 {
         match self {
             Instr::Const { dst, .. }
             | Instr::Mul { dst, .. }
@@ -121,7 +126,7 @@ impl Instr {
     }
 
     /// Calls `f` with every register this instruction reads.
-    fn for_each_read(self, mut f: impl FnMut(u32)) {
+    pub(crate) fn for_each_read(self, mut f: impl FnMut(u32)) {
         match self {
             Instr::Const { .. } => {}
             Instr::MulConst { a, .. } | Instr::Neg { a, .. } => f(a),
@@ -140,28 +145,6 @@ impl Instr {
             }
         }
     }
-
-    /// Lowers this instruction to the direct-threaded `(opcode, operands)`
-    /// form of the `threaded` module.
-    fn decode(self) -> (Opcode, crate::threaded::OpArgs) {
-        match self {
-            Instr::Const { idx, dst } => Opcode::Const.args(idx, 0, 0, dst),
-            Instr::Mul { a, b, dst } => Opcode::Mul.args(a, b, 0, dst),
-            Instr::MulConst { a, idx, dst } => Opcode::MulConst.args(a, idx, 0, dst),
-            Instr::Add { a, b, dst } => Opcode::Add.args(a, b, 0, dst),
-            Instr::Sub { a, b, dst } => Opcode::Sub.args(a, b, 0, dst),
-            Instr::Neg { a, dst } => Opcode::Neg.args(a, 0, 0, dst),
-            Instr::MulAdd { a, b, c, dst } => Opcode::MulAdd.args(a, b, c, dst),
-            Instr::MulConstAdd { a, idx, c, dst } => Opcode::MulConstAdd.args(a, idx, c, dst),
-            Instr::AddAdd { a, b, c, dst } => Opcode::AddAdd.args(a, b, c, dst),
-            Instr::NegAdd { a, c, dst } => Opcode::NegAdd.args(a, 0, c, dst),
-        }
-    }
-}
-
-/// Lowers a full tape for [`ThreadedTape::build`].
-fn decode_tape(tape: &[Instr]) -> Vec<(Opcode, crate::threaded::OpArgs)> {
-    tape.iter().map(|i| i.decode()).collect()
 }
 
 /// How many producers the tape-fusion pass folded into their consuming
@@ -300,132 +283,6 @@ fn fuse_tape(tape: &mut Vec<Instr>, outputs: &[(String, u32)]) -> FusionCounts {
     counts
 }
 
-/// Scheduler bucket per opcode — one entry per `Instr` variant.
-const N_OPCODES: usize = 10;
-
-/// The scheduler bucket this instruction belongs to.
-fn opcode_bucket(i: Instr) -> usize {
-    match i {
-        Instr::Const { .. } => 0,
-        Instr::Mul { .. } => 1,
-        Instr::MulConst { .. } => 2,
-        Instr::Add { .. } => 3,
-        Instr::Sub { .. } => 4,
-        Instr::Neg { .. } => 5,
-        Instr::MulAdd { .. } => 6,
-        Instr::MulConstAdd { .. } => 7,
-        Instr::AddAdd { .. } => 8,
-        Instr::NegAdd { .. } => 9,
-    }
-}
-
-/// Opcode-affinity list scheduling over the fused tape.
-///
-/// The direct-threaded executor tiles *runs* of one opcode into ×4/×2
-/// superinstruction blocks, so its dispatch count is the number of runs,
-/// not instructions — and the natural topological emission order
-/// interleaves opcodes so freely that runs average barely over one
-/// instruction. This pass reorders the tape to cluster ready same-opcode
-/// instructions while preserving every register hazard. It feeds only
-/// the *threaded* lowering (the superinstruction blocks
-/// [`ThreadedTape::build`] tiles): longer runs mean fewer indirect
-/// dispatches, and — just as important on long tapes — few enough
-/// distinct handler targets that the indirect-branch predictor can
-/// follow the cycle. The stored tape (what the `match` oracle
-/// interprets) keeps fusion order. Hazards preserved:
-///
-/// * RAW — an instruction stays after the last writer of each register
-///   it reads;
-/// * WAR — a write stays after every prior read of the old value;
-/// * WAW — writes to one register keep their order.
-///
-/// With all three preserved, every instruction reads exactly the values
-/// it read in the original order, so results are bit-identical in every
-/// scalar type — the wide-vs-scalar parity tests pin this.
-fn schedule_tape(tape: &[Instr]) -> Vec<Instr> {
-    let n = tape.len();
-    let mut max_reg = 0u32;
-    for ins in tape {
-        max_reg = max_reg.max(ins.dst());
-        ins.for_each_read(|r| max_reg = max_reg.max(r));
-    }
-    let nr = max_reg as usize + 1;
-
-    // Dependency edges via per-register def/use chains. Duplicate edges
-    // (e.g. RAW and WAW between one pair) are fine: `indeg` counts edge
-    // instances, and release decrements once per instance.
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut indeg: Vec<u32> = vec![0; n];
-    let mut last_writer: Vec<Option<u32>> = vec![None; nr];
-    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); nr];
-    for (i, ins) in tape.iter().enumerate() {
-        let ii = i as u32;
-        ins.for_each_read(|r| {
-            if let Some(w) = last_writer[r as usize] {
-                succs[w as usize].push(ii);
-                indeg[i] += 1;
-            }
-            readers[r as usize].push(ii);
-        });
-        let d = ins.dst() as usize;
-        if let Some(w) = last_writer[d] {
-            succs[w as usize].push(ii);
-            indeg[i] += 1;
-        }
-        for &rd in &readers[d] {
-            // An instruction reading its own destination needs no
-            // self-edge; the in-instruction read-before-write order and
-            // the WAW chain cover it.
-            if rd != ii {
-                succs[rd as usize].push(ii);
-                indeg[i] += 1;
-            }
-        }
-        last_writer[d] = Some(ii);
-        readers[d].clear();
-    }
-
-    // Greedy emission: drain the current opcode's ready set (lowest
-    // original index first, for determinism), then switch to whichever
-    // opcode has the most ready instructions — starting the longest
-    // possible next run.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); N_OPCODES];
-    for (i, &ins) in tape.iter().enumerate() {
-        if indeg[i] == 0 {
-            buckets[opcode_bucket(ins)].push(i as u32);
-        }
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut current = N_OPCODES;
-    while out.len() < n {
-        if current == N_OPCODES || buckets[current].is_empty() {
-            current = (0..N_OPCODES)
-                .max_by_key(|&b| buckets[b].len())
-                .expect("bucket count is fixed and nonzero");
-            debug_assert!(
-                !buckets[current].is_empty(),
-                "hazard graph of a straight-line tape is acyclic"
-            );
-        }
-        let pos = buckets[current]
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &id)| id)
-            .expect("current bucket is nonempty")
-            .0;
-        let id = buckets[current].swap_remove(pos) as usize;
-        out.push(tape[id]);
-        for &s in &succs[id] {
-            let s = s as usize;
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                buckets[opcode_bucket(tape[s])].push(s as u32);
-            }
-        }
-    }
-    out
-}
-
 /// Reusable register file for [`CompiledNetlist::eval_into`]. The first
 /// call through a fresh workspace sizes the buffer; every later call is
 /// allocation-free.
@@ -474,15 +331,10 @@ pub struct CompiledNetlist<S> {
     input_names: Vec<String>,
     consts: Vec<S>,
     tape: Vec<Instr>,
-    /// The same tape lowered to direct-threaded form — what
-    /// [`CompiledNetlist::eval_into_regs`] executes unless the JIT form
-    /// below is present.
-    threaded: ThreadedTape<S>,
-    /// The threaded blocks stitched into one native function by the
-    /// copy-and-patch JIT — populated by [`CompiledNetlist::enable_jit`]
-    /// on hosts with the JIT backend, `None` otherwise (the threaded
-    /// tape then serves every evaluation).
-    jit: Option<crate::jit::JitTape<S>>,
+    /// The tape emitted as one native function by the template JIT —
+    /// `None` when `S` has no inline lowering on this host, and the
+    /// interpreter then serves every evaluation.
+    jit: Option<JitTape<S>>,
     num_regs: usize,
     outputs: Vec<(String, u32)>,
     fusion: FusionCounts,
@@ -664,42 +516,30 @@ impl<S: Scalar> CompiledNetlist<S> {
             fuse_tape(&mut tape, &outputs)
         };
         let num_regs = alloc.next as usize;
-        let threaded = {
-            let _span = robo_trace::span_items("tape.schedule", tape.len());
-            ThreadedTape::build(&decode_tape(&schedule_tape(&tape)), num_regs, consts.len())
-        };
+        let jit = JitTape::emit(&tape, num_regs, consts.len());
 
         Self {
             name: netlist.name().to_owned(),
             input_names,
             consts,
             tape,
-            threaded,
-            jit: None,
+            jit,
             num_regs,
             outputs,
             fusion,
         }
     }
 
-    /// Stitches this tape's superinstruction blocks into one contiguous
-    /// native function via the copy-and-patch JIT (`crate::jit`), so
-    /// [`CompiledNetlist::eval_into_regs`] runs without the per-block
-    /// indirect dispatch. Returns whether the JIT form is now active:
-    /// `false` (and the threaded tape keeps serving, bit-identically)
-    /// on non-x86-64-Linux targets or if the code mapping fails.
-    ///
-    /// Idempotent — re-enabling reuses the already-emitted function.
+    /// A no-op kept for source compatibility: [`CompiledNetlist::compile`]
+    /// and [`CompiledNetlist::widen_to`] already emit the JIT form
+    /// wherever it exists. Returns whether the tape runs emitted code.
     pub fn enable_jit(&mut self) -> bool {
-        if self.jit.is_none() {
-            self.jit = crate::jit::JitTape::emit(&self.threaded);
-        }
         self.jit.is_some()
     }
 
-    /// Emitted-code statistics when the JIT form is active (see
-    /// [`CompiledNetlist::enable_jit`]); `None` while evaluation is
-    /// served by the threaded tape.
+    /// Emitted-code statistics when the tape runs JIT-emitted code;
+    /// `None` when it runs the interpreter (no inline lowering for `S`
+    /// on this host, or the code mapping failed).
     pub fn jit_report(&self) -> Option<crate::jit::JitReport> {
         self.jit.as_ref().map(|j| j.report())
     }
@@ -737,13 +577,6 @@ impl<S: Scalar> CompiledNetlist<S> {
         self.tape.len()
     }
 
-    /// Number of direct-threaded dispatches (superinstruction blocks) per
-    /// evaluation — at most [`CompiledNetlist::tape_len`], usually far
-    /// fewer thanks to run grouping.
-    pub fn threaded_blocks(&self) -> usize {
-        self.threaded.block_count()
-    }
-
     /// What the post-compile fusion pass folded. The pre-fusion tape length
     /// is `tape_len() + fusion_counts().total()`.
     pub fn fusion_counts(&self) -> FusionCounts {
@@ -761,30 +594,16 @@ impl<S: Scalar> CompiledNetlist<S> {
     /// — portable [`Lanes`] or a native SIMD lane bundle.
     ///
     /// The instruction stream, register assignment, and fusion are reused
-    /// verbatim (the threaded form is re-lowered through the same
-    /// scheduling pass so `V`'s handler table — e.g. the AVX2 one — is
-    /// selected); constants are splat per lane, so every lane of a wide
-    /// evaluation is bit-identical to a scalar run of the same tape. A
-    /// JIT-enabled source tape ([`CompiledNetlist::enable_jit`]) emits
-    /// the widened tape's JIT form too, over `V`'s handler table.
+    /// verbatim and emitted again at `V`'s inline lowering where it has
+    /// one; constants are splat per lane, so every lane of a wide
+    /// evaluation is bit-identical to a scalar run of the same tape.
     pub fn widen_to<V: WideScalar<Elem = S>>(&self) -> CompiledNetlist<V> {
-        let threaded = ThreadedTape::build(
-            &decode_tape(&schedule_tape(&self.tape)),
-            self.num_regs,
-            self.consts.len(),
-        );
-        let jit = if self.jit.is_some() {
-            crate::jit::JitTape::emit(&threaded)
-        } else {
-            None
-        };
         CompiledNetlist {
             name: self.name.clone(),
             input_names: self.input_names.clone(),
             consts: self.consts.iter().map(|&c| V::splat(c)).collect(),
             tape: self.tape.clone(),
-            threaded,
-            jit,
+            jit: JitTape::emit(&self.tape, self.num_regs, self.consts.len()),
             num_regs: self.num_regs,
             outputs: self.outputs.clone(),
             fusion: self.fusion,
@@ -809,52 +628,61 @@ impl<S: Scalar> CompiledNetlist<S> {
     /// register slice (at least [`CompiledNetlist::num_regs`] long) — the
     /// form the simulator uses with stack-allocated register files.
     ///
-    /// Executes the direct-threaded form of the tape — per-block handler
-    /// function pointers over pre-resolved register offsets, with no
-    /// central dispatch — or, after [`CompiledNetlist::enable_jit`], the
-    /// JIT-stitched native function over the same handlers. Bit-identical
-    /// to [`CompiledNetlist::eval_into_regs_interp`] for every scalar
-    /// type either way.
+    /// Executes the JIT-emitted function when the tape has one, the
+    /// interpreter otherwise — bit-identical to
+    /// [`CompiledNetlist::eval_into_regs_interp`] for every scalar type
+    /// either way.
     ///
     /// # Panics
     ///
     /// Panics if a slice length is insufficient.
     pub fn eval_into_regs(&self, inputs: &[S], regs: &mut [S], outputs: &mut [S]) {
-        let n_in = self.input_names.len();
-        assert_eq!(inputs.len(), n_in, "input slot count mismatch");
-        assert_eq!(outputs.len(), self.outputs.len(), "output count mismatch");
-        assert!(regs.len() >= self.num_regs, "register file too small");
-        regs[..n_in].copy_from_slice(inputs);
-        self.run_tape(regs);
-        for (slot, (_, reg)) in outputs.iter_mut().zip(&self.outputs) {
-            *slot = regs[*reg as usize];
-        }
+        self.eval_regs_with(inputs, regs, outputs, |regs| self.run_tape(regs));
     }
 
-    /// Runs the fastest lowered form over a prepared register file: the
-    /// JIT-stitched function when enabled, the threaded tape otherwise.
-    /// Both are bit-identical to the interpreter.
+    /// The one executor choice: the emitted function when the tape has
+    /// one, the interpreter otherwise. Both are bit-identical.
     fn run_tape(&self, regs: &mut [S]) {
         match &self.jit {
             Some(jit) => jit.run(regs, &self.consts),
-            None => self.threaded.run(regs, &self.consts),
+            None => self.interpret(regs),
         }
     }
 
     /// The `match`-dispatch interpreter over the same tape — the oracle
-    /// the direct-threaded [`CompiledNetlist::eval_into_regs`] is proven
-    /// bit-identical to (`tests/tier_parity.rs`), kept for that purpose
-    /// and for dispatch-cost comparisons in the benches.
+    /// the JIT-emitted [`CompiledNetlist::eval_into_regs`] is proven
+    /// bit-identical to (`tests/tier_parity.rs`), and the executor of
+    /// every tape without an emitted function.
     ///
     /// # Panics
     ///
     /// Panics if a slice length is insufficient.
     pub fn eval_into_regs_interp(&self, inputs: &[S], regs: &mut [S], outputs: &mut [S]) {
+        self.eval_regs_with(inputs, regs, outputs, |regs| self.interpret(regs));
+    }
+
+    /// Loads `inputs`, runs `run` over the register file, and reads the
+    /// outputs back.
+    fn eval_regs_with(
+        &self,
+        inputs: &[S],
+        regs: &mut [S],
+        outputs: &mut [S],
+        run: impl FnOnce(&mut [S]),
+    ) {
         let n_in = self.input_names.len();
         assert_eq!(inputs.len(), n_in, "input slot count mismatch");
         assert_eq!(outputs.len(), self.outputs.len(), "output count mismatch");
         assert!(regs.len() >= self.num_regs, "register file too small");
         regs[..n_in].copy_from_slice(inputs);
+        run(regs);
+        for (slot, (_, reg)) in outputs.iter_mut().zip(&self.outputs) {
+            *slot = regs[*reg as usize];
+        }
+    }
+
+    /// The interpreter loop over a prepared register file.
+    fn interpret(&self, regs: &mut [S]) {
         for instr in &self.tape {
             match *instr {
                 Instr::Const { idx, dst } => regs[dst as usize] = self.consts[idx as usize],
@@ -888,9 +716,6 @@ impl<S: Scalar> CompiledNetlist<S> {
                     regs[dst as usize] = t + regs[c as usize];
                 }
             }
-        }
-        for (slot, (_, reg)) in outputs.iter_mut().zip(&self.outputs) {
-            *slot = regs[*reg as usize];
         }
     }
 
@@ -951,14 +776,14 @@ impl<S: Scalar> CompiledNetlist<S> {
         }
         let full = states.len() / w;
 
-        // When the widened tape runs AVX2-attributed handlers and `V` is
-        // the four-`f64` bundle, the lane transposition around each sweep
-        // runs as 4×4 `ymm` transposes too — a scalar gather/scatter
-        // costs `4 · (n_in + n_out)` strided moves per group and rivals
-        // the tape itself on small units.
+        // When `V` is the four-`f64` bundle on an AVX2 host, the lane
+        // transposition around each sweep runs as 4×4 `ymm` transposes —
+        // a scalar gather/scatter costs `4 · (n_in + n_out)` strided
+        // moves per group and rivals the tape itself on small units.
         #[cfg(target_arch = "x86_64")]
-        let f64x4_fast = ws.wide.threaded.uses_avx2()
-            && core::any::TypeId::of::<V>() == core::any::TypeId::of::<robo_spatial::simd::F64x4>();
+        let f64x4_fast = core::any::TypeId::of::<V>()
+            == core::any::TypeId::of::<robo_spatial::simd::F64x4>()
+            && std::arch::is_x86_feature_detected!("avx2");
 
         for chunk in 0..full {
             let base = chunk * w;
@@ -970,29 +795,29 @@ impl<S: Scalar> CompiledNetlist<S> {
                     assert_eq!(state.len(), n_in, "input slot count mismatch");
                     rows[l] = state.as_ptr().cast::<f64>();
                 }
-                // SAFETY: `f64x4_fast` proves AVX2 was detected (the
-                // widened tape only installs attributed handlers then)
-                // and `V` *is* `F64x4`, so the register file really holds
+                // SAFETY: `f64x4_fast` proves AVX2 was detected and `V`
+                // *is* `F64x4`, so the register file really holds
                 // 32-byte-aligned `F64x4` and `S` is `f64` (pointer casts
                 // are between identical types). Each row was length-
                 // checked against `n_in` just above, the register file
-                // holds `num_regs >= n_in` entries, every output slot was
-                // build-validated below `num_regs`, and each output row
-                // is the `n_out`-long subslice of `out` for one state.
+                // holds `num_regs >= n_in` entries, every output slot is
+                // a register of the compiled tape (below `num_regs`), and
+                // each output row is the `n_out`-long subslice of `out`
+                // for one state.
                 unsafe {
                     let regs = ws
                         .wide_regs
                         .regs
                         .as_mut_ptr()
                         .cast::<robo_spatial::simd::F64x4>();
-                    crate::threaded::gather4_f64(rows, n_in, regs);
+                    avx2::gather4_f64(rows, n_in, regs);
                     ws.wide.run_tape(&mut ws.wide_regs.regs);
                     let out_rows = core::array::from_fn(|l| {
                         out[(base + l) * n_out..(base + l + 1) * n_out]
                             .as_mut_ptr()
                             .cast::<f64>()
                     });
-                    crate::threaded::scatter4_f64(regs.cast_const(), &ws.out_slots, out_rows);
+                    avx2::scatter4_f64(regs.cast_const(), &ws.out_slots, out_rows);
                 }
                 continue;
             }
@@ -1121,6 +946,132 @@ impl<S: Scalar> CompiledNetlist<S> {
             per_state.extend(flat.chunks_exact(n_out).map(<[S]>::to_vec));
         }
         per_state
+    }
+}
+
+/// The AVX2 lane transposes around [`CompiledNetlist::eval_batch_into`]'s
+/// four-`f64` sweeps: states are row-major, the wide register file holds
+/// one lane per state.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+    use robo_spatial::simd::F64x4;
+
+    /// Transposes four `ymm` registers: lane `l` of output `i` is lane
+    /// `i` of input `l`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose4(
+        a: __m256d,
+        b: __m256d,
+        c: __m256d,
+        d: __m256d,
+    ) -> (__m256d, __m256d, __m256d, __m256d) {
+        let t0 = _mm256_unpacklo_pd(a, b); // a0 b0 a2 b2
+        let t1 = _mm256_unpackhi_pd(a, b); // a1 b1 a3 b3
+        let t2 = _mm256_unpacklo_pd(c, d); // c0 d0 c2 d2
+        let t3 = _mm256_unpackhi_pd(c, d); // c1 d1 c3 d3
+        (
+            _mm256_permute2f128_pd::<0x20>(t0, t2), // a0 b0 c0 d0
+            _mm256_permute2f128_pd::<0x20>(t1, t3), // a1 b1 c1 d1
+            _mm256_permute2f128_pd::<0x31>(t0, t2), // a2 b2 c2 d2
+            _mm256_permute2f128_pd::<0x31>(t1, t3), // a3 b3 c3 d3
+        )
+    }
+
+    /// Lane-transposes one four-state group straight into the first
+    /// `n_in` wide registers: `regs[k].lane(l) = rows[l][k]`, via 4×4
+    /// `ymm` transposes of four-input chunks (a scalar gather costs four
+    /// strided moves per input and dominated the batch path's overhead).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; each `rows[l]` must point to at least
+    /// `n_in` readable `f64`s and `regs` to at least `n_in` writable
+    /// `F64x4` (32-byte-aligned by their `repr`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gather4_f64(rows: [*const f64; 4], n_in: usize, regs: *mut F64x4) {
+        let mut k = 0;
+        while k + 4 <= n_in {
+            // SAFETY: `k + 4 <= n_in` keeps every row read and the four
+            // register stores inside the caller-guaranteed bounds;
+            // register stores are 32-byte aligned, row loads use the
+            // unaligned form.
+            unsafe {
+                let (r0, r1, r2, r3) = transpose4(
+                    _mm256_loadu_pd(rows[0].add(k)),
+                    _mm256_loadu_pd(rows[1].add(k)),
+                    _mm256_loadu_pd(rows[2].add(k)),
+                    _mm256_loadu_pd(rows[3].add(k)),
+                );
+                let dst = regs.add(k).cast::<f64>();
+                _mm256_store_pd(dst, r0);
+                _mm256_store_pd(dst.add(4), r1);
+                _mm256_store_pd(dst.add(8), r2);
+                _mm256_store_pd(dst.add(12), r3);
+            }
+            k += 4;
+        }
+        while k < n_in {
+            // SAFETY: `k < n_in`, so the four scalar reads and the
+            // aligned register store are in bounds.
+            unsafe {
+                let v = _mm256_set_pd(
+                    *rows[3].add(k),
+                    *rows[2].add(k),
+                    *rows[1].add(k),
+                    *rows[0].add(k),
+                );
+                _mm256_store_pd(regs.add(k).cast::<f64>(), v);
+            }
+            k += 1;
+        }
+    }
+
+    /// Scatters one evaluated four-state group from the wide register
+    /// file into per-state output rows: `rows[l][o] = regs[slots[o]].lane(l)`,
+    /// via 4×4 `ymm` transposes of four-output chunks.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; every `slots[o]` must index a readable
+    /// `F64x4` behind `regs` (32-byte-aligned by their `repr`), and each
+    /// `rows[l]` must point to at least `slots.len()` writable `f64`s.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scatter4_f64(regs: *const F64x4, slots: &[u32], rows: [*mut f64; 4]) {
+        let n_out = slots.len();
+        let mut o = 0;
+        while o + 4 <= n_out {
+            // SAFETY: `o + 4 <= n_out` keeps the slot reads in range of
+            // `slots`, every slot is caller-guaranteed in bounds of
+            // `regs` (aligned loads), and the four row stores write
+            // `rows[l][o..o + 4]` — within the guaranteed row length.
+            unsafe {
+                let (r0, r1, r2, r3) = transpose4(
+                    _mm256_load_pd(regs.add(slots[o] as usize).cast::<f64>()),
+                    _mm256_load_pd(regs.add(slots[o + 1] as usize).cast::<f64>()),
+                    _mm256_load_pd(regs.add(slots[o + 2] as usize).cast::<f64>()),
+                    _mm256_load_pd(regs.add(slots[o + 3] as usize).cast::<f64>()),
+                );
+                _mm256_storeu_pd(rows[0].add(o), r0);
+                _mm256_storeu_pd(rows[1].add(o), r1);
+                _mm256_storeu_pd(rows[2].add(o), r2);
+                _mm256_storeu_pd(rows[3].add(o), r3);
+            }
+            o += 4;
+        }
+        while o < n_out {
+            // SAFETY: `o < n_out`, the slot is in bounds of `regs`, and
+            // each row write lands at `rows[l][o]`.
+            unsafe {
+                let src = regs.add(slots[o] as usize).cast::<f64>();
+                *rows[0].add(o) = *src;
+                *rows[1].add(o) = *src.add(1);
+                *rows[2].add(o) = *src.add(2);
+                *rows[3].add(o) = *src.add(3);
+            }
+            o += 1;
+        }
     }
 }
 
@@ -1446,7 +1397,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_execution_matches_match_interpreter_bitwise() {
+    fn emitted_execution_matches_match_interpreter_bitwise() {
         use crate::xunit_gen::generate_x_unit;
         use robo_model::robots;
         let robot = robots::iiwa14();
@@ -1456,60 +1407,155 @@ mod tests {
             let n_in = compiled.input_names().len();
             let inputs: Vec<f64> = (0..n_in).map(|k| 0.37 * k as f64 - 1.3).collect();
             let mut regs = vec![0.0; compiled.num_regs()];
-            let mut threaded = vec![0.0; compiled.num_outputs()];
+            let mut emitted = vec![0.0; compiled.num_outputs()];
             let mut interp = vec![0.0; compiled.num_outputs()];
-            compiled.eval_into_regs(&inputs, &mut regs, &mut threaded);
+            compiled.eval_into_regs(&inputs, &mut regs, &mut emitted);
             compiled.eval_into_regs_interp(&inputs, &mut regs, &mut interp);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&threaded), bits(&interp), "joint {joint}");
+            assert_eq!(bits(&emitted), bits(&interp), "joint {joint}");
         }
     }
 
-    #[test]
-    fn superinstruction_blocks_shrink_dispatch_count() {
-        use crate::xunit_gen::generate_x_unit;
-        use robo_model::robots;
-        let robot = robots::iiwa14();
-        let opt = optimize(&generate_x_unit(&robot, 1));
-        let compiled = CompiledNetlist::<f64>::compile(&opt);
-        assert!(compiled.threaded_blocks() >= 1);
-        assert!(
-            compiled.threaded_blocks() < compiled.tape_len(),
-            "x-unit tapes have fusable opcode runs: {} blocks vs {} instrs",
-            compiled.threaded_blocks(),
-            compiled.tape_len()
-        );
+    /// A hand-built tape with one instruction per opcode, chained so later
+    /// results depend on earlier ones (any mis-encoded displacement,
+    /// operand order or sign mask changes the bits). Inputs occupy
+    /// registers 0–2; every register is an output.
+    fn every_opcode_tape<S: Scalar>() -> CompiledNetlist<S> {
+        let tape = vec![
+            Instr::Const { idx: 0, dst: 3 },
+            Instr::Mul { a: 0, b: 3, dst: 4 },
+            Instr::MulConst {
+                a: 1,
+                idx: 1,
+                dst: 5,
+            },
+            Instr::Add { a: 4, b: 5, dst: 6 },
+            Instr::Sub { a: 6, b: 2, dst: 7 },
+            Instr::Neg { a: 7, dst: 8 },
+            Instr::MulAdd {
+                a: 7,
+                b: 8,
+                c: 2,
+                dst: 8,
+            },
+            Instr::MulConstAdd {
+                a: 8,
+                idx: 0,
+                c: 5,
+                dst: 9,
+            },
+            Instr::AddAdd {
+                a: 8,
+                b: 9,
+                c: 1,
+                dst: 9,
+            },
+            Instr::NegAdd {
+                a: 9,
+                c: 2,
+                dst: 10,
+            },
+            Instr::Neg { a: 2, dst: 11 },
+        ];
+        let num_regs = 12;
+        let consts = vec![S::from_f64(1.375), S::from_f64(-0.5)];
+        CompiledNetlist {
+            name: "every_opcode".to_owned(),
+            input_names: ["a", "b", "c"].map(str::to_owned).to_vec(),
+            jit: JitTape::emit(&tape, num_regs, consts.len()),
+            consts,
+            tape,
+            num_regs,
+            outputs: (0..num_regs as u32).map(|r| (format!("r{r}"), r)).collect(),
+            fusion: FusionCounts::default(),
+        }
+    }
+
+    /// Runs `tape` through its emitted function and the interpreter and
+    /// compares every output's bits; asserts the row emitted when
+    /// `emits` says it must.
+    fn row_matches_interp<S: Scalar>(
+        tape: &CompiledNetlist<S>,
+        inputs: &[S],
+        bits: impl Fn(S) -> Vec<u64>,
+        emits: bool,
+    ) {
+        let row = S::name();
+        if cfg!(all(target_arch = "x86_64", target_os = "linux")) && emits {
+            let report = tape
+                .jit_report()
+                .unwrap_or_else(|| panic!("{row} must emit"));
+            assert_eq!(report.instrs, tape.tape_len(), "{row}");
+        }
+        let mut regs = vec![S::zero(); tape.num_regs()];
+        let mut emitted = vec![S::zero(); tape.num_outputs()];
+        let mut interp = vec![S::zero(); tape.num_outputs()];
+        tape.eval_into_regs(inputs, &mut regs, &mut emitted);
+        tape.eval_into_regs_interp(inputs, &mut regs, &mut interp);
+        for (o, (e, i)) in emitted.iter().zip(&interp).enumerate() {
+            assert_eq!(bits(*e), bits(*i), "{row}: output r{o} diverged");
+        }
+    }
+
+    /// Input values covering the cases a sign-flip negation and `0 − x`
+    /// disagree on (±0.0), a subnormal, and ordinary magnitudes.
+    const EDGE_INPUTS: [f64; 8] = [-0.0, 0.0, 1.0e-310, 1.5, -2.25, 0.1, -7.0, 3.0e-39];
+
+    /// Every lane of `V` gets a different edge input per slot.
+    fn wide_inputs<V: WideScalar>(n_in: usize) -> Vec<V> {
+        (0..n_in)
+            .map(|k| {
+                let mut v = V::zero();
+                for l in 0..V::WIDTH {
+                    let x = EDGE_INPUTS[(k * 3 + l) % EDGE_INPUTS.len()];
+                    v.set_lane(l, V::Elem::from_f64(x));
+                }
+                v
+            })
+            .collect()
+    }
+
+    fn wide_row<V: WideScalar>(emits: bool) {
+        let tape = every_opcode_tape::<V::Elem>().widen_to::<V>();
+        let lane_bits = |v: V| {
+            (0..V::WIDTH)
+                .map(|l| v.lane(l).to_f64().to_bits())
+                .collect()
+        };
+        row_matches_interp(&tape, &wide_inputs::<V>(3), lane_bits, emits);
     }
 
     #[test]
-    fn scheduling_shrinks_threaded_dispatch_count() {
-        use crate::xunit_gen::generate_x_pipeline;
-        use robo_model::robots;
-        use robo_sparsity::superposition_pattern;
-        // The threaded lowering runs the opcode-affinity scheduler before
-        // tiling; on the merged pipeline tape clustering must yield
-        // strictly fewer superinstruction blocks than tiling fusion order
-        // directly, and the wide lowering shares the same schedule.
-        let robot = robots::iiwa14();
-        let sup = superposition_pattern(&robot);
-        let compiled =
-            CompiledNetlist::<f64>::compile(&optimize(&generate_x_pipeline(&robot, sup)));
-        let naive = ThreadedTape::<f64>::build(
-            &decode_tape(&compiled.tape),
-            compiled.num_regs,
-            compiled.consts.len(),
-        );
-        assert!(
-            compiled.threaded_blocks() < naive.block_count(),
-            "scheduled {} blocks vs fusion-order {} blocks",
-            compiled.threaded_blocks(),
-            naive.block_count()
-        );
-        assert_eq!(
-            compiled.widen::<4>().threaded_blocks(),
-            compiled.threaded_blocks(),
-            "wide lowering shares the scalar schedule"
-        );
+    fn every_row_lowers_every_opcode_bit_exactly() {
+        fn scalar_row<S: Scalar>() {
+            let tape = every_opcode_tape::<S>();
+            for start in 0..EDGE_INPUTS.len() {
+                let inputs: Vec<S> = (0..3)
+                    .map(|k| S::from_f64(EDGE_INPUTS[(start + k) % EDGE_INPUTS.len()]))
+                    .collect();
+                row_matches_interp(&tape, &inputs, |x| vec![x.to_f64().to_bits()], true);
+            }
+        }
+        scalar_row::<f64>();
+        scalar_row::<f32>();
+        let avx2 = ExecTier::Avx2.supported_on_host();
+        wide_row::<Lanes<f64, 4>>(avx2);
+        wide_row::<Lanes<f32, 8>>(avx2);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use robo_spatial::simd::{F32x4, F32x8, F64x2, F64x4};
+            wide_row::<F64x2>(true);
+            wide_row::<F32x4>(true);
+            wide_row::<F64x4>(avx2);
+            wide_row::<F32x8>(avx2);
+        }
+        // Types without a row run the interpreter.
+        let fixed = every_opcode_tape::<robo_fixed::Fix32_16>();
+        assert!(fixed.jit_report().is_none());
+        assert!(every_opcode_tape::<f64>()
+            .widen::<2>()
+            .jit_report()
+            .is_none());
     }
 
     #[test]

@@ -1,43 +1,45 @@
-//! Copy-and-patch template JIT for direct-threaded tapes.
+//! Copy-and-patch template JIT: every compiled tape becomes one
+//! straight-line native function.
 //!
-//! The direct-threaded tape (`threaded.rs`) already collapsed the
-//! interpreter's central dispatch into one indirect call per
-//! superinstruction block, but two costs remain: the dispatch loop
-//! still walks the block table between calls (its induction state
-//! spills around every call), and every handler still loads its operand
-//! indices from the `OpArgs` table and re-indexes the register file for
-//! every instruction. This module removes those costs by stitching the
-//! scheduled tape into **one contiguous native function**, with two
-//! lowerings selected by scalar type:
+//! The `match` interpreter (`CompiledNetlist::eval_into_regs_interp`)
+//! pays a dispatch branch per instruction and a bounds check per operand.
+//! This module removes both by lowering the fused tape, in fusion order —
+//! the interpreter's own order — into one leaf function: each
+//! instruction becomes 2–4 SIMD/SSE instructions (`mov`/`add`/`sub`/`mul`
+//! and their lane forms) whose disp32 fields are patched with the
+//! operand's byte offset (register or constant slot × element size). No
+//! dispatch, no calls, no operand-table traffic, no loop bookkeeping.
 //!
-//! * **inline** (`f64` and `f32` — the serving-path types): every
-//!   decoded instruction lowers to 2–4 SSE scalar instructions
-//!   (`movsd`/`addsd`/`subsd`/`mulsd` and their single-precision
-//!   forms) whose disp32 fields are patched with the operand's byte
-//!   offset (register or constant slot × element size). The result is
-//!   a straight-line leaf function — no dispatch, no calls, no
-//!   operand-table traffic, no loop bookkeeping. Bit-exactness holds
-//!   by construction: fused opcodes keep their two rounding steps
-//!   (`mulsd` then `addsd`, never FMA), negation is the IEEE sign-bit
-//!   flip (`xorps` against a hoisted sign mask — exactly what the
-//!   compiler emits for the handlers' `-x`), and every operand is read
-//!   before the single destination store, so destination-recycling
-//!   instructions behave as in the interpreter.
-//! * **call stubs** (every other scalar type — fixed point and the
-//!   SIMD lane bundles): each scheduled block becomes a fixed 26-byte
-//!   stub — pre-encoded template bytes patched with the block's
-//!   operand-table displacement and its pre-compiled handler address
-//!   (the same `extern "C"` handler bodies the threaded tape
-//!   dispatches to, including the AVX2-attributed ones). Stubs are
-//!   stitched with straight-line fallthrough, so every call site is
-//!   monomorphic and the inter-block dispatch bookkeeping disappears.
-//!   (On big out-of-order cores the indirect-target predictor tracks a
-//!   looping tape's repeating call sequence well, so stubs alone
-//!   roughly tie the threaded tape — the inline lowering above is
-//!   where the scalar speedup comes from.)
+//! # One encoder, one row per float lane type
 //!
-//! Both lowerings sit behind the same `eval_into_regs` interface, and
-//! the `match` interpreter remains the bit-exactness oracle.
+//! The instruction shapes are the same for every float type; only the
+//! prefix bytes, the slot size and the sign-mask set-up differ. Each
+//! lowered type is one `Row`:
+//!
+//! | type | encoding | slot | operands |
+//! |---|---|---|---|
+//! | `f64` / `f32` | scalar SSE (`F2`/`F3 0F`) | 8 / 4 B | any alignment |
+//! | `F64x2` / `F32x4` | packed SSE (`66 0F` / `0F`) | 16 B | 16-byte aligned by their `repr` |
+//! | `F64x4`, `Lanes<f64, 4>` / `F32x8`, `Lanes<f32, 8>` (AVX2 hosts) | VEX.256 (`C5 FD` / `C5 FC`) | 32 B | any alignment |
+//!
+//! Bit-exactness holds by construction, in every row: fused opcodes keep
+//! their two rounding steps (a multiply then an add, never FMA), negation
+//! is the IEEE sign-bit flip (`xorps`/`vxorps` against a hoisted,
+//! broadcast sign mask — exactly what the compiler emits for `-x`), and
+//! every operand is read before the single destination store, so
+//! destination-recycling instructions behave as in the interpreter. The
+//! VEX rows end in `vzeroupper` so callers never pay an AVX→SSE
+//! transition.
+//!
+//! # Safety argument
+//!
+//! [`JitTape::emit`] checks every register index against the register
+//! file size and every constant index against the constant table length,
+//! and panics on a violation (a compiler bug, never a user error). Every
+//! patched displacement is therefore inside the buffers whose lengths
+//! [`JitTape::run`] re-asserts on each call, and the emitted code touches
+//! memory only through the `regs` (`rdi`) and `consts` (`rsi`) pointers
+//! it is handed.
 //!
 //! # W^X lifecycle
 //!
@@ -52,24 +54,26 @@
 //!
 //! # Fallback rules
 //!
-//! [`JitTape::emit`] returns `None` — and callers keep the threaded tape
-//! — whenever the target is not x86-64 Linux, the `mmap` fails, the
-//! `mprotect` flip fails, or an operand displacement would overflow a
-//! template's 32-bit field. Every platform builds; only x86-64 Linux
-//! ever executes emitted code.
+//! [`JitTape::emit`] returns `None` — and the tape runs the interpreter —
+//! whenever the target is not x86-64 Linux, the scalar type has no row
+//! on this host (fixed point, other `Lanes` widths, the 32-byte types
+//! without AVX2), the `mmap` or the `mprotect` flip fails, or an operand
+//! displacement would overflow the 32-bit field.
+
+use crate::compiled::Instr;
 
 /// Emitted-code statistics for one JIT-compiled tape, surfaced through
 /// [`CompiledNetlist::jit_report`](crate::CompiledNetlist::jit_report)
 /// and the `codegen_stats` experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JitReport {
-    /// Superinstruction blocks stitched into the function.
-    pub blocks: usize,
+    /// Tape instructions lowered into the function.
+    pub instrs: usize,
     /// Total machine-code bytes emitted.
     pub code_bytes: usize,
-    /// Immediate fields patched into the instruction templates: operand
-    /// displacements plus, per lowering, handler addresses and the
-    /// operand-table base (stubs) or the sign-mask immediate (inline).
+    /// Immediate fields patched into the instruction templates: one
+    /// disp32 per operand and destination, plus the sign-mask immediate
+    /// when the tape negates.
     pub patches: usize,
 }
 
@@ -79,7 +83,7 @@ impl std::ops::Add for JitReport {
     /// The report of two tapes taken together.
     fn add(self, rhs: Self) -> Self {
         Self {
-            blocks: self.blocks + rhs.blocks,
+            instrs: self.instrs + rhs.instrs,
             code_bytes: self.code_bytes + rhs.code_bytes,
             patches: self.patches + rhs.patches,
         }
@@ -94,11 +98,11 @@ impl std::iter::Sum for JitReport {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod native {
-    use super::JitReport;
-    use crate::threaded::{OpArgs, OpFn, Opcode, ThreadedTape};
+    use super::{Instr, JitReport};
     use core::any::TypeId;
     use core::ptr::NonNull;
-    use robo_spatial::Scalar;
+    use robo_spatial::simd::{F32x4, F32x8, F64x2, F64x4};
+    use robo_spatial::{Lanes, Scalar};
     use std::sync::Arc;
 
     // x86-64 Linux syscall numbers and the mmap/mprotect flag bits used
@@ -149,7 +153,7 @@ mod native {
         ret
     }
 
-    /// An anonymous private mapping holding the stitched function.
+    /// An anonymous private mapping holding the emitted function.
     ///
     /// W^X lifecycle: mapped read+write by [`CodeBuf::map_rw`], filled
     /// exactly once, then flipped to read+execute by
@@ -233,263 +237,310 @@ mod native {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Call-stub lowering: any scalar type.
-    // ------------------------------------------------------------------
-
-    /// Encoded byte sizes of the three stub templates below.
-    const PROLOGUE_BYTES: usize = 22;
-    const STUB_BYTES: usize = 26;
-    const EPILOGUE_BYTES: usize = 7;
-
-    /// Function prologue: save the three callee-saved scratch registers
-    /// (also realigning the stack: entry `rsp ≡ 8 (mod 16)`, three
-    /// pushes make every `call` site 16-byte aligned as the SysV ABI
-    /// requires), park `regs` in `r14` and `consts` in `r15`, and load
-    /// the operand-table base (a patched imm64) into `r12`.
-    fn emit_prologue(code: &mut Vec<u8>, args_base: u64) {
-        code.extend_from_slice(&[0x41, 0x54]); // push r12
-        code.extend_from_slice(&[0x41, 0x56]); // push r14
-        code.extend_from_slice(&[0x41, 0x57]); // push r15
-        code.extend_from_slice(&[0x49, 0x89, 0xFE]); // mov r14, rdi
-        code.extend_from_slice(&[0x49, 0x89, 0xF7]); // mov r15, rsi
-        code.extend_from_slice(&[0x49, 0xBC]); // movabs r12, imm64
-        code.extend_from_slice(&args_base.to_le_bytes());
-    }
-
-    /// One superinstruction-block call stub: reload the handler's three
-    /// `extern "C"` arguments (`rdi` = regs, `rsi` = consts, `rdx` =
-    /// `&args[at]` as base + patched disp32) and call the patched
-    /// handler address. Every stub's call site has exactly one target,
-    /// so each is a perfectly predicted monomorphic call — unlike the
-    /// threaded loop's single dispatch site cycling every handler.
-    fn emit_stub(code: &mut Vec<u8>, handler: u64, disp: i32) {
-        code.extend_from_slice(&[0x4C, 0x89, 0xF7]); // mov rdi, r14
-        code.extend_from_slice(&[0x4C, 0x89, 0xFE]); // mov rsi, r15
-        code.extend_from_slice(&[0x49, 0x8D, 0x94, 0x24]); // lea rdx, [r12 + disp32]
-        code.extend_from_slice(&disp.to_le_bytes());
-        code.extend_from_slice(&[0x48, 0xB8]); // movabs rax, imm64
-        code.extend_from_slice(&handler.to_le_bytes());
-        code.extend_from_slice(&[0xFF, 0xD0]); // call rax
-    }
-
-    /// Function epilogue: restore the callee-saved registers and return.
-    fn emit_epilogue(code: &mut Vec<u8>) {
-        code.extend_from_slice(&[0x41, 0x5F]); // pop r15
-        code.extend_from_slice(&[0x41, 0x5E]); // pop r14
-        code.extend_from_slice(&[0x41, 0x5C]); // pop r12
-        code.push(0xC3); // ret
-    }
-
-    /// Lowers every scheduled block to a call stub against the threaded
-    /// tape's handler table. Returns the code bytes and the patch
-    /// count, or `None` if an operand displacement overflows the stub's
-    /// 32-bit field.
-    fn emit_stubbed<S>(blocks: &[(OpFn<S>, u32)], args_base: u64) -> Option<(Vec<u8>, usize)> {
-        let code_bytes = PROLOGUE_BYTES + STUB_BYTES * blocks.len() + EPILOGUE_BYTES;
-        let mut code = Vec::with_capacity(code_bytes);
-        let mut patches = 0usize;
-        emit_prologue(&mut code, args_base);
-        patches += 1; // the operand-table base imm64
-        for &(f, at) in blocks {
-            let disp = i32::try_from(at as usize * core::mem::size_of::<OpArgs>()).ok()?;
-            emit_stub(&mut code, f as usize as u64, disp);
-            patches += 2; // handler imm64 + operand disp32
-        }
-        emit_epilogue(&mut code);
-        debug_assert_eq!(code.len(), code_bytes);
-        Some((code, patches))
-    }
-
-    // ------------------------------------------------------------------
-    // Inline SSE lowering: f64 / f32.
-    // ------------------------------------------------------------------
-
     /// ModRM byte addressing `[rdi + disp32]` (the register file) with
-    /// xmm0 (mod=10 disp32, reg=xmm0, rm=rdi).
+    /// xmm0/ymm0 (mod=10 disp32, reg=0, rm=rdi).
     const RM_REGS: u8 = 0x87;
     /// ModRM byte addressing `[rsi + disp32]` (the constant table) with
-    /// xmm0 (mod=10 disp32, reg=xmm0, rm=rsi).
+    /// xmm0/ymm0 (mod=10 disp32, reg=0, rm=rsi).
     const RM_CONSTS: u8 = 0x86;
-    /// SSE opcode bytes for `adds*`/`muls*`/`subs*` `xmm0, m`.
+    /// Opcode bytes (after the row's prefix) for `mov* x0, m`,
+    /// `mov* m, x0`, and `add*`/`mul*`/`sub* x0, m`.
+    const OP_LOAD: u8 = 0x10;
+    const OP_STORE: u8 = 0x11;
     const OP_ADD: u8 = 0x58;
     const OP_MUL: u8 = 0x59;
     const OP_SUB: u8 = 0x5C;
 
-    /// Template parameters of the inline lowering for one float type:
-    /// the SSE scalar-size prefix (`F2` = double, `F3` = single) and
-    /// the element size the slot displacements scale by.
-    struct InlineEnc {
-        prefix: u8,
-        elem: usize,
+    /// How one float lane type lowers: everything the encoder varies by
+    /// type. The instruction shapes — load, fold the remaining operands
+    /// from memory, store — are shared by every row.
+    #[derive(Debug)]
+    struct Row {
+        /// Bytes per register or constant slot: `size_of::<S>()`.
+        size: usize,
+        /// Minimum alignment the row's memory operands need: 16 for
+        /// legacy packed SSE, 1 otherwise.
+        align: usize,
+        /// Prefix and opcode-map bytes before every load/arith/store
+        /// opcode byte: legacy SSE `[F2|F3|66] 0F`, or two-byte VEX.256.
+        prefix: &'static [u8],
+        /// Whether the lanes are 32-bit: selects the sign-mask immediate
+        /// (`mov eax, imm32` vs `movabs rax, imm64`).
+        single: bool,
+        /// Moves the sign-mask immediate from `rax`/`eax` into
+        /// xmm2/ymm2, broadcast across every lane.
+        mask: &'static [u8],
+        /// `xmm0 ^= xmm2` (or the ymm form): negation as a sign flip.
+        negate: &'static [u8],
+        /// Bytes before `ret`: `vzeroupper` for the VEX rows.
+        exit: &'static [u8],
     }
 
-    /// Picks the inline lowering for `S`: `f64`/`f32` lower each tape
-    /// instruction to native SSE scalar arithmetic; every other scalar
-    /// type keeps the call-stub lowering (`None`).
-    fn inline_enc<S: Scalar>() -> Option<InlineEnc> {
-        if TypeId::of::<S>() == TypeId::of::<f64>() {
-            Some(InlineEnc {
-                prefix: 0xF2,
-                elem: 8,
-            })
-        } else if TypeId::of::<S>() == TypeId::of::<f32>() {
-            Some(InlineEnc {
-                prefix: 0xF3,
-                elem: 4,
-            })
+    /// `movq xmm2, rax`.
+    const MOVQ: [u8; 5] = [0x66, 0x48, 0x0F, 0x6E, 0xD0];
+    /// `movd xmm2, eax`.
+    const MOVD: [u8; 4] = [0x66, 0x0F, 0x6E, 0xD0];
+    /// `xorps xmm0, xmm2`.
+    const XORPS: [u8; 3] = [0x0F, 0x57, 0xC2];
+
+    /// `f64`: scalar SSE2 (`movsd`/`addsd`/`mulsd`/`subsd`).
+    const SD: Row = Row {
+        size: 8,
+        align: 1,
+        prefix: &[0xF2, 0x0F],
+        single: false,
+        mask: &MOVQ,
+        negate: &XORPS,
+        exit: &[],
+    };
+    /// `f32`: scalar SSE (`movss`/`addss`/`mulss`/`subss`).
+    const SS: Row = Row {
+        size: 4,
+        align: 1,
+        prefix: &[0xF3, 0x0F],
+        single: true,
+        mask: &MOVD,
+        negate: &XORPS,
+        exit: &[],
+    };
+    /// `F64x2`: packed SSE2 (`movupd`/`addpd`/…); mask broadcast by
+    /// `pshufd xmm2, xmm2, 0x44`.
+    const PD: Row = Row {
+        size: 16,
+        align: 16,
+        prefix: &[0x66, 0x0F],
+        single: false,
+        mask: &[0x66, 0x48, 0x0F, 0x6E, 0xD0, 0x66, 0x0F, 0x70, 0xD2, 0x44],
+        negate: &XORPS,
+        exit: &[],
+    };
+    /// `F32x4`: packed SSE (`movups`/`addps`/…); mask broadcast by
+    /// `pshufd xmm2, xmm2, 0`.
+    const PS: Row = Row {
+        size: 16,
+        align: 16,
+        prefix: &[0x0F],
+        single: true,
+        mask: &[0x66, 0x0F, 0x6E, 0xD0, 0x66, 0x0F, 0x70, 0xD2, 0x00],
+        negate: &XORPS,
+        exit: &[],
+    };
+    /// Four `f64` lanes: VEX.256 (`vmovupd`/`vaddpd`/…); mask by
+    /// `vmovq xmm2, rax` + `vpbroadcastq ymm2, xmm2`.
+    const VPD: Row = Row {
+        size: 32,
+        align: 1,
+        prefix: &[0xC5, 0xFD],
+        single: false,
+        mask: &[0xC4, 0xE1, 0xF9, 0x6E, 0xD0, 0xC4, 0xE2, 0x7D, 0x59, 0xD2],
+        negate: &[0xC5, 0xFC, 0x57, 0xC2],
+        exit: &[0xC5, 0xF8, 0x77],
+    };
+    /// Eight `f32` lanes: VEX.256 (`vmovups`/`vaddps`/…); mask by
+    /// `vmovd xmm2, eax` + `vpbroadcastd ymm2, xmm2`.
+    const VPS: Row = Row {
+        size: 32,
+        align: 1,
+        prefix: &[0xC5, 0xFC],
+        single: true,
+        mask: &[0xC5, 0xF9, 0x6E, 0xD0, 0xC4, 0xE2, 0x7D, 0x58, 0xD2],
+        negate: &[0xC5, 0xFC, 0x57, 0xC2],
+        exit: &[0xC5, 0xF8, 0x77],
+    };
+
+    /// The row that lowers `S` on this host, or `None` when `S` runs the
+    /// interpreter. The 32-byte rows need AVX2; the portable
+    /// `Lanes<f64, 4>`/`Lanes<f32, 8>` share them because
+    /// `repr(transparent)` gives them the native bundles' layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `S`'s size or alignment disagrees with its row — the
+    /// displacement scaling and the legacy-SSE alignment rule depend on
+    /// both.
+    fn row_for<S: Scalar>() -> Option<&'static Row> {
+        let is = |t: TypeId| TypeId::of::<S>() == t;
+        let row = if is(TypeId::of::<f64>()) {
+            &SD
+        } else if is(TypeId::of::<f32>()) {
+            &SS
+        } else if is(TypeId::of::<F64x2>()) {
+            &PD
+        } else if is(TypeId::of::<F32x4>()) {
+            &PS
+        } else if !std::arch::is_x86_feature_detected!("avx2") {
+            return None;
+        } else if is(TypeId::of::<F64x4>()) || is(TypeId::of::<Lanes<f64, 4>>()) {
+            &VPD
+        } else if is(TypeId::of::<F32x8>()) || is(TypeId::of::<Lanes<f32, 8>>()) {
+            &VPS
         } else {
-            None
+            return None;
+        };
+        assert_eq!(core::mem::size_of::<S>(), row.size, "JIT row size mismatch");
+        assert!(
+            core::mem::align_of::<S>() >= row.align,
+            "JIT row alignment mismatch"
+        );
+        Some(row)
+    }
+
+    /// Panics unless every register index in `tape` is below `num_regs`
+    /// and every constant index below `n_consts` — the bounds every
+    /// patched displacement relies on.
+    fn check_bounds(tape: &[Instr], num_regs: usize, n_consts: usize) {
+        let reg = |r: u32| assert!((r as usize) < num_regs, "register index out of bounds");
+        for &ins in tape {
+            reg(ins.dst());
+            ins.for_each_read(&reg);
+            if let Instr::Const { idx, .. }
+            | Instr::MulConst { idx, .. }
+            | Instr::MulConstAdd { idx, .. } = ins
+            {
+                assert!((idx as usize) < n_consts, "constant index out of bounds");
+            }
         }
     }
 
-    impl InlineEnc {
-        /// Appends (and counts as a patch) the disp32 for `slot`.
-        /// `None` if `slot · elem` overflows the 32-bit field.
-        fn disp(&self, code: &mut Vec<u8>, patches: &mut usize, slot: u32) -> Option<()> {
-            let d = i32::try_from(slot as usize * self.elem).ok()?;
-            code.extend_from_slice(&d.to_le_bytes());
-            *patches += 1;
+    /// The code under construction for one row.
+    struct Emitter {
+        row: &'static Row,
+        code: Vec<u8>,
+        patches: usize,
+    }
+
+    impl Emitter {
+        /// `prefix op modrm disp32` with `disp32 = slot · size`; `None`
+        /// if the displacement overflows 32 bits.
+        fn mem(&mut self, op: u8, rm: u8, slot: u32) -> Option<()> {
+            let disp = i32::try_from(slot as usize * self.row.size).ok()?;
+            self.code.extend_from_slice(self.row.prefix);
+            self.code.extend_from_slice(&[op, rm]);
+            self.code.extend_from_slice(&disp.to_le_bytes());
+            self.patches += 1;
             Some(())
         }
 
-        /// `movsd/movss xmm0, [base + slot·elem]`.
-        fn load(&self, code: &mut Vec<u8>, patches: &mut usize, rm: u8, slot: u32) -> Option<()> {
-            code.extend_from_slice(&[self.prefix, 0x0F, 0x10, rm]);
-            self.disp(code, patches, slot)
+        /// Loads register `a` into x0.
+        fn load(&mut self, a: u32) -> Option<()> {
+            self.mem(OP_LOAD, RM_REGS, a)
         }
 
-        /// `adds*/muls*/subs* xmm0, [base + slot·elem]` (`op` is one of
-        /// [`OP_ADD`]/[`OP_MUL`]/[`OP_SUB`]).
-        fn arith(
-            &self,
-            code: &mut Vec<u8>,
-            patches: &mut usize,
-            op: u8,
-            rm: u8,
-            slot: u32,
-        ) -> Option<()> {
-            code.extend_from_slice(&[self.prefix, 0x0F, op, rm]);
-            self.disp(code, patches, slot)
+        /// `x0 = x0 <op> regs[r]`.
+        fn reg(&mut self, op: u8, r: u32) -> Option<()> {
+            self.mem(op, RM_REGS, r)
         }
 
-        /// `movsd/movss [rdi + slot·elem], xmm0` — the instruction's
-        /// single destination store, always into the register file.
-        fn store(&self, code: &mut Vec<u8>, patches: &mut usize, slot: u32) -> Option<()> {
-            code.extend_from_slice(&[self.prefix, 0x0F, 0x11, RM_REGS]);
-            self.disp(code, patches, slot)
+        /// `x0 = x0 <op> consts[k]`.
+        fn konst(&mut self, op: u8, k: u32) -> Option<()> {
+            self.mem(op, RM_CONSTS, k)
         }
 
-        /// `xorps xmm0, xmm2` — IEEE negation as a sign-bit flip against
-        /// the hoisted mask (bitwise, so it is exact for every value
-        /// including NaNs, matching the compiler's lowering of `-x`).
-        fn negate(&self, code: &mut Vec<u8>) {
-            code.extend_from_slice(&[0x0F, 0x57, 0xC2]);
+        fn negate(&mut self) {
+            self.code.extend_from_slice(self.row.negate);
         }
 
-        /// Hoisted sign-mask prologue: materializes the float sign bit
-        /// in xmm2 once, for every `Neg`/`NegAdd` in the tape.
-        fn emit_mask(&self, code: &mut Vec<u8>, patches: &mut usize) {
-            if self.elem == 8 {
-                code.extend_from_slice(&[0x48, 0xB8]); // movabs rax, imm64
-                code.extend_from_slice(&0x8000_0000_0000_0000_u64.to_le_bytes());
-                code.extend_from_slice(&[0x66, 0x48, 0x0F, 0x6E, 0xD0]); // movq xmm2, rax
+        /// Hoisted sign-mask prologue: the float sign bit in every lane
+        /// of x2, once, for every `Neg`/`NegAdd` in the tape.
+        fn sign_mask(&mut self) {
+            if self.row.single {
+                self.code.push(0xB8); // mov eax, imm32
+                self.code.extend_from_slice(&0x8000_0000_u32.to_le_bytes());
             } else {
-                code.push(0xB8); // mov eax, imm32
-                code.extend_from_slice(&0x8000_0000_u32.to_le_bytes());
-                code.extend_from_slice(&[0x66, 0x0F, 0x6E, 0xD0]); // movd xmm2, eax
+                self.code.extend_from_slice(&[0x48, 0xB8]); // movabs rax, imm64
+                self.code
+                    .extend_from_slice(&0x8000_0000_0000_0000_u64.to_le_bytes());
             }
-            *patches += 1; // the sign-mask immediate
+            self.code.extend_from_slice(self.row.mask);
+            self.patches += 1;
         }
     }
 
-    /// Lowers the decoded instruction list to straight-line SSE scalar
-    /// code: per instruction, an xmm0 load of the first operand, 0–2
-    /// arithmetic ops folding the remaining operands straight from
-    /// memory, and the destination store — all reads before the single
-    /// write, fused opcodes as two rounded steps, exactly the handler
-    /// semantics. Returns the code bytes and the patch count, or `None`
-    /// if a displacement overflows 32 bits.
-    fn emit_inline(enc: &InlineEnc, ops: &[Opcode], args: &[OpArgs]) -> Option<(Vec<u8>, usize)> {
-        // ≤ 32 bytes per instruction (4 × 8-byte memory ops) + mask
-        // prologue and ret: one allocation for the whole function.
-        let mut code = Vec::with_capacity(32 * ops.len() + 16);
-        let mut patches = 0usize;
-        if ops
+    /// Lowers the tape, in order, to one leaf function
+    /// `extern "C" fn(regs: *mut S, consts: *const S)`: per instruction,
+    /// a load of the first operand into x0, 0–2 arithmetic ops folding
+    /// the remaining operands straight from memory, and the destination
+    /// store — all reads before the single write, fused opcodes as two
+    /// rounded steps. Returns the code and the patch count, or `None` if
+    /// a displacement overflows 32 bits.
+    fn lower(row: &'static Row, tape: &[Instr]) -> Option<(Vec<u8>, usize)> {
+        // ≤ 4 memory ops of ≤ 8 bytes plus a negation per instruction,
+        // and the mask prologue and epilogue: one allocation.
+        let mut e = Emitter {
+            row,
+            code: Vec::with_capacity(40 * tape.len() + 32),
+            patches: 0,
+        };
+        if tape
             .iter()
-            .any(|o| matches!(o, Opcode::Neg | Opcode::NegAdd))
+            .any(|i| matches!(i, Instr::Neg { .. } | Instr::NegAdd { .. }))
         {
-            enc.emit_mask(&mut code, &mut patches);
+            e.sign_mask();
         }
-        for (&op, a) in ops.iter().zip(args) {
-            match op {
-                Opcode::Const => {
-                    enc.load(&mut code, &mut patches, RM_CONSTS, a.a)?;
+        for &ins in tape {
+            match ins {
+                Instr::Const { idx, .. } => e.konst(OP_LOAD, idx)?,
+                Instr::Mul { a, b, .. } => {
+                    e.load(a)?;
+                    e.reg(OP_MUL, b)?;
                 }
-                Opcode::Mul => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_MUL, RM_REGS, a.b)?;
+                Instr::MulConst { a, idx, .. } => {
+                    e.load(a)?;
+                    e.konst(OP_MUL, idx)?;
                 }
-                Opcode::MulConst => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_MUL, RM_CONSTS, a.b)?;
+                Instr::Add { a, b, .. } => {
+                    e.load(a)?;
+                    e.reg(OP_ADD, b)?;
                 }
-                Opcode::Add => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_ADD, RM_REGS, a.b)?;
+                Instr::Sub { a, b, .. } => {
+                    e.load(a)?;
+                    e.reg(OP_SUB, b)?;
                 }
-                Opcode::Sub => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_SUB, RM_REGS, a.b)?;
+                Instr::Neg { a, .. } => {
+                    e.load(a)?;
+                    e.negate();
                 }
-                Opcode::Neg => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.negate(&mut code);
+                Instr::MulAdd { a, b, c, .. } => {
+                    e.load(a)?;
+                    e.reg(OP_MUL, b)?;
+                    e.reg(OP_ADD, c)?;
                 }
-                Opcode::MulAdd => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_MUL, RM_REGS, a.b)?;
-                    enc.arith(&mut code, &mut patches, OP_ADD, RM_REGS, a.c)?;
+                Instr::MulConstAdd { a, idx, c, .. } => {
+                    e.load(a)?;
+                    e.konst(OP_MUL, idx)?;
+                    e.reg(OP_ADD, c)?;
                 }
-                Opcode::MulConstAdd => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_MUL, RM_CONSTS, a.b)?;
-                    enc.arith(&mut code, &mut patches, OP_ADD, RM_REGS, a.c)?;
+                Instr::AddAdd { a, b, c, .. } => {
+                    e.load(a)?;
+                    e.reg(OP_ADD, b)?;
+                    e.reg(OP_ADD, c)?;
                 }
-                Opcode::AddAdd => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.arith(&mut code, &mut patches, OP_ADD, RM_REGS, a.b)?;
-                    enc.arith(&mut code, &mut patches, OP_ADD, RM_REGS, a.c)?;
-                }
-                Opcode::NegAdd => {
-                    enc.load(&mut code, &mut patches, RM_REGS, a.a)?;
-                    enc.negate(&mut code);
-                    enc.arith(&mut code, &mut patches, OP_ADD, RM_REGS, a.c)?;
+                Instr::NegAdd { a, c, .. } => {
+                    e.load(a)?;
+                    e.negate();
+                    e.reg(OP_ADD, c)?;
                 }
             }
-            enc.store(&mut code, &mut patches, a.dst)?;
+            e.mem(OP_STORE, RM_REGS, ins.dst())?;
         }
-        code.push(0xC3); // ret — leaf function, no saved registers
-        Some((code, patches))
+        e.code.extend_from_slice(row.exit);
+        e.code.push(0xC3); // ret — leaf function, no saved registers
+        Some((e.code, e.patches))
     }
 
-    /// A threaded tape stitched into one contiguous native function.
+    /// A compiled tape emitted as one contiguous native function.
     ///
-    /// Cloning is cheap: the code mapping and the operand table are
-    /// `Arc`-shared, and the emitted code embeds their absolute
-    /// addresses, so both must (and do) stay stable across clones.
+    /// Cloning is cheap: the code mapping is `Arc`-shared.
     #[derive(Debug)]
     pub(crate) struct JitTape<S> {
         /// Keeps the executable mapping alive; `entry` points into it.
         code: Arc<CodeBuf>,
-        /// Owned copy of the decoded operands. The stub lowering embeds
-        /// this allocation's absolute address in the emitted code, so
-        /// the tape must own it (the threaded tape's `Vec` would
-        /// relocate on clone). The inline lowering reads it only at
-        /// emit time.
-        args: Arc<[OpArgs]>,
         entry: unsafe extern "C" fn(*mut S, *const S),
+        /// Register-file length every register index was checked
+        /// against.
         min_regs: usize,
+        /// Constant-table length every constant index was checked
+        /// against.
         n_consts: usize,
         report: JitReport,
     }
@@ -498,7 +549,6 @@ mod native {
         fn clone(&self) -> Self {
             Self {
                 code: Arc::clone(&self.code),
-                args: Arc::clone(&self.args),
                 entry: self.entry,
                 min_regs: self.min_regs,
                 n_consts: self.n_consts,
@@ -508,23 +558,23 @@ mod native {
     }
 
     impl<S: Scalar> JitTape<S> {
-        /// Stitches `threaded`'s scheduled tape into one native
-        /// function — inline SSE arithmetic for `f64`/`f32`, call stubs
-        /// against the handler table for every other scalar type.
-        /// Returns `None` (callers keep the threaded tape) if the
-        /// mapping cannot be created or protected, or an operand
-        /// displacement overflows a template's 32-bit field.
-        pub(crate) fn emit(threaded: &ThreadedTape<S>) -> Option<Self> {
-            let blocks = threaded.blocks();
-            let _span = robo_trace::span_items("tape.jit.emit", blocks.len());
-
-            let args: Arc<[OpArgs]> = threaded.op_args().into();
+        /// Emits `tape` as native code for `S`'s row. Returns `None` (the
+        /// tape then runs the interpreter) if `S` has no row on this
+        /// host, a displacement overflows, or the mapping cannot be
+        /// created or protected.
+        ///
+        /// # Panics
+        ///
+        /// Panics if any instruction references a register `>= num_regs`
+        /// or a constant `>= n_consts` — a compiler invariant violation,
+        /// never a user error.
+        pub(crate) fn emit(tape: &[Instr], num_regs: usize, n_consts: usize) -> Option<Self> {
+            let row = row_for::<S>()?;
+            let _span = robo_trace::span_items("tape.jit.emit", tape.len());
+            check_bounds(tape, num_regs, n_consts);
             let (code, patches) = {
-                let _span = robo_trace::span_items("tape.jit.patch", blocks.len());
-                match inline_enc::<S>() {
-                    Some(enc) => emit_inline(&enc, threaded.op_codes(), &args)?,
-                    None => emit_stubbed(blocks, args.as_ptr() as u64)?,
-                }
+                let _span = robo_trace::span_items("tape.jit.patch", tape.len());
+                lower(row, tape)?
             };
             let code_bytes = code.len();
 
@@ -540,10 +590,9 @@ mod native {
                 }
             }
             // SAFETY: the mapping now holds, read+execute, a complete
-            // x86-64 function with the `extern "C"` signature
-            // `fn(*mut S, *const S)` (emitted by `emit_inline` or
-            // `emit_stubbed` above); the pointer is its first
-            // instruction.
+            // x86-64 leaf function with the `extern "C"` signature
+            // `fn(*mut S, *const S)` (emitted by `lower` above); the
+            // pointer is its first instruction.
             let entry = unsafe {
                 core::mem::transmute::<*mut u8, unsafe extern "C" fn(*mut S, *const S)>(
                     buf.ptr.as_ptr(),
@@ -551,41 +600,36 @@ mod native {
             };
             Some(Self {
                 code: Arc::new(buf),
-                args,
                 entry,
-                min_regs: threaded.min_regs(),
-                n_consts: threaded.n_consts(),
+                min_regs: num_regs,
+                n_consts,
                 report: JitReport {
-                    blocks: blocks.len(),
+                    instrs: tape.len(),
                     code_bytes,
                     patches,
                 },
             })
         }
 
-        /// Executes the stitched function over `regs`, reading constants
-        /// from `consts` — same contract and panics as
-        /// `ThreadedTape::run`, and bit-identical results (identical
+        /// Executes the emitted function over `regs`, reading constants
+        /// from `consts` — bit-identical to the interpreter (identical
         /// operation semantics in identical order). Allocation-free.
         ///
         /// # Panics
         ///
-        /// Panics if `regs` is shorter than the register file the source
-        /// tape was validated against, or `consts` is not exactly the
-        /// validated constant-table length.
+        /// Panics if `regs` is shorter than the register file the tape
+        /// was checked against, or `consts` is not exactly the checked
+        /// constant-table length.
         pub(crate) fn run(&self, regs: &mut [S], consts: &[S]) {
             assert!(regs.len() >= self.min_regs, "register file too small");
             assert_eq!(consts.len(), self.n_consts, "constant table mismatch");
-            // The mapping `entry` points into:
-            let _ = &self.code;
-            // SAFETY: `entry` is the function emitted over this tape's
-            // instruction list: it only touches `regs`/`consts` at
-            // build-validated offsets (inline lowering) or calls
-            // build-validated `OpFn` handlers with
-            // `regs`/`consts`/`&args[at]` (stub lowering); the
-            // assertions above re-establish the buffer bounds every
-            // operand index was validated against, `self.args` pins the
-            // operand table at the embedded address, and `self.code`
+            // SAFETY: `entry` is the function `emit` lowered from a tape
+            // whose every register index is below `min_regs` and every
+            // constant index below `n_consts`; it touches memory only at
+            // `regs + slot·size` and `consts + slot·size`, which the
+            // assertions above put in bounds, with the alignment
+            // `row_for` asserted `S` provides. `S`'s row exists on this
+            // host (AVX2 was detected for the VEX rows), and `self.code`
             // keeps the executable mapping alive for the whole call.
             unsafe { (self.entry)(regs.as_mut_ptr(), consts.as_ptr()) }
         }
@@ -595,6 +639,91 @@ mod native {
             self.report
         }
     }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn emit(tape: &[Instr], num_regs: usize, n_consts: usize) -> JitTape<f64> {
+            JitTape::emit(tape, num_regs, n_consts).expect("x86-64 Linux host emits f64")
+        }
+
+        #[test]
+        fn scalar_row_keeps_its_template_bytes() {
+            // Const loads, a MAC chain, a negation (the hoisted sign
+            // mask) and a subtraction. Expected bytes/patches: sign-mask
+            // prologue 15 B / 1, 3 × Const at 16 B / 2, 7 × MulAdd at
+            // 32 B / 4, Neg at 19 B / 2, Sub at 24 B / 3, and the
+            // 1-byte ret — every 8-byte memory op carries one disp32.
+            let mut tape = vec![
+                Instr::Const { idx: 0, dst: 0 },
+                Instr::Const { idx: 1, dst: 1 },
+                Instr::Const { idx: 0, dst: 2 },
+            ];
+            tape.extend((0..7).map(|_| Instr::MulAdd {
+                a: 0,
+                b: 1,
+                c: 2,
+                dst: 2,
+            }));
+            tape.push(Instr::Neg { a: 2, dst: 3 });
+            tape.push(Instr::Sub { a: 2, b: 3, dst: 4 });
+            let jit = emit(&tape, 5, 2);
+            let mut regs = [0.0; 5];
+            jit.run(&mut regs, &[1.5, 0.25]);
+            // r2 ← 1.5·0.25 + r2 seven times from 1.5.
+            let r2 = (0..7).fold(1.5, |acc, _| 1.5 * 0.25 + acc);
+            assert_eq!(
+                regs.map(f64::to_bits),
+                [1.5, 0.25, r2, -r2, 2.0 * r2].map(f64::to_bits)
+            );
+            let report = jit.report();
+            assert_eq!(report.instrs, tape.len());
+            assert_eq!(report.code_bytes, 15 + 3 * 16 + 7 * 32 + 19 + 24 + 1);
+            assert_eq!(report.patches, 1 + 3 * 2 + 7 * 4 + 2 + 3);
+        }
+
+        #[test]
+        fn jit_survives_clone_and_original_drop() {
+            // The clone shares the same code mapping; dropping the
+            // original must keep it alive (Arc-shared).
+            let tape: Vec<_> = (0..5).map(|_| Instr::Add { a: 0, b: 1, dst: 1 }).collect();
+            let jit = emit(&tape, 2, 0);
+            let clone = jit.clone();
+            drop(jit);
+            let mut regs = [1.0, 0.0];
+            clone.run(&mut regs, &[]);
+            assert_eq!(regs[1], 5.0);
+        }
+
+        #[test]
+        fn empty_tape_emits_a_trivial_function() {
+            let jit = emit(&[], 1, 0);
+            let mut regs = [7.0];
+            jit.run(&mut regs, &[]);
+            assert_eq!(regs[0], 7.0);
+            assert_eq!(jit.report().instrs, 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "register file too small")]
+        fn run_rejects_short_register_files() {
+            let jit = emit(&[Instr::Add { a: 0, b: 1, dst: 2 }], 3, 0);
+            jit.run(&mut [0.0; 2], &[]);
+        }
+
+        #[test]
+        #[should_panic(expected = "register index out of bounds")]
+        fn emit_rejects_out_of_bounds_registers() {
+            let _ = emit(&[Instr::Add { a: 0, b: 7, dst: 1 }], 2, 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "constant index out of bounds")]
+        fn emit_rejects_out_of_bounds_constants() {
+            let _ = emit(&[Instr::Const { idx: 3, dst: 0 }], 2, 2);
+        }
+    }
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -602,13 +731,12 @@ pub(crate) use native::JitTape;
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod fallback {
-    use super::JitReport;
-    use crate::threaded::ThreadedTape;
+    use super::{Instr, JitReport};
     use robo_spatial::Scalar;
 
     /// Uninhabited stand-in on targets without the JIT backend:
     /// [`JitTape::emit`] always returns `None`, so no value of this type
-    /// ever exists and callers stay on the threaded tape.
+    /// ever exists and every tape runs the interpreter.
     #[derive(Debug)]
     pub(crate) struct JitTape<S> {
         never: core::convert::Infallible,
@@ -623,7 +751,7 @@ mod fallback {
 
     impl<S: Scalar> JitTape<S> {
         /// No JIT backend on this target: always `None`.
-        pub(crate) fn emit(_threaded: &ThreadedTape<S>) -> Option<Self> {
+        pub(crate) fn emit(_tape: &[Instr], _num_regs: usize, _n_consts: usize) -> Option<Self> {
             None
         }
 
@@ -642,141 +770,3 @@ mod fallback {
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 pub(crate) use fallback::JitTape;
-
-#[cfg(test)]
-mod tests {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    mod native {
-        use crate::jit::JitTape;
-        use crate::threaded::{Opcode, ThreadedTape};
-
-        #[test]
-        fn jit_matches_threaded_execution() {
-            // A mixed tape exercising const loads, a fusable MAC run
-            // (×4/×2/×1 tiling), negation (the hoisted sign mask), and
-            // a single.
-            let mut decoded = vec![
-                Opcode::Const.args(0, 0, 0, 0),
-                Opcode::Const.args(1, 0, 0, 1),
-                Opcode::Const.args(0, 0, 0, 2),
-            ];
-            decoded.extend((0..7).map(|_| Opcode::MulAdd.args(0, 1, 2, 2)));
-            decoded.push(Opcode::Neg.args(2, 0, 0, 3));
-            decoded.push(Opcode::Sub.args(2, 3, 0, 4));
-
-            let threaded = ThreadedTape::<f64>::build(&decoded, 5, 2);
-            let jit = JitTape::emit(&threaded).expect("x86-64 Linux host emits");
-            let consts = [1.5, 0.25];
-
-            let mut regs_t = [0.0; 5];
-            threaded.run(&mut regs_t, &consts);
-            let mut regs_j = [0.0; 5];
-            jit.run(&mut regs_j, &consts);
-            assert_eq!(
-                regs_t.map(f64::to_bits),
-                regs_j.map(f64::to_bits),
-                "JIT must be bit-identical to the threaded tape"
-            );
-
-            // f64 takes the inline lowering. Expected bytes/patches:
-            // sign-mask prologue 15 B / 1 patch (the tape has a Neg),
-            // 3 × Const at 16 B / 2, 7 × MulAdd at 32 B / 4, Neg at
-            // 19 B / 2, Sub at 24 B / 3, plus the 1-byte ret — every
-            // 8-byte load/arith/store carries one disp32 patch.
-            let report = jit.report();
-            assert_eq!(report.blocks, threaded.block_count());
-            assert_eq!(report.code_bytes, 15 + 3 * 16 + 7 * 32 + 19 + 24 + 1);
-            assert_eq!(report.patches, 1 + 3 * 2 + 7 * 4 + 2 + 3);
-        }
-
-        #[test]
-        fn inline_f32_covers_every_opcode() {
-            // One instruction per opcode, chained so later results
-            // depend on earlier ones (any mis-encoded displacement or
-            // operand order changes the bits).
-            let decoded = [
-                Opcode::Const.args(0, 0, 0, 0),
-                Opcode::Const.args(1, 0, 0, 1),
-                Opcode::Mul.args(0, 1, 0, 2),
-                Opcode::MulConst.args(2, 1, 0, 3),
-                Opcode::Add.args(2, 3, 0, 4),
-                Opcode::Sub.args(4, 0, 0, 5),
-                Opcode::Neg.args(5, 0, 0, 6),
-                Opcode::MulAdd.args(5, 6, 4, 6),
-                Opcode::MulConstAdd.args(6, 0, 3, 7),
-                Opcode::AddAdd.args(6, 7, 5, 7),
-                Opcode::NegAdd.args(7, 0, 2, 7),
-            ];
-            let threaded = ThreadedTape::<f32>::build(&decoded, 8, 2);
-            let jit = JitTape::emit(&threaded).expect("x86-64 Linux host emits");
-            let consts = [1.375_f32, -0.5];
-
-            let mut regs_t = [0.0_f32; 8];
-            threaded.run(&mut regs_t, &consts);
-            let mut regs_j = [0.0_f32; 8];
-            jit.run(&mut regs_j, &consts);
-            assert_eq!(
-                regs_t.map(f32::to_bits),
-                regs_j.map(f32::to_bits),
-                "f32 inline JIT must be bit-identical to the threaded tape"
-            );
-        }
-
-        #[test]
-        fn stub_lowering_keeps_template_shape() {
-            // Non-float scalars (here a SIMD lane bundle) take the
-            // call-stub lowering, whose template sizes are fixed:
-            // 22-byte prologue + 26 bytes per block + 7-byte epilogue,
-            // with 2 patches per stub plus the operand-table base.
-            use robo_spatial::simd::F64x4;
-            let decoded: Vec<_> = (0..11).map(|_| Opcode::MulAdd.args(0, 1, 2, 2)).collect();
-            let threaded = ThreadedTape::<F64x4>::build(&decoded, 3, 0);
-            let jit = JitTape::emit(&threaded).expect("x86-64 Linux host emits");
-
-            let report = jit.report();
-            assert_eq!(report.blocks, threaded.block_count());
-            assert_eq!(report.patches, 2 * report.blocks + 1);
-            assert_eq!(report.code_bytes, 22 + 26 * report.blocks + 7);
-
-            // And the stitched stubs execute the same handlers.
-            let mut regs_t = [F64x4::splat(2.0), F64x4::splat(1.0), F64x4::splat(1.0)];
-            threaded.run(&mut regs_t, &[]);
-            let mut regs_j = [F64x4::splat(2.0), F64x4::splat(1.0), F64x4::splat(1.0)];
-            jit.run(&mut regs_j, &[]);
-            assert_eq!(regs_t, regs_j);
-        }
-
-        #[test]
-        fn jit_survives_clone_and_original_drop() {
-            // The clone shares the same code mapping; dropping the
-            // original must keep it alive (Arc-shared).
-            let decoded: Vec<_> = (0..5).map(|_| Opcode::Add.args(0, 1, 0, 1)).collect();
-            let threaded = ThreadedTape::<f64>::build(&decoded, 2, 0);
-            let jit = JitTape::emit(&threaded).expect("x86-64 Linux host emits");
-            let clone = jit.clone();
-            drop(jit);
-            let mut regs = [1.0, 0.0];
-            clone.run(&mut regs, &[]);
-            assert_eq!(regs[1], 5.0);
-        }
-
-        #[test]
-        fn empty_tape_emits_a_trivial_function() {
-            let threaded = ThreadedTape::<f64>::build(&[], 1, 0);
-            let jit = JitTape::emit(&threaded).expect("x86-64 Linux host emits");
-            let mut regs = [7.0];
-            jit.run(&mut regs, &[]);
-            assert_eq!(regs[0], 7.0);
-            assert_eq!(jit.report().blocks, 0);
-        }
-
-        #[test]
-        #[should_panic(expected = "register file too small")]
-        fn run_rejects_short_register_files() {
-            let decoded = [Opcode::Add.args(0, 1, 0, 2)];
-            let threaded = ThreadedTape::<f64>::build(&decoded, 3, 0);
-            let jit = JitTape::emit(&threaded).expect("x86-64 Linux host emits");
-            jit.run(&mut [0.0; 2], &[]);
-        }
-    }
-}

@@ -58,7 +58,6 @@ mod compiled;
 mod jit;
 mod netlist;
 mod opt;
-mod threaded;
 mod top;
 mod verilog;
 mod xunit_gen;

@@ -200,26 +200,8 @@ impl<S: Scalar> AcceleratorSim<S> {
         }
     }
 
-    /// Enables the copy-and-patch template JIT on every functional
-    /// unit's compiled tapes. Returns `true` when every unit is now
-    /// JIT-backed; on unsupported hosts nothing changes and execution
-    /// transparently stays on the threaded tapes. Results are
-    /// bit-identical either way.
-    pub fn enable_jit(&mut self) -> bool {
-        let mut all = true;
-        for unit in &mut self.x_units {
-            all &= unit.enable_jit();
-        }
-        all
-    }
-
-    /// Whether every functional unit currently executes through the JIT.
-    pub fn jit_enabled(&self) -> bool {
-        self.jit_report().is_some()
-    }
-
     /// The JIT's emission report summed over every functional unit's
-    /// compiled tapes; `None` when any of them runs the threaded tape.
+    /// compiled tapes; `None` when any of them runs the interpreter.
     pub fn jit_report(&self) -> Option<robo_codegen::JitReport> {
         self.x_units.iter().map(crate::XUnit::jit_report).sum()
     }
@@ -297,9 +279,6 @@ impl<S: Scalar> AcceleratorSim<S> {
         for (w, s) in cast.x_units.iter_mut().zip(&self.x_units) {
             w.set_accumulation(s.accumulation());
             w.set_backend(s.backend());
-            if s.jit_enabled() {
-                w.enable_jit();
-            }
         }
         cast
     }

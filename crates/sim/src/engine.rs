@@ -12,7 +12,7 @@
 //! object).
 
 use crate::{AcceleratorSim, KernelInput, SimOutput, SimWorkspace};
-use robo_codegen::{generate_kernel_family, CompiledNetlist, JitReport, OptReport, SharingReport};
+use robo_codegen::JitReport;
 use robo_dynamics::batch::GradientState;
 use robo_dynamics::engine::{
     BackendCore, BatchOutput, CpuAnalytic, Datapath, DynamicsBackend, EngineError, FiniteDiff,
@@ -238,19 +238,6 @@ impl<S: Scalar> DynamicsBackend for AcceleratorBackend<S> {
     }
 }
 
-/// The plan's multifunction tape: every kernel's datapath merged into one
-/// compiled netlist with cross-kernel subexpression sharing, plus the
-/// shared-vs-dedicated accounting — built once per morphology.
-#[derive(Debug, Clone)]
-pub struct KernelFamily {
-    /// The optimized merged family netlist, compiled to the serving tape.
-    pub tape: CompiledNetlist<f64>,
-    /// Pre/post optimization stats of the merged netlist.
-    pub report: OptReport,
-    /// Shared-vs-dedicated resource accounting across the family.
-    pub sharing: SharingReport,
-}
-
 /// Which [`DynamicsBackend`] a consumer wants — the CLI's `--backend`
 /// vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -330,7 +317,6 @@ pub struct RobotPlan {
     model: Arc<DynamicsModel<f64>>,
     mask: Mask6,
     key: MorphologyKey,
-    family: Arc<KernelFamily>,
     /// Prototype accelerator backend, widened once at plan build; every
     /// accelerator backend the plan hands out is a fork of it, sharing
     /// its scalar and wide simulators.
@@ -373,14 +359,7 @@ impl RobotPlan {
         let tier = tier.clamp_to_host();
         let sim = {
             let _span = robo_trace::span("plan.customize");
-            let mut sim = AcceleratorSim::new(robot);
-            if tier == ExecTier::Jit {
-                // Before widening: `cast_to` carries the JIT flag onto
-                // the wide simulator, so the whole serving stack —
-                // scalar and wide — runs stitched code.
-                sim.enable_jit();
-            }
-            Arc::new(sim)
+            Arc::new(AcceleratorSim::new(robot))
         };
         let accel = {
             let _span = robo_trace::span("plan.widen");
@@ -395,26 +374,11 @@ impl RobotPlan {
             superposition_pattern(robot)
         };
         let key = MorphologyKey::of_model(&model);
-        let family = {
-            let _span = robo_trace::span("plan.family");
-            let (netlist, report, sharing) = generate_kernel_family(robot, mask, &KernelKind::ALL)
-                .expect("distinct kernels never collide on output names");
-            let mut tape = CompiledNetlist::compile(&netlist);
-            if tier == ExecTier::Jit {
-                tape.enable_jit();
-            }
-            Arc::new(KernelFamily {
-                tape,
-                report,
-                sharing,
-            })
-        };
         Self {
             robot: robot.clone(),
             model,
             mask,
             key,
-            family,
             accel,
         }
     }
@@ -427,9 +391,9 @@ impl RobotPlan {
 
     /// The template JIT's emission report, summed over every X-unit tape
     /// the accelerator backends execute — the scalar simulator's and the
-    /// widened one's. `None` when any of those tapes runs the threaded
-    /// tape instead (the JIT tier was not requested, or emission fell
-    /// back — e.g. the code buffer could not be mapped).
+    /// widened one's. `None` when any of those tapes runs the interpreter
+    /// instead (the tier's lane type has no inline lowering on this host,
+    /// or the code buffer could not be mapped).
     pub fn jit_report(&self) -> Option<JitReport> {
         /// Downcasts the lane datapath at the lane type the tier
         /// dispatches to — the same dispatch that widened it.
@@ -510,18 +474,6 @@ impl RobotPlan {
     /// A finite-difference oracle over the plan's shared model.
     pub fn finite_diff_backend(&self) -> FiniteDiff {
         FiniteDiff::with_model(Arc::clone(&self.model))
-    }
-
-    /// The multifunction kernel-family tape and its sharing accounting,
-    /// built once at plan construction and `Arc`-shared by clones.
-    pub fn kernel_family(&self) -> &Arc<KernelFamily> {
-        &self.family
-    }
-
-    /// Shared-vs-dedicated resource accounting for the plan's kernel
-    /// family (shorthand for `kernel_family().sharing`).
-    pub fn sharing_report(&self) -> &SharingReport {
-        &self.family.sharing
     }
 
     /// A boxed backend of the requested kind — the CLI/`--backend` entry
@@ -777,32 +729,21 @@ mod tests {
 
     #[test]
     fn jit_report_covers_the_scalar_and_wide_xunit_tapes() {
-        let plan = RobotPlan::with_tier(&robots::iiwa14(), ExecTier::Jit);
-        if plan.tier() != ExecTier::Jit || !plan.sim().jit_enabled() {
-            // No JIT on this host: the report must say so.
-            assert!(plan.jit_report().is_none());
-            return;
+        // Every tier's f64 lane type has an inline lowering on an
+        // x86-64 Linux host with AVX2, so every plan emits — scalar and
+        // wide tapes alike — with no opt-in.
+        let emits = cfg!(all(target_arch = "x86_64", target_os = "linux"))
+            && ExecTier::Avx2.supported_on_host();
+        for tier in ExecTier::ALL {
+            let plan = RobotPlan::with_tier(&robots::iiwa14(), tier);
+            let Some(both) = plan.jit_report() else {
+                assert!(!emits, "tier {tier} fell back");
+                continue;
+            };
+            let scalar = plan.sim().jit_report().expect("scalar tapes emitted");
+            assert!(both.instrs > scalar.instrs, "{both:?} vs {scalar:?}");
+            assert!(both.code_bytes > scalar.code_bytes);
         }
-        let scalar = plan.sim().jit_report().expect("scalar tapes emitted");
-        let both = plan.jit_report().expect("wide tapes emitted");
-        assert!(
-            both.code_bytes > scalar.code_bytes,
-            "{both:?} vs {scalar:?}"
-        );
-        assert!(RobotPlan::new(&robots::iiwa14()).jit_report().is_none());
-    }
-
-    #[test]
-    fn plan_builds_shared_kernel_family_once() {
-        let plan = RobotPlan::new(&robots::iiwa14());
-        let sharing = plan.sharing_report();
-        assert_eq!(sharing.per_kernel.len(), 3);
-        assert!(sharing.shared_nodes() > 0, "{sharing}");
-        // Clones share the compiled family tape, never rebuild it.
-        let family_refs = Arc::strong_count(plan.kernel_family());
-        let clone = plan.clone();
-        assert_eq!(Arc::strong_count(plan.kernel_family()), family_refs + 1);
-        assert!(clone.kernel_family().tape.num_outputs() > 0);
     }
 
     #[test]

@@ -52,6 +52,6 @@ mod xunit;
 
 pub use accel_sim::{AcceleratorSim, SimOutput, SimWorkspace};
 pub use coproc::{stream_batch, CoprocessorSystem, IoChannel, KernelInput, RoundTrip, StreamEvent};
-pub use engine::{AcceleratorBackend, BackendKind, KernelFamily, RobotPlan};
+pub use engine::{AcceleratorBackend, BackendKind, RobotPlan};
 pub use stepper::{step_pipeline, CycleTrace, TraceEntry, Unit};
 pub use xunit::{Accumulation, XUnit, XUnitBackend};

@@ -168,23 +168,8 @@ impl<S: Scalar> XUnit<S> {
         self.backend
     }
 
-    /// Enables the copy-and-patch template JIT on both compiled tapes
-    /// (see [`CompiledNetlist::enable_jit`]). Returns `true` when both
-    /// tapes are now JIT-backed; on unsupported hosts nothing changes
-    /// and execution transparently stays on the threaded tapes.
-    pub fn enable_jit(&mut self) -> bool {
-        let fwd = self.fwd.enable_jit();
-        let bwd = self.bwd.enable_jit();
-        fwd && bwd
-    }
-
-    /// Whether both compiled tapes currently execute through the JIT.
-    pub fn jit_enabled(&self) -> bool {
-        self.jit_report().is_some()
-    }
-
     /// The JIT's emission report summed over both compiled tapes; `None`
-    /// unless both execute stitched code.
+    /// unless both run emitted code.
     pub fn jit_report(&self) -> Option<JitReport> {
         Some(self.fwd.jit_report()? + self.bwd.jit_report()?)
     }

@@ -53,7 +53,12 @@ pub const SERVE_LANES: usize = 4;
 /// let c = a * b + a;
 /// assert_eq!(c.lane(2), 33.0);
 /// ```
+///
+/// `repr(transparent)`: a `Lanes<S, W>` has exactly the layout of
+/// `[S; W]`, so `Lanes<f64, 4>`/`Lanes<f32, 8>` share the native 32-byte
+/// bundles' JIT lowering in `robo-codegen`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(transparent)]
 pub struct Lanes<S, const W: usize>([S; W]);
 
 impl<S: Scalar, const W: usize> Lanes<S, W> {

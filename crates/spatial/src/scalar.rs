@@ -240,8 +240,8 @@ impl_scalar_float!(
     "f32",
     f32::EPSILON as f64,
     /// `f32` serves SSE/NEON 128-bit vectors (4 lanes) and AVX2 256-bit
-    /// bundles (8 lanes) where the architecture has them; the JIT tier
-    /// rides on whatever lane type the host natively detects.
+    /// bundles (8 lanes) where the architecture has them; the `Jit` alias
+    /// serves whatever lane type the host natively detects.
     fn dispatch_wide<Vis: WideVisit<Self>>(tier: ExecTier, visitor: Vis) -> Vis::Out {
         match tier {
             #[cfg(target_arch = "x86_64")]
@@ -262,8 +262,8 @@ impl_scalar_float!(
     "f64",
     f64::EPSILON,
     /// `f64` serves SSE2/NEON 128-bit vectors (2 lanes) and AVX2 256-bit
-    /// bundles (4 lanes) where the architecture has them; the JIT tier
-    /// rides on whatever lane type the host natively detects.
+    /// bundles (4 lanes) where the architecture has them; the `Jit` alias
+    /// serves whatever lane type the host natively detects.
     fn dispatch_wide<Vis: WideVisit<Self>>(tier: ExecTier, visitor: Vis) -> Vis::Out {
         match tier {
             #[cfg(target_arch = "x86_64")]

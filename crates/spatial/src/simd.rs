@@ -12,10 +12,10 @@
 //!   for 256-bit AVX2 registers. Their `Scalar` arithmetic is portable
 //!   (AVX2 code cannot be inlined into unattributed callers, so intrinsic
 //!   operators would *slow down* generic kernels); the AVX2 wins come
-//!   from the direct-threaded tape in `robo-codegen`, whose
-//!   `#[target_feature(enable = "avx2")]` handlers load these aligned
-//!   bundles straight into `ymm` registers. The alignment and the
-//!   distinct `TypeId` are what these wrappers contribute.
+//!   from `robo-codegen`'s template JIT, which lowers compiled tapes over
+//!   these bundles to VEX.256 `ymm` arithmetic on AVX2 hosts, and from
+//!   its AVX2 batch transposes. The alignment and the distinct `TypeId`
+//!   are what these wrappers contribute.
 //! * AArch64 [`F64x2`] / [`F32x4`] — 128-bit NEON vectors (baseline on
 //!   AArch64).
 //!
@@ -356,9 +356,8 @@ mod x86 {
 
     /// Four `f64` lanes, 32-byte aligned for 256-bit AVX2 loads.
     ///
-    /// Arithmetic is portable (see the module docs); the AVX2-attributed
-    /// tape handlers in `robo-codegen` are what touch these with `ymm`
-    /// instructions.
+    /// Arithmetic is portable (see the module docs); `robo-codegen`'s
+    /// JIT-emitted tapes are what touch these with `ymm` instructions.
     #[derive(Clone, Copy, Debug, PartialEq)]
     #[repr(C, align(32))]
     pub struct F64x4(pub(crate) [f64; 4]);

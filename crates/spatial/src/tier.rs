@@ -43,22 +43,22 @@ pub enum ExecTier {
     Avx2,
     /// AArch64 128-bit vectors (NEON is part of the AArch64 baseline).
     Neon,
-    /// The copy-and-patch template JIT (`robo_codegen::jit`): scheduled
-    /// superinstruction blocks stitched into one contiguous native
-    /// function, on top of the host's native lane width. x86-64 Linux
-    /// only; an explicit opt-in — [`ExecTier::detect`] never returns it.
+    /// An alias for [`ExecTier::detect`], kept for source compatibility
+    /// only (no tier name parses to it): [`ExecTier::clamp_to_host`] maps
+    /// it to the detected tier. The template JIT is not a tier: every
+    /// compiled tape whose lane type has an inline lowering runs emitted
+    /// code at every tier.
     Jit,
 }
 
 impl ExecTier {
-    /// Every tier, in ascending width order (the JIT rides on the
-    /// detected native width and sorts last), for CLI help and reports.
-    pub const ALL: [ExecTier; 5] = [
+    /// Every tier, in ascending width order, for CLI help and reports
+    /// (the [`ExecTier::Jit`] alias is not a tier of its own).
+    pub const ALL: [ExecTier; 4] = [
         ExecTier::Portable,
         ExecTier::Sse2,
         ExecTier::Avx2,
         ExecTier::Neon,
-        ExecTier::Jit,
     ];
 
     /// Probes the host CPU and returns the widest supported tier.
@@ -105,16 +105,14 @@ impl ExecTier {
                 }
             }
             ExecTier::Neon => cfg!(target_arch = "aarch64"),
-            // The template JIT emits x86-64 machine code into an
-            // anonymous mapping; it needs the Linux mmap/mprotect
-            // surface. An mmap failure at emit time still degrades to
-            // the threaded tape inside `robo-codegen`.
-            ExecTier::Jit => cfg!(all(target_arch = "x86_64", target_os = "linux")),
+            // An alias, never a tier of its own: it clamps to `detect()`.
+            ExecTier::Jit => false,
         }
     }
 
     /// This tier if the host supports it, otherwise the next-widest tier
-    /// that the host does support.
+    /// that the host does support; the [`ExecTier::Jit`] alias maps to
+    /// [`ExecTier::detect`].
     ///
     /// Used by plan constructors so that an explicitly requested tier
     /// (e.g. `--tier avx2` from the CLI) degrades gracefully instead of
@@ -124,9 +122,7 @@ impl ExecTier {
             return self;
         }
         match self {
-            // A JIT host is always an x86-64 host, so degrade through
-            // the native SIMD ladder rather than straight to portable.
-            ExecTier::Jit => ExecTier::Avx2.clamp_to_host(),
+            ExecTier::Jit => ExecTier::detect(),
             ExecTier::Avx2 if ExecTier::Sse2.supported_on_host() => ExecTier::Sse2,
             _ => ExecTier::Portable,
         }
@@ -144,8 +140,6 @@ impl ExecTier {
             ExecTier::Portable => crate::SERVE_LANES,
             ExecTier::Sse2 | ExecTier::Neon => 2,
             ExecTier::Avx2 => 4,
-            // The JIT stitches blocks at whatever lane width the host
-            // natively serves — the detected tier's width.
             ExecTier::Jit => ExecTier::detect().f64_lane_width(),
         }
     }
@@ -214,7 +208,6 @@ impl FromStr for ExecTier {
             "sse2" => Ok(ExecTier::Sse2),
             "avx2" => Ok(ExecTier::Avx2),
             "neon" => Ok(ExecTier::Neon),
-            "jit" => Ok(ExecTier::Jit),
             "auto" => Ok(ExecTier::detect()),
             other => Err(ParseTierError {
                 input: other.to_owned(),
@@ -258,21 +251,17 @@ mod tests {
     }
 
     #[test]
-    fn detect_never_returns_the_jit_tier() {
-        // The JIT is an explicit opt-in: `auto` must keep resolving to a
-        // plain SIMD tier so trace metadata and defaults stay stable.
+    fn detect_never_returns_the_jit_alias() {
+        // `auto` must keep resolving to a plain SIMD tier so trace
+        // metadata and defaults stay stable.
         assert_ne!(ExecTier::detect(), ExecTier::Jit);
     }
 
     #[test]
-    fn jit_clamps_onto_the_native_simd_ladder() {
-        let clamped = ExecTier::Jit.clamp_to_host();
-        assert!(clamped.supported_on_host());
-        if !ExecTier::Jit.supported_on_host() {
-            assert_ne!(clamped, ExecTier::Jit);
-        }
-        // Whatever it lands on serves the same f64 width as detect()
-        // unless it had to degrade below the detected tier.
+    fn jit_is_an_alias_for_the_detected_tier() {
+        assert_eq!(ExecTier::Jit.clamp_to_host(), ExecTier::detect());
+        assert!(!ExecTier::ALL.contains(&ExecTier::Jit));
+        assert!("jit".parse::<ExecTier>().is_err());
         assert_eq!(
             ExecTier::Jit.f64_lane_width(),
             ExecTier::detect().f64_lane_width()
@@ -285,7 +274,7 @@ mod tests {
         assert_eq!(err.input(), "avx512");
         assert_eq!(
             err.to_string(),
-            "unknown execution tier `avx512` (expected auto | portable | sse2 | avx2 | neon | jit)"
+            "unknown execution tier `avx512` (expected auto | portable | sse2 | avx2 | neon)"
         );
         // Every advertised name actually parses.
         for name in ParseTierError::valid_names() {

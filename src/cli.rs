@@ -332,26 +332,23 @@ fn check_body(
         plan.serve_width()
     );
     // The JIT line is load-bearing: CI greps for "jit: active" to fail
-    // the build when a `--tier jit` run silently fell back. It covers the
-    // X-unit tapes the accelerator backends actually run, scalar and wide.
-    if tier == robo_spatial::ExecTier::Jit {
-        match plan.jit_report() {
-            Some(report) => {
-                let _ = writeln!(
-                    out,
-                    "  jit: active ({} blocks, {} code bytes, {} patches across the scalar \
-                     and wide X-unit tapes)",
-                    report.blocks, report.code_bytes, report.patches
-                );
-            }
-            None => {
-                let reason = if plan.tier() == robo_spatial::ExecTier::Jit {
-                    "an X-unit tape did not emit".to_owned()
-                } else {
-                    format!("tier clamped to {}", plan.tier())
-                };
-                let _ = writeln!(out, "  jit: fell back to the threaded tape ({reason})");
-            }
+    // the build when a plan silently runs its X-unit tapes — scalar and
+    // wide — on the interpreter.
+    match plan.jit_report() {
+        Some(report) => {
+            let _ = writeln!(
+                out,
+                "  jit: active ({} instrs, {} code bytes, {} patches across the scalar and \
+                 wide X-unit tapes)",
+                report.instrs, report.code_bytes, report.patches
+            );
+        }
+        None => {
+            let _ = writeln!(
+                out,
+                "  jit: fell back (an X-unit tape at tier {} runs the interpreter)",
+                plan.tier()
+            );
         }
     }
 
@@ -591,11 +588,12 @@ check compares the chosen backend's kernel against the CPU reference;
 serve routes every client request to that kernel's shard.
 
 --tier forces the SIMD execution tier the engine serves wide batches at:
-auto (host-detected, default) | portable | sse2 | avx2 | neon | jit.
-jit additionally stitches every compiled tape into one contiguous native
-function (x86-64 Linux only; check prints a `jit: active`/`jit: fell
-back` line). Tiers not supported by the host degrade gracefully; every
-tier is bit-identical, so the choice affects throughput only.
+auto (host-detected, default) | portable | sse2 | avx2 | neon.
+Tiers not supported by the host degrade gracefully; every tier is
+bit-identical, so the choice affects throughput only. On x86-64 Linux
+every compiled tape whose lane type has an inline lowering runs as one
+JIT-emitted native function; check prints `jit: active` or `jit: fell
+back` for the plan's tapes.
 
 --trace records a span trace of the whole check (plan build through the
 gradient spot-check) and writes it to F as Chrome-trace JSON — open it in

@@ -12,24 +12,27 @@
 //!   tape (whose AVX2 path takes the transposed gather/scatter fast
 //!   lane).
 //!
-//! * **Threaded ≡ interpreter.** The direct-threaded superinstruction
-//!   executor (`eval_into_regs`, with its opcode-affinity scheduled
-//!   block order) must match the `match`-dispatch oracle
-//!   (`eval_into_regs_interp`, fusion order) bit for bit, for `f64`,
-//!   `f32`, and the paper's `Fix32_16` fixed-point type. Scheduling
-//!   preserves every register hazard, so any reordering bug shows up
-//!   here immediately.
+//! * **JIT ≡ interpreter.** `CompiledNetlist::compile` emits every
+//!   float tape as one native function (the copy-and-patch template
+//!   JIT); `eval_into_regs` runs it and must match the `match`-dispatch
+//!   oracle (`eval_into_regs_interp`) bit for bit — for `f64` and `f32`,
+//!   on the X-unit, full-pipeline, and fused multifunction family tapes,
+//!   through both the scalar path and the tiered batch path (whose
+//!   widened tape is emitted at its lane type, ragged tail included).
+//!   `Fix32_16` has no inline lowering: it runs the interpreter and
+//!   still matches.
 //!
-//! * **JIT ≡ interpreter.** The copy-and-patch template JIT
-//!   ([`CompiledNetlist::enable_jit`]) stitches the scheduled blocks
-//!   into one contiguous native function; it must match the same
-//!   `match`-dispatch oracle bit for bit — for `f64`, `f32`, and
-//!   `Fix32_16`, on the X-unit, full-pipeline, and fused multifunction
-//!   family tapes, through both the scalar path and the tiered batch
-//!   path (whose widened tape re-emits the JIT, ragged tail included).
+//! * **Default executor ≡ interpreter.** `threaded_matches_interp_*` keep
+//!   the names they had when `eval_into_regs` ran the direct-threaded
+//!   tape. They pin whichever executor `eval_into_regs` now picks (the
+//!   emitted function, or the interpreter loop for `Fix32_16`) to the
+//!   oracle on the scalar path over a wider input range, (−3, 3) for the
+//!   float types.
 //!
-//! All comparisons go through `to_f64().to_bits()` so even a `-0.0` vs
-//! `0.0` discrepancy is caught.
+//! Inputs mix ordinary values with ±0.0 — the one input where a sign-flip
+//! negation and `0 − x` differ — and `f64`/`f32` subnormals. All
+//! comparisons go through `to_f64().to_bits()` so even a `-0.0` vs `0.0`
+//! discrepancy is caught.
 
 use proptest::prelude::*;
 use robomorphic::codegen::{
@@ -41,6 +44,18 @@ use robomorphic::fixed::Fix32_16;
 use robomorphic::model::robots;
 use robomorphic::sparsity::superposition_pattern;
 use robomorphic::spatial::{ExecTier, Scalar};
+
+/// A tape input: mostly ordinary magnitudes in (−`max`, `max`), mixed with
+/// ±0.0 and an `f64` and an `f32` subnormal.
+fn input_value(max: f64) -> impl Strategy<Value = f64> {
+    (0_u32..10, -max..max).prop_map(|(pick, x)| match pick {
+        0 => -0.0,
+        1 => 0.0,
+        2 => 1.0e-310,
+        3 => -3.0e-39,
+        _ => x,
+    })
+}
 
 /// Exact bit pattern of a scalar, through the (lossless for all supported
 /// types) `f64` representation.
@@ -56,7 +71,7 @@ fn xunit_tape<S: Scalar>() -> CompiledNetlist<S> {
 }
 
 /// The merged all-joints pipeline tape — long enough that the batch path
-/// runs many superinstruction blocks and full gather/scatter groups.
+/// runs long emitted functions and full gather/scatter groups.
 fn pipeline_tape<S: Scalar>() -> CompiledNetlist<S> {
     let robot = robots::iiwa14();
     let sup = superposition_pattern(&robot);
@@ -101,8 +116,8 @@ fn tier_parity<S: Scalar>(tape: &CompiledNetlist<S>, vals: &[f64], count: usize)
     }
 }
 
-/// The merged RNEA / FD / ∇ID multifunction family tape — the serving
-/// path's largest tape, and the one `RobotPlan` JIT-enables.
+/// The merged RNEA / FD / ∇ID multifunction family tape — the largest
+/// tape in the workspace.
 fn family_tape<S: Scalar>() -> CompiledNetlist<S> {
     let robot = robots::iiwa14();
     let sup = superposition_pattern(&robot);
@@ -111,54 +126,43 @@ fn family_tape<S: Scalar>() -> CompiledNetlist<S> {
     CompiledNetlist::compile(&netlist)
 }
 
-/// The stitched JIT function must match the `match` oracle bit for bit,
-/// through both the scalar path and the tiered batch path (whose widened
-/// tape re-emits the JIT; the ragged tail runs the scalar JIT tape).
-fn jit_parity<S: Scalar>(mut tape: CompiledNetlist<S>, vals: &[f64], count: usize) {
-    let emitted = tape.enable_jit();
-    // The JIT is mandatory where the platform supports it — a silent
-    // fallback on x86-64 Linux would turn this whole test into a no-op.
-    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-        assert!(emitted, "JIT emission must succeed on x86-64 Linux");
-        assert!(tape.jit_report().is_some());
-    }
-
+/// `eval_into_regs` — the emitted function if the tape has one, else the
+/// interpreter loop — must match the `match` oracle bit for bit.
+fn oracle_parity<S: Scalar>(tape: &CompiledNetlist<S>, vals: &[f64]) {
     let n_in = tape.input_names().len();
     let n_out = tape.num_outputs();
-
-    // Scalar path: `eval_into_regs` now runs the stitched function.
     let inputs: Vec<S> = (0..n_in)
         .map(|k| S::from_f64(vals[k % vals.len()]))
         .collect();
     let mut regs = vec![S::zero(); tape.num_regs()];
-    let mut jit = vec![S::zero(); n_out];
+    let mut run = vec![S::zero(); n_out];
     let mut interp = vec![S::zero(); n_out];
-    tape.eval_into_regs(&inputs, &mut regs, &mut jit);
+    tape.eval_into_regs(&inputs, &mut regs, &mut run);
     tape.eval_into_regs_interp(&inputs, &mut regs, &mut interp);
-    for (o, (j, i)) in jit.iter().zip(&interp).enumerate() {
-        assert_eq!(bits(*j), bits(*i), "output {o} diverged from the oracle");
+    for (o, (r, i)) in run.iter().zip(&interp).enumerate() {
+        assert_eq!(bits(*r), bits(*i), "output {o} diverged from the oracle");
+    }
+}
+
+/// The emitted function must match the `match` oracle bit for bit,
+/// through both the scalar path and the tiered batch path (whose widened
+/// tape is emitted at its lane type; the ragged tail runs the scalar
+/// tape). `emits` says whether `S` has an inline lowering.
+fn jit_parity<S: Scalar>(tape: CompiledNetlist<S>, vals: &[f64], count: usize, emits: bool) {
+    // The JIT is mandatory where the platform supports it — a silent
+    // fallback on x86-64 Linux would turn this whole test into an
+    // interpreter-vs-interpreter no-op.
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        assert_eq!(tape.jit_report().is_some(), emits, "{}", S::name());
     }
 
-    // Batch path, every tier: the JIT-enabled tape must still reproduce
+    // Scalar path: `eval_into_regs` runs the emitted function.
+    oracle_parity(&tape, vals);
+
+    // Batch path, every tier: the emitted tapes must still reproduce
     // per-state scalar evaluation (itself oracle-checked above) bit for
     // bit — `count` is prime-ish small so lane-width tails are ragged.
     tier_parity(&tape, vals, count);
-}
-
-/// The threaded executor must match the `match` oracle bit for bit.
-fn threaded_parity<S: Scalar>(tape: &CompiledNetlist<S>, vals: &[f64]) {
-    let n_in = tape.input_names().len();
-    let inputs: Vec<S> = (0..n_in)
-        .map(|k| S::from_f64(vals[k % vals.len()]))
-        .collect();
-    let mut regs = vec![S::zero(); tape.num_regs()];
-    let mut threaded = vec![S::zero(); tape.num_outputs()];
-    let mut interp = vec![S::zero(); tape.num_outputs()];
-    tape.eval_into_regs(&inputs, &mut regs, &mut threaded);
-    tape.eval_into_regs_interp(&inputs, &mut regs, &mut interp);
-    for (o, (t, i)) in threaded.iter().zip(&interp).enumerate() {
-        assert_eq!(bits(*t), bits(*i), "output {o} diverged from the oracle");
-    }
 }
 
 proptest! {
@@ -166,7 +170,7 @@ proptest! {
 
     #[test]
     fn tiers_match_scalar_f64_xunit(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..48),
+        vals in prop::collection::vec(input_value(2.0), 16..48),
         count in 1_usize..13,
     ) {
         tier_parity::<f64>(&xunit_tape(), &vals, count);
@@ -174,7 +178,7 @@ proptest! {
 
     #[test]
     fn tiers_match_scalar_f32_xunit(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..48),
+        vals in prop::collection::vec(input_value(2.0), 16..48),
         count in 1_usize..13,
     ) {
         tier_parity::<f32>(&xunit_tape(), &vals, count);
@@ -182,7 +186,7 @@ proptest! {
 
     #[test]
     fn tiers_match_scalar_f64_pipeline(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..80),
+        vals in prop::collection::vec(input_value(2.0), 16..80),
         count in 1_usize..11,
     ) {
         tier_parity::<f64>(&pipeline_tape(), &vals, count);
@@ -190,57 +194,57 @@ proptest! {
 
     #[test]
     fn tiers_match_scalar_f32_pipeline(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..80),
+        vals in prop::collection::vec(input_value(2.0), 16..80),
         count in 1_usize..11,
     ) {
         tier_parity::<f32>(&pipeline_tape(), &vals, count);
     }
 
     #[test]
-    fn threaded_matches_interp_f64(vals in prop::collection::vec(-3.0_f64..3.0, 8..64)) {
-        threaded_parity::<f64>(&xunit_tape(), &vals);
-        threaded_parity::<f64>(&pipeline_tape(), &vals);
+    fn threaded_matches_interp_f64(vals in prop::collection::vec(input_value(3.0), 8..64)) {
+        oracle_parity::<f64>(&xunit_tape(), &vals);
+        oracle_parity::<f64>(&pipeline_tape(), &vals);
     }
 
     #[test]
-    fn threaded_matches_interp_f32(vals in prop::collection::vec(-3.0_f64..3.0, 8..64)) {
-        threaded_parity::<f32>(&xunit_tape(), &vals);
-        threaded_parity::<f32>(&pipeline_tape(), &vals);
+    fn threaded_matches_interp_f32(vals in prop::collection::vec(input_value(3.0), 8..64)) {
+        oracle_parity::<f32>(&xunit_tape(), &vals);
+        oracle_parity::<f32>(&pipeline_tape(), &vals);
     }
 
     #[test]
-    fn threaded_matches_interp_fixed(vals in prop::collection::vec(-2.0_f64..2.0, 8..64)) {
-        threaded_parity::<Fix32_16>(&xunit_tape(), &vals);
-        threaded_parity::<Fix32_16>(&pipeline_tape(), &vals);
+    fn threaded_matches_interp_fixed(vals in prop::collection::vec(input_value(2.0), 8..64)) {
+        oracle_parity::<Fix32_16>(&xunit_tape(), &vals);
+        oracle_parity::<Fix32_16>(&pipeline_tape(), &vals);
     }
 
     #[test]
     fn jit_matches_interp_f64(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..80),
+        vals in prop::collection::vec(input_value(2.0), 16..80),
         count in 1_usize..11,
     ) {
-        jit_parity::<f64>(xunit_tape(), &vals, count);
-        jit_parity::<f64>(pipeline_tape(), &vals, count);
-        jit_parity::<f64>(family_tape(), &vals, count);
+        jit_parity::<f64>(xunit_tape(), &vals, count, true);
+        jit_parity::<f64>(pipeline_tape(), &vals, count, true);
+        jit_parity::<f64>(family_tape(), &vals, count, true);
     }
 
     #[test]
     fn jit_matches_interp_f32(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..80),
+        vals in prop::collection::vec(input_value(2.0), 16..80),
         count in 1_usize..11,
     ) {
-        jit_parity::<f32>(xunit_tape(), &vals, count);
-        jit_parity::<f32>(pipeline_tape(), &vals, count);
-        jit_parity::<f32>(family_tape(), &vals, count);
+        jit_parity::<f32>(xunit_tape(), &vals, count, true);
+        jit_parity::<f32>(pipeline_tape(), &vals, count, true);
+        jit_parity::<f32>(family_tape(), &vals, count, true);
     }
 
     #[test]
     fn jit_matches_interp_fixed(
-        vals in prop::collection::vec(-2.0_f64..2.0, 16..80),
+        vals in prop::collection::vec(input_value(2.0), 16..80),
         count in 1_usize..11,
     ) {
-        jit_parity::<Fix32_16>(xunit_tape(), &vals, count);
-        jit_parity::<Fix32_16>(pipeline_tape(), &vals, count);
-        jit_parity::<Fix32_16>(family_tape(), &vals, count);
+        jit_parity::<Fix32_16>(xunit_tape(), &vals, count, false);
+        jit_parity::<Fix32_16>(pipeline_tape(), &vals, count, false);
+        jit_parity::<Fix32_16>(family_tape(), &vals, count, false);
     }
 }
