@@ -6,7 +6,8 @@
 //!
 //! * `tape_*` — the compiled X-unit register tape (the §4 example joint's
 //!   unit) evaluated over a batch of states: `eval_into` per state vs one
-//!   `eval_batch_into` SoA sweep;
+//!   `eval_batch_into` SoA sweep (on AVX2 hosts, the JIT's VEX.256 tape
+//!   between the 4×4 gather/scatter transposes);
 //! * `cpu_grad_*` — the full dynamics-gradient kernel through the
 //!   [`CpuAnalytic`] backend: serial `gradient_into` loop vs the wide
 //!   `gradient_batch_into` lane path;
@@ -14,18 +15,28 @@
 //!   accelerator backend;
 //!
 //! plus `engine_grad_lanes4`, the two-level (threads × lanes)
-//! `gradient_batch_on_into` path on the shared [`BatchEngine`] (on a
-//! single-core host this adds claim overhead over the wide path, so it is
-//! reported but not gated).
+//! `gradient_batch_on_into` path on the shared [`BatchEngine`], compared
+//! against the CPU serial loop (on a single-core host this adds claim
+//! overhead over the wide path).
 //!
-//! The acceptance floor for this PR is `tape_lanes4` ≥ 1.5× `tape_scalar`
-//! throughput. Results (median ns per state) and the speedup ratios are
-//! written to `BENCH_5.json` at the repository root (override with
-//! `BENCH_OUT`) — the CI artifact — and recorded in EXPERIMENTS.md.
-//! `BENCH_QUICK=1` shrinks the run for CI and `BENCH_TRIALS=N` repeats it
-//! for the confidence-interval gate; see [`robo_bench::harness`].
+//! Each scalar/wide group is timed interleaved
+//! ([`time_median_ns_interleaved`]): the CPU serial loop, its wide path
+//! and the engine path alternate within one rep loop, as do the two tape
+//! sweeps and the two accelerator paths, so a host mode flip biases both
+//! sides of every ratio alike.
+//!
+//! `ci/bench_baseline_5.json` gates all four speedup keys
+//! (`tape_lanes4_vs_scalar`, `cpu_lanes4_vs_serial`,
+//! `accel_lanes4_vs_serial`, `engine_vs_serial_cpu`). Results (median ns
+//! per state) and the ratios are written to `BENCH_5.json` at the
+//! repository root (override with `BENCH_OUT`) — the CI artifact — and
+//! recorded in EXPERIMENTS.md. `BENCH_QUICK=1` shrinks the run for CI and
+//! `BENCH_TRIALS=N` repeats it for the confidence-interval gate; see
+//! [`robo_bench::harness`].
 
-use robo_bench::harness::{self, gradient_cases, tape_states, time_median_ns, BenchEnv};
+use robo_bench::harness::{
+    self, gradient_cases, tape_states, time_median_ns_interleaved, BenchEnv,
+};
 use robo_bench::report::{speedup, BenchReport, HostInfo};
 use robo_codegen::{
     generate_x_unit_with_mask, optimize, BatchEvalWorkspace, CompiledNetlist, EvalWorkspace,
@@ -41,20 +52,38 @@ use robo_sparsity::superposition_pattern;
 use robo_spatial::Lanes;
 use std::hint::black_box;
 
-/// Serial reference: a `gradient_into` loop through one dense scratch,
-/// so it measures the scalar path state by state.
-fn serial_batch(
-    backend: &mut dyn DynamicsBackend,
-    states: &[GradientState<'_, f64>],
-    scratch: &mut GradientOutput,
-    out: &mut BatchOutput,
-) {
-    out.reset(KernelKind::Gradient, states.len(), backend.dof());
-    for (i, s) in states.iter().enumerate() {
+/// The serial reference as a timing closure: a `gradient_into` loop
+/// through one dense scratch, so it measures the scalar path state by
+/// state.
+fn serial_sweep<'a>(
+    mut backend: impl DynamicsBackend + 'a,
+    states: &'a [GradientState<'a, f64>],
+) -> impl FnMut() + 'a {
+    let mut scratch = GradientOutput::for_dof(backend.dof());
+    let mut out = BatchOutput::new();
+    move || {
+        out.reset(KernelKind::Gradient, states.len(), backend.dof());
+        for (i, s) in states.iter().enumerate() {
+            backend
+                .gradient_into(s.q, s.qd, s.qdd, s.minv, &mut scratch)
+                .expect("dimensions match");
+            out.store(i, &scratch);
+        }
+        black_box(&out);
+    }
+}
+
+/// The wide lane path as a timing closure: one `gradient_batch_into`.
+fn wide_sweep<'a>(
+    mut backend: impl DynamicsBackend + 'a,
+    states: &'a [GradientState<'a, f64>],
+) -> impl FnMut() + 'a {
+    let mut out = BatchOutput::new();
+    move || {
         backend
-            .gradient_into(s.q, s.qd, s.qdd, s.minv, scratch)
+            .gradient_batch_into(states, &mut out)
             .expect("dimensions match");
-        out.store(i, scratch);
+        black_box(&out);
     }
 }
 
@@ -72,21 +101,27 @@ fn run_once(env: &BenchEnv) -> BenchReport {
 
     let mut ws = EvalWorkspace::for_netlist(&tape);
     let mut out_one = vec![0.0_f64; n_out];
-    let tape_scalar = time_median_ns(env.reps, env.tape_batch, || {
-        for s in &states {
-            tape.eval_into(s, &mut ws, &mut out_one);
-            black_box(&out_one);
-        }
-    });
-
     let mut batch_ws = BatchEvalWorkspace::<Lanes<f64, 4>>::for_netlist(&tape);
     let mut out_flat = vec![0.0_f64; env.tape_batch * n_out];
-    let tape_lanes = time_median_ns(env.reps, env.tape_batch, || {
-        tape.eval_batch_into(&states, &mut batch_ws, &mut out_flat);
-        black_box(&out_flat);
-    });
+    let tape_ns = time_median_ns_interleaved(
+        env.reps,
+        env.tape_batch,
+        &mut [
+            &mut || {
+                for s in &states {
+                    tape.eval_into(s, &mut ws, &mut out_one);
+                    black_box(&out_one);
+                }
+            },
+            &mut || {
+                tape.eval_batch_into(&states, &mut batch_ws, &mut out_flat);
+                black_box(&out_flat);
+            },
+        ],
+    );
+    let (tape_scalar, tape_lanes) = (tape_ns[0], tape_ns[1]);
 
-    // --- Gradient backends: serial vs wide batch ------------------------
+    // --- Gradient backends: serial vs wide batch vs threads × lanes -----
     let model = std::sync::Arc::new(DynamicsModel::<f64>::new(&robot));
     let cases = gradient_cases(&model, env.grad_batch);
     let grad_states: Vec<GradientState<'_, f64>> = cases
@@ -94,38 +129,34 @@ fn run_once(env: &BenchEnv) -> BenchReport {
         .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
         .collect();
 
-    let mut cpu = CpuAnalytic::<f64>::with_model(model.clone());
-    let mut scratch = GradientOutput::for_dof(model.dof());
-    let mut batch_out = BatchOutput::new();
-    let cpu_serial = time_median_ns(env.grad_reps, env.grad_batch, || {
-        serial_batch(&mut cpu, &grad_states, &mut scratch, &mut batch_out);
-        black_box(&batch_out);
-    });
-    let cpu_lanes = time_median_ns(env.grad_reps, env.grad_batch, || {
-        cpu.gradient_batch_into(&grad_states, &mut batch_out)
-            .expect("dimensions match");
-        black_box(&batch_out);
-    });
-
-    let mut accel = AcceleratorBackend::<f64>::new(&robot);
-    let accel_serial = time_median_ns(env.grad_reps, env.grad_batch, || {
-        serial_batch(&mut accel, &grad_states, &mut scratch, &mut batch_out);
-        black_box(&batch_out);
-    });
-    let accel_lanes = time_median_ns(env.grad_reps, env.grad_batch, || {
-        accel
-            .gradient_batch_into(&grad_states, &mut batch_out)
-            .expect("dimensions match");
-        black_box(&batch_out);
-    });
-
-    // --- Two-level threads × lanes scheduling ---------------------------
+    let cpu = CpuAnalytic::<f64>::with_model(model.clone());
     let engine = BatchEngine::global();
-    let engine_lanes = time_median_ns(env.grad_reps, env.grad_batch, || {
-        gradient_batch_on_into(&cpu, engine, &grad_states, &mut batch_out)
-            .expect("dimensions match");
-        black_box(&batch_out);
-    });
+    let mut engine_out = BatchOutput::new();
+    let cpu_ns = time_median_ns_interleaved(
+        env.grad_reps,
+        env.grad_batch,
+        &mut [
+            &mut serial_sweep(cpu.clone(), &grad_states),
+            &mut wide_sweep(cpu.clone(), &grad_states),
+            &mut || {
+                gradient_batch_on_into(&cpu, engine, &grad_states, &mut engine_out)
+                    .expect("dimensions match");
+                black_box(&engine_out);
+            },
+        ],
+    );
+    let (cpu_serial, cpu_lanes, engine_lanes) = (cpu_ns[0], cpu_ns[1], cpu_ns[2]);
+
+    let accel = AcceleratorBackend::<f64>::new(&robot);
+    let accel_ns = time_median_ns_interleaved(
+        env.grad_reps,
+        env.grad_batch,
+        &mut [
+            &mut serial_sweep(accel.clone(), &grad_states),
+            &mut wide_sweep(accel, &grad_states),
+        ],
+    );
+    let (accel_serial, accel_lanes) = (accel_ns[0], accel_ns[1]);
 
     report.record_median_ns("tape_scalar", tape_scalar);
     report.record_median_ns("tape_lanes4", tape_lanes);

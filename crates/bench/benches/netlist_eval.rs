@@ -9,9 +9,10 @@
 //!   (removes the output-name clones, keeps the interpretive loop);
 //! * `compiled` — `CompiledNetlist::eval_into` through a warm workspace:
 //!   dense input slots, hoisted constants, a register-recycled flat tape,
-//!   zero steady-state allocations;
-//! * `compiled_batch` — the same tape streaming states through the shared
-//!   `BatchEngine`.
+//!   zero steady-state allocations.
+//!
+//! The single-thread lane sweep of one tape over a batch of states is
+//! `lane_throughput`'s `tape_lanes4`.
 //!
 //! Measured numbers are recorded in EXPERIMENTS.md; the acceptance floor
 //! for this PR is compiled ≥ 2× interpreter, single-threaded.
@@ -21,7 +22,6 @@ use robo_codegen::{
     generate_x_unit_with_mask, generate_xt_unit_with_mask, optimize, CompiledNetlist,
     EvalWorkspace, Netlist,
 };
-use robo_dynamics::batch::BatchEngine;
 use robo_model::robots;
 use robo_sparsity::superposition_pattern;
 use std::collections::HashMap;
@@ -98,19 +98,6 @@ fn bench_netlist_eval(c: &mut Criterion) {
         });
     });
 
-    // Batch: one tape, many states (the §6.3 trajectory workload shape).
-    let engine = BatchEngine::global();
-    let tape = &compiled[2]; // joint 1 forward: the §4 example unit
-    for batch in [64usize, 512] {
-        let batch_states = states(batch, n_inputs);
-        g.bench_with_input(
-            BenchmarkId::new("compiled_batch", batch),
-            &batch_states,
-            |b, s| {
-                b.iter(|| black_box(tape.eval_batch(engine, s)));
-            },
-        );
-    }
     g.finish();
 }
 

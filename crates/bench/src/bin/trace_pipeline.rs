@@ -3,14 +3,14 @@
 //! and writes the Chrome-trace JSON (open in Perfetto / `about:tracing`).
 //!
 //! ```text
-//! trace_pipeline [--out <trace.json>] [--tier auto|portable|sse2|avx2|neon]
+//! trace_pipeline [--out <trace.json>]
 //! ```
 //!
 //! The run covers every instrumented stage: plan build
 //! (`plan.build`/`plan.customize`/`plan.widen`/`plan.model`/
 //! `plan.sparsity`), netlist optimization (`netlist.optimize`), tape
 //! compilation (`tape.compile`/`tape.lower`/`tape.fuse`/`tape.jit.emit`),
-//! tiered batch evaluation (`tape.eval`), the wide gradient backends
+//! lane batch evaluation (`tape.eval`), the wide gradient backends
 //! (`lane.marshal`/`grad.wide`/`accel.wide`/`lane.scatter`,
 //! `grad.cpu.batch`/`grad.accel.batch`), thread fan-out
 //! (`batch.fanout`/`batch.worker`), and a short iLQR solve
@@ -25,13 +25,13 @@
 
 use robo_bench::analyse::trace_table;
 use robo_bench::harness::gradient_cases;
-use robo_codegen::{generate_x_pipeline, optimize, CompiledNetlist};
+use robo_codegen::{generate_x_pipeline, optimize, BatchEvalWorkspace, CompiledNetlist};
 use robo_dynamics::batch::{BatchEngine, GradientState};
 use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, DynamicsBackend};
 use robo_model::robots;
 use robo_sim::engine::RobotPlan;
 use robo_sparsity::superposition_pattern;
-use robo_spatial::ExecTier;
+use robo_spatial::{ExecTier, Lanes, SERVE_LANES};
 use robo_trace::HostInfo;
 use robo_trajopt::{solve_with_backend, IlqrOptions, ReachingTask};
 
@@ -43,28 +43,23 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_tier(s: &str) -> ExecTier {
-    s.parse()
-        .unwrap_or_else(|e: robo_spatial::ParseTierError| fail(&e.to_string()))
-}
-
 /// The traced workload. Sized so a full run stays under a second while
 /// every stage appears several times in the trace.
-fn run_pipeline(tier: ExecTier) -> (usize, usize) {
+fn run_pipeline() -> (usize, usize) {
     let batch = 64;
     let robot = robots::iiwa14();
 
     // Plan build: customize → widen → model → sparsity.
-    let plan = RobotPlan::with_tier(&robot, tier);
+    let plan = RobotPlan::new(&robot);
 
     // Netlist → optimized → compiled tape (lower/fuse/schedule).
     let sup = superposition_pattern(&robot);
     let tape = CompiledNetlist::<f64>::compile(&optimize(&generate_x_pipeline(&robot, sup)));
 
-    // Tiered batch evaluation of the tape.
+    // Lane batch evaluation of the tape.
     let states = robo_bench::harness::tape_states(batch, tape.input_names().len());
     let state_refs: Vec<&[f64]> = states.iter().map(|s| s.as_slice()).collect();
-    let mut ws = tape.tiered_workspace(tier);
+    let mut ws = BatchEvalWorkspace::<Lanes<f64, SERVE_LANES>>::for_netlist(&tape);
     let mut out_flat = vec![0.0_f64; batch * tape.num_outputs()];
     for _ in 0..3 {
         ws.eval_batch_into(&tape, &state_refs, &mut out_flat);
@@ -102,7 +97,6 @@ fn run_pipeline(tier: ExecTier) -> (usize, usize) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = "TRACE_pipeline.json".to_owned();
-    let mut tier = ExecTier::detect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -113,18 +107,12 @@ fn main() {
                     .unwrap_or_else(|| fail("--out needs a path"))
                     .clone();
             }
-            "--tier" => {
-                i += 1;
-                tier = parse_tier(args.get(i).unwrap_or_else(|| fail("--tier needs a value")));
-            }
             other => fail(&format!(
-                "unknown argument `{other}`\nusage: trace_pipeline [--out <trace.json>] \
-                 [--tier auto|portable|sse2|avx2|neon]"
+                "unknown argument `{other}`\nusage: trace_pipeline [--out <trace.json>]"
             )),
         }
         i += 1;
     }
-    let tier = tier.clamp_to_host();
 
     if !robo_trace::install() {
         fail(
@@ -132,21 +120,20 @@ fn main() {
              compiled in: cargo run --release -p robo-bench --features trace --bin trace_pipeline",
         );
     }
-    run_pipeline(tier);
+    run_pipeline();
     let mut trace = robo_trace::take().unwrap_or_else(|| fail("collector produced no trace"));
 
     trace.meta.extend(HostInfo::detect().trace_meta());
     trace
         .meta
         .push(("workload".to_owned(), "iiwa14 full pipeline".to_owned()));
-    trace.meta.push(("tier".to_owned(), tier.to_string()));
 
     let kinds = trace.span_kinds();
     print!(
         "{}",
         trace_table(
             std::slice::from_ref(&trace),
-            &format!("trace_pipeline: iiwa14, tier {tier}"),
+            &format!("trace_pipeline: iiwa14, host tier {}", ExecTier::detect()),
         )
         .render()
     );

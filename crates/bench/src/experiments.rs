@@ -753,7 +753,6 @@ pub fn codegen_stats() -> String {
             if lint_ok { "ok" } else { "FAIL" }.to_string(),
         ]);
     }
-    let tier = robo_spatial::ExecTier::detect();
     t.note("RTL is lowered from the *optimized* netlist (constant folding, CSE,");
     t.note("dead-node elimination); every generated netlist also *executes* and");
     t.note("matches the reference transform exactly (tested in robo-codegen)");
@@ -763,10 +762,9 @@ pub fn codegen_stats() -> String {
     t.note("emits at compile time across the robot's X-unit f64 tapes (scalar SSE");
     t.note("row; n/a when the host has no JIT backend)");
     t.note(format!(
-        "serving tier on this host: {} ({} f64 / {} f32 states per wide instruction)",
-        tier,
-        f64::preferred_lanes(tier),
-        f32::preferred_lanes(tier),
+        "wide batches: Lanes<S, {}> on every host (this one: {})",
+        robo_spatial::SERVE_LANES,
+        robo_spatial::ExecTier::detect(),
     ));
     let mut out = t.render();
     out.push('\n');

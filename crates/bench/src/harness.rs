@@ -11,7 +11,7 @@
 //!   `<out>.trial<t>.json` per trial plus the median-combined `<out>`
 //!   (default 1: a single run writing `<out>` only);
 //! * `BENCH_OUT` — overrides the output path (CI uses this for the
-//!   traced re-run of `tier_throughput`, keeping `BENCH_6.json` for the
+//!   traced re-run of `lane_throughput`, keeping `BENCH_5.json` for the
 //!   untraced baseline).
 
 use crate::analyse::bench_samples;
@@ -154,7 +154,7 @@ pub fn combine_trials(trials: &[BenchReport]) -> BenchReport {
 }
 
 /// The trial-file path for trial `t` of output `out`:
-/// `BENCH_6.json` → `BENCH_6.trial0.json`.
+/// `BENCH_5.json` → `BENCH_5.trial0.json`.
 pub fn trial_path(out: &Path, t: usize) -> PathBuf {
     let stem = out.file_stem().and_then(|s| s.to_str()).unwrap_or("bench");
     out.with_file_name(format!("{stem}.trial{t}.json"))

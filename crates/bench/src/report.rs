@@ -135,7 +135,7 @@ impl Table {
 /// plus named speedup ratios and optional [`HostInfo`] provenance.
 /// Serialized as JSON by hand (the workspace builds fully offline, so
 /// there is no serde) and uploaded as a CI artifact (`BENCH_5.json`,
-/// `BENCH_6.json`) by the bench runners.
+/// `BENCH_10.json`, …) by the bench runners.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     host: Option<HostInfo>,

@@ -24,10 +24,9 @@
 //! * **zero steady-state heap allocations** — [`CompiledNetlist::eval_into`]
 //!   through a warm [`EvalWorkspace`] never touches the allocator (proved
 //!   by the counting-allocator suite in `tests/alloc_free.rs`);
-//! * **batching** — [`CompiledNetlist::eval_batch`] streams many states
-//!   through one tape on the shared
-//!   [`BatchEngine`](robo_dynamics::batch::BatchEngine), one workspace per
-//!   worker.
+//! * **lane batching** — [`CompiledNetlist::eval_batch_into`] sweeps
+//!   [`SERVE_LANES`] states per instruction through the tape widened to
+//!   [`Lanes`].
 //!
 //! Evaluation order is exactly the netlist's topological node order, so
 //! compiled results are bit-identical to the interpreter's in every scalar
@@ -35,8 +34,7 @@
 
 use crate::jit::JitTape;
 use crate::netlist::{Netlist, Node};
-use robo_dynamics::batch::BatchEngine;
-use robo_spatial::{ExecTier, Lanes, Scalar, WideScalar, WideVisit};
+use robo_spatial::{ExecTier, Lanes, Scalar, WideScalar, SERVE_LANES};
 
 /// One tape instruction. Operands and destinations are register-file
 /// slots; `Const`/`MulConst`/`MulConstAdd` reference the hoisted constant
@@ -590,8 +588,7 @@ impl<S: Scalar> CompiledNetlist<S> {
         self.widen_to::<Lanes<S, W>>()
     }
 
-    /// Re-targets this tape at any wide scalar over the same element type
-    /// — portable [`Lanes`] or a native SIMD lane bundle.
+    /// Re-targets this tape at any wide scalar over the same element type.
     ///
     /// The instruction stream, register assignment, and fusion are reused
     /// verbatim and emitted again at `V`'s inline lowering where it has
@@ -736,10 +733,10 @@ impl<S: Scalar> CompiledNetlist<S> {
     /// through the widened tape one instruction for all lanes at a time,
     /// and the ragged tail falls back to the scalar tape.
     ///
-    /// `V` is the wide lane type the workspace was built at — the portable
-    /// [`Lanes`] or a native SIMD bundle; pick it per host with
-    /// [`CompiledNetlist::tiered_workspace`] or
-    /// [`Scalar::dispatch_wide`](robo_spatial::Scalar::dispatch_wide).
+    /// `V` is the lane type the workspace was built at; the serving paths
+    /// use `Lanes<S, SERVE_LANES>`. For `Lanes<f64, 4>` on an AVX2 host,
+    /// the lane transposition around each group's sweep runs as 4×4 `ymm`
+    /// transposes.
     ///
     /// Results land row-major: state `i`'s outputs occupy
     /// `out[i * num_outputs() .. (i + 1) * num_outputs()]`, bit-identical
@@ -776,13 +773,11 @@ impl<S: Scalar> CompiledNetlist<S> {
         }
         let full = states.len() / w;
 
-        // When `V` is the four-`f64` bundle on an AVX2 host, the lane
-        // transposition around each sweep runs as 4×4 `ymm` transposes —
-        // a scalar gather/scatter costs `4 · (n_in + n_out)` strided
-        // moves per group and rivals the tape itself on small units.
+        // A scalar gather/scatter costs `4 · (n_in + n_out)` strided
+        // moves per four-`f64` group and rivals the tape itself on small
+        // units; AVX2 transposes replace them.
         #[cfg(target_arch = "x86_64")]
-        let f64x4_fast = core::any::TypeId::of::<V>()
-            == core::any::TypeId::of::<robo_spatial::simd::F64x4>()
+        let f64x4_fast = core::any::TypeId::of::<V>() == core::any::TypeId::of::<Lanes<f64, 4>>()
             && std::arch::is_x86_feature_detected!("avx2");
 
         for chunk in 0..full {
@@ -796,28 +791,26 @@ impl<S: Scalar> CompiledNetlist<S> {
                     rows[l] = state.as_ptr().cast::<f64>();
                 }
                 // SAFETY: `f64x4_fast` proves AVX2 was detected and `V`
-                // *is* `F64x4`, so the register file really holds
-                // 32-byte-aligned `F64x4` and `S` is `f64` (pointer casts
-                // are between identical types). Each row was length-
-                // checked against `n_in` just above, the register file
-                // holds `num_regs >= n_in` entries, every output slot is
-                // a register of the compiled tape (below `num_regs`), and
-                // each output row is the `n_out`-long subslice of `out`
-                // for one state.
+                // *is* `Lanes<f64, 4>`, so the register file really holds
+                // 32-byte-aligned (by its `repr`) `Lanes<f64, 4>` and `S`
+                // is `f64` (pointer casts are between identical types).
+                // Each row was length-checked against `n_in` just above,
+                // the register file holds `num_regs >= n_in` entries,
+                // every output slot is a register of the compiled tape
+                // (below `num_regs`), and each output row is the
+                // `n_out`-long subslice of `out` for one state.
                 unsafe {
-                    let regs = ws
-                        .wide_regs
-                        .regs
-                        .as_mut_ptr()
-                        .cast::<robo_spatial::simd::F64x4>();
+                    let regs = ws.wide_regs.regs.as_mut_ptr().cast::<Lanes<f64, 4>>();
                     avx2::gather4_f64(rows, n_in, regs);
                     ws.wide.run_tape(&mut ws.wide_regs.regs);
+                    // Re-derived: the tape run borrowed the register file.
+                    let regs = ws.wide_regs.regs.as_ptr().cast::<Lanes<f64, 4>>();
                     let out_rows = core::array::from_fn(|l| {
                         out[(base + l) * n_out..(base + l + 1) * n_out]
                             .as_mut_ptr()
                             .cast::<f64>()
                     });
-                    avx2::scatter4_f64(regs.cast_const(), &ws.out_slots, out_rows);
+                    avx2::scatter4_f64(regs, &ws.out_slots, out_rows);
                 }
                 continue;
             }
@@ -845,107 +838,11 @@ impl<S: Scalar> CompiledNetlist<S> {
         }
     }
 
-    /// A type-erased batch workspace for the lane type `tier` serves on
-    /// this host — the runtime entry to the tiered serving path when the
-    /// caller cannot be generic over the lane type.
-    pub fn tiered_workspace(&self, tier: ExecTier) -> TieredBatchEval<S> {
-        struct MkWs<'a, S: Scalar>(&'a CompiledNetlist<S>);
-        impl<S: Scalar> WideVisit<S> for MkWs<'_, S> {
-            type Out = TieredBatchEval<S>;
-            fn visit<V: WideScalar<Elem = S>>(self) -> TieredBatchEval<S> {
-                TieredBatchEval {
-                    inner: Box::new(ErasedWs {
-                        ws: BatchEvalWorkspace::<V>::for_netlist(self.0),
-                    }),
-                }
-            }
-        }
-        S::dispatch_wide(tier, MkWs(self))
-    }
-
-    /// Streams a batch of input states through the tape on `engine` at
-    /// the host's detected [`ExecTier`], returning one output vector per
-    /// state in order. See [`CompiledNetlist::eval_batch_tiered`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state's length does not match the input slot count.
-    pub fn eval_batch<I: AsRef<[S]> + Sync>(
-        &self,
-        engine: &BatchEngine,
-        states: &[I],
-    ) -> Vec<Vec<S>> {
-        self.eval_batch_tiered(engine, states, ExecTier::detect())
-    }
-
-    /// Streams a batch of input states through the tape on `engine` with
-    /// the lane type `tier` serves, returning one output vector per state
-    /// in order.
-    ///
-    /// Convenience wrapper over [`CompiledNetlist::eval_batch_into`]:
-    /// workers claim lane-group chunks of states (threads × lanes
-    /// parallelism), each through a reusable [`BatchEvalWorkspace`], and
-    /// the flat per-chunk results are carved into the legacy
-    /// vector-per-state shape. Callers on the serving path should use
-    /// [`CompiledNetlist::eval_batch_into`] directly and keep buffers warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state's length does not match the input slot count.
-    pub fn eval_batch_tiered<I: AsRef<[S]> + Sync>(
-        &self,
-        engine: &BatchEngine,
-        states: &[I],
-        tier: ExecTier,
-    ) -> Vec<Vec<S>> {
-        struct Batch<'a, S: Scalar, I> {
-            nl: &'a CompiledNetlist<S>,
-            engine: &'a BatchEngine,
-            states: &'a [I],
-        }
-        impl<S: Scalar, I: AsRef<[S]> + Sync> WideVisit<S> for Batch<'_, S, I> {
-            type Out = Vec<Vec<S>>;
-            fn visit<V: WideScalar<Elem = S>>(self) -> Vec<Vec<S>> {
-                self.nl.eval_batch_wide::<I, V>(self.engine, self.states)
-            }
-        }
-        S::dispatch_wide(
-            tier,
-            Batch {
-                nl: self,
-                engine,
-                states,
-            },
-        )
-    }
-
-    /// [`CompiledNetlist::eval_batch_tiered`] at a concrete lane type.
-    fn eval_batch_wide<I: AsRef<[S]> + Sync, V: WideScalar<Elem = S>>(
-        &self,
-        engine: &BatchEngine,
-        states: &[I],
-    ) -> Vec<Vec<S>> {
-        // Several lane groups per claimed chunk amortizes the claim; small
-        // enough to keep all workers fed on modest batches.
-        const GROUPS_PER_CHUNK: usize = 4;
-        let chunk_len = GROUPS_PER_CHUNK * V::WIDTH;
-        let n_out = self.outputs.len();
-        let chunks = engine.run_with_state(
-            states.len().div_ceil(chunk_len),
-            || BatchEvalWorkspace::<V>::for_netlist(self),
-            |ws, ci| {
-                let lo = ci * chunk_len;
-                let hi = usize::min(lo + chunk_len, states.len());
-                let mut flat = vec![S::zero(); (hi - lo) * n_out];
-                self.eval_batch_into(&states[lo..hi], ws, &mut flat);
-                flat
-            },
-        );
-        let mut per_state = Vec::with_capacity(states.len());
-        for flat in &chunks {
-            per_state.extend(flat.chunks_exact(n_out).map(<[S]>::to_vec));
-        }
-        per_state
+    /// The serving batch workspace, `Lanes<S, SERVE_LANES>`. `tier` is
+    /// ignored: the lane type is fixed at compile time.
+    pub fn tiered_workspace(&self, tier: ExecTier) -> BatchEvalWorkspace<Lanes<S, SERVE_LANES>> {
+        let _ = tier;
+        BatchEvalWorkspace::for_netlist(self)
     }
 }
 
@@ -955,7 +852,7 @@ impl<S: Scalar> CompiledNetlist<S> {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::*;
-    use robo_spatial::simd::F64x4;
+    use robo_spatial::Lanes;
 
     /// Transposes four `ymm` registers: lane `l` of output `i` is lane
     /// `i` of input `l`.
@@ -988,9 +885,9 @@ mod avx2 {
     ///
     /// AVX2 must be available; each `rows[l]` must point to at least
     /// `n_in` readable `f64`s and `regs` to at least `n_in` writable
-    /// `F64x4` (32-byte-aligned by their `repr`).
+    /// `Lanes<f64, 4>` (32-byte-aligned by its `repr`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather4_f64(rows: [*const f64; 4], n_in: usize, regs: *mut F64x4) {
+    pub(super) unsafe fn gather4_f64(rows: [*const f64; 4], n_in: usize, regs: *mut Lanes<f64, 4>) {
         let mut k = 0;
         while k + 4 <= n_in {
             // SAFETY: `k + 4 <= n_in` keeps every row read and the four
@@ -1035,10 +932,14 @@ mod avx2 {
     /// # Safety
     ///
     /// AVX2 must be available; every `slots[o]` must index a readable
-    /// `F64x4` behind `regs` (32-byte-aligned by their `repr`), and each
+    /// `Lanes<f64, 4>` behind `regs` (32-byte-aligned by its `repr`), and each
     /// `rows[l]` must point to at least `slots.len()` writable `f64`s.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scatter4_f64(regs: *const F64x4, slots: &[u32], rows: [*mut f64; 4]) {
+    pub(super) unsafe fn scatter4_f64(
+        regs: *const Lanes<f64, 4>,
+        slots: &[u32],
+        rows: [*mut f64; 4],
+    ) {
         let n_out = slots.len();
         let mut o = 0;
         while o + 4 <= n_out {
@@ -1082,9 +983,8 @@ mod avx2 {
 /// scalar register file for the ragged tail. Build once per worker;
 /// every evaluation through it is allocation-free.
 ///
-/// `V` is any [`WideScalar`] over the netlist's element type — the
-/// portable `Lanes<S, W>` or one of the native SIMD bundles in
-/// [`robo_spatial::simd`].
+/// `V` is any [`WideScalar`] over the netlist's element type; the
+/// serving paths use `Lanes<S, SERVE_LANES>`.
 #[derive(Debug, Clone)]
 pub struct BatchEvalWorkspace<V: WideScalar> {
     wide: CompiledNetlist<V>,
@@ -1107,68 +1007,20 @@ impl<V: WideScalar> BatchEvalWorkspace<V> {
             wide,
         }
     }
-}
 
-/// Object-safe face of a [`BatchEvalWorkspace`] at an erased lane type.
-trait DynBatchEval<S: Scalar>: Send {
-    fn width(&self) -> usize;
-    fn lane_name(&self) -> String;
-    fn eval_batch_refs(&mut self, netlist: &CompiledNetlist<S>, states: &[&[S]], out: &mut [S]);
-}
-
-/// The concrete workspace behind a [`TieredBatchEval`].
-struct ErasedWs<V: WideScalar> {
-    ws: BatchEvalWorkspace<V>,
-}
-
-impl<S: Scalar, V: WideScalar<Elem = S>> DynBatchEval<S> for ErasedWs<V> {
-    fn width(&self) -> usize {
-        V::WIDTH
-    }
-
-    fn lane_name(&self) -> String {
-        V::name()
-    }
-
-    fn eval_batch_refs(&mut self, netlist: &CompiledNetlist<S>, states: &[&[S]], out: &mut [S]) {
-        netlist.eval_batch_into(states, &mut self.ws, out);
-    }
-}
-
-/// A [`BatchEvalWorkspace`] whose lane type was chosen at runtime from an
-/// [`ExecTier`] and erased — built by
-/// [`CompiledNetlist::tiered_workspace`] for callers that cannot be
-/// generic over the lane type. Evaluations through it are allocation-free
-/// once warm, like the generic workspace it wraps.
-pub struct TieredBatchEval<S: Scalar> {
-    inner: Box<dyn DynBatchEval<S> + Send>,
-}
-
-impl<S: Scalar> TieredBatchEval<S> {
-    /// The erased lane type's width (states per wide instruction).
-    pub fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    /// The erased lane type's [`Scalar::name`] — e.g. `"F64x4(avx2)"` or
-    /// `"Lanes<f64, 4>"` — for stats and reports.
-    pub fn lane_name(&self) -> String {
-        self.inner.lane_name()
-    }
-
-    /// [`CompiledNetlist::eval_batch_into`] through the erased workspace.
+    /// [`CompiledNetlist::eval_batch_into`] through this workspace.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as
     /// [`CompiledNetlist::eval_batch_into`].
-    pub fn eval_batch_into(
+    pub fn eval_batch_into<I: AsRef<[V::Elem]>>(
         &mut self,
-        netlist: &CompiledNetlist<S>,
-        states: &[&[S]],
-        out: &mut [S],
+        netlist: &CompiledNetlist<V::Elem>,
+        states: &[I],
+        out: &mut [V::Elem],
     ) {
-        self.inner.eval_batch_refs(netlist, states, out);
+        netlist.eval_batch_into(states, self, out);
     }
 }
 
@@ -1272,20 +1124,6 @@ mod tests {
         n.output("end", cur).unwrap();
         let compiled = CompiledNetlist::<f64>::compile(&n);
         assert_eq!(compiled.eval(&[2.0]), vec![6.0, 2.0, 6.0]);
-    }
-
-    #[test]
-    fn batch_matches_serial() {
-        let n = tiny();
-        let compiled = CompiledNetlist::<f64>::compile(&n);
-        let engine = BatchEngine::new(2);
-        let states: Vec<[f64; 3]> = (0..16)
-            .map(|i| [i as f64, 0.5 * i as f64, -(i as f64)])
-            .collect();
-        let batch = compiled.eval_batch(&engine, &states);
-        for (out, s) in batch.iter().zip(&states) {
-            assert_eq!(out, &compiled.eval(s));
-        }
     }
 
     #[test]
@@ -1538,24 +1376,17 @@ mod tests {
         }
         scalar_row::<f64>();
         scalar_row::<f32>();
-        let avx2 = ExecTier::Avx2.supported_on_host();
-        wide_row::<Lanes<f64, 4>>(avx2);
-        wide_row::<Lanes<f32, 8>>(avx2);
-        #[cfg(target_arch = "x86_64")]
-        {
-            use robo_spatial::simd::{F32x4, F32x8, F64x2, F64x4};
-            wide_row::<F64x2>(true);
-            wide_row::<F32x4>(true);
-            wide_row::<F64x4>(avx2);
-            wide_row::<F32x8>(avx2);
-        }
-        // Types without a row run the interpreter.
+        wide_row::<Lanes<f64, 4>>(ExecTier::detect() == ExecTier::Avx2);
+        // Types without a row run the interpreter, and still match it.
+        wide_row::<Lanes<f32, 4>>(false);
         let fixed = every_opcode_tape::<robo_fixed::Fix32_16>();
         assert!(fixed.jit_report().is_none());
-        assert!(every_opcode_tape::<f64>()
-            .widen::<2>()
-            .jit_report()
-            .is_none());
+        for tape in [
+            every_opcode_tape::<f32>().widen::<4>().jit_report(),
+            every_opcode_tape::<f64>().widen::<2>().jit_report(),
+        ] {
+            assert!(tape.is_none());
+        }
     }
 
     #[test]

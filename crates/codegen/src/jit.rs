@@ -10,17 +10,21 @@
 //! operand's byte offset (register or constant slot × element size). No
 //! dispatch, no calls, no operand-table traffic, no loop bookkeeping.
 //!
-//! # One encoder, one row per float lane type
+//! # One encoder, three rows
 //!
-//! The instruction shapes are the same for every float type; only the
+//! The instruction shapes are the same for every lowered type; only the
 //! prefix bytes, the slot size and the sign-mask set-up differ. Each
 //! lowered type is one `Row`:
 //!
-//! | type | encoding | slot | operands |
-//! |---|---|---|---|
-//! | `f64` / `f32` | scalar SSE (`F2`/`F3 0F`) | 8 / 4 B | any alignment |
-//! | `F64x2` / `F32x4` | packed SSE (`66 0F` / `0F`) | 16 B | 16-byte aligned by their `repr` |
-//! | `F64x4`, `Lanes<f64, 4>` / `F32x8`, `Lanes<f32, 8>` (AVX2 hosts) | VEX.256 (`C5 FD` / `C5 FC`) | 32 B | any alignment |
+//! | type | encoding | slot |
+//! |---|---|---|
+//! | `f64` / `f32` | scalar SSE (`F2`/`F3 0F`) | 8 / 4 B |
+//! | `Lanes<f64, 4>` (AVX2 hosts) | VEX.256 (`C5 FD`) | 32 B |
+//!
+//! No row needs aligned operands: scalar SSE and VEX memory forms accept
+//! any alignment. Every other type —
+//! `Lanes<f32, 4>`, the other `Lanes` widths, `Fix32_16` — runs the
+//! interpreter, as does `Lanes<f64, 4>` on a host without AVX2.
 //!
 //! Bit-exactness holds by construction, in every row: fused opcodes keep
 //! their two rounding steps (a multiply then an add, never FMA), negation
@@ -28,7 +32,7 @@
 //! broadcast sign mask — exactly what the compiler emits for `-x`), and
 //! every operand is read before the single destination store, so
 //! destination-recycling instructions behave as in the interpreter. The
-//! VEX rows end in `vzeroupper` so callers never pay an AVX→SSE
+//! VEX row ends in `vzeroupper` so callers never pay an AVX→SSE
 //! transition.
 //!
 //! # Safety argument
@@ -56,9 +60,9 @@
 //!
 //! [`JitTape::emit`] returns `None` — and the tape runs the interpreter —
 //! whenever the target is not x86-64 Linux, the scalar type has no row
-//! on this host (fixed point, other `Lanes` widths, the 32-byte types
-//! without AVX2), the `mmap` or the `mprotect` flip fails, or an operand
-//! displacement would overflow the 32-bit field.
+//! on this host (fixed point, every `Lanes` type but `Lanes<f64, 4>`, and
+//! that one without AVX2), the `mmap` or the `mprotect` flip fails, or an
+//! operand displacement would overflow the 32-bit field.
 
 use crate::compiled::Instr;
 
@@ -101,7 +105,6 @@ mod native {
     use super::{Instr, JitReport};
     use core::any::TypeId;
     use core::ptr::NonNull;
-    use robo_spatial::simd::{F32x4, F32x8, F64x2, F64x4};
     use robo_spatial::{Lanes, Scalar};
     use std::sync::Arc;
 
@@ -258,11 +261,8 @@ mod native {
     struct Row {
         /// Bytes per register or constant slot: `size_of::<S>()`.
         size: usize,
-        /// Minimum alignment the row's memory operands need: 16 for
-        /// legacy packed SSE, 1 otherwise.
-        align: usize,
         /// Prefix and opcode-map bytes before every load/arith/store
-        /// opcode byte: legacy SSE `[F2|F3|66] 0F`, or two-byte VEX.256.
+        /// opcode byte: legacy SSE `F2|F3 0F`, or two-byte VEX.256.
         prefix: &'static [u8],
         /// Whether the lanes are 32-bit: selects the sign-mask immediate
         /// (`mov eax, imm32` vs `movabs rax, imm64`).
@@ -272,7 +272,7 @@ mod native {
         mask: &'static [u8],
         /// `xmm0 ^= xmm2` (or the ymm form): negation as a sign flip.
         negate: &'static [u8],
-        /// Bytes before `ret`: `vzeroupper` for the VEX rows.
+        /// Bytes before `ret`: `vzeroupper` for the VEX row.
         exit: &'static [u8],
     }
 
@@ -286,7 +286,6 @@ mod native {
     /// `f64`: scalar SSE2 (`movsd`/`addsd`/`mulsd`/`subsd`).
     const SD: Row = Row {
         size: 8,
-        align: 1,
         prefix: &[0xF2, 0x0F],
         single: false,
         mask: &MOVQ,
@@ -296,32 +295,9 @@ mod native {
     /// `f32`: scalar SSE (`movss`/`addss`/`mulss`/`subss`).
     const SS: Row = Row {
         size: 4,
-        align: 1,
         prefix: &[0xF3, 0x0F],
         single: true,
         mask: &MOVD,
-        negate: &XORPS,
-        exit: &[],
-    };
-    /// `F64x2`: packed SSE2 (`movupd`/`addpd`/…); mask broadcast by
-    /// `pshufd xmm2, xmm2, 0x44`.
-    const PD: Row = Row {
-        size: 16,
-        align: 16,
-        prefix: &[0x66, 0x0F],
-        single: false,
-        mask: &[0x66, 0x48, 0x0F, 0x6E, 0xD0, 0x66, 0x0F, 0x70, 0xD2, 0x44],
-        negate: &XORPS,
-        exit: &[],
-    };
-    /// `F32x4`: packed SSE (`movups`/`addps`/…); mask broadcast by
-    /// `pshufd xmm2, xmm2, 0`.
-    const PS: Row = Row {
-        size: 16,
-        align: 16,
-        prefix: &[0x0F],
-        single: true,
-        mask: &[0x66, 0x0F, 0x6E, 0xD0, 0x66, 0x0F, 0x70, 0xD2, 0x00],
         negate: &XORPS,
         exit: &[],
     };
@@ -329,59 +305,32 @@ mod native {
     /// `vmovq xmm2, rax` + `vpbroadcastq ymm2, xmm2`.
     const VPD: Row = Row {
         size: 32,
-        align: 1,
         prefix: &[0xC5, 0xFD],
         single: false,
         mask: &[0xC4, 0xE1, 0xF9, 0x6E, 0xD0, 0xC4, 0xE2, 0x7D, 0x59, 0xD2],
         negate: &[0xC5, 0xFC, 0x57, 0xC2],
         exit: &[0xC5, 0xF8, 0x77],
     };
-    /// Eight `f32` lanes: VEX.256 (`vmovups`/`vaddps`/…); mask by
-    /// `vmovd xmm2, eax` + `vpbroadcastd ymm2, xmm2`.
-    const VPS: Row = Row {
-        size: 32,
-        align: 1,
-        prefix: &[0xC5, 0xFC],
-        single: true,
-        mask: &[0xC5, 0xF9, 0x6E, 0xD0, 0xC4, 0xE2, 0x7D, 0x58, 0xD2],
-        negate: &[0xC5, 0xFC, 0x57, 0xC2],
-        exit: &[0xC5, 0xF8, 0x77],
-    };
 
     /// The row that lowers `S` on this host, or `None` when `S` runs the
-    /// interpreter. The 32-byte rows need AVX2; the portable
-    /// `Lanes<f64, 4>`/`Lanes<f32, 8>` share them because
-    /// `repr(transparent)` gives them the native bundles' layout.
+    /// interpreter. The VEX.256 row needs AVX2.
     ///
     /// # Panics
     ///
-    /// Panics if `S`'s size or alignment disagrees with its row — the
-    /// displacement scaling and the legacy-SSE alignment rule depend on
-    /// both.
+    /// Panics if `S`'s size disagrees with its row — the displacement
+    /// scaling depends on it.
     fn row_for<S: Scalar>() -> Option<&'static Row> {
         let is = |t: TypeId| TypeId::of::<S>() == t;
         let row = if is(TypeId::of::<f64>()) {
             &SD
         } else if is(TypeId::of::<f32>()) {
             &SS
-        } else if is(TypeId::of::<F64x2>()) {
-            &PD
-        } else if is(TypeId::of::<F32x4>()) {
-            &PS
-        } else if !std::arch::is_x86_feature_detected!("avx2") {
-            return None;
-        } else if is(TypeId::of::<F64x4>()) || is(TypeId::of::<Lanes<f64, 4>>()) {
+        } else if is(TypeId::of::<Lanes<f64, 4>>()) && std::arch::is_x86_feature_detected!("avx2") {
             &VPD
-        } else if is(TypeId::of::<F32x8>()) || is(TypeId::of::<Lanes<f32, 8>>()) {
-            &VPS
         } else {
             return None;
         };
         assert_eq!(core::mem::size_of::<S>(), row.size, "JIT row size mismatch");
-        assert!(
-            core::mem::align_of::<S>() >= row.align,
-            "JIT row alignment mismatch"
-        );
         Some(row)
     }
 
@@ -627,9 +576,9 @@ mod native {
             // whose every register index is below `min_regs` and every
             // constant index below `n_consts`; it touches memory only at
             // `regs + slot·size` and `consts + slot·size`, which the
-            // assertions above put in bounds, with the alignment
-            // `row_for` asserted `S` provides. `S`'s row exists on this
-            // host (AVX2 was detected for the VEX rows), and `self.code`
+            // assertions above put in bounds; every row's moves accept
+            // any alignment. `S`'s row exists on this host (AVX2 was
+            // detected for the VEX row), and `self.code`
             // keeps the executable mapping alive for the whole call.
             unsafe { (self.entry)(regs.as_mut_ptr(), consts.as_ptr()) }
         }

@@ -24,7 +24,7 @@
 //! * [`CompiledNetlist`] — the serving-path evaluator: inputs interned to
 //!   dense slots, constants hoisted per scalar type, a flat register-
 //!   recycling tape with allocation-free [`CompiledNetlist::eval_into`]
-//!   and batched [`CompiledNetlist::eval_batch`];
+//!   and lane-batched [`CompiledNetlist::eval_batch_into`];
 //! * [`to_verilog`] / [`lint`] — lowers netlists to Q-format Verilog and
 //!   structurally checks the result;
 //! * [`generate_top`] — emits the Figure 8 top level: limb processors,
@@ -62,9 +62,7 @@ mod top;
 mod verilog;
 mod xunit_gen;
 
-pub use compiled::{
-    BatchEvalWorkspace, CompiledNetlist, EvalWorkspace, FusionCounts, TieredBatchEval,
-};
+pub use compiled::{BatchEvalWorkspace, CompiledNetlist, EvalWorkspace, FusionCounts};
 pub use jit::JitReport;
 pub use netlist::{Netlist, NetlistError, NetlistStats, Node, NodeId};
 pub use opt::{optimize, optimize_with_report, OptReport};

@@ -23,7 +23,7 @@
 //! The first two are thin wrappers over one [`BackendCore`] driving a
 //! [`Datapath`] (`DynamicsModel` or `AcceleratorSim`): the core owns the
 //! `f64` ↔ `S` boundary casts (the hardware's I/O marshalling, §6.2), the
-//! lane-group path that runs a tier's worth of states per wide kernel
+//! lane-group path that runs [`SERVE_LANES`] states per wide kernel
 //! instruction, the ragged scalar tail, and the dispatch on the kernel
 //! tag. Each backend owns its warm workspaces, so steady-state calls are
 //! allocation-free; [`DynamicsBackend::fork`] hands each worker of the
@@ -37,8 +37,7 @@ use crate::{
     GradWorkspace, InverseDynamicsGradient,
 };
 use robo_model::RobotModel;
-use robo_spatial::{ExecTier, MatN, Scalar, WideScalar, WideVisit};
-use std::any::Any;
+use robo_spatial::{Lanes, MatN, Scalar, SERVE_LANES};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -523,7 +522,7 @@ pub trait DynamicsBackend: Send + Sync {
     /// States evaluated per wide kernel instruction by
     /// [`DynamicsBackend::run_batch_into`] for kernels that
     /// [run in lanes](KernelKind::runs_in_lanes) — 1 for serial backends
-    /// (the default), the active tier's lane width for wide ones.
+    /// (the default), [`SERVE_LANES`] for wide ones.
     fn serve_width(&self) -> usize {
         1
     }
@@ -694,7 +693,7 @@ pub fn gradient_batch_on_into(
 pub trait Datapath: Send + Sync + 'static {
     /// The arithmetic type every kernel computes in.
     type Scalar: Scalar;
-    /// This datapath rebuilt at another scalar type (the tier's wide lane
+    /// This datapath rebuilt at another scalar type (the serving lane
     /// type, for the lane-group path).
     type At<T: Scalar>: Datapath<Scalar = T>;
     /// Warm evaluation buffers; they hold the last evaluation's outputs.
@@ -807,25 +806,25 @@ fn cast_mat_into<S: Scalar>(src: &MatN<f64>, dst: &mut MatN<S>) {
     }
 }
 
+/// A datapath rebuilt at the serving lane type `Lanes<S, SERVE_LANES>`.
+type Wide<D> = <D as Datapath>::At<Lanes<<D as Datapath>::Scalar, SERVE_LANES>>;
+
 /// The one backend core over a [`Datapath`]: the `f64` ↔ `S` boundary
 /// casts, the lane-group path, the ragged scalar tail, and the dispatch on
 /// [`KernelKind`]. [`CpuAnalytic`] and `AcceleratorBackend` are thin
 /// wrappers over it.
 ///
-/// The lane-group path runs the datapath rebuilt at the lane type of the
-/// core's [`ExecTier`], `Arc`-shared by forks. Every tier is
-/// bit-identical to the scalar path, so the tier affects throughput only.
+/// The lane-group path runs the datapath rebuilt once at
+/// `Lanes<D::Scalar, SERVE_LANES>`, `Arc`-shared by forks; lane for lane
+/// it is bit-identical to the scalar path.
 pub struct BackendCore<D: Datapath> {
     dp: Arc<D>,
-    tier: ExecTier,
     ws: D::Workspace,
     q: Vec<D::Scalar>,
     qd: Vec<D::Scalar>,
     third: Vec<D::Scalar>,
     minv: MatN<D::Scalar>,
-    /// The lane-group path at the tier's lane type, type-erased so the
-    /// core stays independent of the lane width.
-    lanes: Box<dyn LaneGroup>,
+    lanes: LaneGroup<D>,
 }
 
 impl<D: Datapath> core::fmt::Debug for BackendCore<D> {
@@ -833,30 +832,20 @@ impl<D: Datapath> core::fmt::Debug for BackendCore<D> {
         f.debug_struct("BackendCore")
             .field("scalar", &D::Scalar::name())
             .field("dof", &self.dp.dof())
-            .field("tier", &self.tier)
-            .field("serve_width", &self.lanes.width())
+            .field("serve_width", &SERVE_LANES)
             .finish_non_exhaustive()
     }
 }
 
 impl<D: Datapath> BackendCore<D> {
-    /// Builds the core over a shared datapath at `tier` (clamped to what
-    /// the host supports), widening the datapath once for the lane-group
-    /// path.
-    pub fn new(dp: Arc<D>, tier: ExecTier) -> Self {
-        struct Widen<'a, D>(&'a D);
-        impl<D: Datapath> WideVisit<D::Scalar> for Widen<'_, D> {
-            type Out = Box<dyn LaneGroup>;
-            fn visit<V: WideScalar<Elem = D::Scalar>>(self) -> Box<dyn LaneGroup> {
-                Box::new(LaneGroupAt::new(Arc::new(self.0.cast_to::<V>())))
-            }
-        }
-        let tier = tier.clamp_to_host();
-        let lanes = D::Scalar::dispatch_wide(tier, Widen(&*dp));
-        Self::with_lanes(dp, tier, lanes)
+    /// Builds the core over a shared datapath, widening the datapath once
+    /// for the lane-group path.
+    pub fn new(dp: Arc<D>) -> Self {
+        let lanes = LaneGroup::new(Arc::new(dp.cast_to()));
+        Self::with_lanes(dp, lanes)
     }
 
-    fn with_lanes(dp: Arc<D>, tier: ExecTier, lanes: Box<dyn LaneGroup>) -> Self {
+    fn with_lanes(dp: Arc<D>, lanes: LaneGroup<D>) -> Self {
         let n = dp.dof();
         Self {
             ws: dp.workspace(),
@@ -865,7 +854,6 @@ impl<D: Datapath> BackendCore<D> {
             third: Vec::with_capacity(n),
             minv: MatN::zeros(n, n),
             lanes,
-            tier,
             dp,
         }
     }
@@ -873,7 +861,8 @@ impl<D: Datapath> BackendCore<D> {
     /// A fresh-workspace instance sharing both datapaths (scalar and
     /// widened) — nothing is re-widened.
     pub fn fork(&self) -> Self {
-        Self::with_lanes(Arc::clone(&self.dp), self.tier, self.lanes.fork())
+        let lanes = LaneGroup::new(Arc::clone(&self.lanes.dp));
+        Self::with_lanes(Arc::clone(&self.dp), lanes)
     }
 
     /// The shared scalar datapath.
@@ -881,16 +870,10 @@ impl<D: Datapath> BackendCore<D> {
         &self.dp
     }
 
-    /// The widened datapath the lane groups run (a `D::At<V>` for the
-    /// tier's lane type `V`), for diagnostics that know the lane type.
-    pub fn lane_datapath(&self) -> Arc<dyn Any + Send + Sync> {
-        self.lanes.datapath()
-    }
-
-    /// The execution tier of the lane-group path (already clamped to host
-    /// support).
-    pub fn tier(&self) -> ExecTier {
-        self.tier
+    /// The shared datapath the lane groups run, rebuilt at
+    /// `Lanes<D::Scalar, SERVE_LANES>`.
+    pub fn wide_datapath(&self) -> &Arc<D::At<Lanes<D::Scalar, SERVE_LANES>>> {
+        &self.lanes.dp
     }
 
     /// Joint count.
@@ -898,14 +881,14 @@ impl<D: Datapath> BackendCore<D> {
         self.dp.dof()
     }
 
-    /// States per lane group — the tier's lane width for `D::Scalar`.
+    /// States per lane group: [`SERVE_LANES`].
     pub fn serve_width(&self) -> usize {
-        self.lanes.width()
+        SERVE_LANES
     }
 
     /// [`DynamicsBackend::run_batch_into`] for every core-backed backend:
-    /// full lane groups of [`serve_width`](Self::serve_width) states run
-    /// through one wide kernel evaluation each (for kernels that
+    /// full lane groups of [`SERVE_LANES`] states run through one wide
+    /// kernel evaluation each (for kernels that
     /// [run in lanes](KernelKind::runs_in_lanes)); every other state takes
     /// the scalar path, cast to `D::Scalar` at the boundary.
     ///
@@ -925,7 +908,7 @@ impl<D: Datapath> BackendCore<D> {
             check_dims(n, s.q, s.qd, s.qdd, s.minv)?;
         }
         out.reset(kernel, states.len(), n);
-        let w = self.lanes.width();
+        let w = SERVE_LANES;
         let full = if kernel.runs_in_lanes() {
             states.len() / w
         } else {
@@ -965,43 +948,21 @@ impl<D: Datapath> BackendCore<D> {
     }
 }
 
-/// Object-safe face of the lane-group path at an erased lane type. The
-/// lane element type always equals the core's scalar type, so wide
-/// results stay bit-identical to the scalar path.
-trait LaneGroup: Send + Sync {
-    /// Lane width: states per wide kernel evaluation.
-    fn width(&self) -> usize;
-
-    /// Runs the gradient over one full lane group
-    /// (`states.len() == width()`), scattering per-state results into
-    /// `out` at state indices `base..`.
-    fn eval_group(&mut self, states: &[GradientState<'_, f64>], out: &mut BatchOutput, base: usize);
-
-    /// A fresh-workspace instance over the same `Arc`-shared datapath.
-    fn fork(&self) -> Box<dyn LaneGroup>;
-
-    /// The shared widened datapath.
-    fn datapath(&self) -> Arc<dyn Any + Send + Sync>;
-}
-
-/// The lane-group path at the wide datapath `P`: the datapath plus
+/// The lane-group path: the `Arc`-shared widened datapath plus
 /// lane-transposed staging buffers.
-struct LaneGroupAt<P: Datapath> {
-    dp: Arc<P>,
-    ws: P::Workspace,
-    q: Vec<P::Scalar>,
-    qd: Vec<P::Scalar>,
-    qdd: Vec<P::Scalar>,
-    minv: MatN<P::Scalar>,
+struct LaneGroup<D: Datapath> {
+    dp: Arc<Wide<D>>,
+    ws: <Wide<D> as Datapath>::Workspace,
+    q: Vec<Lanes<D::Scalar, SERVE_LANES>>,
+    qd: Vec<Lanes<D::Scalar, SERVE_LANES>>,
+    qdd: Vec<Lanes<D::Scalar, SERVE_LANES>>,
+    minv: MatN<Lanes<D::Scalar, SERVE_LANES>>,
 }
 
-impl<P: Datapath> LaneGroupAt<P>
-where
-    P::Scalar: WideScalar,
-{
-    fn new(dp: Arc<P>) -> Self {
+impl<D: Datapath> LaneGroup<D> {
+    fn new(dp: Arc<Wide<D>>) -> Self {
         let n = dp.dof();
-        let zero = P::Scalar::zero();
+        let zero = Lanes::zero();
         Self {
             ws: dp.workspace(),
             q: vec![zero; n],
@@ -1011,30 +972,23 @@ where
             dp,
         }
     }
-}
 
-impl<P: Datapath> LaneGroup for LaneGroupAt<P>
-where
-    P::Scalar: WideScalar,
-{
-    fn width(&self) -> usize {
-        P::Scalar::WIDTH
-    }
-
+    /// Runs the gradient over one full lane group
+    /// (`states.len() == SERVE_LANES`), scattering per-state results into
+    /// `out` at state indices `base..`.
     fn eval_group(
         &mut self,
         states: &[GradientState<'_, f64>],
         out: &mut BatchOutput,
         base: usize,
     ) {
-        type Elem<P> = <<P as Datapath>::Scalar as WideScalar>::Elem;
-        let w = P::Scalar::WIDTH;
+        let w = SERVE_LANES;
         debug_assert_eq!(states.len(), w, "a lane group is exactly one width");
         let marshal = robo_trace::span_items("lane.marshal", w);
         for (l, s) in states.iter().enumerate() {
-            let set = |dst: &mut [P::Scalar], src: &[f64]| {
+            let set = |dst: &mut [Lanes<D::Scalar, SERVE_LANES>], src: &[f64]| {
                 for (v, x) in dst.iter_mut().zip(src) {
-                    v.set_lane(l, Elem::<P>::from_f64(*x));
+                    v.set_lane(l, D::Scalar::from_f64(*x));
                 }
             };
             set(&mut self.q, s.q);
@@ -1043,7 +997,7 @@ where
             set(self.minv.as_mut_slice(), s.minv.as_slice());
         }
         drop(marshal);
-        let kernel = robo_trace::span_items(P::LANE_SPAN, w);
+        let kernel = robo_trace::span_items(D::LANE_SPAN, w);
         self.dp.eval(
             KernelKind::Gradient,
             &self.q,
@@ -1054,18 +1008,10 @@ where
         );
         drop(kernel);
         let _scatter = robo_trace::span_items("lane.scatter", w);
-        let g = P::grad(&self.ws).map(MatN::as_slice);
+        let g = Wide::<D>::grad(&self.ws).map(MatN::as_slice);
         for l in 0..w {
             out.put_gradient(base + l, g, |x| x.lane(l).to_f64());
         }
-    }
-
-    fn fork(&self) -> Box<dyn LaneGroup> {
-        Box::new(Self::new(Arc::clone(&self.dp)))
-    }
-
-    fn datapath(&self) -> Arc<dyn Any + Send + Sync> {
-        self.dp.clone()
     }
 }
 
@@ -1079,10 +1025,8 @@ where
 /// `S = f64` the boundary casts are exact identities and results are
 /// bit-identical to [`crate::dynamics_gradient_into`].
 ///
-/// Gradient batches run whole lane groups at the lane type of the
-/// backend's [`ExecTier`] — by default the fastest tier the host
-/// supports, overridable with [`CpuAnalytic::with_model_tier`]. Every tier
-/// is bit-identical, so the choice affects throughput only.
+/// Gradient batches run whole lane groups at `Lanes<S, SERVE_LANES>`,
+/// bit-identical to the scalar path.
 ///
 /// # Examples
 ///
@@ -1116,37 +1060,22 @@ impl<S: Scalar> Clone for CpuAnalytic<S> {
 }
 
 impl<S: Scalar> CpuAnalytic<S> {
-    /// Builds the backend (and its dynamics model) for a robot, at the
-    /// fastest [`ExecTier`] the host supports.
+    /// Builds the backend (and its dynamics model) for a robot.
     pub fn new(robot: &RobotModel) -> Self {
         Self::with_model(Arc::new(DynamicsModel::new(robot)))
     }
 
     /// Builds the backend over an existing shared model — the plan-once
-    /// path: every fork and every consumer reuses the same `Arc` — at the
-    /// fastest [`ExecTier`] the host supports.
+    /// path: every fork and every consumer reuses the same `Arc`.
     pub fn with_model(model: Arc<DynamicsModel<S>>) -> Self {
-        Self::with_model_tier(model, ExecTier::detect())
-    }
-
-    /// Builds the backend over a shared model at an explicit [`ExecTier`]
-    /// (clamped to what the host supports). All tiers are bit-identical;
-    /// only throughput differs.
-    pub fn with_model_tier(model: Arc<DynamicsModel<S>>, tier: ExecTier) -> Self {
         Self {
-            core: BackendCore::new(model, tier),
+            core: BackendCore::new(model),
         }
     }
 
     /// The shared dynamics model.
     pub fn model(&self) -> &Arc<DynamicsModel<S>> {
         self.core.datapath()
-    }
-
-    /// The execution tier the wide batch path runs at (already clamped to
-    /// host support).
-    pub fn tier(&self) -> ExecTier {
-        self.core.tier()
     }
 }
 

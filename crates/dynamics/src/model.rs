@@ -94,8 +94,8 @@ impl<S: Scalar> DynamicsModel<S> {
     }
 
     /// Re-targets the plan at any scalar type — the general form of
-    /// [`DynamicsModel::widen`], also used to build native-SIMD wide
-    /// models for the tiered serving path. Casting goes through `f64`
+    /// [`DynamicsModel::widen`], also used by the engine's backend core
+    /// to build its lane-type model. Casting goes through `f64`
     /// (exact for every supported scalar; see `widen`).
     pub fn cast_to<T: Scalar>(&self) -> DynamicsModel<T> {
         DynamicsModel {

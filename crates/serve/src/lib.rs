@@ -109,7 +109,7 @@ use std::time::Duration;
 /// Tuning knobs for a [`GradientServer`].
 ///
 /// The defaults target the serving sweet spot: accelerator backend,
-/// host-detected tier, lane-group batches of `4 × serve_width`, and a
+/// lane-group batches of `4 × serve_width`, and a
 /// 200 µs linger — short against control-loop periods, long against
 /// kernel evaluation, so concurrent clients coalesce without a lone
 /// client stalling.
@@ -131,8 +131,9 @@ pub struct ServeConfig {
     pub max_linger: Duration,
     /// Engine backend each worker serves through.
     pub backend: BackendKind,
-    /// Execution tier for plan builds; `None` detects the fastest tier
-    /// the host supports.
+    /// Selects nothing: every plan serves `Lanes<f64, SERVE_LANES>`,
+    /// fixed at compile time. Kept only because the benchmark's harness
+    /// still reads it.
     pub tier: Option<ExecTier>,
 }
 

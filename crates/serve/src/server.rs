@@ -9,7 +9,6 @@ use robo_dynamics::engine::KernelKind;
 use robo_dynamics::{DynamicsModel, MorphologyKey};
 use robo_model::RobotModel;
 use robo_sim::engine::RobotPlan;
-use robo_spatial::ExecTier;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -97,10 +96,7 @@ impl GradientServer {
         let _span = robo_trace::span("serve.register");
         let key = MorphologyKey::of_model(&DynamicsModel::new(robot));
         let morph = self.inner.cache.get_or_build(key, || {
-            let tier = self.inner.config.tier.unwrap_or_else(ExecTier::detect);
-            Arc::new(MorphShards::new(Arc::new(RobotPlan::with_tier(
-                robot, tier,
-            ))))
+            Arc::new(MorphShards::new(Arc::new(RobotPlan::new(robot))))
         });
         debug_assert_eq!(morph.plan().morphology_key(), key);
         let _ = morph.shard(KernelKind::Gradient, &self.inner.config);

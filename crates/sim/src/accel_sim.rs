@@ -270,8 +270,8 @@ impl<S: Scalar> AcceleratorSim<S> {
     }
 
     /// Re-targets the simulator at any scalar type — the general form of
-    /// [`AcceleratorSim::widen`], also used to rebuild the design at a
-    /// native SIMD lane type for the tiered serving path. All unit
+    /// [`AcceleratorSim::widen`], also used by the engine's backend core
+    /// to rebuild the design at its lane type. All unit
     /// constants are derived from snapped `f64` probes through
     /// `T::from_f64`, so the cast is exact for every supported scalar.
     pub fn cast_to<T: Scalar>(&self) -> AcceleratorSim<T> {

@@ -243,8 +243,7 @@ pub struct KernelInput<S> {
 ///
 /// The numeric simulations go through the engine layer: one
 /// [`AcceleratorBackend`](crate::AcceleratorBackend) is built over the
-/// `Arc`-shared simulator (widened once to the host's fastest
-/// [`ExecTier`](robo_spatial::ExecTier) lane width per group), and
+/// `Arc`-shared simulator (widened once to `Lanes<S, SERVE_LANES>`), and
 /// each worker of the process-wide
 /// [`BatchEngine`](robo_dynamics::batch::BatchEngine) drives its own fork
 /// (private warm [`crate::SimWorkspace`]s, shared compiled netlists)
@@ -269,12 +268,9 @@ pub fn stream_batch<S: robo_spatial::Scalar>(
         system.accelerator().params().dof,
         "simulator and coprocessor system must target the same robot"
     );
-    use robo_dynamics::engine::DynamicsBackend;
     let backend = crate::AcceleratorBackend::from_sim(sim.clone());
-    // Whole lane groups per worker chunk, topped up to at least ~4 states
-    // per claim so narrow tiers don't shred the batch.
-    let w = backend.serve_width().max(1);
-    let chunk_len = w * 4usize.div_ceil(w);
+    // One lane group per worker claim.
+    let chunk_len = robo_spatial::SERVE_LANES;
     let parts = robo_dynamics::batch::BatchEngine::global().run_with_state(
         inputs.len().div_ceil(chunk_len),
         || backend.clone(),

@@ -21,9 +21,8 @@ use robo_dynamics::engine::{
 use robo_dynamics::{DynamicsModel, MorphologyKey};
 use robo_model::RobotModel;
 use robo_sparsity::{superposition_pattern, Mask6};
-use robo_spatial::{ExecTier, MatN, Scalar, WideScalar, WideVisit};
+use robo_spatial::{ExecTier, MatN, Scalar};
 use robomorphic_core::Accelerator;
-use std::any::Any;
 use std::sync::Arc;
 
 /// The simulated accelerator as a [`Datapath`]: RNEA, the fused
@@ -108,8 +107,7 @@ impl<S: Scalar> Clone for AcceleratorBackend<S> {
 
 impl<S: Scalar> AcceleratorBackend<S> {
     /// Customizes the paper-default template for `robot` and builds the
-    /// backend over its simulator, at the fastest [`ExecTier`] the host
-    /// supports.
+    /// backend over its simulator.
     ///
     /// # Panics
     ///
@@ -126,30 +124,17 @@ impl<S: Scalar> AcceleratorBackend<S> {
 
     /// Builds the backend over an already-shared simulator — the plan-once
     /// path: every fork and every consumer reuses the same compiled
-    /// netlists. Widens the simulator once (at the fastest host tier);
-    /// forks share the result.
+    /// netlists. Widens the simulator once, to
+    /// `Lanes<S, SERVE_LANES>`; forks share the result.
     pub fn from_shared(sim: Arc<AcceleratorSim<S>>) -> Self {
-        Self::from_shared_tier(sim, ExecTier::detect())
-    }
-
-    /// Builds the backend over a shared simulator at an explicit
-    /// [`ExecTier`] (clamped to what the host supports). All tiers are
-    /// bit-identical; only throughput differs.
-    pub fn from_shared_tier(sim: Arc<AcceleratorSim<S>>, tier: ExecTier) -> Self {
         Self {
-            core: BackendCore::new(sim, tier),
+            core: BackendCore::new(sim),
         }
     }
 
     /// The shared simulator.
     pub fn sim(&self) -> &Arc<AcceleratorSim<S>> {
         self.core.datapath()
-    }
-
-    /// The execution tier the wide batch paths run at (already clamped to
-    /// host support).
-    pub fn tier(&self) -> ExecTier {
-        self.core.tier()
     }
 
     /// Cycles one gradient takes on the design's static schedule
@@ -163,7 +148,7 @@ impl<S: Scalar> AcceleratorBackend<S> {
     /// It takes the same lane path as every `f64` batch: each supported
     /// scalar widens to `f64` exactly and narrows back bit-identically,
     /// so every output equals a direct scalar-simulator run on the same
-    /// state, on every tier. Outputs are appended in input order.
+    /// state. Outputs are appended in input order.
     ///
     /// # Errors
     ///
@@ -328,7 +313,6 @@ impl std::fmt::Debug for RobotPlan {
         f.debug_struct("RobotPlan")
             .field("robot", &self.robot.name())
             .field("dof", &self.model.dof())
-            .field("tier", &self.tier())
             .field("serve_width", &self.serve_width())
             .finish_non_exhaustive()
     }
@@ -337,33 +321,20 @@ impl std::fmt::Debug for RobotPlan {
 impl RobotPlan {
     /// Builds the complete plan for `robot`: dynamics model, sparsity
     /// analysis, template customization, and netlist compilation all
-    /// happen here, once — at the fastest [`ExecTier`] the host supports.
+    /// happen here, once.
     ///
     /// # Panics
     ///
     /// Panics if the robot has more than 64 links.
     pub fn new(robot: &RobotModel) -> Self {
-        Self::with_tier(robot, ExecTier::detect())
-    }
-
-    /// Builds the plan at an explicit [`ExecTier`] (clamped to what the
-    /// host supports) — the `--tier` CLI entry point. Every backend the
-    /// plan hands out serves wide batches at this tier; all tiers are
-    /// bit-identical, so the choice affects throughput only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the robot has more than 64 links.
-    pub fn with_tier(robot: &RobotModel, tier: ExecTier) -> Self {
         let _span = robo_trace::span("plan.build");
-        let tier = tier.clamp_to_host();
         let sim = {
             let _span = robo_trace::span("plan.customize");
             Arc::new(AcceleratorSim::new(robot))
         };
         let accel = {
             let _span = robo_trace::span("plan.widen");
-            AcceleratorBackend::from_shared_tier(sim, tier)
+            AcceleratorBackend::from_shared(sim)
         };
         let model = {
             let _span = robo_trace::span("plan.model");
@@ -383,33 +354,34 @@ impl RobotPlan {
         }
     }
 
-    /// The execution tier the plan's backends serve wide batches at
-    /// (already clamped to host support).
+    /// [`RobotPlan::new`]; the tier selects nothing, because the lane
+    /// type is fixed at compile time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the robot has more than 64 links.
+    pub fn with_tier(robot: &RobotModel, tier: ExecTier) -> Self {
+        let _ = tier;
+        Self::new(robot)
+    }
+
+    /// The host's SIMD tier ([`ExecTier::detect`]), as metadata.
     pub fn tier(&self) -> ExecTier {
-        self.accel.tier()
+        ExecTier::detect()
     }
 
     /// The template JIT's emission report, summed over every X-unit tape
     /// the accelerator backends execute — the scalar simulator's and the
     /// widened one's. `None` when any of those tapes runs the interpreter
-    /// instead (the tier's lane type has no inline lowering on this host,
-    /// or the code buffer could not be mapped).
+    /// instead (`Lanes<f64, 4>` has no inline lowering on this host, or
+    /// the code buffer could not be mapped).
     pub fn jit_report(&self) -> Option<JitReport> {
-        /// Downcasts the lane datapath at the lane type the tier
-        /// dispatches to — the same dispatch that widened it.
-        struct Wide(Arc<dyn Any + Send + Sync>);
-        impl WideVisit<f64> for Wide {
-            type Out = Option<JitReport>;
-            fn visit<V: WideScalar<Elem = f64>>(self) -> Option<JitReport> {
-                self.0.downcast_ref::<AcceleratorSim<V>>()?.jit_report()
-            }
-        }
-        let wide = f64::dispatch_wide(self.tier(), Wide(self.accel.core.lane_datapath()))?;
+        let wide = self.accel.core.wide_datapath().jit_report()?;
         Some(self.sim().jit_report()? + wide)
     }
 
     /// States evaluated per wide kernel instruction by the plan's
-    /// backends — the tier's `f64` lane width.
+    /// backends: [`SERVE_LANES`](robo_spatial::SERVE_LANES).
     pub fn serve_width(&self) -> usize {
         self.accel.serve_width()
     }
@@ -418,8 +390,7 @@ impl RobotPlan {
     /// hook for the plan-once contract (backends and forks share the
     /// widened design; nothing re-widens it).
     pub fn wide_sim_refs(&self) -> usize {
-        // Less the handle this call holds.
-        Arc::strong_count(&self.accel.core.lane_datapath()) - 1
+        Arc::strong_count(self.accel.core.wide_datapath())
     }
 
     /// The source morphology.
@@ -459,10 +430,9 @@ impl RobotPlan {
         self.model.dof()
     }
 
-    /// A CPU analytical backend over the plan's shared model, at the
-    /// plan's tier.
+    /// A CPU analytical backend over the plan's shared model.
     pub fn cpu_backend(&self) -> CpuAnalytic<f64> {
-        CpuAnalytic::with_model_tier(Arc::clone(&self.model), self.tier())
+        CpuAnalytic::with_model(Arc::clone(&self.model))
     }
 
     /// An accelerator backend over the plan's shared simulators (scalar
@@ -540,7 +510,6 @@ mod tests {
         // every backend and fork — never rebuilt.
         assert_eq!(plan.wide_sim_refs(), wide_count + 2);
         assert_eq!(accel.serve_width(), plan.serve_width());
-        assert_eq!(accel.tier(), plan.tier());
     }
 
     #[test]
@@ -729,21 +698,19 @@ mod tests {
 
     #[test]
     fn jit_report_covers_the_scalar_and_wide_xunit_tapes() {
-        // Every tier's f64 lane type has an inline lowering on an
+        // `f64` and `Lanes<f64, 4>` both have an inline lowering on an
         // x86-64 Linux host with AVX2, so every plan emits — scalar and
         // wide tapes alike — with no opt-in.
         let emits = cfg!(all(target_arch = "x86_64", target_os = "linux"))
-            && ExecTier::Avx2.supported_on_host();
-        for tier in ExecTier::ALL {
-            let plan = RobotPlan::with_tier(&robots::iiwa14(), tier);
-            let Some(both) = plan.jit_report() else {
-                assert!(!emits, "tier {tier} fell back");
-                continue;
-            };
-            let scalar = plan.sim().jit_report().expect("scalar tapes emitted");
-            assert!(both.instrs > scalar.instrs, "{both:?} vs {scalar:?}");
-            assert!(both.code_bytes > scalar.code_bytes);
-        }
+            && ExecTier::detect() == ExecTier::Avx2;
+        let plan = RobotPlan::new(&robots::iiwa14());
+        let Some(both) = plan.jit_report() else {
+            assert!(!emits, "the plan fell back");
+            return;
+        };
+        let scalar = plan.sim().jit_report().expect("scalar tapes emitted");
+        assert!(both.instrs > scalar.instrs, "{both:?} vs {scalar:?}");
+        assert!(both.code_bytes > scalar.code_bytes);
     }
 
     #[test]

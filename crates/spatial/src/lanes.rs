@@ -35,9 +35,9 @@ use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// The serving width used by the built-in wide batch paths (`Lanes<S, 4>`
-/// covers one AVX2 register of `f64` and keeps tail overhead low for the
-/// paper's trajectory batch sizes).
+/// The one serving width: every wide batch path runs
+/// `Lanes<S, SERVE_LANES>` (`Lanes<f64, 4>` fills one AVX2 register and
+/// keeps tail overhead low for the paper's trajectory batch sizes).
 pub const SERVE_LANES: usize = 4;
 
 /// A fixed-width bundle of `W` independent scalar values, itself a
@@ -54,11 +54,13 @@ pub const SERVE_LANES: usize = 4;
 /// assert_eq!(c.lane(2), 33.0);
 /// ```
 ///
-/// `repr(transparent)`: a `Lanes<S, W>` has exactly the layout of
-/// `[S; W]`, so `Lanes<f64, 4>`/`Lanes<f32, 8>` share the native 32-byte
-/// bundles' JIT lowering in `robo-codegen`.
+/// `repr(C, align(32))`: the lanes are contiguous from offset 0 and every
+/// bundle starts on a 32-byte boundary, so `Lanes<f64, 4>` is exactly one
+/// aligned `ymm` register. `robo-codegen`'s VEX.256 JIT row and its AVX2
+/// batch transposes (aligned loads and stores) rely on that layout.
+/// Bundles narrower than 32 bytes are padded up to it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(transparent)]
+#[repr(C, align(32))]
 pub struct Lanes<S, const W: usize>([S; W]);
 
 impl<S: Scalar, const W: usize> Lanes<S, W> {
@@ -284,6 +286,15 @@ mod tests {
             assert_eq!(a.abs().lane(i), a.lane(i).abs());
             assert_eq!(a.sin().lane(i), a.lane(i).sin());
         }
+    }
+
+    #[test]
+    fn four_f64_lanes_are_one_aligned_ymm_register() {
+        // The JIT's VEX.256 row scales displacements by 32 bytes and the
+        // AVX2 transposes use aligned loads and stores on the register
+        // file; both need exactly this layout.
+        assert_eq!(core::mem::size_of::<Lanes<f64, 4>>(), 32);
+        assert_eq!(core::mem::align_of::<Lanes<f64, 4>>(), 32);
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod mat6;
 mod matn;
 mod motion;
 mod scalar;
-pub mod simd;
 mod tier;
 mod transform;
 mod vec3;
@@ -56,7 +55,7 @@ pub use mat6::Mat6;
 pub use matn::{FactorizeError, Ldlt, MatN};
 pub use motion::{Force, Motion};
 pub use scalar::Scalar;
-pub use tier::{ExecTier, ParseTierError};
+pub use tier::ExecTier;
 pub use transform::Transform;
 pub use vec3::Vec3;
-pub use wide::{WideScalar, WideVisit};
+pub use wide::WideScalar;

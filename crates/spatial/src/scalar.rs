@@ -7,9 +7,6 @@
 //! crate). This mirrors the paper's Figure 12 experiment, which compares
 //! optimization convergence across numeric types.
 
-use crate::lanes::{Lanes, SERVE_LANES};
-use crate::tier::ExecTier;
-use crate::wide::{WideVisit, WidthOf};
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -142,36 +139,10 @@ pub trait Scalar:
     fn dot_accumulate_from(terms: impl Iterator<Item = (Self, Self)>) -> Self {
         terms.fold(Self::zero(), |acc, (a, b)| acc + a * b)
     }
-
-    /// The lane width this scalar's wide serving path uses on `tier` —
-    /// always the `WIDTH` of the type [`Scalar::dispatch_wide`] selects.
-    ///
-    /// The default (and the only behavior for fixed-point types, which
-    /// have no native vector unit on commodity CPUs) is the portable
-    /// [`SERVE_LANES`] width regardless of tier; `f32`/`f64` override
-    /// this to match their native lane types.
-    fn preferred_lanes(tier: ExecTier) -> usize {
-        let _ = tier;
-        SERVE_LANES
-    }
-
-    /// Runs `visitor` instantiated at the wide lane type this scalar
-    /// serves batches with on `tier` — the single runtime→compile-time
-    /// bridge behind every tiered batch path.
-    ///
-    /// The default serves the portable [`Lanes<Self, SERVE_LANES>`]
-    /// whatever the tier; `f32`/`f64` override it to select the native
-    /// SIMD types of the `simd` module where the target architecture has
-    /// them. Requesting a tier the architecture lacks degrades to the
-    /// portable fallback (never an error: all tiers are bit-identical).
-    fn dispatch_wide<Vis: WideVisit<Self>>(tier: ExecTier, visitor: Vis) -> Vis::Out {
-        let _ = tier;
-        visitor.visit::<Lanes<Self, SERVE_LANES>>()
-    }
 }
 
 macro_rules! impl_scalar_float {
-    ($t:ty, $name:literal, $res:expr $(, $extra:item)*) => {
+    ($t:ty, $name:literal, $res:expr) => {
         impl Scalar for $t {
             fn name() -> String {
                 $name.to_owned()
@@ -225,60 +196,12 @@ macro_rules! impl_scalar_float {
             fn is_valid(self) -> bool {
                 self.is_finite()
             }
-
-            fn preferred_lanes(tier: ExecTier) -> usize {
-                Self::dispatch_wide(tier, WidthOf)
-            }
-
-            $($extra)*
         }
     };
 }
 
-impl_scalar_float!(
-    f32,
-    "f32",
-    f32::EPSILON as f64,
-    /// `f32` serves SSE/NEON 128-bit vectors (4 lanes) and AVX2 256-bit
-    /// bundles (8 lanes) where the architecture has them; the `Jit` alias
-    /// serves whatever lane type the host natively detects.
-    fn dispatch_wide<Vis: WideVisit<Self>>(tier: ExecTier, visitor: Vis) -> Vis::Out {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            ExecTier::Sse2 => visitor.visit::<crate::simd::F32x4>(),
-            #[cfg(target_arch = "x86_64")]
-            ExecTier::Avx2 => visitor.visit::<crate::simd::F32x8>(),
-            #[cfg(target_arch = "aarch64")]
-            ExecTier::Neon => visitor.visit::<crate::simd::F32x4>(),
-            // `detect()` never returns `Jit`, so this recursion is one
-            // level deep.
-            ExecTier::Jit => Self::dispatch_wide(ExecTier::detect(), visitor),
-            _ => visitor.visit::<Lanes<f32, SERVE_LANES>>(),
-        }
-    }
-);
-impl_scalar_float!(
-    f64,
-    "f64",
-    f64::EPSILON,
-    /// `f64` serves SSE2/NEON 128-bit vectors (2 lanes) and AVX2 256-bit
-    /// bundles (4 lanes) where the architecture has them; the `Jit` alias
-    /// serves whatever lane type the host natively detects.
-    fn dispatch_wide<Vis: WideVisit<Self>>(tier: ExecTier, visitor: Vis) -> Vis::Out {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            ExecTier::Sse2 => visitor.visit::<crate::simd::F64x2>(),
-            #[cfg(target_arch = "x86_64")]
-            ExecTier::Avx2 => visitor.visit::<crate::simd::F64x4>(),
-            #[cfg(target_arch = "aarch64")]
-            ExecTier::Neon => visitor.visit::<crate::simd::F64x2>(),
-            // `detect()` never returns `Jit`, so this recursion is one
-            // level deep.
-            ExecTier::Jit => Self::dispatch_wide(ExecTier::detect(), visitor),
-            _ => visitor.visit::<Lanes<f64, SERVE_LANES>>(),
-        }
-    }
-);
+impl_scalar_float!(f32, "f32", f32::EPSILON as f64);
+impl_scalar_float!(f64, "f64", f64::EPSILON);
 
 #[cfg(test)]
 mod tests {

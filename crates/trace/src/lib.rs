@@ -1,13 +1,13 @@
 //! Trace-level observability for the robomorphic pipeline.
 //!
-//! Every perf claim in this workspace (compiled tapes, SoA lanes, native
-//! SIMD tiers) ultimately rests on *where cycles go* — and the paper's
+//! Every perf claim in this workspace (compiled tapes, SoA lanes, the
+//! JIT) ultimately rests on *where cycles go* — and the paper's
 //! methodology itself starts from workload analysis (§5.1). This crate is
 //! the measuring instrument: a lightweight RAII span layer instrumenting
 //! the end-to-end pipeline (plan build, netlist optimize/fuse/schedule,
-//! tape lowering, AoS↔SoA lane marshalling, tiered tape eval, the iLQR
-//! backward pass, batch fan-out), emitting [Chrome-trace JSON] viewable
-//! in Perfetto or `chrome://tracing`.
+//! tape lowering, AoS↔SoA lane marshalling, lane-batched tape eval, the
+//! iLQR backward pass, batch fan-out), emitting [Chrome-trace JSON]
+//! viewable in Perfetto or `chrome://tracing`.
 //!
 //! [Chrome-trace JSON]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU

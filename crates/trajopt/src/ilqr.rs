@@ -390,10 +390,9 @@ fn backward_pass(
     // `solve_with_backend`. Then the whole horizon goes through the
     // backend's SoA batch path — two-level (threads × lanes) parallelism:
     // workers fork the backend over the shared plan, and wide backends run
-    // `serve_width()` time steps per kernel instruction (the active
-    // `ExecTier`'s lane width) — filling one flat
-    // `BatchOutput` whose per-step blocks the Riccati recursion
-    // below indexes directly. Non-finite gradients (e.g. fixed-point
+    // `serve_width()` time steps per kernel instruction (`SERVE_LANES`)
+    // — filling one flat `BatchOutput` whose per-step blocks the Riccati
+    // recursion below indexes directly. Non-finite gradients (e.g. fixed-point
     // garbage) also map to None.
     let prep: Vec<Option<(Vec<f64>, MatN<f64>)>> = BatchEngine::global().run_with_state(
         horizon,

@@ -193,34 +193,25 @@ pub fn cmd_convert(source: &str, dest: &str) -> Result<String, CliError> {
 
 /// `robomorphic check <robot>` — model validation plus a zero-config
 /// self-collision sanity check, with the gradient spot-check on the
-/// default (CPU) engine backend at the host's fastest execution tier.
+/// default (CPU) engine backend.
 ///
 /// # Errors
 ///
 /// Propagates loading failures.
 pub fn cmd_check(source: &str) -> Result<String, CliError> {
-    cmd_check_with(
-        source,
-        robo_sim::BackendKind::Cpu,
-        robo_spatial::ExecTier::detect(),
-    )
+    cmd_check_with(source, robo_sim::BackendKind::Cpu)
 }
 
-/// `robomorphic check <robot> --backend {cpu,accel,fd} --tier T` — like
+/// `robomorphic check <robot> --backend {cpu,accel,fd}` — like
 /// [`cmd_check`], but running the gradient spot-check through the chosen
 /// [`DynamicsBackend`](robo_dynamics::engine::DynamicsBackend) of a
-/// once-built [`robo_sim::RobotPlan`] at the chosen execution tier
-/// (clamped to what the host supports; all tiers are bit-identical).
+/// once-built [`robo_sim::RobotPlan`].
 ///
 /// # Errors
 ///
 /// Propagates loading failures.
-pub fn cmd_check_with(
-    source: &str,
-    kind: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
-) -> Result<String, CliError> {
-    cmd_check_traced(source, kind, tier, None)
+pub fn cmd_check_with(source: &str, kind: robo_sim::BackendKind) -> Result<String, CliError> {
+    cmd_check_traced(source, kind, None)
 }
 
 /// `robomorphic check <robot> --kernel {id,fd,grad}` — like
@@ -235,10 +226,9 @@ pub fn cmd_check_with(
 pub fn cmd_check_kernel(
     source: &str,
     kind: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
     kernel: robo_dynamics::engine::KernelKind,
 ) -> Result<String, CliError> {
-    check_body(source, kind, tier, kernel)
+    check_body(source, kind, kernel)
 }
 
 /// `robomorphic check <robot> ... --trace <out.json>` — like
@@ -254,20 +244,18 @@ pub fn cmd_check_kernel(
 pub fn cmd_check_traced(
     source: &str,
     kind: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
     trace_out: Option<&str>,
 ) -> Result<String, CliError> {
     cmd_check_traced_kernel(
         source,
         kind,
-        tier,
         trace_out,
         robo_dynamics::engine::KernelKind::Gradient,
     )
 }
 
-/// The full `check` command: backend, tier, optional trace, and the
-/// kernel of the family to spot-check (see [`cmd_check_kernel`]).
+/// The full `check` command: backend, optional trace, and the kernel of
+/// the family to spot-check (see [`cmd_check_kernel`]).
 ///
 /// # Errors
 ///
@@ -275,7 +263,6 @@ pub fn cmd_check_traced(
 pub fn cmd_check_traced_kernel(
     source: &str,
     kind: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
     trace_out: Option<&str>,
     kernel: robo_dynamics::engine::KernelKind,
 ) -> Result<String, CliError> {
@@ -286,7 +273,7 @@ pub fn cmd_check_traced_kernel(
                 .to_owned(),
         ));
     }
-    let mut out = check_body(source, kind, tier, kernel);
+    let mut out = check_body(source, kind, kernel);
     if let Some(path) = trace_out {
         let mut trace = robo_trace::take().expect("collector was installed above");
         // Propagate a load failure only after uninstalling the collector.
@@ -313,13 +300,11 @@ pub fn cmd_check_traced_kernel(
 fn check_body(
     source: &str,
     kind: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
     kernel: robo_dynamics::engine::KernelKind,
 ) -> Result<String, CliError> {
     let robot = load_robot(source)?;
-    // Plan once: model, sparsity, customized design, compiled netlists —
-    // all at the requested (host-clamped) execution tier.
-    let plan = robo_sim::RobotPlan::with_tier(&robot, tier);
+    // Plan once: model, sparsity, customized design, compiled netlists.
+    let plan = robo_sim::RobotPlan::new(&robot);
     let model: &robo_dynamics::DynamicsModel<f64> = plan.model();
     let n = robot.dof();
     let zero = vec![0.0; n];
@@ -327,9 +312,9 @@ fn check_body(
     let _ = writeln!(out, "checking `{}`:", robot.name());
     let _ = writeln!(
         out,
-        "  execution tier: {} ({} f64 state(s) per wide instruction)",
-        plan.tier(),
-        plan.serve_width()
+        "  lanes: {} f64 states per wide instruction (host tier {})",
+        plan.serve_width(),
+        plan.tier()
     );
     // The JIT line is load-bearing: CI greps for "jit: active" to fail
     // the build when a plan silently runs its X-unit tapes — scalar and
@@ -346,7 +331,7 @@ fn check_body(
         None => {
             let _ = writeln!(
                 out,
-                "  jit: fell back (an X-unit tape at tier {} runs the interpreter)",
+                "  jit: fell back (an X-unit tape runs the interpreter on this {} host)",
                 plan.tier()
             );
         }
@@ -427,8 +412,8 @@ fn check_body(
     Ok(out)
 }
 
-/// `robomorphic serve <robot> [--backend B] [--tier T] [--kernel K]
-/// [--clients C] [--requests N] [--linger-us L]` — spin up the in-process
+/// `robomorphic serve <robot> [--backend B] [--kernel K] [--clients C]
+/// [--requests N] [--linger-us L]` — spin up the in-process
 /// kernel-serving tier and drive it with a closed-loop load generator:
 /// `C` client threads each performing `N` submit→wait round trips of the
 /// chosen family kernel through the morphology-keyed plan cache and
@@ -438,11 +423,9 @@ fn check_body(
 /// # Errors
 ///
 /// Propagates loading failures.
-#[allow(clippy::too_many_arguments)]
 pub fn cmd_serve(
     source: &str,
     kind: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
     kernel: robo_dynamics::engine::KernelKind,
     clients: usize,
     requests: usize,
@@ -456,7 +439,6 @@ pub fn cmd_serve(
     let requests = requests.max(1);
     let server = GradientServer::with_config(ServeConfig {
         backend: kind,
-        tier: Some(tier),
         max_linger: linger,
         queue_capacity: (4 * clients).max(64),
         ..ServeConfig::default()
@@ -528,9 +510,8 @@ pub fn cmd_serve(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "serving `{}` [{kernel} kernel, {kind} backend, {} tier, width {}]:",
+        "serving `{}` [{kernel} kernel, {kind} backend, width {}]:",
         robot.name(),
-        plan.tier(),
         plan.serve_width()
     );
     let _ = writeln!(
@@ -566,9 +547,9 @@ USAGE:
     robomorphic info      <robot>                  morphology & sparsity summary
     robomorphic customize <robot> [--verilog-dir D] run the two-step methodology
     robomorphic convert   <robot> <out.robo>        normalize a description
-    robomorphic check     <robot> [--backend B] [--tier T] [--kernel K]
-                          [--trace F]               validate model & dynamics
-    robomorphic serve     <robot> [--backend B] [--tier T] [--kernel K]
+    robomorphic check     <robot> [--backend B] [--kernel K] [--trace F]
+                                                    validate model & dynamics
+    robomorphic serve     <robot> [--backend B] [--kernel K]
                           [--clients C] [--requests N] [--linger-us L]
                                                     drive the kernel-serving
                                                     tier with a closed-loop
@@ -587,13 +568,11 @@ fd (forward dynamics, M⁻¹(τ−C) on the accelerator, ABA on the CPU).
 check compares the chosen backend's kernel against the CPU reference;
 serve routes every client request to that kernel's shard.
 
---tier forces the SIMD execution tier the engine serves wide batches at:
-auto (host-detected, default) | portable | sse2 | avx2 | neon.
-Tiers not supported by the host degrade gracefully; every tier is
-bit-identical, so the choice affects throughput only. On x86-64 Linux
-every compiled tape whose lane type has an inline lowering runs as one
-JIT-emitted native function; check prints `jit: active` or `jit: fell
-back` for the plan's tapes.
+Wide batches run four states per instruction (Lanes<f64, 4>),
+bit-identical to one-state calls. On x86-64 Linux every f64 tape, and
+on AVX2 hosts every Lanes<f64, 4> tape, runs as one JIT-emitted native
+function; check prints `jit: active` or `jit: fell back` for the plan's
+tapes.
 
 --trace records a span trace of the whole check (plan build through the
 gradient spot-check) and writes it to F as Chrome-trace JSON — open it in
@@ -608,12 +587,11 @@ coalescing/backpressure counters. Defaults: --clients 4, --requests 64,
 }
 
 /// The command line of `check` and `serve`: the `<robot>` positional, the
-/// flags both share (`--backend`, `--tier`, `--kernel`), and the
-/// command's own valued flags.
+/// flags both share (`--backend`, `--kernel`), and the command's own
+/// valued flags.
 struct Flags<'a> {
     source: &'a str,
     backend: robo_sim::BackendKind,
-    tier: robo_spatial::ExecTier,
     kernel: robo_dynamics::engine::KernelKind,
     /// The command's own flags with their values, in order.
     extra: Vec<(&'a str, &'a str)>,
@@ -628,7 +606,6 @@ impl<'a> Flags<'a> {
         mut backend: robo_sim::BackendKind,
         extra: &[&str],
     ) -> Result<Self, CliError> {
-        let mut tier = robo_spatial::ExecTier::detect();
         let mut kernel = robo_dynamics::engine::KernelKind::Gradient;
         let mut source = None;
         let mut values = Vec::new();
@@ -640,13 +617,6 @@ impl<'a> Flags<'a> {
             };
             match arg {
                 "--backend" => backend = value()?.parse().map_err(CliError::Usage)?,
-                "--tier" => {
-                    tier = value()?
-                        .parse()
-                        .map_err(|e: robo_spatial::ParseTierError| {
-                            CliError::Usage(e.to_string())
-                        })?;
-                }
                 "--kernel" => kernel = value()?.parse().map_err(CliError::Usage)?,
                 flag if extra.contains(&flag) => values.push((flag, value()?)),
                 flag if flag.starts_with("--") => {
@@ -661,7 +631,6 @@ impl<'a> Flags<'a> {
         Ok(Self {
             source: source.ok_or_else(|| CliError::Usage(format!("{cmd} needs a <robot>")))?,
             backend,
-            tier,
             kernel,
             extra: values,
         })
@@ -693,7 +662,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         [cmd, source, dest] if cmd == "convert" => cmd_convert(source, dest),
         [cmd, rest @ ..] if cmd == "check" && !rest.is_empty() => {
             let f = Flags::parse("check", rest, robo_sim::BackendKind::Cpu, &["--trace"])?;
-            cmd_check_traced_kernel(f.source, f.backend, f.tier, f.value("--trace"), f.kernel)
+            cmd_check_traced_kernel(f.source, f.backend, f.value("--trace"), f.kernel)
         }
         [cmd, rest @ ..] if cmd == "serve" && !rest.is_empty() => {
             let f = Flags::parse(
@@ -711,7 +680,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             cmd_serve(
                 f.source,
                 f.backend,
-                f.tier,
                 f.kernel,
                 count("--clients", 4)? as usize,
                 count("--requests", 64)? as usize,

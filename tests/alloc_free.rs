@@ -51,11 +51,13 @@ fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// One tier-dispatched batch sweep (named so the counted loops below read
-/// as what they measure).
+/// One serving-lane batch sweep over state-ref views (named so the
+/// counted loops below read as what they measure).
 fn compiled_batch_warm(
     compiled: &robomorphic::codegen::CompiledNetlist<f64>,
-    ws: &mut robomorphic::codegen::TieredBatchEval<f64>,
+    ws: &mut robomorphic::codegen::BatchEvalWorkspace<
+        robomorphic::spatial::Lanes<f64, { robomorphic::spatial::SERVE_LANES }>,
+    >,
     states: &[&[f64]],
     out: &mut [f64],
 ) {
@@ -187,21 +189,20 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
         "CompiledNetlist::eval_batch_into allocated in steady state"
     );
 
-    // The tier-dispatched batch path: a warm TieredBatchEval (native SIMD
-    // lanes on hosts that have them, portable lanes elsewhere) is just as
-    // allocation-free as the generic workspace it erases. The state-ref
-    // views are borrows built outside the counted region.
+    // The serving batch path over state-ref views, through the
+    // workspace's own entry: just as allocation-free. The views are
+    // borrows built outside the counted region.
     let batch_refs: Vec<&[f64]> = batch_states.iter().map(|s| s.as_slice()).collect();
-    let mut tiered_ws = compiled.tiered_workspace(robomorphic::spatial::ExecTier::detect());
-    compiled_batch_warm(&compiled, &mut tiered_ws, &batch_refs, &mut batch_flat);
+    let mut serve_ws = robomorphic::codegen::BatchEvalWorkspace::for_netlist(&compiled);
+    compiled_batch_warm(&compiled, &mut serve_ws, &batch_refs, &mut batch_flat);
     let before = allocations();
     for _ in 0..64 {
-        compiled_batch_warm(&compiled, &mut tiered_ws, &batch_refs, &mut batch_flat);
+        compiled_batch_warm(&compiled, &mut serve_ws, &batch_refs, &mut batch_flat);
     }
     assert_eq!(
         allocations(),
         before,
-        "tiered eval_batch_into allocated in steady state"
+        "BatchEvalWorkspace::eval_batch_into allocated in steady state"
     );
 
     // The engine layer on top: once a RobotPlan is built and a backend

@@ -72,36 +72,6 @@ fn check_accepts_backend_flag() {
     }
 }
 
-#[test]
-fn check_accepts_tier_flag() {
-    // Forcing any tier still passes the spot-check (all tiers are
-    // bit-identical), and the report names the tier the plan landed on.
-    for tier in ["auto", "portable", "sse2", "avx2", "neon"] {
-        let out = cli::run(&[
-            "check".to_owned(),
-            "iiwa14".to_owned(),
-            "--tier".to_owned(),
-            tier.to_owned(),
-        ])
-        .expect("tier checks");
-        assert!(out.contains("execution tier: "));
-        assert!(out.contains("(ok)"));
-        assert!(!out.contains("FAIL"));
-    }
-    // Forcing portable is honored verbatim on every host.
-    let out = cli::run(&[
-        "check".to_owned(),
-        "iiwa14".to_owned(),
-        "--backend".to_owned(),
-        "accel".to_owned(),
-        "--tier".to_owned(),
-        "portable".to_owned(),
-    ])
-    .expect("combined flags");
-    assert!(out.contains("execution tier: portable"));
-    assert!(out.contains("`accel` backend gradient"));
-}
-
 /// Needs the `trace` feature (on by default): the only test in this
 /// binary that installs the process-global trace collector.
 #[cfg(feature = "trace")]
@@ -114,8 +84,6 @@ fn check_accepts_trace_flag() {
     let out = cli::run(&[
         "check".to_owned(),
         "iiwa14".to_owned(),
-        "--tier".to_owned(),
-        "portable".to_owned(),
         "--trace".to_owned(),
         trace_path.to_str().unwrap().to_owned(),
     ])
@@ -159,15 +127,17 @@ fn check_rejects_unknown_flag_and_missing_value() {
 
 #[test]
 fn check_rejects_unknown_tier() {
+    // The lane type is fixed at compile time: `--tier` is no longer a
+    // flag, whatever its value.
     let err = cli::run(&[
         "check".to_owned(),
         "iiwa14".to_owned(),
         "--tier".to_owned(),
-        "avx512".to_owned(),
+        "avx2".to_owned(),
     ])
-    .expect_err("unknown tier");
+    .expect_err("--tier is not a check flag");
     match err {
-        CliError::Usage(msg) => assert!(msg.contains("unknown execution tier `avx512`")),
+        CliError::Usage(msg) => assert!(msg.contains("unknown check flag `--tier`")),
         other => panic!("expected usage error, got {other:?}"),
     }
 }

@@ -1,14 +1,14 @@
 //! Parity of the serving tier: a gradient served through the
 //! micro-batcher — coalesced into wide lane-groups, possibly flushed
 //! ragged by the linger deadline — must be **bit-identical** to a direct
-//! `GradientBackend::gradient_into` call on the same backend and tier.
+//! `GradientBackend::gradient_into` call on the same backend.
 //!
 //! The serving path adds queuing, SoA lane marshalling, and a block copy
 //! back into the caller's buffer, but no arithmetic of its own, so exact
 //! equality (not a tolerance) is the contract. Pipelined submissions from
 //! many slots force multi-request flushes; tiny linger deadlines force
-//! partial-lane (ragged) ones; both shapes are asserted per backend and
-//! per host-supported execution tier. The vector kernels (`id`, `fd`) go
+//! partial-lane (ragged) ones; both shapes are asserted per backend. The
+//! vector kernels (`id`, `fd`) go
 //! through the same flush, so deep batches of them are held to the same
 //! exact contract against a direct `run_into`.
 
@@ -17,7 +17,6 @@ use robomorphic::dynamics::{forward_dynamics, mass_matrix_inverse};
 use robomorphic::engine::{BackendKind, KernelKind, KernelOutput, RobotPlan};
 use robomorphic::model::robots;
 use robomorphic::serve::{GradientRequest, GradientServer, ResponseSlot, ServeConfig};
-use robomorphic::spatial::ExecTier;
 use std::time::Duration;
 
 /// Deterministically fills a request from proptest draws (via a
@@ -39,17 +38,10 @@ fn fill_request(plan: &RobotPlan, vals: &[f64], k: usize, req: &mut GradientRequ
 
 /// Serves `count` pipelined requests and asserts each response is
 /// bit-identical to the direct (unbatched) backend call.
-fn check_parity(
-    backend: BackendKind,
-    tier: ExecTier,
-    vals: &[f64],
-    count: usize,
-    linger: Duration,
-) {
+fn check_parity(backend: BackendKind, vals: &[f64], count: usize, linger: Duration) {
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         backend,
-        tier: Some(tier),
         max_linger: linger,
         queue_capacity: count.max(4),
         ..ServeConfig::default()
@@ -77,7 +69,7 @@ fn check_parity(
         assert_eq!(
             served.out, want.out,
             "served response {k}/{count} must be bit-identical to the direct \
-             {backend:?} gradient at tier {tier}"
+             {backend:?} gradient"
         );
     }
 }
@@ -145,15 +137,6 @@ fn check_vector_kernel_parity(
     );
 }
 
-fn host_tiers() -> Vec<ExecTier> {
-    let mut tiers = vec![ExecTier::Portable];
-    let native = ExecTier::detect();
-    if native != ExecTier::Portable {
-        tiers.push(native);
-    }
-    tiers
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 4,
@@ -161,19 +144,17 @@ proptest! {
     })]
 
     /// Batched (full lane groups + ragged tail under a realistic linger)
-    /// parity per backend and host tier.
+    /// parity per backend.
     #[test]
     fn served_gradients_are_bit_identical_to_direct_calls(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
         extra in 1usize..4,
     ) {
-        for tier in host_tiers() {
-            for backend in [BackendKind::Cpu, BackendKind::Accel] {
-                // One full lane group plus a ragged tail of `extra`.
-                let plan = RobotPlan::with_tier(&robots::iiwa14(), tier);
-                let count = plan.serve_width() + extra;
-                check_parity(backend, tier, &vals, count, Duration::from_micros(100));
-            }
+        for backend in [BackendKind::Cpu, BackendKind::Accel] {
+            // One full lane group plus a ragged tail of `extra`.
+            let plan = RobotPlan::new(&robots::iiwa14());
+            let count = plan.serve_width() + extra;
+            check_parity(backend, &vals, count, Duration::from_micros(100));
         }
     }
 
@@ -198,7 +179,7 @@ proptest! {
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
     ) {
         for backend in [BackendKind::Cpu, BackendKind::Accel] {
-            check_parity(backend, ExecTier::detect(), &vals, 3, Duration::from_micros(1));
+            check_parity(backend, &vals, 3, Duration::from_micros(1));
         }
     }
 }

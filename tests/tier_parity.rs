@@ -1,26 +1,23 @@
-//! Bit-identity of the tiered execution paths.
+//! Bit-identity of the batch and JIT execution paths.
 //!
-//! Two promises pin the whole tiered serving stack to the scalar
-//! semantics:
+//! Three promises pin the serving stack to the scalar semantics:
 //!
-//! * **Native lanes ≡ portable lanes ≡ scalar.** A batch evaluated
-//!   through [`CompiledNetlist::tiered_workspace`] at *any* requested
-//!   [`ExecTier`] (clamped to what the host supports, so every tier is
-//!   testable everywhere) must reproduce per-state scalar `eval_into`
-//!   bit for bit — including the ragged scalar tail. Exercised for `f64`
-//!   and `f32`, on both the §4 X-unit tape and the merged full-pipeline
-//!   tape (whose AVX2 path takes the transposed gather/scatter fast
-//!   lane).
+//! * **Lanes ≡ scalar.** A batch evaluated through the one batch
+//!   workspace, `Lanes<S, SERVE_LANES>`, must reproduce per-state scalar
+//!   `eval_into` bit for bit — including the ragged scalar tail. Every
+//!   batch holds at least one full lane group, so for `f64` on an AVX2
+//!   host the transposed gather/scatter runs. Exercised for `f64` and
+//!   `f32`, on both the §4 X-unit tape and the merged full-pipeline tape.
 //!
 //! * **JIT ≡ interpreter.** `CompiledNetlist::compile` emits every
-//!   float tape as one native function (the copy-and-patch template
-//!   JIT); `eval_into_regs` runs it and must match the `match`-dispatch
-//!   oracle (`eval_into_regs_interp`) bit for bit — for `f64` and `f32`,
-//!   on the X-unit, full-pipeline, and fused multifunction family tapes,
-//!   through both the scalar path and the tiered batch path (whose
-//!   widened tape is emitted at its lane type, ragged tail included).
-//!   `Fix32_16` has no inline lowering: it runs the interpreter and
-//!   still matches.
+//!   `f64` and `f32` tape as one native function (the copy-and-patch
+//!   template JIT), and on AVX2 hosts the tape widened to
+//!   `Lanes<f64, 4>` too; `eval_into_regs` runs it and must match the
+//!   `match`-dispatch oracle (`eval_into_regs_interp`) bit for bit — on
+//!   the X-unit, full-pipeline, and fused multifunction family tapes,
+//!   through both the scalar path and the batch path (ragged tail
+//!   included). `Lanes<f32, 4>` and `Fix32_16` have no inline lowering:
+//!   they run the interpreter and still match.
 //!
 //! * **Default executor ≡ interpreter.** `threaded_matches_interp_*` keep
 //!   the names they had when `eval_into_regs` ran the direct-threaded
@@ -37,13 +34,13 @@
 use proptest::prelude::*;
 use robomorphic::codegen::{
     generate_kernel_family, generate_x_pipeline, generate_x_unit_with_mask, optimize,
-    CompiledNetlist, EvalWorkspace,
+    BatchEvalWorkspace, CompiledNetlist, EvalWorkspace,
 };
 use robomorphic::engine::KernelKind;
 use robomorphic::fixed::Fix32_16;
 use robomorphic::model::robots;
 use robomorphic::sparsity::superposition_pattern;
-use robomorphic::spatial::{ExecTier, Scalar};
+use robomorphic::spatial::{ExecTier, Lanes, Scalar, SERVE_LANES};
 
 /// A tape input: mostly ordinary magnitudes in (−`max`, `max`), mixed with
 /// ±0.0 and an `f64` and an `f32` subnormal.
@@ -78,9 +75,13 @@ fn pipeline_tape<S: Scalar>() -> CompiledNetlist<S> {
     CompiledNetlist::compile(&optimize(&generate_x_pipeline(&robot, sup)))
 }
 
-/// Batch evaluation through every requested tier must match per-state
-/// scalar evaluation bit for bit, ragged tail included.
+/// Batch evaluation through the serving lane workspace must match
+/// per-state scalar evaluation bit for bit, ragged tail included.
 fn tier_parity<S: Scalar>(tape: &CompiledNetlist<S>, vals: &[f64], count: usize) {
+    assert!(
+        count >= SERVE_LANES,
+        "the batch must hold a full lane group"
+    );
     let n_in = tape.input_names().len();
     let n_out = tape.num_outputs();
     let states: Vec<Vec<S>> = (0..count)
@@ -98,21 +99,18 @@ fn tier_parity<S: Scalar>(tape: &CompiledNetlist<S>, vals: &[f64], count: usize)
         tape.eval_into(s, &mut ws, &mut want[i * n_out..(i + 1) * n_out]);
     }
 
-    for tier in ExecTier::ALL {
-        let clamped = tier.clamp_to_host();
-        let mut tiered = tape.tiered_workspace(clamped);
-        let mut got = vec![S::zero(); count * n_out];
-        tiered.eval_batch_into(tape, &refs, &mut got);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(
-                bits(*g),
-                bits(*w),
-                "tier {tier} (runs as {clamped}, lane {}): output {} of state {} diverged",
-                tiered.lane_name(),
-                i % n_out,
-                i / n_out,
-            );
-        }
+    let mut batch = BatchEvalWorkspace::<Lanes<S, SERVE_LANES>>::for_netlist(tape);
+    let mut got = vec![S::zero(); count * n_out];
+    batch.eval_batch_into(tape, &refs, &mut got);
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            bits(*g),
+            bits(*w),
+            "{}: output {} of state {} diverged",
+            S::name(),
+            i % n_out,
+            i / n_out,
+        );
     }
 }
 
@@ -145,24 +143,43 @@ fn oracle_parity<S: Scalar>(tape: &CompiledNetlist<S>, vals: &[f64]) {
 }
 
 /// The emitted function must match the `match` oracle bit for bit,
-/// through both the scalar path and the tiered batch path (whose widened
-/// tape is emitted at its lane type; the ragged tail runs the scalar
-/// tape). `emits` says whether `S` has an inline lowering.
-fn jit_parity<S: Scalar>(tape: CompiledNetlist<S>, vals: &[f64], count: usize, emits: bool) {
+/// through both the scalar path and the batch path (whose widened tape
+/// is emitted at `Lanes<S, SERVE_LANES>` where that has a row; the
+/// ragged tail runs the scalar tape). `emits` says whether `S` has an
+/// inline lowering, `wide_emits` whether `Lanes<S, SERVE_LANES>` does.
+fn jit_parity<S: Scalar>(
+    tape: CompiledNetlist<S>,
+    vals: &[f64],
+    count: usize,
+    emits: bool,
+    wide_emits: bool,
+) {
     // The JIT is mandatory where the platform supports it — a silent
     // fallback on x86-64 Linux would turn this whole test into an
     // interpreter-vs-interpreter no-op.
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         assert_eq!(tape.jit_report().is_some(), emits, "{}", S::name());
+        let wide = tape.widen::<SERVE_LANES>();
+        assert_eq!(
+            wide.jit_report().is_some(),
+            wide_emits,
+            "{}",
+            <Lanes<S, SERVE_LANES>>::name()
+        );
     }
 
     // Scalar path: `eval_into_regs` runs the emitted function.
     oracle_parity(&tape, vals);
 
-    // Batch path, every tier: the emitted tapes must still reproduce
-    // per-state scalar evaluation (itself oracle-checked above) bit for
-    // bit — `count` is prime-ish small so lane-width tails are ragged.
+    // Batch path: the emitted tapes must still reproduce per-state
+    // scalar evaluation (itself oracle-checked above) bit for bit —
+    // `count` is small so lane-width tails are ragged.
     tier_parity(&tape, vals, count);
+}
+
+/// Whether `Lanes<f64, 4>` has its VEX.256 row on this host.
+fn avx2() -> bool {
+    ExecTier::detect() == ExecTier::Avx2
 }
 
 proptest! {
@@ -171,7 +188,7 @@ proptest! {
     #[test]
     fn tiers_match_scalar_f64_xunit(
         vals in prop::collection::vec(input_value(2.0), 16..48),
-        count in 1_usize..13,
+        count in 4_usize..13,
     ) {
         tier_parity::<f64>(&xunit_tape(), &vals, count);
     }
@@ -179,7 +196,7 @@ proptest! {
     #[test]
     fn tiers_match_scalar_f32_xunit(
         vals in prop::collection::vec(input_value(2.0), 16..48),
-        count in 1_usize..13,
+        count in 4_usize..13,
     ) {
         tier_parity::<f32>(&xunit_tape(), &vals, count);
     }
@@ -187,7 +204,7 @@ proptest! {
     #[test]
     fn tiers_match_scalar_f64_pipeline(
         vals in prop::collection::vec(input_value(2.0), 16..80),
-        count in 1_usize..11,
+        count in 4_usize..11,
     ) {
         tier_parity::<f64>(&pipeline_tape(), &vals, count);
     }
@@ -195,7 +212,7 @@ proptest! {
     #[test]
     fn tiers_match_scalar_f32_pipeline(
         vals in prop::collection::vec(input_value(2.0), 16..80),
-        count in 1_usize..11,
+        count in 4_usize..11,
     ) {
         tier_parity::<f32>(&pipeline_tape(), &vals, count);
     }
@@ -221,30 +238,30 @@ proptest! {
     #[test]
     fn jit_matches_interp_f64(
         vals in prop::collection::vec(input_value(2.0), 16..80),
-        count in 1_usize..11,
+        count in 4_usize..11,
     ) {
-        jit_parity::<f64>(xunit_tape(), &vals, count, true);
-        jit_parity::<f64>(pipeline_tape(), &vals, count, true);
-        jit_parity::<f64>(family_tape(), &vals, count, true);
+        jit_parity::<f64>(xunit_tape(), &vals, count, true, avx2());
+        jit_parity::<f64>(pipeline_tape(), &vals, count, true, avx2());
+        jit_parity::<f64>(family_tape(), &vals, count, true, avx2());
     }
 
     #[test]
     fn jit_matches_interp_f32(
         vals in prop::collection::vec(input_value(2.0), 16..80),
-        count in 1_usize..11,
+        count in 4_usize..11,
     ) {
-        jit_parity::<f32>(xunit_tape(), &vals, count, true);
-        jit_parity::<f32>(pipeline_tape(), &vals, count, true);
-        jit_parity::<f32>(family_tape(), &vals, count, true);
+        jit_parity::<f32>(xunit_tape(), &vals, count, true, false);
+        jit_parity::<f32>(pipeline_tape(), &vals, count, true, false);
+        jit_parity::<f32>(family_tape(), &vals, count, true, false);
     }
 
     #[test]
     fn jit_matches_interp_fixed(
         vals in prop::collection::vec(input_value(2.0), 16..80),
-        count in 1_usize..11,
+        count in 4_usize..11,
     ) {
-        jit_parity::<Fix32_16>(xunit_tape(), &vals, count, false);
-        jit_parity::<Fix32_16>(pipeline_tape(), &vals, count, false);
-        jit_parity::<Fix32_16>(family_tape(), &vals, count, false);
+        jit_parity::<Fix32_16>(xunit_tape(), &vals, count, false, false);
+        jit_parity::<Fix32_16>(pipeline_tape(), &vals, count, false, false);
+        jit_parity::<Fix32_16>(family_tape(), &vals, count, false, false);
     }
 }

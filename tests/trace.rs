@@ -75,16 +75,18 @@ fn example_trace_is_valid_chrome_trace_with_full_coverage() {
 #[cfg(feature = "trace")]
 #[test]
 fn live_pipeline_trace_covers_the_span_taxonomy() {
-    use robomorphic::codegen::{generate_x_pipeline, optimize, CompiledNetlist};
+    use robomorphic::codegen::{
+        generate_x_pipeline, optimize, BatchEvalWorkspace, CompiledNetlist,
+    };
     use robomorphic::engine::{BackendKind, GradientState, RobotPlan};
     use robomorphic::model::robots;
     use robomorphic::sparsity::superposition_pattern;
-    use robomorphic::spatial::ExecTier;
+    use robomorphic::spatial::{Lanes, SERVE_LANES};
 
     assert!(robomorphic::trace::install(), "collector installs once");
 
     let robot = robots::iiwa14();
-    let plan = RobotPlan::with_tier(&robot, ExecTier::detect());
+    let plan = RobotPlan::new(&robot);
     let sup = superposition_pattern(&robot);
     let tape = CompiledNetlist::<f64>::compile(&optimize(&generate_x_pipeline(&robot, sup)));
 
@@ -96,7 +98,7 @@ fn live_pipeline_trace_covers_the_span_taxonomy() {
         })
         .collect();
     let state_refs: Vec<&[f64]> = states.iter().map(|s| s.as_slice()).collect();
-    let mut ws = tape.tiered_workspace(ExecTier::detect());
+    let mut ws = BatchEvalWorkspace::<Lanes<f64, SERVE_LANES>>::for_netlist(&tape);
     let mut out = vec![0.0_f64; states.len() * tape.num_outputs()];
     ws.eval_batch_into(&tape, &state_refs, &mut out);
 
