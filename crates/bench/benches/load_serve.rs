@@ -1,6 +1,7 @@
 //! Serving-tier load generator: p50/p99 request latency across a
-//! closed-loop client sweep, and saturated throughput of the coalescing
-//! micro-batcher against naive one-request-one-gradient dispatch.
+//! closed-loop client sweep, split into its stages, and saturated
+//! throughput of the coalescing micro-batcher against naive
+//! one-request-one-gradient dispatch.
 //!
 //! Two measurements, both against [`GradientServer`] with a single
 //! pinned worker so the comparison isolates the *coalescing* win (SIMD
@@ -11,7 +12,15 @@
 //!   request's submit→response time is sampled; the 50th and 99th
 //!   percentiles are recorded as `serve_<robot>_c<N>_p50_ns` /
 //!   `_p99_ns` medians (the `analyse report` latency table, gated
-//!   lower-is-better).
+//!   lower-is-better). The shard's stage stamps ([`ServeStages`]) cut
+//!   each sample into admit, queue, compute, respond and wake time,
+//!   recorded the same way (`serve_<robot>_c<N>_<stage>_p50_ns`); the
+//!   five add up to the round trip exactly, sample by sample. At one
+//!   client a direct warm `gradient_into` on the same backend is timed
+//!   between round trips, and `serve_direct_vs_c1_<robot>` = direct ns /
+//!   c1 p50 ns records what share of a lone client's latency is the
+//!   kernel itself (gated: a batcher that holds a lone request back
+//!   sinks it).
 //! * **Saturated throughput** — one driver pipelines a deep window of
 //!   outstanding slots so the shard queue never runs dry, first with the
 //!   default lane-group coalescing (`lane_groups_per_flush = 4`), then
@@ -32,9 +41,9 @@ use robo_bench::report::{
 };
 use robo_model::{robots, RobotModel};
 use robo_serve::{
-    GradientRequest, GradientServer, ResponseSlot, ServeConfig, ServeError, ServeStats,
+    GradientRequest, GradientServer, ResponseSlot, ServeConfig, ServeError, ServeStages, ServeStats,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Submits with bounded retry on backpressure (the load generator is the
 /// one client allowed to spin: it *wants* to find the saturation point).
@@ -76,39 +85,75 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[(((samples.len() - 1) as f64) * q).round() as usize]
 }
 
+/// Nanoseconds in a duration, as the bench's sample type.
+fn ns(d: std::time::Duration) -> f64 {
+    d.as_nanos() as f64
+}
+
+/// One closed-loop round trip, in ns: its latency, the same latency cut
+/// at the shard's stamps (one entry per [`ServeStages::NAMES`]), and the
+/// direct call timed just before it (one client only).
+struct Sample {
+    round_trip: f64,
+    stages: [f64; 5],
+    direct: Option<f64>,
+}
+
 /// Closed-loop sweep point: `clients` threads, one request in flight
-/// each, `per_client` round trips. Returns (p50, p99) latency in ns.
-fn closed_loop_latency(robot: &RobotModel, clients: usize, per_client: usize) -> (f64, f64) {
+/// each, `per_client` round trips. With one client, a direct call on the
+/// server's backend is timed before every round trip.
+fn closed_loop(robot: &RobotModel, clients: usize, per_client: usize) -> Vec<Sample> {
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
-        // Short linger: closed-loop clients rarely fill a whole batch, so
-        // the deadline, not batch-full, paces most flushes — keep the
-        // latency it adds small against the kernel itself.
-        max_linger: Duration::from_micros(20),
         ..ServeConfig::default()
     });
     let key = server.register(robot);
     let plan = server.plan(key).expect("registered");
     let cases = harness::gradient_cases(plan.model(), clients.max(4));
 
-    let mut latencies: Vec<f64> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let server = server.clone();
                 let case = &cases[c % cases.len()];
+                let mut backend = (clients == 1).then(|| plan.backend(server.config().backend));
                 let dof = plan.dof();
                 scope.spawn(move || {
                     let slot = ResponseSlot::new();
                     let mut req = request_from_case(dof, case);
+                    let mut out = req.out.clone();
                     let mut samples = Vec::with_capacity(per_client);
-                    // Warm-up round trip: first-flush buffer sizing.
-                    submit_retry(&server, key, req, &slot);
-                    req = slot.wait();
-                    for _ in 0..per_client {
-                        let start = Instant::now();
+                    // Round 0 warms up (first-flush buffer sizing) and is
+                    // not recorded.
+                    for round in 0..=per_client {
+                        let direct = backend.as_mut().map(|d| {
+                            let start = Instant::now();
+                            d.gradient_into(&req.q, &req.qd, &req.qdd, &req.minv, &mut out)
+                                .expect("dimensions match");
+                            ns(start.elapsed())
+                        });
+                        let submitted = Instant::now();
                         submit_retry(&server, key, req, &slot);
                         req = slot.wait();
-                        samples.push(start.elapsed().as_secs_f64() * 1e9);
+                        let woke = Instant::now();
+                        if round == 0 {
+                            continue;
+                        }
+                        let stages = req
+                            .stages
+                            .split(submitted, woke)
+                            .expect("the shard stamps every stage in order");
+                        // The stages telescope over the same instants.
+                        assert_eq!(
+                            stages.iter().sum::<std::time::Duration>(),
+                            woke - submitted,
+                            "stages must add up to the round trip"
+                        );
+                        samples.push(Sample {
+                            round_trip: ns(woke - submitted),
+                            stages: stages.map(ns),
+                            direct,
+                        });
                     }
                     samples
                 })
@@ -118,11 +163,11 @@ fn closed_loop_latency(robot: &RobotModel, clients: usize, per_client: usize) ->
             .into_iter()
             .flat_map(|h| h.join().expect("client thread"))
             .collect()
-    });
-    (
-        percentile(&mut latencies, 0.50),
-        percentile(&mut latencies, 0.99),
-    )
+    })
+}
+
+fn mean(samples: &[f64]) -> f64 {
+    samples.iter().sum::<f64>() / samples.len() as f64
 }
 
 /// Saturated throughput: a pipelined window of `window` outstanding
@@ -138,7 +183,6 @@ fn saturated_ns_per_request(
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         lane_groups_per_flush: lane_groups,
-        max_linger: Duration::from_micros(50),
         queue_capacity: 2 * window + 8,
         ..ServeConfig::default()
     });
@@ -186,7 +230,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     report.set_host(HostInfo::detect());
 
     // --- Closed-loop latency sweep --------------------------------------
-    let per_client = if env.quick { 32 } else { 160 };
+    let per_client = if env.quick { 128 } else { 640 };
     let sweeps: Vec<(&str, RobotModel, Vec<usize>)> = if env.quick {
         vec![("iiwa14", robots::iiwa14(), vec![1, 2, 4])]
     } else {
@@ -197,8 +241,12 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     };
     for (name, robot, client_counts) in &sweeps {
         for &clients in client_counts {
-            let (p50, p99) = closed_loop_latency(robot, clients, per_client);
+            let samples = closed_loop(robot, clients, per_client);
             let stem = format!("serve_{name}_c{clients}");
+            let mut round_trip: Vec<f64> = samples.iter().map(|s| s.round_trip).collect();
+            let e2e_mean = mean(&round_trip);
+            let p50 = percentile(&mut round_trip, 0.50);
+            let p99 = percentile(&mut round_trip, 0.99);
             report.record_median_ns(format!("{stem}{LATENCY_P50_SUFFIX}"), p50);
             report.record_median_ns(format!("{stem}{LATENCY_P99_SUFFIX}"), p99);
             println!(
@@ -207,6 +255,33 @@ fn run_once(env: &BenchEnv) -> BenchReport {
                 p50 / 1e3,
                 p99 / 1e3
             );
+            let mut means = String::new();
+            for (i, stage) in ServeStages::NAMES.iter().enumerate() {
+                let mut stage_ns: Vec<f64> = samples.iter().map(|s| s.stages[i]).collect();
+                means += &format!(" {stage} {:.1}", mean(&stage_ns) / 1e3);
+                let key = format!("{stem}_{stage}");
+                let p50 = percentile(&mut stage_ns, 0.50);
+                report.record_median_ns(format!("{key}{LATENCY_P50_SUFFIX}"), p50);
+                let p99 = percentile(&mut stage_ns, 0.99);
+                report.record_median_ns(format!("{key}{LATENCY_P99_SUFFIX}"), p99);
+            }
+            println!(
+                "load_serve/{stem:<18} mean: {:8.1} us ={means} us",
+                e2e_mean / 1e3
+            );
+            let mut direct: Vec<f64> = samples.iter().filter_map(|s| s.direct).collect();
+            if !direct.is_empty() {
+                let direct = median(&mut direct);
+                report.record_median_ns(format!("serve_direct_{name}_ns"), direct);
+                report.record_speedup(format!("serve_direct_vs_c1_{name}"), direct / p50);
+                println!(
+                    "load_serve/serve_direct_vs_c1_{name} speedup: {} \
+                     (direct gradient_into {:.1} us vs c1 p50 {:.1} us)",
+                    speedup(direct / p50),
+                    direct / 1e3,
+                    p50 / 1e3
+                );
+            }
         }
     }
 

@@ -27,6 +27,13 @@ pub enum ServeError {
     SlotBusy,
     /// The request's dimensions do not match the plan's joint count.
     Dimension(EngineError),
+    /// An input entry is NaN or infinite. Refused at admission: a kernel
+    /// fed one can fail mid-batch (the ABA's positive-pivot assert) and
+    /// take its batch-mates down with it.
+    NonFinite {
+        /// The offending input: `q`, `qd`, `qdd` or `minv`.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -42,6 +49,9 @@ impl std::fmt::Display for ServeError {
             Self::ShuttingDown => write!(f, "server is shutting down"),
             Self::SlotBusy => write!(f, "response slot already has a request in flight"),
             Self::Dimension(e) => write!(f, "request rejected: {e}"),
+            Self::NonFinite { what } => {
+                write!(f, "request rejected: non-finite entry in `{what}`")
+            }
         }
     }
 }

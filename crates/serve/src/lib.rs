@@ -21,10 +21,10 @@
 //!  ────────              │        │                      │
 //!                        │        ▼ (morphology, kernel) │
 //!                        │  bounded queue ──▶ coalescer ──▶ lane-groups of
-//!                        │  (admission      (flush on      serve_width ×
-//!                        │   control,        batch-full    worker threads
-//!                        │   Overloaded      or linger     via the family
-//!                        │   shed)           deadline)     backend
+//!                        │  (admission      (an idle       serve_width ×
+//!                        │   control,        worker        worker threads
+//!                        │   Overloaded      drains what   via the family
+//!                        │   shed)           is queued)    backend
 //!                        └───────────────────────────────┘
 //!   c0 ◀───────────────── ResponseSlot::wait() ◀────────── serve.respond
 //! ```
@@ -40,17 +40,24 @@
 //!   while the latency-bound vector kernels drain without disturbing
 //!   them. The gradient shard is warmed at registration; `id`/`fd`
 //!   shards spawn lazily on first submission.
-//! * **Dynamic micro-batcher** — each shard owns a bounded queue and
-//!   worker threads. A worker drains up to `max_batch` requests at a time,
-//!   flushing when a batch fills **or** when the oldest queued request has
-//!   lingered past the configurable deadline — so a lone request still
-//!   sees bounded latency (a ragged, partial-lane flush) while bursts ride
-//!   full lanes. Every flush is one kernel-tagged `run_batch_into` call;
-//!   the engine decides which kernels run in lane groups.
+//! * **Work-conserving micro-batcher** — each shard owns a bounded queue
+//!   and worker threads. A worker blocks only while its queue is empty;
+//!   once anything is queued it drains up to `max_batch` requests and
+//!   flushes at once. Batches grow from the requests that arrive *while a
+//!   flush runs*, so a busy shard fills lane groups and a lone request is
+//!   answered without waiting for company (a ragged, partial-lane flush).
+//!   Every flush is one kernel-tagged `run_batch_into` call; the engine
+//!   decides which kernels run in lane groups.
 //! * **Backpressure** — the queue is bounded; when it is full, submission
 //!   fails fast with [`ServeError::Overloaded`] and hands the request
 //!   buffer back ([`Rejected`]) instead of queueing unbounded work. A
-//!   queue-depth high-water mark is tracked in [`ServeStats`].
+//!   queue-depth high-water mark is tracked in [`ServeStats`]. Malformed
+//!   requests (wrong dimensions, NaN or infinite inputs) are refused at
+//!   admission the same way, so no batch-mate pays for them.
+//! * **Stage stamps** — the shard stamps each request buffer as it is
+//!   admitted, dequeued, computed and fulfilled ([`ServeStages`]), so a
+//!   client can split its own round trip into admit, queue, compute,
+//!   respond and wake time without a profiler.
 //! * **Graceful shutdown** — dropping the server marks every shard
 //!   draining, workers flush whatever is queued (every accepted request is
 //!   answered), and threads are joined.
@@ -100,19 +107,17 @@ pub use error::{Rejected, ServeError};
 pub use robo_dynamics::engine::KernelKind;
 pub use robo_dynamics::MorphologyKey;
 pub use server::{GradientServer, ServeStats};
-pub use slot::{GradientRequest, ResponseSlot};
+pub use slot::{GradientRequest, ResponseSlot, ServeStages};
 
 use robo_sim::engine::BackendKind;
 use robo_spatial::ExecTier;
-use std::time::Duration;
 
 /// Tuning knobs for a [`GradientServer`].
 ///
-/// The defaults target the serving sweet spot: accelerator backend,
-/// lane-group batches of `4 × serve_width`, and a
-/// 200 µs linger — short against control-loop periods, long against
-/// kernel evaluation, so concurrent clients coalesce without a lone
-/// client stalling.
+/// The defaults target the serving sweet spot: accelerator backend and
+/// batches of up to `4 × serve_width` requests. There is no linger: an
+/// idle worker flushes whatever is queued at once, and batches fill from
+/// the requests that arrive while a flush runs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Micro-batcher worker threads per morphology shard. `0` (the
@@ -121,14 +126,11 @@ pub struct ServeConfig {
     /// Bounded queue depth per shard; submissions beyond it shed with
     /// [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Batch-full threshold, in lane groups: a worker flushes once
-    /// `lane_groups_per_flush × serve_width` requests are queued. `0`
-    /// disables coalescing entirely (naive one-request-one-gradient
-    /// dispatch — the load-generator baseline).
+    /// Batch cap, in lane groups: a worker drains at most
+    /// `lane_groups_per_flush × serve_width` queued requests into one
+    /// flush. `0` disables coalescing entirely (naive
+    /// one-request-one-gradient dispatch — the load-generator baseline).
     pub lane_groups_per_flush: usize,
-    /// Maximum time the oldest queued request may linger before a worker
-    /// flushes a partial (ragged) batch.
-    pub max_linger: Duration,
     /// Engine backend each worker serves through.
     pub backend: BackendKind,
     /// Selects nothing: every plan serves `Lanes<f64, SERVE_LANES>`,
@@ -143,7 +145,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_capacity: 256,
             lane_groups_per_flush: 4,
-            max_linger: Duration::from_micros(200),
             backend: BackendKind::Accel,
             tier: None,
         }
@@ -160,8 +161,8 @@ impl ServeConfig {
         std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
     }
 
-    /// The batch-full threshold in requests for a plan serving
-    /// `serve_width` states per wide instruction.
+    /// The batch cap in requests for a plan serving `serve_width` states
+    /// per wide instruction.
     pub fn max_batch(&self, serve_width: usize) -> usize {
         if self.lane_groups_per_flush == 0 {
             1

@@ -29,8 +29,8 @@ pub struct ServeStats {
     /// Micro-batcher flushes executed.
     pub flushes: u64,
     /// Flushes of a kernel that runs in lane groups whose batch was not a
-    /// whole number of them (linger deadline or drain fired before the
-    /// batch filled).
+    /// whole number of them (an idle worker flushed what was queued
+    /// before a lane group filled).
     pub ragged_flushes: u64,
     /// Deepest any shard queue has been — the backpressure observable to
     /// alert on before shedding starts.
@@ -121,6 +121,7 @@ impl GradientServer {
     ///
     /// [`ServeError::UnknownMorphology`] (not registered),
     /// [`ServeError::Dimension`] (buffer sizes vs. plan dof),
+    /// [`ServeError::NonFinite`] (a NaN or infinite input),
     /// [`ServeError::SlotBusy`] (slot already in flight),
     /// [`ServeError::Overloaded`] (bounded queue full — backpressure),
     /// [`ServeError::ShuttingDown`] (server draining).

@@ -1,8 +1,8 @@
-//! Per-morphology shard: bounded admission queue, dynamic micro-batcher
-//! workers, and the flush/respond hot path.
+//! Per-morphology shard: bounded admission queue, work-conserving
+//! micro-batcher workers, and the flush/respond hot path.
 
 use crate::error::{Rejected, ServeError};
-use crate::slot::{GradientRequest, ResponseSlot, SlotInner};
+use crate::slot::{GradientRequest, ResponseSlot, ServeStages, SlotInner};
 use crate::ServeConfig;
 use robo_dynamics::batch::GradientState;
 use robo_dynamics::engine::{check_dims, BatchOutput, DynamicsBackend, KernelKind};
@@ -10,7 +10,7 @@ use robo_sim::engine::{BackendKind, RobotPlan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Monotonic shard counters (all relaxed: they are observability, not
 /// synchronization).
@@ -28,12 +28,14 @@ pub(crate) struct ShardStats {
 struct Pending {
     req: GradientRequest,
     slot: Arc<SlotInner>,
-    enqueued: Instant,
 }
 
 struct Queue {
     pending: VecDeque<Pending>,
     shutdown: bool,
+    /// Workers parked in [`Shard::collect`]. Admission wakes one only if
+    /// some are: a busy worker comes back for the queue on its own.
+    idle: usize,
 }
 
 /// One (morphology, kernel) serving queue: the shared plan, the kernel of
@@ -45,7 +47,6 @@ pub(crate) struct Shard {
     kind: BackendKind,
     capacity: usize,
     max_batch: usize,
-    linger: Duration,
     queue: Mutex<Queue>,
     work_cv: Condvar,
     pub(crate) stats: ShardStats,
@@ -53,24 +54,30 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Builds the shard for one kernel of the family and spawns its worker
-    /// threads.
-    pub(crate) fn spawn(plan: Arc<RobotPlan>, kernel: KernelKind, cfg: &ServeConfig) -> Arc<Self> {
-        let shard = Arc::new(Self {
+    /// Builds the shard for one kernel of the family, with no worker
+    /// threads yet (the unit tests drive `collect`/`flush` by hand).
+    fn new(plan: Arc<RobotPlan>, kernel: KernelKind, cfg: &ServeConfig) -> Self {
+        Self {
             max_batch: cfg.max_batch(plan.serve_width()),
             capacity: cfg.queue_capacity.max(1),
-            linger: cfg.max_linger,
             kernel,
             kind: cfg.backend,
             queue: Mutex::new(Queue {
                 pending: VecDeque::with_capacity(cfg.queue_capacity.max(1)),
                 shutdown: false,
+                idle: 0,
             }),
             work_cv: Condvar::new(),
             stats: ShardStats::default(),
             workers: Mutex::new(Vec::new()),
             plan,
-        });
+        }
+    }
+
+    /// Builds the shard for one kernel of the family and spawns its worker
+    /// threads.
+    pub(crate) fn spawn(plan: Arc<RobotPlan>, kernel: KernelKind, cfg: &ServeConfig) -> Arc<Self> {
+        let shard = Arc::new(Self::new(plan, kernel, cfg));
         let key = shard.plan.morphology_key();
         let handles: Vec<_> = (0..cfg.resolved_workers())
             .map(|w| {
@@ -96,7 +103,7 @@ impl Shard {
     #[allow(clippy::result_large_err)]
     pub(crate) fn enqueue(
         &self,
-        req: GradientRequest,
+        mut req: GradientRequest,
         slot: &ResponseSlot,
     ) -> Result<(), Rejected> {
         let _span = robo_trace::span("serve.enqueue");
@@ -104,11 +111,11 @@ impl Shard {
             req.kernel, self.kernel,
             "request routed to wrong kernel shard"
         );
-        if let Err(e) = check_dims(self.plan.dof(), &req.q, &req.qd, &req.qdd, &req.minv) {
-            return Err(Rejected {
-                error: ServeError::Dimension(e),
-                req,
-            });
+        if let Err(error) = check_dims(self.plan.dof(), &req.q, &req.qd, &req.qdd, &req.minv)
+            .map_err(ServeError::Dimension)
+            .and_then(|()| check_finite(&req))
+        {
+            return Err(Rejected { error, req });
         }
         if !slot.inner.begin() {
             return Err(Rejected {
@@ -138,16 +145,22 @@ impl Shard {
                 req,
             });
         }
+        req.stages = ServeStages {
+            enqueued: Some(Instant::now()),
+            ..ServeStages::default()
+        };
         q.pending.push_back(Pending {
             req,
             slot: Arc::clone(&slot.inner),
-            enqueued: Instant::now(),
         });
         let depth = q.pending.len() as u64;
+        let wake = q.idle > 0;
         drop(q);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.high_water.fetch_max(depth, Ordering::Relaxed);
-        self.work_cv.notify_one();
+        if wake {
+            self.work_cv.notify_one();
+        }
         Ok(())
     }
 
@@ -166,37 +179,33 @@ impl Shard {
         }
     }
 
-    /// The coalescing policy: blocks until there is a batch worth
-    /// flushing, drains up to `max_batch` requests into `local`, and
-    /// returns false once the shard is shut down *and* drained.
+    /// The work-conserving batch policy: blocks only while the queue is
+    /// empty, then drains up to `max_batch` requests into `local` at once
+    /// and stamps them dequeued. Returns false once the shard is shut
+    /// down *and* drained.
     ///
-    /// A batch is worth flushing when it is full (`max_batch` queued),
-    /// when the oldest request has lingered past the deadline (a ragged,
-    /// partial-lane flush buys latency), or when the shard is draining.
+    /// There is no deadline to wait out: batches grow from the requests
+    /// that queue while a flush runs, so a busy shard still fills lane
+    /// groups and an idle one answers a lone request straight away.
     fn collect(&self, local: &mut Vec<Pending>) -> bool {
         let mut q = self.lock_queue();
-        loop {
-            if q.pending.is_empty() {
-                if q.shutdown {
-                    return false;
-                }
-                q = self.work_cv.wait(q).unwrap_or_else(|p| p.into_inner());
-                continue;
+        while q.pending.is_empty() {
+            if q.shutdown {
+                return false;
             }
-            let now = Instant::now();
-            let deadline = q.pending.front().expect("non-empty").enqueued + self.linger;
-            if q.shutdown || q.pending.len() >= self.max_batch || now >= deadline {
-                let n = q.pending.len().min(self.max_batch);
-                let _span = robo_trace::span_items("serve.coalesce", n);
-                local.extend(q.pending.drain(..n));
-                return true;
-            }
-            let (guard, _) = self
-                .work_cv
-                .wait_timeout(q, deadline.saturating_duration_since(now))
-                .unwrap_or_else(|p| p.into_inner());
-            q = guard;
+            q.idle += 1;
+            q = self.work_cv.wait(q).unwrap_or_else(|p| p.into_inner());
+            q.idle -= 1;
         }
+        let n = q.pending.len().min(self.max_batch);
+        let _span = robo_trace::span_items("serve.coalesce", n);
+        local.extend(q.pending.drain(..n));
+        drop(q);
+        let dequeued = Some(Instant::now());
+        for p in local.iter_mut() {
+            p.req.stages.dequeued = dequeued;
+        }
+        true
     }
 
     /// Executes one coalesced batch on the worker's warm backend and
@@ -227,6 +236,7 @@ impl Shard {
             *states_buf = park_states(states);
             result
         };
+        let computed = Some(Instant::now());
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         if self.kernel.runs_in_lanes() && !n.is_multiple_of(self.plan.serve_width().max(1)) {
             self.stats.ragged_flushes.fetch_add(1, Ordering::Relaxed);
@@ -243,8 +253,28 @@ impl Shard {
             // Count before waking the client, so a stats snapshot taken
             // right after a wait() returns already sees the completion.
             self.stats.completed.fetch_add(1, Ordering::Relaxed);
+            p.req.stages.computed = computed;
+            p.req.stages.fulfilled = Some(Instant::now());
             p.slot.fulfil(p.req);
         }
+    }
+}
+
+/// Refuses NaN and infinite inputs at admission, naming the first
+/// offending field.
+fn check_finite(req: &GradientRequest) -> Result<(), ServeError> {
+    let fields: [(&'static str, &[f64]); 4] = [
+        ("q", &req.q),
+        ("qd", &req.qd),
+        ("qdd", &req.qdd),
+        ("minv", req.minv.as_slice()),
+    ];
+    match fields
+        .iter()
+        .find(|(_, v)| v.iter().any(|x| !x.is_finite()))
+    {
+        Some(&(what, _)) => Err(ServeError::NonFinite { what }),
+        None => Ok(()),
     }
 }
 
@@ -283,4 +313,175 @@ fn park_states(mut v: Vec<GradientState<'_, f64>>) -> Vec<GradientState<'static,
     // `recycle_states`, only the layout-identical allocation crosses the
     // lifetime change.
     unsafe { Vec::from_raw_parts(ptr.cast(), 0, cap) }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The batch policy, driven by hand on a shard with no worker
+    //! threads: every assertion is deterministic.
+
+    use super::*;
+    use robo_dynamics::engine::KernelOutput;
+    use robo_dynamics::{mass_matrix_inverse, rnea};
+    use robo_model::robots;
+
+    fn shard(kernel: KernelKind, cfg: &ServeConfig) -> Shard {
+        Shard::new(Arc::new(RobotPlan::new(&robots::iiwa14())), kernel, cfg)
+    }
+
+    /// A request for evaluation point `k`; `fd`'s third slot carries
+    /// the torques that reproduce a small `q̈`.
+    fn request(plan: &RobotPlan, kernel: KernelKind, k: usize) -> GradientRequest {
+        let n = plan.dof();
+        let mut req = GradientRequest::for_kernel(n, kernel);
+        for i in 0..n {
+            req.q[i] = 0.07 * (i + k) as f64 - 0.2;
+            req.qd[i] = 0.03 * i as f64 - 0.01 * k as f64;
+            req.qdd[i] = 0.1 - 0.02 * (i + 2 * k) as f64;
+        }
+        if kernel == KernelKind::ForwardDynamics {
+            req.qdd = rnea(plan.model(), &req.q, &req.qd, &req.qdd).tau;
+        }
+        req.minv = mass_matrix_inverse(plan.model(), &req.q).unwrap();
+        req
+    }
+
+    /// Enqueues points `0..count`, one fresh slot each.
+    fn fill(shard: &Shard, count: usize) -> Vec<ResponseSlot> {
+        (0..count)
+            .map(|k| {
+                let slot = ResponseSlot::new();
+                let req = request(&shard.plan, shard.kernel, k);
+                shard.enqueue(req, &slot).expect("under capacity");
+                slot
+            })
+            .collect()
+    }
+
+    /// Asserts each slot holds the bitwise answer of a direct `run_into`
+    /// on point `k`.
+    fn assert_answered(shard: &Shard, slots: &[ResponseSlot]) {
+        let mut direct = shard.plan.backend(shard.kind);
+        let mut want = KernelOutput::new();
+        for (k, slot) in slots.iter().enumerate() {
+            let got = slot.try_take().expect("answered");
+            let req = request(&shard.plan, shard.kernel, k);
+            direct
+                .run_into(
+                    shard.kernel,
+                    &req.q,
+                    &req.qd,
+                    &req.qdd,
+                    &req.minv,
+                    &mut want,
+                )
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            match shard.kernel {
+                KernelKind::Gradient => assert_eq!(got.out, want.grad, "response {k}"),
+                KernelKind::InverseDynamics => {
+                    assert_eq!(bits(&got.out_vec), bits(&want.tau), "response {k}")
+                }
+                KernelKind::ForwardDynamics => {
+                    assert_eq!(bits(&got.out_vec), bits(&want.qdd), "response {k}")
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_request_is_collected_without_waiting() {
+        // No worker and no other thread: a batcher that waited for a
+        // deadline or a fuller batch would stall (or hang) right here.
+        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
+        let _slots = fill(&shard, 1);
+        let mut local = Vec::new();
+        assert!(shard.collect(&mut local));
+        assert_eq!(local.len(), 1);
+        let st = local[0].req.stages;
+        assert!(st.enqueued.unwrap() <= st.dequeued.unwrap());
+        assert_eq!((st.computed, st.fulfilled), (None, None));
+    }
+
+    #[test]
+    fn one_collect_takes_exactly_max_batch() {
+        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
+        let max_batch = shard.max_batch;
+        let _slots = fill(&shard, max_batch + 3);
+        let mut local = Vec::new();
+        assert!(shard.collect(&mut local));
+        assert_eq!(local.len(), max_batch);
+        local.clear();
+        assert!(shard.collect(&mut local));
+        assert_eq!(local.len(), 3, "the rest go in the next batch");
+    }
+
+    #[test]
+    fn one_flush_of_id_and_fd_is_bitwise_equal_to_run_into() {
+        for kind in [BackendKind::Cpu, BackendKind::Accel] {
+            for kernel in [KernelKind::InverseDynamics, KernelKind::ForwardDynamics] {
+                for extra in 0..3 {
+                    let cfg = ServeConfig {
+                        backend: kind,
+                        ..ServeConfig::default()
+                    };
+                    let shard = shard(kernel, &cfg);
+                    let count = 2 * shard.plan.serve_width() + extra;
+                    assert!(count <= shard.max_batch);
+                    let slots = fill(&shard, count);
+                    let mut local = Vec::new();
+                    assert!(shard.collect(&mut local));
+                    assert_eq!(local.len(), count);
+                    let mut backend = shard.plan.backend(kind);
+                    shard.flush(
+                        backend.as_mut(),
+                        &mut local,
+                        &mut Vec::new(),
+                        &mut BatchOutput::new(),
+                    );
+                    assert_eq!(shard.stats.flushes.load(Ordering::Relaxed), 1);
+                    assert_answered(&shard, &slots);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overload_sheds_typed_and_drain_answers_the_admitted() {
+        let capacity = 4;
+        let cfg = ServeConfig {
+            queue_capacity: capacity,
+            backend: BackendKind::Cpu,
+            ..ServeConfig::default()
+        };
+        let shard = shard(KernelKind::Gradient, &cfg);
+        let slots = fill(&shard, capacity);
+        let extra = ResponseSlot::new();
+        let req = request(&shard.plan, shard.kernel, capacity);
+        let sent = req.q.clone();
+        let rejected = shard.enqueue(req, &extra).expect_err("queue is full");
+        assert_eq!(
+            rejected.error,
+            ServeError::Overloaded {
+                depth: capacity,
+                capacity
+            }
+        );
+        assert_eq!(rejected.req.q, sent, "the shed buffer comes back untouched");
+        assert!(!extra.is_pending());
+        assert_eq!(shard.stats.shed.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            shard.stats.high_water.load(Ordering::Relaxed),
+            capacity as u64
+        );
+
+        // Drain on this thread, as a worker does after shutdown.
+        shard.begin_shutdown();
+        worker_loop(&shard);
+        assert_eq!(
+            shard.stats.completed.load(Ordering::Relaxed),
+            capacity as u64
+        );
+        assert_answered(&shard, &slots);
+    }
 }

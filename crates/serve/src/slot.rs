@@ -4,6 +4,7 @@
 use robo_dynamics::engine::{GradientOutput, KernelKind};
 use robo_spatial::MatN;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// One kernel evaluation point plus its output buffers, owned by the
 /// client and lent to the server for the duration of a request.
@@ -40,6 +41,10 @@ pub struct GradientRequest {
     /// The vector response: `τ` for `id`, `q̈` for `fd` (untouched for
     /// `grad` requests).
     pub out_vec: Vec<f64>,
+    /// Where the last round trip spent its time: stamped by the shard
+    /// (admission resets it), read by the client once
+    /// [`ResponseSlot::wait`] returns the buffer.
+    pub stages: ServeStages,
 }
 
 impl GradientRequest {
@@ -60,7 +65,51 @@ impl GradientRequest {
             minv: MatN::zeros(dof, dof),
             out: GradientOutput::for_dof(dof),
             out_vec: vec![0.0; dof],
+            stages: ServeStages::default(),
         }
+    }
+}
+
+/// The instants a shard stamps on a request as it crosses the serving
+/// tier. With the client's own two stamps — before `submit`, after
+/// `wait` returns — they cut one round trip into the five stages of
+/// [`ServeStages::NAMES`]; see [`ServeStages::split`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeStages {
+    /// Admitted: validated and pushed onto the shard's queue.
+    pub enqueued: Option<Instant>,
+    /// Drained from the queue into a batch (one stamp per batch).
+    pub dequeued: Option<Instant>,
+    /// The batch's `run_batch_into` returned (one stamp per batch).
+    pub computed: Option<Instant>,
+    /// Response copied out, just before the slot is fulfilled.
+    pub fulfilled: Option<Instant>,
+}
+
+impl ServeStages {
+    /// The five stages [`split`](Self::split) returns, in order: submit →
+    /// admission, queue wait, batch compute, response copy-out, and
+    /// client wake.
+    pub const NAMES: [&'static str; 5] = ["admit", "queue", "compute", "respond", "wake"];
+
+    /// Cuts the round trip from `submitted` to `woke` at the shard's four
+    /// stamps. The stages telescope over the same instants, so they sum
+    /// to exactly `woke − submitted`. `None` if a stamp is missing or out
+    /// of order.
+    pub fn split(&self, submitted: Instant, woke: Instant) -> Option<[Duration; 5]> {
+        let marks = [
+            submitted,
+            self.enqueued?,
+            self.dequeued?,
+            self.computed?,
+            self.fulfilled?,
+            woke,
+        ];
+        let mut stages = [Duration::ZERO; 5];
+        for (stage, pair) in stages.iter_mut().zip(marks.windows(2)) {
+            *stage = pair[1].checked_duration_since(pair[0])?;
+        }
+        Some(stages)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Serving-tier behaviour: plan-cache coalescing, backpressure shed,
 //! graceful drain, and correctness of batched responses.
 
+use robo_dynamics::engine::KernelOutput;
 use robo_dynamics::{forward_dynamics, mass_matrix_inverse, rnea};
 use robo_model::robots;
 use robo_serve::{
@@ -8,7 +9,7 @@ use robo_serve::{
 };
 use robo_sim::engine::{BackendKind, RobotPlan};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::Instant;
 
 /// Fills a request buffer with a deterministic evaluation point `k`.
 fn fill_case(plan: &RobotPlan, k: usize, req: &mut GradientRequest) {
@@ -59,32 +60,39 @@ fn concurrent_cold_registrations_build_exactly_one_plan() {
 
 #[test]
 fn overload_sheds_typed_and_drain_answers_the_admitted() {
-    // One worker that can never flush on its own: the batch threshold is
-    // far above capacity and the linger is effectively infinite, so the
-    // queue fills deterministically and the N+1th submission sheds.
-    let capacity = 4;
+    // A client that submits without waiting outruns the one worker (each
+    // flush wakes a thread and runs the kernel), so the two-deep queue
+    // soon turns a submission away. The shard's unit test of the same
+    // name pins the exact shed point with no worker at all.
+    let capacity = 2;
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         queue_capacity: capacity,
-        lane_groups_per_flush: 1024,
-        max_linger: Duration::from_secs(3600),
         backend: BackendKind::Cpu,
         ..ServeConfig::default()
     });
     let key = server.register(&robots::iiwa14());
     let plan = server.plan(key).unwrap();
+    let cases: Vec<GradientRequest> = (0..16)
+        .map(|k| {
+            let mut req = GradientRequest::for_dof(plan.dof());
+            fill_case(&plan, k, &mut req);
+            req
+        })
+        .collect();
 
-    let slots: Vec<ResponseSlot> = (0..capacity + 1).map(|_| ResponseSlot::new()).collect();
-    for (k, slot) in slots.iter().take(capacity).enumerate() {
-        let mut req = GradientRequest::for_dof(plan.dof());
-        fill_case(&plan, k, &mut req);
-        server.submit(key, req, slot).expect("under capacity");
-    }
-    let mut req = GradientRequest::for_dof(plan.dof());
-    fill_case(&plan, capacity, &mut req);
-    let rejected = server
-        .submit(key, req, &slots[capacity])
-        .expect_err("queue is full");
+    let mut slots: Vec<ResponseSlot> = Vec::new();
+    let rejected = loop {
+        assert!(slots.len() < 4096, "the queue never filled");
+        let slot = ResponseSlot::new();
+        match server.submit(key, cases[slots.len() % cases.len()].clone(), &slot) {
+            Ok(()) => slots.push(slot),
+            Err(rejected) => {
+                assert!(!slot.is_pending());
+                break rejected;
+            }
+        }
+    };
     assert_eq!(
         rejected.error,
         ServeError::Overloaded {
@@ -93,28 +101,76 @@ fn overload_sheds_typed_and_drain_answers_the_admitted() {
         }
     );
     // The shed path hands the buffer back untouched.
-    assert_eq!(rejected.req.q.len(), plan.dof());
-    assert!(!slots[capacity].is_pending());
+    assert_eq!(rejected.req.q, cases[slots.len() % cases.len()].q);
 
     let stats = server.stats();
     assert_eq!(stats.shed, 1);
-    assert_eq!(stats.submitted, capacity as u64);
+    assert_eq!(stats.submitted, slots.len() as u64);
     assert_eq!(stats.queue_high_water, capacity as u64);
 
     // Graceful shutdown: dropping the server drains the queue — every
     // admitted request is answered, bit-identical to a direct backend.
     drop(server);
     let mut direct = plan.backend(BackendKind::Cpu);
-    for (k, slot) in slots.iter().take(capacity).enumerate() {
+    for (k, slot) in slots.iter().enumerate() {
         let got = slot.wait();
-        let mut want = GradientRequest::for_dof(plan.dof());
-        fill_case(&plan, k, &mut want);
+        let want = &cases[k % cases.len()];
         let mut expected = want.out.clone();
         direct
             .gradient_into(&want.q, &want.qd, &want.qdd, &want.minv, &mut expected)
             .unwrap();
         assert_eq!(got.out, expected, "drained response {k} must be exact");
     }
+}
+
+#[test]
+fn non_finite_inputs_are_refused_and_the_shard_keeps_serving() {
+    // Admitted, a NaN `fd` request on the cpu backend would panic its
+    // worker in the ABA's pivot check, stranding its own client and
+    // every later request on the shard. It is refused at admission.
+    let server = GradientServer::with_config(ServeConfig {
+        workers: 1,
+        backend: BackendKind::Cpu,
+        ..ServeConfig::default()
+    });
+    let key = server.register(&robots::iiwa14());
+    let plan = server.plan(key).unwrap();
+    let n = plan.dof();
+    let slot = ResponseSlot::new();
+    let fd = KernelKind::ForwardDynamics;
+
+    let mut bad = GradientRequest::for_kernel(n, fd);
+    bad.q.fill(f64::NAN);
+    let rejected = server.submit(key, bad, &slot).expect_err("NaN q");
+    assert_eq!(rejected.error, ServeError::NonFinite { what: "q" });
+    assert!(
+        rejected.req.q.iter().all(|x| x.is_nan()),
+        "buffer handed back"
+    );
+    assert!(!slot.is_pending());
+    for what in ["qd", "qdd", "minv"] {
+        let mut bad = GradientRequest::for_kernel(n, fd);
+        match what {
+            "qd" => bad.qd[n - 1] = f64::INFINITY,
+            "qdd" => bad.qdd[0] = f64::NEG_INFINITY,
+            _ => bad.minv[(1, 2)] = f64::NAN,
+        }
+        let rejected = server.submit(key, bad, &slot).expect_err("non-finite");
+        assert_eq!(rejected.error, ServeError::NonFinite { what });
+    }
+
+    // The shard still serves: the next valid request is answered exactly.
+    let mut good = GradientRequest::for_kernel(n, fd);
+    fill_case(&plan, 0, &mut good);
+    let got = server.serve(key, good.clone(), &slot).expect("valid fd");
+    let mut want = KernelOutput::new();
+    plan.backend(BackendKind::Cpu)
+        .run_into(fd, &good.q, &good.qd, &good.qdd, &good.minv, &mut want)
+        .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.out_vec), bits(&want.qdd));
+    let stats = server.stats();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
 }
 
 #[test]
@@ -171,7 +227,6 @@ fn coalesced_responses_match_direct_backends() {
         let server = GradientServer::with_config(ServeConfig {
             workers: 1,
             backend,
-            max_linger: Duration::from_micros(50),
             ..ServeConfig::default()
         });
         let key = server.register(&robots::iiwa14());
@@ -276,8 +331,17 @@ fn serve_round_trip_and_stats_observability() {
     let mut req = GradientRequest::for_dof(plan.dof());
     for turn in 0..5 {
         fill_case(&plan, turn, &mut req);
+        let submitted = Instant::now();
         req = server.serve(key, req, &slot).expect("round trip");
+        let woke = Instant::now();
         assert_eq!(req.out.dqdd_dq.rows(), plan.dof());
+        // The shard's stamps cut the round trip into stages that add up
+        // to it exactly.
+        let stages = req
+            .stages
+            .split(submitted, woke)
+            .expect("every stage stamped");
+        assert_eq!(stages.iter().sum::<std::time::Duration>(), woke - submitted);
     }
     let stats = server.stats();
     assert_eq!(stats.submitted, 5);

@@ -413,7 +413,7 @@ fn check_body(
 }
 
 /// `robomorphic serve <robot> [--backend B] [--kernel K] [--clients C]
-/// [--requests N] [--linger-us L]` — spin up the in-process
+/// [--requests N]` — spin up the in-process
 /// kernel-serving tier and drive it with a closed-loop load generator:
 /// `C` client threads each performing `N` submit→wait round trips of the
 /// chosen family kernel through the morphology-keyed plan cache and
@@ -429,7 +429,6 @@ pub fn cmd_serve(
     kernel: robo_dynamics::engine::KernelKind,
     clients: usize,
     requests: usize,
-    linger: std::time::Duration,
 ) -> Result<String, CliError> {
     use robo_dynamics::engine::KernelKind;
     use robo_serve::{GradientRequest, GradientServer, ResponseSlot, ServeConfig};
@@ -439,7 +438,6 @@ pub fn cmd_serve(
     let requests = requests.max(1);
     let server = GradientServer::with_config(ServeConfig {
         backend: kind,
-        max_linger: linger,
         queue_capacity: (4 * clients).max(64),
         ..ServeConfig::default()
     });
@@ -516,8 +514,7 @@ pub fn cmd_serve(
     );
     let _ = writeln!(
         out,
-        "  {clients} client(s) x {requests} round trip(s), linger {} us, {} worker(s)",
-        linger.as_micros(),
+        "  {clients} client(s) x {requests} round trip(s), {} worker(s)",
         server_workers(),
     );
     let _ = writeln!(
@@ -550,7 +547,7 @@ USAGE:
     robomorphic check     <robot> [--backend B] [--kernel K] [--trace F]
                                                     validate model & dynamics
     robomorphic serve     <robot> [--backend B] [--kernel K]
-                          [--clients C] [--requests N] [--linger-us L]
+                          [--clients C] [--requests N]
                                                     drive the kernel-serving
                                                     tier with a closed-loop
                                                     load generator
@@ -579,10 +576,10 @@ gradient spot-check) and writes it to F as Chrome-trace JSON — open it in
 Perfetto (ui.perfetto.dev) or chrome://tracing.
 
 serve coalesces the clients' concurrent requests into wide lane-group
-batches (flushing on batch-full or after --linger-us microseconds,
-default 200) and reports p50/p99 latency, throughput, and the
-coalescing/backpressure counters. Defaults: --clients 4, --requests 64,
---backend accel.
+batches (an idle worker flushes whatever is queued at once; requests
+that arrive during a flush share the next one) and reports p50/p99
+latency, throughput, and the coalescing/backpressure counters.
+Defaults: --clients 4, --requests 64, --backend accel.
 "
 }
 
@@ -669,7 +666,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 "serve",
                 rest,
                 robo_sim::BackendKind::Accel,
-                &["--clients", "--requests", "--linger-us"],
+                &["--clients", "--requests"],
             )?;
             let count = |flag: &str, default: u64| -> Result<u64, CliError> {
                 f.value(flag).map_or(Ok(default), |v| {
@@ -683,7 +680,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 f.kernel,
                 count("--clients", 4)? as usize,
                 count("--requests", 64)? as usize,
-                std::time::Duration::from_micros(count("--linger-us", 200)?),
             )
         }
         _ => Err(CliError::Usage(usage().to_owned())),

@@ -329,7 +329,8 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
     // The serving tier end-to-end: once a morphology is registered (plan
     // build + shard/worker spawn) and one round trip has warmed the
     // worker's batch buffers, the whole steady-state serving path —
-    // enqueue → coalesce → flush → respond → wait — is allocation-free,
+    // enqueue → coalesce → flush → respond → wait, stage stamps
+    // included — is allocation-free,
     // *including* the response handoff: the filled request buffer moves
     // back through the reusable ResponseSlot by value, no boxing. The
     // allowed allocation points are all cold: registration, slot
@@ -344,7 +345,6 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
             robomorphic::serve::GradientServer::with_config(robomorphic::serve::ServeConfig {
                 workers: 1,
                 backend: kind,
-                max_linger: std::time::Duration::from_micros(20),
                 ..Default::default()
             });
         let key = server.register(&robot);

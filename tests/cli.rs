@@ -207,8 +207,6 @@ fn serve_runs_a_closed_loop_load() {
         "2",
         "--requests",
         "6",
-        "--linger-us",
-        "50",
     ]
     .map(str::to_owned)
     .into();
@@ -233,6 +231,11 @@ fn serve_rejects_bad_flags() {
     ));
     assert!(matches!(
         run(&["serve", "--clients", "2"]),
+        Err(CliError::Usage(_))
+    ));
+    // The batcher has no linger to tune.
+    assert!(matches!(
+        run(&["serve", "iiwa14", "--linger-us", "50"]),
         Err(CliError::Usage(_))
     ));
     assert!(cli::usage().contains("robomorphic serve"));

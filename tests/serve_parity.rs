@@ -1,23 +1,24 @@
 //! Parity of the serving tier: a gradient served through the
-//! micro-batcher — coalesced into wide lane-groups, possibly flushed
-//! ragged by the linger deadline — must be **bit-identical** to a direct
-//! `GradientBackend::gradient_into` call on the same backend.
+//! micro-batcher — coalesced into wide lane-groups, or flushed ragged by
+//! a worker that found fewer requests queued — must be
+//! **bit-identical** to a direct `gradient_into` call on the same
+//! backend.
 //!
 //! The serving path adds queuing, SoA lane marshalling, and a block copy
 //! back into the caller's buffer, but no arithmetic of its own, so exact
 //! equality (not a tolerance) is the contract. Pipelined submissions from
-//! many slots force multi-request flushes; tiny linger deadlines force
-//! partial-lane (ragged) ones; both shapes are asserted per backend. The
-//! vector kernels (`id`, `fd`) go
-//! through the same flush, so deep batches of them are held to the same
-//! exact contract against a direct `run_into`.
+//! many slots produce multi-request flushes of whatever size the worker
+//! drains, full or partial-lane (ragged); every response is asserted per
+//! backend. The vector kernels (`id`, `fd`) go through the same flush,
+//! so batches of them are held to the same exact contract against a
+//! direct `run_into`. (That one flush of two or more lane groups is
+//! exact is pinned deterministically by the shard's own unit tests.)
 
 use proptest::prelude::*;
 use robomorphic::dynamics::{forward_dynamics, mass_matrix_inverse};
 use robomorphic::engine::{BackendKind, KernelKind, KernelOutput, RobotPlan};
 use robomorphic::model::robots;
 use robomorphic::serve::{GradientRequest, GradientServer, ResponseSlot, ServeConfig};
-use std::time::Duration;
 
 /// Deterministically fills a request from proptest draws (via a
 /// forward-dynamics solve, so `qdd` is consistent with a real workload).
@@ -38,19 +39,19 @@ fn fill_request(plan: &RobotPlan, vals: &[f64], k: usize, req: &mut GradientRequ
 
 /// Serves `count` pipelined requests and asserts each response is
 /// bit-identical to the direct (unbatched) backend call.
-fn check_parity(backend: BackendKind, vals: &[f64], count: usize, linger: Duration) {
+fn check_parity(backend: BackendKind, vals: &[f64], count: usize) {
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         backend,
-        max_linger: linger,
         queue_capacity: count.max(4),
         ..ServeConfig::default()
     });
     let key = server.register(&robots::iiwa14());
     let plan = server.plan(key).expect("registered");
 
-    // All slots submitted before any wait: the worker sees a deep queue
-    // and coalesces multi-request (full and ragged) flushes.
+    // All slots submitted before any wait: the worker drains what has
+    // queued each time it comes round, so flushes hold one or more
+    // requests (full and ragged).
     let slots: Vec<ResponseSlot> = (0..count).map(|_| ResponseSlot::new()).collect();
     for (k, slot) in slots.iter().enumerate() {
         let mut req = GradientRequest::for_dof(plan.dof());
@@ -74,10 +75,10 @@ fn check_parity(backend: BackendKind, vals: &[f64], count: usize, linger: Durati
     }
 }
 
-/// Queues `2 · serve_width + extra` requests of a vector kernel into one
-/// flush (the linger outlasts the submissions, the batch stays under
-/// `max_batch`) and asserts each response is bit-identical to a direct
-/// `run_into` on the same backend.
+/// Pipelines `2 · serve_width + extra` requests of a vector kernel
+/// (flushed in as many batches as the worker drains them) and asserts
+/// each response is bit-identical to a direct `run_into` on the same
+/// backend.
 fn check_vector_kernel_parity(
     backend: BackendKind,
     kernel: KernelKind,
@@ -87,7 +88,6 @@ fn check_vector_kernel_parity(
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         backend,
-        max_linger: Duration::from_millis(100),
         ..ServeConfig::default()
     });
     let key = server.register(&robots::iiwa14());
@@ -130,11 +130,9 @@ fn check_vector_kernel_parity(
              {backend:?} run_into"
         );
     }
-    assert_eq!(
-        server.stats().flushes,
-        1,
-        "all {count} requests share one flush"
-    );
+    let stats = server.stats();
+    assert_eq!(stats.completed, count as u64);
+    assert!((1..=count as u64).contains(&stats.flushes));
 }
 
 proptest! {
@@ -143,8 +141,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Batched (full lane groups + ragged tail under a realistic linger)
-    /// parity per backend.
+    /// Batched (full lane groups and ragged flushes, as the worker drains
+    /// them) parity per backend.
     #[test]
     fn served_gradients_are_bit_identical_to_direct_calls(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
@@ -154,12 +152,12 @@ proptest! {
             // One full lane group plus a ragged tail of `extra`.
             let plan = RobotPlan::new(&robots::iiwa14());
             let count = plan.serve_width() + extra;
-            check_parity(backend, &vals, count, Duration::from_micros(100));
+            check_parity(backend, &vals, count);
         }
     }
 
-    /// Deep batches of the vector kernels (≥ 2 lane groups per flush) stay
-    /// exact, request by request.
+    /// Pipelined batches of the vector kernels (≥ 2 lane groups in
+    /// flight) stay exact, request by request.
     #[test]
     fn served_id_and_fd_batches_are_bit_identical_to_direct_calls(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
@@ -172,14 +170,15 @@ proptest! {
         }
     }
 
-    /// Lone requests under an aggressive linger deadline: every flush is
-    /// ragged (a partial lane), still bit-identical.
+    /// Bursts smaller than one lane group: every flush is ragged (a
+    /// partial lane), still bit-identical. (The name is historical: no
+    /// deadline is involved.)
     #[test]
     fn ragged_linger_flushes_stay_exact(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
     ) {
         for backend in [BackendKind::Cpu, BackendKind::Accel] {
-            check_parity(backend, &vals, 3, Duration::from_micros(1));
+            check_parity(backend, &vals, 3);
         }
     }
 }
