@@ -15,18 +15,26 @@
 //!   lower-is-better). The shard's stage stamps ([`ServeStages`]) cut
 //!   each sample into admit, queue, compute, respond and wake time,
 //!   recorded the same way (`serve_<robot>_c<N>_<stage>_p50_ns`); the
-//!   five add up to the round trip exactly, sample by sample. At one
+//!   five add up to the round trip exactly, sample by sample. A batch
+//!   flushes on the worker or on a client blocked in `wait` (one does
+//!   when it finds its request queued and the worker parked), so queue
+//!   runs from admission to the drain by whichever thread flushes, and
+//!   wake from the fulfil to `wait` returning. A lone client mostly
+//!   flushes its own request: then neither stage holds a cross-thread
+//!   wake-up and both read about a microsecond. At one
 //!   client a direct warm `gradient_into` on the same backend is timed
 //!   between round trips, and `serve_direct_vs_c1_<robot>` = direct ns /
 //!   c1 p50 ns records what share of a lone client's latency is the
-//!   kernel itself (gated: a batcher that holds a lone request back
-//!   sinks it).
+//!   kernel itself (gated: a batcher that holds a lone request back, or
+//!   makes it pay two thread wake-ups, sinks it).
 //! * **Saturated throughput** — one driver pipelines a deep window of
 //!   outstanding slots so the shard queue never runs dry, first with the
 //!   default lane-group coalescing (`lane_groups_per_flush = 4`), then
 //!   with coalescing disabled (`= 0`: every request is dispatched alone,
 //!   the naive baseline). Identical offered load, identical worker
-//!   count; the ratio is recorded as the speedup
+//!   count. The pipelining loop blocks in `wait`, so it flushes a
+//!   batch itself whenever it finds the worker parked; the queue never
+//!   runs dry, so that is rare. The ratio is recorded as the speedup
 //!   `serve_batched_vs_naive_iiwa14`. The PR's acceptance floor is
 //!   ≥ 1.5× — the batched path must actually fill lanes.
 //!
@@ -123,7 +131,7 @@ fn closed_loop(robot: &RobotModel, clients: usize, per_client: usize) -> Vec<Sam
                     let mut req = request_from_case(dof, case);
                     let mut out = req.out.clone();
                     let mut samples = Vec::with_capacity(per_client);
-                    // Round 0 warms up (first-flush buffer sizing) and is
+                    // Round 0 warms up (pages in code and data) and is
                     // not recorded.
                     for round in 0..=per_client {
                         let direct = backend.as_mut().map(|d| {
@@ -230,6 +238,11 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     report.set_host(HostInfo::detect());
 
     // --- Closed-loop latency sweep --------------------------------------
+    println!(
+        "load_serve: stages admit (submit -> queued), queue (-> drained by the \
+         flushing thread: the worker, or a blocked client in its place), compute, \
+         respond, wake (fulfil -> wait returns)"
+    );
     let per_client = if env.quick { 128 } else { 640 };
     let sweeps: Vec<(&str, RobotModel, Vec<usize>)> = if env.quick {
         vec![("iiwa14", robots::iiwa14(), vec![1, 2, 4])]

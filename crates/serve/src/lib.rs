@@ -22,9 +22,11 @@
 //!                        │        ▼ (morphology, kernel) │
 //!                        │  bounded queue ──▶ coalescer ──▶ lane-groups of
 //!                        │  (admission      (an idle       serve_width ×
-//!                        │   control,        worker        worker threads
-//!                        │   Overloaded      drains what   via the family
-//!                        │   shed)           is queued)    backend
+//!                        │   control,        worker, or    worker threads
+//!                        │   Overloaded      a waiter in   or the waiter's
+//!                        │   shed)           its place,    own thread, via
+//!                        │                   drains what   the family
+//!                        │                   is queued)    backend
 //!                        └───────────────────────────────┘
 //!   c0 ◀───────────────── ResponseSlot::wait() ◀────────── serve.respond
 //! ```
@@ -48,6 +50,14 @@
 //!   answered without waiting for company (a ragged, partial-lane flush).
 //!   Every flush is one kernel-tagged `run_batch_into` call; the engine
 //!   decides which kernels run in lane groups.
+//! * **The waiter runs its own batch** — a flush runs on a worker or on
+//!   a blocked client. A client in [`ResponseSlot::wait`] whose request
+//!   is still queued while a worker is parked does that worker's job on
+//!   its own thread: it drains the batch, flushes it with the shard's
+//!   spare warm backend and completes every slot in it, its own
+//!   included. A lone request so pays no cross-thread wake; a busy shard
+//!   keeps its configured flush concurrency. [`ResponseSlot::try_take`]
+//!   never flushes.
 //! * **Backpressure** — the queue is bounded; when it is full, submission
 //!   fails fast with [`ServeError::Overloaded`] and hands the request
 //!   buffer back ([`Rejected`]) instead of queueing unbounded work. A
@@ -65,7 +75,9 @@
 //! The hot path is allocation-free once warm (see `tests/alloc_free.rs`):
 //! request and response travel through caller-owned, reusable
 //! [`GradientRequest`] buffers handed back by [`ResponseSlot::wait`], so
-//! steady-state serving does not touch the allocator. The allowed
+//! steady-state serving does not touch the allocator, whichever thread
+//! flushes: every flush kit, the workers' and the waiters' spare, is
+//! sized for a full batch when the shard is built. The allowed
 //! allocation points are all cold: plan build, shard/worker spawn, slot
 //! creation, and first-use buffer sizing.
 //!
@@ -88,7 +100,9 @@
 //! req.minv = robo_dynamics::mass_matrix_inverse(plan.model(), &req.q).unwrap();
 //!
 //! server.submit(key, req, &slot).expect("admitted");
-//! let req = slot.wait(); // blocks until the micro-batcher responds
+//! // Blocks until the micro-batcher responds (here, most likely by
+//! // flushing on this thread in place of the parked worker).
+//! let req = slot.wait();
 //! assert_eq!(req.out.dqdd_dq.rows(), n);
 //! ```
 //!
@@ -116,8 +130,9 @@ use robo_spatial::ExecTier;
 ///
 /// The defaults target the serving sweet spot: accelerator backend and
 /// batches of up to `4 × serve_width` requests. There is no linger: an
-/// idle worker flushes whatever is queued at once, and batches fill from
-/// the requests that arrive while a flush runs.
+/// idle worker (or a blocked waiter in its place) flushes whatever is
+/// queued at once, and batches fill from the requests that arrive while
+/// a flush runs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Micro-batcher worker threads per morphology shard. `0` (the
@@ -126,12 +141,13 @@ pub struct ServeConfig {
     /// Bounded queue depth per shard; submissions beyond it shed with
     /// [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Batch cap, in lane groups: a worker drains at most
+    /// Batch cap, in lane groups: a flush drains at most
     /// `lane_groups_per_flush × serve_width` queued requests into one
     /// flush. `0` disables coalescing entirely (naive
     /// one-request-one-gradient dispatch — the load-generator baseline).
     pub lane_groups_per_flush: usize,
-    /// Engine backend each worker serves through.
+    /// Engine backend each flush runs on (every worker's and the waiters'
+    /// spare).
     pub backend: BackendKind,
     /// Selects nothing: every plan serves `Lanes<f64, SERVE_LANES>`,
     /// fixed at compile time. Kept only because the benchmark's harness

@@ -26,11 +26,12 @@ pub struct ServeStats {
     pub completed: u64,
     /// Requests shed with [`ServeError::Overloaded`].
     pub shed: u64,
-    /// Micro-batcher flushes executed.
+    /// Micro-batcher flushes executed, by workers and by blocked waiters
+    /// alike.
     pub flushes: u64,
     /// Flushes of a kernel that runs in lane groups whose batch was not a
-    /// whole number of them (an idle worker flushed what was queued
-    /// before a lane group filled).
+    /// whole number of them (an idle worker, or a blocked waiter in its
+    /// place, flushed what was queued before a lane group filled).
     pub ragged_flushes: u64,
     /// Deepest any shard queue has been — the backpressure observable to
     /// alert on before shedding starts.
@@ -113,8 +114,9 @@ impl GradientServer {
     /// Submits one kernel request for morphology `key`, routed to the
     /// (morphology, kernel) shard named by [`GradientRequest::kernel`]
     /// (spawning that shard on first use). On admission the micro-batcher
-    /// takes over and `slot` completes once the coalesced batch flushes;
-    /// on rejection the buffer comes back in [`Rejected`] with a typed
+    /// takes over and `slot` completes once the coalesced batch flushes,
+    /// on a worker or on a client blocked in [`ResponseSlot::wait`]; on
+    /// rejection the buffer comes back in [`Rejected`] with a typed
     /// [`ServeError`].
     ///
     /// # Errors
@@ -147,6 +149,11 @@ impl GradientServer {
 
     /// Convenience round trip: [`submit`](Self::submit) then
     /// [`ResponseSlot::wait`].
+    ///
+    /// The batch may flush on the calling thread: if a worker is parked
+    /// when the caller starts waiting, the caller runs the kernel in its
+    /// place (see [`ResponseSlot::wait`]). A caller that must not compute
+    /// submits and polls [`ResponseSlot::try_take`] instead.
     ///
     /// # Errors
     ///

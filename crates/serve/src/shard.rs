@@ -1,5 +1,6 @@
 //! Per-morphology shard: bounded admission queue, work-conserving
-//! micro-batcher workers, and the flush/respond hot path.
+//! micro-batcher workers, and the flush/respond hot path that a worker or
+//! a blocked waiter runs.
 
 use crate::error::{Rejected, ServeError};
 use crate::slot::{GradientRequest, ResponseSlot, ServeStages, SlotInner};
@@ -24,7 +25,7 @@ pub(crate) struct ShardStats {
     pub(crate) high_water: AtomicU64,
 }
 
-/// One admitted request waiting for a worker.
+/// One admitted request waiting for a flush.
 struct Pending {
     req: GradientRequest,
     slot: Arc<SlotInner>,
@@ -34,13 +35,40 @@ struct Queue {
     pending: VecDeque<Pending>,
     shutdown: bool,
     /// Workers parked in [`Shard::collect`]. Admission wakes one only if
-    /// some are: a busy worker comes back for the queue on its own.
+    /// some are: a busy worker comes back for the queue on its own. A
+    /// blocked waiter flushes only if some are
+    /// ([`Shard::flush_for_waiter`]).
     idle: usize,
+}
+
+/// A warm backend plus the recycled scratch one flush needs. Each worker
+/// owns one and the shard keeps one spare for blocked waiters. Every kit
+/// is sized for a full batch when it is built, so its first flush is
+/// already allocation-free, whichever thread runs it.
+struct FlushKit {
+    backend: Box<dyn DynamicsBackend>,
+    local: Vec<Pending>,
+    states: Vec<GradientState<'static, f64>>,
+    batch: BatchOutput,
+}
+
+impl FlushKit {
+    fn new(plan: &RobotPlan, kind: BackendKind, kernel: KernelKind, max_batch: usize) -> Self {
+        let mut batch = BatchOutput::new();
+        batch.reset(kernel, max_batch, plan.dof());
+        Self {
+            backend: plan.backend(kind),
+            local: Vec::with_capacity(max_batch),
+            states: Vec::with_capacity(max_batch),
+            batch,
+        }
+    }
 }
 
 /// One (morphology, kernel) serving queue: the shared plan, the kernel of
 /// the multifunction family this queue runs, the bounded queue the
-/// micro-batcher coalesces from, and the worker threads that drain it.
+/// micro-batcher coalesces from, the worker threads that drain it, and
+/// the spare flush kit a blocked waiter drains it with.
 pub(crate) struct Shard {
     plan: Arc<RobotPlan>,
     kernel: KernelKind,
@@ -49,6 +77,9 @@ pub(crate) struct Shard {
     max_batch: usize,
     queue: Mutex<Queue>,
     work_cv: Condvar,
+    /// The kit of [`Shard::flush_for_waiter`]: one waiter flushes at a
+    /// time, and a panic in its flush poisons the kit for good.
+    spare: Mutex<FlushKit>,
     pub(crate) stats: ShardStats,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -57,8 +88,9 @@ impl Shard {
     /// Builds the shard for one kernel of the family, with no worker
     /// threads yet (the unit tests drive `collect`/`flush` by hand).
     fn new(plan: Arc<RobotPlan>, kernel: KernelKind, cfg: &ServeConfig) -> Self {
+        let max_batch = cfg.max_batch(plan.serve_width());
         Self {
-            max_batch: cfg.max_batch(plan.serve_width()),
+            max_batch,
             capacity: cfg.queue_capacity.max(1),
             kernel,
             kind: cfg.backend,
@@ -68,10 +100,16 @@ impl Shard {
                 idle: 0,
             }),
             work_cv: Condvar::new(),
+            spare: Mutex::new(FlushKit::new(&plan, cfg.backend, kernel, max_batch)),
             stats: ShardStats::default(),
             workers: Mutex::new(Vec::new()),
             plan,
         }
+    }
+
+    /// A fresh kit for this shard's kernel and backend.
+    fn kit(&self) -> FlushKit {
+        FlushKit::new(&self.plan, self.kind, self.kernel, self.max_batch)
     }
 
     /// Builds the shard for one kernel of the family and spawns its worker
@@ -102,7 +140,7 @@ impl Shard {
     // allocation-free; see `GradientServer::submit`.
     #[allow(clippy::result_large_err)]
     pub(crate) fn enqueue(
-        &self,
+        self: &Arc<Self>,
         mut req: GradientRequest,
         slot: &ResponseSlot,
     ) -> Result<(), Rejected> {
@@ -117,7 +155,7 @@ impl Shard {
         {
             return Err(Rejected { error, req });
         }
-        if !slot.inner.begin() {
+        if !slot.inner.begin(Arc::downgrade(self)) {
             return Err(Rejected {
                 error: ServeError::SlotBusy,
                 req,
@@ -197,6 +235,13 @@ impl Shard {
             q = self.work_cv.wait(q).unwrap_or_else(|p| p.into_inner());
             q.idle -= 1;
         }
+        self.drain(q, local);
+        true
+    }
+
+    /// Moves up to `max_batch` queued requests into `local`, releases the
+    /// queue, and stamps them dequeued.
+    fn drain(&self, mut q: MutexGuard<'_, Queue>, local: &mut Vec<Pending>) {
         let n = q.pending.len().min(self.max_batch);
         let _span = robo_trace::span_items("serve.coalesce", n);
         local.extend(q.pending.drain(..n));
@@ -205,23 +250,49 @@ impl Shard {
         for p in local.iter_mut() {
             p.req.stages.dequeued = dequeued;
         }
+    }
+
+    /// A client blocked on `slot` stands in for a parked worker: if its
+    /// request is still queued and a worker is parked, which would
+    /// otherwise have to be woken, the caller drains the front batch and
+    /// flushes it on its own thread with the spare kit. Returns whether
+    /// it flushed. The batch need not hold the caller's own request, if
+    /// more than `max_batch` are queued ahead of it.
+    ///
+    /// Does nothing while every worker is busy, so a busy shard keeps its
+    /// configured flush concurrency, and nothing while the spare kit is in
+    /// use by another waiter or poisoned by a panic in an earlier waiter's
+    /// flush. The workers serve the request then.
+    pub(crate) fn flush_for_waiter(&self, slot: &Arc<SlotInner>) -> bool {
+        // `WouldBlock` (another waiter is flushing) and `Poisoned` (a
+        // waiter's flush panicked) both leave the flush to the workers.
+        let Ok(mut kit) = self.spare.try_lock() else {
+            return false;
+        };
+        let q = self.lock_queue();
+        if q.idle == 0 || !q.pending.iter().any(|p| Arc::ptr_eq(&p.slot, slot)) {
+            return false;
+        }
+        self.drain(q, &mut kit.local);
+        self.flush(&mut kit);
         true
     }
 
-    /// Executes one coalesced batch on the worker's warm backend and
-    /// completes every slot. Alloc-free once warm: the lane-view vector is
-    /// recycled across flushes and outputs land in the callers' buffers.
+    /// Executes one coalesced batch (drained into `kit.local`) on the
+    /// kit's warm backend and completes every slot. Alloc-free once the
+    /// kit is built: the lane-view vector is recycled across flushes and
+    /// outputs land in the callers' buffers.
     ///
     /// One `run_batch_into` call evaluates the shard's kernel over the
     /// whole batch — the engine alone decides which kernels run in lane
     /// groups — and each request gets its state's block back.
-    fn flush(
-        &self,
-        backend: &mut dyn DynamicsBackend,
-        local: &mut Vec<Pending>,
-        states_buf: &mut Vec<GradientState<'static, f64>>,
-        batch: &mut BatchOutput,
-    ) {
+    fn flush(&self, kit: &mut FlushKit) {
+        let FlushKit {
+            backend,
+            local,
+            states: states_buf,
+            batch,
+        } = kit;
         let n = local.len();
         let result = {
             let _span = robo_trace::span_items("serve.flush", n);
@@ -278,15 +349,12 @@ fn check_finite(req: &GradientRequest) -> Result<(), ServeError> {
     }
 }
 
-/// Worker thread body: a private warm backend plus recycled scratch, fed
-/// by [`Shard::collect`] until shutdown drains the queue.
+/// Worker thread body: a private flush kit, fed by [`Shard::collect`]
+/// until shutdown drains the queue.
 fn worker_loop(shard: &Shard) {
-    let mut backend = shard.plan.backend(shard.kind);
-    let mut local: Vec<Pending> = Vec::with_capacity(shard.max_batch);
-    let mut states: Vec<GradientState<'static, f64>> = Vec::with_capacity(shard.max_batch);
-    let mut batch = BatchOutput::new();
-    while shard.collect(&mut local) {
-        shard.flush(backend.as_mut(), &mut local, &mut states, &mut batch);
+    let mut kit = shard.kit();
+    while shard.collect(&mut kit.local) {
+        shard.flush(&mut kit);
     }
 }
 
@@ -318,15 +386,21 @@ fn park_states(mut v: Vec<GradientState<'_, f64>>) -> Vec<GradientState<'static,
 #[cfg(test)]
 mod tests {
     //! The batch policy, driven by hand on a shard with no worker
-    //! threads: every assertion is deterministic.
+    //! threads: every assertion is deterministic. Tests of the waiter's
+    //! flush set `Queue::idle` by hand to stand for a parked worker.
 
     use super::*;
     use robo_dynamics::engine::KernelOutput;
     use robo_dynamics::{mass_matrix_inverse, rnea};
     use robo_model::robots;
+    use std::time::Duration;
 
-    fn shard(kernel: KernelKind, cfg: &ServeConfig) -> Shard {
-        Shard::new(Arc::new(RobotPlan::new(&robots::iiwa14())), kernel, cfg)
+    fn shard(kernel: KernelKind, cfg: &ServeConfig) -> Arc<Shard> {
+        Arc::new(Shard::new(
+            Arc::new(RobotPlan::new(&robots::iiwa14())),
+            kernel,
+            cfg,
+        ))
     }
 
     /// A request for evaluation point `k`; `fd`'s third slot carries
@@ -347,7 +421,7 @@ mod tests {
     }
 
     /// Enqueues points `0..count`, one fresh slot each.
-    fn fill(shard: &Shard, count: usize) -> Vec<ResponseSlot> {
+    fn fill(shard: &Arc<Shard>, count: usize) -> Vec<ResponseSlot> {
         (0..count)
             .map(|k| {
                 let slot = ResponseSlot::new();
@@ -358,35 +432,57 @@ mod tests {
             .collect()
     }
 
-    /// Asserts each slot holds the bitwise answer of a direct `run_into`
-    /// on point `k`.
-    fn assert_answered(shard: &Shard, slots: &[ResponseSlot]) {
-        let mut direct = shard.plan.backend(shard.kind);
+    /// Asserts `got` holds the bitwise answer of a direct `run_into` on
+    /// point `k`.
+    fn assert_bitwise(shard: &Shard, k: usize, got: &GradientRequest) {
+        let req = request(&shard.plan, shard.kernel, k);
         let mut want = KernelOutput::new();
-        for (k, slot) in slots.iter().enumerate() {
-            let got = slot.try_take().expect("answered");
-            let req = request(&shard.plan, shard.kernel, k);
-            direct
-                .run_into(
-                    shard.kernel,
-                    &req.q,
-                    &req.qd,
-                    &req.qdd,
-                    &req.minv,
-                    &mut want,
-                )
-                .unwrap();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            match shard.kernel {
-                KernelKind::Gradient => assert_eq!(got.out, want.grad, "response {k}"),
-                KernelKind::InverseDynamics => {
-                    assert_eq!(bits(&got.out_vec), bits(&want.tau), "response {k}")
-                }
-                KernelKind::ForwardDynamics => {
-                    assert_eq!(bits(&got.out_vec), bits(&want.qdd), "response {k}")
-                }
+        shard
+            .plan
+            .backend(shard.kind)
+            .run_into(
+                shard.kernel,
+                &req.q,
+                &req.qd,
+                &req.qdd,
+                &req.minv,
+                &mut want,
+            )
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match shard.kernel {
+            KernelKind::Gradient => assert_eq!(got.out, want.grad, "response {k}"),
+            KernelKind::InverseDynamics => {
+                assert_eq!(bits(&got.out_vec), bits(&want.tau), "response {k}")
+            }
+            KernelKind::ForwardDynamics => {
+                assert_eq!(bits(&got.out_vec), bits(&want.qdd), "response {k}")
             }
         }
+    }
+
+    /// Asserts each slot holds the bitwise answer for point `k`.
+    fn assert_answered(shard: &Shard, slots: &[ResponseSlot]) {
+        for (k, slot) in slots.iter().enumerate() {
+            assert_bitwise(shard, k, &slot.try_take().expect("answered"));
+        }
+    }
+
+    /// Runs `slot.wait()` on a thread of its own and returns what it
+    /// returned. The bound turns a waiter that parks with no worker to
+    /// wake it into a failure instead of a hang.
+    fn wait_on_own_thread(slot: ResponseSlot) -> GradientRequest {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(slot.wait()).expect("the test listens"));
+        let got = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("with a worker parked, the waiter answers itself");
+        waiter.join().expect("the waiter thread");
+        got
+    }
+
+    fn flushes(shard: &Shard) -> u64 {
+        shard.stats.flushes.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -429,17 +525,11 @@ mod tests {
                     let count = 2 * shard.plan.serve_width() + extra;
                     assert!(count <= shard.max_batch);
                     let slots = fill(&shard, count);
-                    let mut local = Vec::new();
-                    assert!(shard.collect(&mut local));
-                    assert_eq!(local.len(), count);
-                    let mut backend = shard.plan.backend(kind);
-                    shard.flush(
-                        backend.as_mut(),
-                        &mut local,
-                        &mut Vec::new(),
-                        &mut BatchOutput::new(),
-                    );
-                    assert_eq!(shard.stats.flushes.load(Ordering::Relaxed), 1);
+                    let mut kit = shard.kit();
+                    assert!(shard.collect(&mut kit.local));
+                    assert_eq!(kit.local.len(), count);
+                    shard.flush(&mut kit);
+                    assert_eq!(flushes(&shard), 1);
                     assert_answered(&shard, &slots);
                 }
             }
@@ -482,6 +572,87 @@ mod tests {
             shard.stats.completed.load(Ordering::Relaxed),
             capacity as u64
         );
+        assert_answered(&shard, &slots);
+    }
+
+    #[test]
+    fn a_waiter_flushes_its_own_request_in_place_of_a_parked_worker() {
+        for kind in [BackendKind::Cpu, BackendKind::Accel] {
+            let cfg = ServeConfig {
+                backend: kind,
+                ..ServeConfig::default()
+            };
+            let shard = shard(KernelKind::Gradient, &cfg);
+            shard.lock_queue().idle = 1;
+            let slot = ResponseSlot::new();
+            let submitted = Instant::now();
+            shard
+                .enqueue(request(&shard.plan, shard.kernel, 0), &slot)
+                .expect("under capacity");
+            // No worker thread exists: only the waiter can flush.
+            let got = wait_on_own_thread(slot);
+            let woke = Instant::now();
+            assert_eq!(flushes(&shard), 1);
+            assert_eq!(shard.stats.completed.load(Ordering::Relaxed), 1);
+            assert_bitwise(&shard, 0, &got);
+            let stages = got
+                .stages
+                .split(submitted, woke)
+                .expect("every stage stamped in order");
+            assert_eq!(stages.iter().sum::<Duration>(), woke - submitted);
+        }
+    }
+
+    #[test]
+    fn a_waiter_leaves_a_shard_with_no_parked_worker_alone() {
+        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
+        let slots = fill(&shard, 1);
+        assert_eq!(shard.lock_queue().idle, 0);
+        assert!(!shard.flush_for_waiter(&slots[0].inner));
+        assert_eq!(flushes(&shard), 0);
+        assert_eq!(shard.lock_queue().pending.len(), 1, "still queued");
+        assert!(slots[0].is_pending());
+    }
+
+    #[test]
+    fn a_waiter_behind_a_full_batch_flushes_it_then_its_own() {
+        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
+        shard.lock_queue().idle = 1;
+        let max_batch = shard.max_batch;
+        let mut slots = fill(&shard, max_batch + 1);
+        let mine = slots.pop().expect("the last request is the waiter's");
+        let got = wait_on_own_thread(mine);
+        assert_eq!(flushes(&shard), 2, "the front batch, then the waiter's");
+        assert_bitwise(&shard, max_batch, &got);
+        assert_answered(&shard, &slots);
+        assert!(shard.lock_queue().pending.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_spare_kit_leaves_the_flush_to_the_workers() {
+        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
+        let poisoner = Arc::clone(&shard);
+        std::thread::spawn(move || {
+            let _kit = poisoner.spare.lock();
+            panic!("a backend panic inside a waiter-run flush");
+        })
+        .join()
+        .expect_err("the flush panicked");
+        assert!(shard.spare.is_poisoned());
+
+        shard.lock_queue().idle = 1;
+        let slots = fill(&shard, 1);
+        assert!(
+            !shard.flush_for_waiter(&slots[0].inner),
+            "a poisoned kit is unavailable"
+        );
+        assert_eq!(flushes(&shard), 0);
+        assert!(slots[0].is_pending());
+
+        // The workers keep serving: drain on this thread as one does.
+        shard.lock_queue().idle = 0;
+        shard.begin_shutdown();
+        worker_loop(&shard);
         assert_answered(&shard, &slots);
     }
 }

@@ -1,9 +1,10 @@
 //! Caller-owned request buffers and the reusable completion slot that
 //! hands them back — the serving tier's allocation-free response path.
 
+use crate::shard::Shard;
 use robo_dynamics::engine::{GradientOutput, KernelKind};
 use robo_spatial::MatN;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// One kernel evaluation point plus its output buffers, owned by the
@@ -74,11 +75,20 @@ impl GradientRequest {
 /// tier. With the client's own two stamps — before `submit`, after
 /// `wait` returns — they cut one round trip into the five stages of
 /// [`ServeStages::NAMES`]; see [`ServeStages::split`].
+///
+/// A batch is flushed by a worker thread or by a client blocked in
+/// [`ResponseSlot::wait`] (see there); the stamps mean the same either
+/// way. Queue runs from admission until *whichever thread flushes* drains
+/// the request, and wake from the fulfil until `wait` returns. When the
+/// client flushed its own batch, both ends of its wake stage are on its
+/// own thread and queue includes no thread wake-up, so the two fall to
+/// about a microsecond each.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStages {
     /// Admitted: validated and pushed onto the shard's queue.
     pub enqueued: Option<Instant>,
-    /// Drained from the queue into a batch (one stamp per batch).
+    /// Drained from the queue into a batch by the thread that flushes it
+    /// (one stamp per batch).
     pub dequeued: Option<Instant>,
     /// The batch's `run_batch_into` returned (one stamp per batch).
     pub computed: Option<Instant>,
@@ -89,7 +99,7 @@ pub struct ServeStages {
 impl ServeStages {
     /// The five stages [`split`](Self::split) returns, in order: submit →
     /// admission, queue wait, batch compute, response copy-out, and
-    /// client wake.
+    /// wake (fulfil → `wait` returns).
     pub const NAMES: [&'static str; 5] = ["admit", "queue", "compute", "respond", "wake"];
 
     /// Cuts the round trip from `submitted` to `woke` at the shard's four
@@ -122,8 +132,10 @@ impl ServeStages {
 pub(crate) enum SlotState {
     /// No request in flight; the slot may be submitted.
     Idle,
-    /// Submitted and queued/executing; a waiter may be parked on the cv.
-    Pending,
+    /// Submitted and queued or flushing on the named shard; a waiter may
+    /// be parked on the cv. The handle is weak because the shard's queue
+    /// holds the slot: a strong one would make a reference cycle.
+    Pending(Weak<Shard>),
     /// The response is ready for [`ResponseSlot::wait`] to collect.
     Done(GradientRequest),
 }
@@ -141,12 +153,12 @@ impl SlotInner {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Idle → Pending; false if a request is already in flight (the
-    /// submission is refused with `ServeError::SlotBusy`).
-    pub(crate) fn begin(&self) -> bool {
+    /// Idle → Pending on `shard`; false if a request is already in flight
+    /// (the submission is refused with `ServeError::SlotBusy`).
+    pub(crate) fn begin(&self, shard: Weak<Shard>) -> bool {
         let mut st = self.lock();
         if matches!(*st, SlotState::Idle) {
-            *st = SlotState::Pending;
+            *st = SlotState::Pending(shard);
             true
         } else {
             false
@@ -156,15 +168,15 @@ impl SlotInner {
     /// Pending → Idle, on admission failure after `begin`.
     pub(crate) fn cancel(&self) {
         let mut st = self.lock();
-        debug_assert!(matches!(*st, SlotState::Pending));
+        debug_assert!(matches!(*st, SlotState::Pending(_)));
         *st = SlotState::Idle;
     }
 
-    /// Pending → Done: the worker hands the filled buffer back and wakes
-    /// the waiter. No allocation — the buffer moves by value.
+    /// Pending → Done: the flushing thread hands the filled buffer back
+    /// and wakes the waiter. No allocation — the buffer moves by value.
     pub(crate) fn fulfil(&self, req: GradientRequest) {
         let mut st = self.lock();
-        debug_assert!(matches!(*st, SlotState::Pending));
+        debug_assert!(matches!(*st, SlotState::Pending(_)));
         *st = SlotState::Done(req);
         drop(st);
         self.cv.notify_all();
@@ -198,18 +210,37 @@ impl ResponseSlot {
 
     /// Whether a request is currently in flight on this slot.
     pub fn is_pending(&self) -> bool {
-        matches!(*self.inner.lock(), SlotState::Pending)
+        matches!(*self.inner.lock(), SlotState::Pending(_))
     }
 
     /// Blocks until the in-flight request completes and returns its
     /// buffer (outputs filled), resetting the slot to idle.
     ///
+    /// A blocked caller may run its own batch. If the request is still
+    /// queued and the shard has a parked worker, which would otherwise
+    /// have to be woken, the caller does that worker's job on its own
+    /// thread: it drains up to a batch of queued requests and flushes
+    /// them, completing every slot in the batch, its own included. A
+    /// lone request then pays no cross-thread wake. A busy shard is left
+    /// to its workers, so it keeps its configured flush concurrency.
+    /// Otherwise the caller parks until a worker answers. A caller that
+    /// must not compute polls [`try_take`](Self::try_take) instead, which
+    /// never flushes.
+    ///
     /// # Panics
     ///
     /// Panics if called with no request in flight — that is a client
     /// protocol bug, not a runtime condition.
+    ///
+    /// A backend panic during a flush this caller runs surfaces here, in
+    /// the caller. As with a panic on a worker, the other requests of
+    /// that batch are then never answered. The shard keeps serving: its
+    /// workers are untouched, and later waiters leave the flush to them.
     pub fn wait(&self) -> GradientRequest {
         let mut st = self.inner.lock();
+        // Cleared once an attempt to flush finds nothing to do: from then
+        // on the caller only parks.
+        let mut flush = true;
         loop {
             match &*st {
                 SlotState::Done(_) => {
@@ -218,7 +249,17 @@ impl ResponseSlot {
                     };
                     return req;
                 }
-                SlotState::Pending => {
+                SlotState::Pending(shard) => {
+                    if flush {
+                        if let Some(shard) = shard.upgrade() {
+                            drop(st);
+                            flush = shard.flush_for_waiter(&self.inner);
+                            // Re-read the state: the request may have been
+                            // answered meanwhile, by this thread or another.
+                            st = self.inner.lock();
+                            continue;
+                        }
+                    }
                     st = self.inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
                 }
                 SlotState::Idle => panic!("ResponseSlot::wait with no request in flight"),
@@ -257,9 +298,12 @@ mod tests {
         assert!(!slot.is_pending());
         assert!(slot.try_take().is_none());
         for turn in 0..3 {
-            assert!(slot.inner.begin());
+            assert!(slot.inner.begin(Weak::new()));
             assert!(slot.is_pending());
-            assert!(!slot.inner.begin(), "busy slot must refuse a second begin");
+            assert!(
+                !slot.inner.begin(Weak::new()),
+                "busy slot must refuse a second begin"
+            );
             let mut req = GradientRequest::for_dof(2);
             req.q[0] = turn as f64;
             slot.inner.fulfil(req);
@@ -272,10 +316,10 @@ mod tests {
     #[test]
     fn cancel_returns_slot_to_idle() {
         let slot = ResponseSlot::new();
-        assert!(slot.inner.begin());
+        assert!(slot.inner.begin(Weak::new()));
         slot.inner.cancel();
         assert!(!slot.is_pending());
-        assert!(slot.inner.begin());
+        assert!(slot.inner.begin(Weak::new()));
         slot.inner.fulfil(GradientRequest::for_dof(1));
         assert!(slot.try_take().is_some());
     }
@@ -283,7 +327,7 @@ mod tests {
     #[test]
     fn wait_crosses_threads() {
         let slot = ResponseSlot::new();
-        assert!(slot.inner.begin());
+        assert!(slot.inner.begin(Weak::new()));
         let inner = Arc::clone(&slot.inner);
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(10));

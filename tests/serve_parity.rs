@@ -1,7 +1,7 @@
 //! Parity of the serving tier: a gradient served through the
 //! micro-batcher — coalesced into wide lane-groups, or flushed ragged by
-//! a worker that found fewer requests queued — must be
-//! **bit-identical** to a direct `gradient_into` call on the same
+//! a worker or a blocked waiter that found fewer requests queued — must
+//! be **bit-identical** to a direct `gradient_into` call on the same
 //! backend.
 //!
 //! The serving path adds queuing, SoA lane marshalling, and a block copy
@@ -135,6 +135,66 @@ fn check_vector_kernel_parity(
     assert!((1..=count as u64).contains(&stats.flushes));
 }
 
+/// Closed-loop clients sharing one shard: `waiters` block in
+/// `ResponseSlot::wait` (and so may flush a batch themselves, other
+/// clients' requests included) while `pollers` spin on `try_take` (which
+/// never flushes). Every response is asserted bit-identical to the direct
+/// call, and every admitted request is answered.
+fn check_waiters_and_pollers(
+    backend: BackendKind,
+    vals: &[f64],
+    waiters: usize,
+    pollers: usize,
+    rounds: usize,
+) {
+    let server = GradientServer::with_config(ServeConfig {
+        workers: 1,
+        backend,
+        ..ServeConfig::default()
+    });
+    let key = server.register(&robots::iiwa14());
+    let plan = server.plan(key).expect("registered");
+    std::thread::scope(|scope| {
+        for client in 0..waiters + pollers {
+            let (server, plan) = (&server, &plan);
+            scope.spawn(move || {
+                let polls = client >= waiters;
+                let slot = ResponseSlot::new();
+                let mut direct = plan.backend(backend);
+                let mut req = GradientRequest::for_dof(plan.dof());
+                let mut want = GradientRequest::for_dof(plan.dof());
+                for round in 0..rounds {
+                    let k = client * rounds + round;
+                    fill_request(plan, vals, k, &mut req);
+                    server.submit(key, req, &slot).expect("admitted");
+                    req = if polls {
+                        loop {
+                            match slot.try_take() {
+                                Some(req) => break req,
+                                None => std::thread::yield_now(),
+                            }
+                        }
+                    } else {
+                        slot.wait()
+                    };
+                    fill_request(plan, vals, k, &mut want);
+                    direct
+                        .gradient_into(&want.q, &want.qd, &want.qdd, &want.minv, &mut want.out)
+                        .expect("dimensions match");
+                    assert_eq!(
+                        req.out, want.out,
+                        "client {client} (polls: {polls}) round {round} must be bit-identical \
+                         to the direct {backend:?} gradient"
+                    );
+                }
+            });
+        }
+    });
+    let stats = server.stats();
+    assert_eq!(stats.submitted, ((waiters + pollers) * rounds) as u64);
+    assert_eq!(stats.completed, stats.submitted);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 4,
@@ -167,6 +227,17 @@ proptest! {
             for kernel in [KernelKind::InverseDynamics, KernelKind::ForwardDynamics] {
                 check_vector_kernel_parity(backend, kernel, &vals, extra);
             }
+        }
+    }
+
+    /// Blocking waiters and `try_take` pollers on one shard: whichever
+    /// thread flushes a batch, every answer stays exact and none is lost.
+    #[test]
+    fn waiters_and_pollers_sharing_a_shard_get_exact_answers(
+        vals in proptest::collection::vec(-1.0..1.0f64, 64),
+    ) {
+        for backend in [BackendKind::Cpu, BackendKind::Accel] {
+            check_waiters_and_pollers(backend, &vals, 2, 2, 16);
         }
     }
 
