@@ -9,7 +9,7 @@
 use crate::LatencySegments;
 use robo_dynamics::batch::{BatchEngine, GradientState};
 use robo_dynamics::engine::{
-    gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, GradientOutput,
+    gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, GradientOutput, WarmForks,
 };
 use robo_dynamics::{
     forward_dynamics, mass_matrix_inverse, rnea, rnea_derivatives, DynamicsGradient, DynamicsModel,
@@ -53,23 +53,24 @@ impl GradientInput {
 }
 
 /// The CPU baseline: the engine layer's [`CpuAnalytic`] backend on the
-/// host, run through the process-wide [`BatchEngine`] across time steps.
+/// host, run through the process-wide [`BatchEngine`] across time steps
+/// on warm forks built once.
 #[derive(Debug)]
 pub struct CpuBaseline {
     backend: CpuAnalytic<f64>,
     out: GradientOutput,
-    engine: &'static BatchEngine,
+    forks: WarmForks<'static>,
 }
 
 impl CpuBaseline {
     /// Builds the baseline for a robot on the shared engine (one worker per
-    /// hardware thread).
+    /// hardware thread), with one warm fork per participant.
     pub fn new(robot: &RobotModel) -> Self {
         let backend = CpuAnalytic::new(robot);
         Self {
             out: GradientOutput::for_dof(backend.dof()),
+            forks: WarmForks::new(BatchEngine::global(), || Box::new(backend.clone())),
             backend,
-            engine: BatchEngine::global(),
         }
     }
 
@@ -80,7 +81,7 @@ impl CpuBaseline {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.engine.threads()
+        BatchEngine::global().threads()
     }
 
     /// Computes one dynamics gradient (the accelerator's exact kernel
@@ -98,15 +99,15 @@ impl CpuBaseline {
         self.out.to_dynamics_gradient()
     }
 
-    /// Computes gradients for a batch of time steps in parallel, one
-    /// backend fork with a reusable workspace per worker (allocation-free
-    /// steady state).
+    /// Computes gradients for a batch of time steps in parallel, on the
+    /// baseline's warm forks (one backend with reusable workspaces per
+    /// participant).
     ///
     /// # Panics
     ///
     /// Panics if any input's dimensions disagree with the robot's joint
     /// count.
-    pub fn compute_batch(&self, inputs: Arc<Vec<GradientInput>>) -> Vec<DynamicsGradient<f64>> {
+    pub fn compute_batch(&mut self, inputs: Arc<Vec<GradientInput>>) -> Vec<DynamicsGradient<f64>> {
         let states: Vec<GradientState<'_, f64>> = inputs
             .iter()
             .map(|inp| GradientState {
@@ -117,7 +118,7 @@ impl CpuBaseline {
             })
             .collect();
         let mut out = BatchOutput::new();
-        gradient_batch_on_into(&self.backend, self.engine, &states, &mut out)
+        gradient_batch_on_into(&mut self.forks, &states, &mut out)
             .expect("input dimensions must match the model");
         (0..states.len()).map(|i| out.gradient_at(i)).collect()
     }
@@ -173,7 +174,7 @@ impl CpuBaseline {
     /// Measures the wall-clock time to process `inputs` across the pool
     /// (mean of `trials`) — the Figure 13 CPU quantity (no I/O: the data is
     /// already in host memory).
-    pub fn time_batch(&self, inputs: &Arc<Vec<GradientInput>>, trials: usize) -> f64 {
+    pub fn time_batch(&mut self, inputs: &Arc<Vec<GradientInput>>, trials: usize) -> f64 {
         std::hint::black_box(self.compute_batch(Arc::clone(inputs)));
         let start = Instant::now();
         for _ in 0..trials {

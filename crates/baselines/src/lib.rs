@@ -3,10 +3,10 @@
 //!
 //! * [`CpuBaseline`] — the dynamics-gradient kernel on the host CPU,
 //!   parallelized across trajectory time steps through the shared
-//!   [`robo_dynamics::batch::BatchEngine`] (a persistent
-//!   [`ThreadPool`](robo_dynamics::batch::ThreadPool)
-//!   with per-worker workspaces), timed with `std::time::Instant` (the
-//!   paper's Pinocchio-on-i7 counterpart);
+//!   [`robo_dynamics::batch::BatchEngine`] (persistent workers that join
+//!   the caller in its batch, each participant on a warm backend fork
+//!   built once), timed with `std::time::Instant` (the paper's
+//!   Pinocchio-on-i7 counterpart);
 //! * [`GpuModel`] — an analytic RTX 2080-class latency model encoding
 //!   kernel-launch overhead, the serialized forward/backward sync chain,
 //!   and SM-wave throughput;

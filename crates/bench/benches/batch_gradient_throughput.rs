@@ -6,19 +6,22 @@
 //!   step (the seed's baseline path);
 //! * `serial_workspace` — one reused `GradWorkspace` driven through
 //!   `dynamics_gradient_into` (zero steady-state heap allocations);
-//! * `batch_engine` — the shared `BatchEngine` with one workspace per
-//!   worker (the paper's §6.1 thread-pool structure).
+//! * `batch_engine` — `gradient_batch_on_into` on the shared
+//!   `BatchEngine`, one warm `CpuAnalytic` fork per participant (the
+//!   paper's §6.1 thread-pool structure).
 //!
 //! Measured numbers are recorded in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use robo_baselines::{random_inputs, GradientInput};
 use robo_dynamics::batch::{BatchEngine, GradientState};
+use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, CpuAnalytic, WarmForks};
 use robo_dynamics::{
     dynamics_gradient_from_qdd, dynamics_gradient_into, DynamicsModel, GradWorkspace,
 };
 use robo_model::robots;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn states_of(inputs: &[GradientInput]) -> Vec<GradientState<'_, f64>> {
     inputs
@@ -34,8 +37,10 @@ fn states_of(inputs: &[GradientInput]) -> Vec<GradientState<'_, f64>> {
 
 fn bench_batch_gradient(c: &mut Criterion) {
     let robot = robots::iiwa14();
-    let model = DynamicsModel::<f64>::new(&robot);
-    let engine = BatchEngine::global();
+    let model = Arc::new(DynamicsModel::<f64>::new(&robot));
+    let cpu = CpuAnalytic::with_model(Arc::clone(&model));
+    let mut forks = WarmForks::new(BatchEngine::global(), || Box::new(cpu.clone()));
+    let mut out = BatchOutput::new();
 
     let mut g = c.benchmark_group("batch_gradient_throughput");
     for steps in [32usize, 128] {
@@ -73,7 +78,11 @@ fn bench_batch_gradient(c: &mut Criterion) {
             BenchmarkId::new("batch_engine", steps),
             &states,
             |b, states| {
-                b.iter(|| black_box(engine.dynamics_gradient_batch(&model, states)));
+                b.iter(|| {
+                    gradient_batch_on_into(&mut forks, states, &mut out)
+                        .expect("inputs match the model");
+                    black_box(&out);
+                });
             },
         );
     }

@@ -6,12 +6,14 @@
 //! simulation cost* of the compiled-netlist accelerator path (its modeled
 //! hardware latency is a static cycle count, not this number), and `fd`
 //! the finite-difference oracle. `trait_batch` drives the shared
-//! `BatchEngine` through `gradient_batch_on_into`.
+//! `BatchEngine` through `gradient_batch_on_into` on warm forks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use robo_baselines::{random_inputs, GradientInput};
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, GradientOutput};
+use robo_dynamics::engine::{
+    gradient_batch_on_into, BatchOutput, DynamicsBackend, GradientOutput, WarmForks,
+};
 use robo_model::robots;
 use robo_sim::{BackendKind, RobotPlan};
 use std::hint::black_box;
@@ -59,13 +61,14 @@ fn bench_trait_batch(c: &mut Criterion) {
         let states = states_of(&inputs);
         g.throughput(Throughput::Elements(steps as u64));
         let backend = plan.cpu_backend();
+        let mut forks = WarmForks::new(BatchEngine::global(), || backend.fork());
         let mut out = BatchOutput::new();
         g.bench_with_input(
             BenchmarkId::new("cpu_trait_batch", steps),
             &states,
             |b, states| {
                 b.iter(|| {
-                    gradient_batch_on_into(&backend, BatchEngine::global(), states, &mut out)
+                    gradient_batch_on_into(&mut forks, states, &mut out)
                         .expect("inputs match plan");
                     black_box(&out);
                 });

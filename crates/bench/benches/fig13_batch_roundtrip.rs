@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 fn bench_cpu_batches(c: &mut Criterion) {
     let robot = robots::iiwa14();
-    let cpu = CpuBaseline::new(&robot);
+    let mut cpu = CpuBaseline::new(&robot);
     let mut g = c.benchmark_group("fig13_cpu_batch");
     for steps in [10usize, 32, 128] {
         let inputs = Arc::new(random_inputs(&robot, steps, steps as u64));

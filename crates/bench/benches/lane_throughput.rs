@@ -15,9 +15,9 @@
 //!   accelerator backend;
 //!
 //! plus `engine_grad_lanes4`, the two-level (threads × lanes)
-//! `gradient_batch_on_into` path on the shared [`BatchEngine`], compared
-//! against the CPU serial loop (on a single-core host this adds claim
-//! overhead over the wide path).
+//! `gradient_batch_on_into` path on the shared [`BatchEngine`] over warm
+//! forks built once, compared against the CPU serial loop (on a
+//! single-core host this adds claim overhead over the wide path).
 //!
 //! Each scalar/wide group is timed interleaved
 //! ([`time_median_ns_interleaved`]): the CPU serial loop, its wide path
@@ -44,6 +44,7 @@ use robo_codegen::{
 use robo_dynamics::batch::{BatchEngine, GradientState};
 use robo_dynamics::engine::{
     gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, GradientOutput, KernelKind,
+    WarmForks,
 };
 use robo_dynamics::DynamicsModel;
 use robo_model::robots;
@@ -130,7 +131,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
         .collect();
 
     let cpu = CpuAnalytic::<f64>::with_model(model.clone());
-    let engine = BatchEngine::global();
+    let mut forks = WarmForks::new(BatchEngine::global(), || cpu.fork());
     let mut engine_out = BatchOutput::new();
     let cpu_ns = time_median_ns_interleaved(
         env.grad_reps,
@@ -139,7 +140,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
             &mut serial_sweep(cpu.clone(), &grad_states),
             &mut wide_sweep(cpu.clone(), &grad_states),
             &mut || {
-                gradient_batch_on_into(&cpu, engine, &grad_states, &mut engine_out)
+                gradient_batch_on_into(&mut forks, &grad_states, &mut engine_out)
                     .expect("dimensions match");
                 black_box(&engine_out);
             },

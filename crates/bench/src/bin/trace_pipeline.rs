@@ -27,7 +27,7 @@ use robo_bench::analyse::trace_table;
 use robo_bench::harness::gradient_cases;
 use robo_codegen::{generate_x_pipeline, optimize, BatchEvalWorkspace, CompiledNetlist};
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, DynamicsBackend};
+use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, DynamicsBackend, WarmForks};
 use robo_model::robots;
 use robo_sim::engine::RobotPlan;
 use robo_sparsity::superposition_pattern;
@@ -81,8 +81,8 @@ fn run_pipeline() -> (usize, usize) {
         .expect("dimensions match");
 
     // Thread fan-out through the shared engine.
-    gradient_batch_on_into(&cpu, BatchEngine::global(), &grad_states, &mut batch_out)
-        .expect("dimensions match");
+    let mut forks = WarmForks::new(BatchEngine::global(), || cpu.fork());
+    gradient_batch_on_into(&mut forks, &grad_states, &mut batch_out).expect("dimensions match");
 
     // A short iLQR solve: backward + forward passes per iteration.
     let task = ReachingTask::iiwa_reach();

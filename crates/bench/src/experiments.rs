@@ -302,7 +302,7 @@ pub fn fig12_precision(quick: bool) -> String {
 pub fn fig13_roundtrip(quick: bool) -> String {
     let trials = if quick { 5 } else { 100 };
     let robot = robots::iiwa14();
-    let cpu = CpuBaseline::new(&robot);
+    let mut cpu = CpuBaseline::new(&robot);
     let gpu = GpuModel::rtx2080();
     let coproc = CoprocessorSystem::fpga_default(iiwa_accelerator());
 

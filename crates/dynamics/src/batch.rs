@@ -1,246 +1,139 @@
-//! The shared batch engine: a persistent thread pool with per-worker
-//! workspaces.
+//! The shared batch engine: persistent worker threads that join the
+//! caller in its own batch.
 //!
 //! The paper's CPU baseline "was parallelized across the trajectory time
 //! steps using a thread pool so that the overheads of creating and joining
 //! threads did not impact the timing of the region of interest" (§6.1).
-//! [`ThreadPool`] is that pool: workers live for the pool's lifetime and
-//! pull batch indices from a shared atomic counter, so uneven item costs
-//! balance out.
-//!
-//! [`BatchEngine`] layers the workspace discipline of this crate on top:
-//! [`BatchEngine::run_with_state`] gives every participating worker its own
-//! mutable state (typically a [`GradWorkspace`] or an accelerator-simulator
-//! clone) built once per batch, so the steady-state per-item work is
-//! allocation-free while items stay data-parallel. Every batch-shaped
-//! consumer in the workspace — the CPU baseline, the coprocessor
-//! round-trip, the iLQR backward-pass linearization — routes through the
-//! process-wide [`BatchEngine::global`] instance.
+//! [`BatchEngine`] is that pool, with the caller as one more participant:
+//! it starts on its batch at once, a parked worker joins only while items
+//! are left, everyone claims items from one shared counter (so uneven
+//! item costs balance out), and the caller waits only for the workers
+//! that joined. [`BatchEngine::for_each`] names each call's participant,
+//! so consumers keep one warm state per participant across batches — the
+//! engine layer's `WarmForks` holds one backend fork each. The CPU
+//! baseline, the coprocessor stream and the iLQR linearization all run on
+//! the process-wide [`BatchEngine::global`] instance.
 
-use crate::{
-    dynamics_gradient_into, DynamicsGradient, DynamicsModel, GradWorkspace, InverseDynamicsGradient,
-};
-use robo_spatial::{MatN, Scalar};
+use robo_spatial::MatN;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A batch's job: `job(participant, item)`.
+type Job<'a> = dyn Fn(usize, usize) + Sync + 'a;
 
-enum Message {
-    Run(Job),
-    Shutdown,
+/// The live batch, kept under the pool's mutex.
+struct Batch {
+    /// The caller's job, its lifetime erased (see [`BatchEngine::for_each`]).
+    job: &'static Job<'static>,
+    count: usize,
+    /// Workers that joined; the `k`-th to join is participant `k`.
+    joined: usize,
+    /// Joined workers that have left.
+    left: usize,
+    /// The first panic of a worker's share, for the caller to resume.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// A fixed-size pool of persistent worker threads.
-///
-/// Dropping the pool sends every worker a shutdown message and joins the
-/// threads, so no worker outlives the pool.
-///
-/// # Examples
-///
-/// ```
-/// use robo_dynamics::batch::ThreadPool;
-///
-/// let pool = ThreadPool::new(4);
-/// let out = pool.run(100, |i| i * i);
-/// assert_eq!(out[9], 81);
-/// ```
-#[derive(Debug)]
-pub struct ThreadPool {
-    workers: Vec<JoinHandle<()>>,
-    sender: mpsc::Sender<Message>,
+#[derive(Default)]
+struct State {
+    batch: Option<Batch>,
+    shutdown: bool,
 }
 
-/// Raw pointer to a result slot, sendable across the worker boundary. Each
-/// index is claimed by exactly one worker via the shared atomic counter, so
-/// writes through it never alias.
-struct SendPtr<T>(*mut Option<T>);
+struct Shared {
+    state: Mutex<State>,
+    /// The live batch's claim counter, beside the mutex so a claim takes
+    /// no lock. It is reset under the mutex when a batch opens, and only
+    /// the batch's participants advance it.
+    next: AtomicUsize,
+    /// Parked workers wait here for a batch or shutdown.
+    work: Condvar,
+    /// A closing caller waits here for its joined workers to leave.
+    done: Condvar,
+}
 
-// SAFETY: the pointer is only ever written through `SendPtr::write`, whose
-// contract (each slot claimed by exactly one worker, buffer outliving all
-// writers) makes cross-thread transfer of the raw pointer sound; `T: Send`
-// carries the payload's own requirement.
-unsafe impl<T: Send> Send for SendPtr<T> {}
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // No code that can panic runs under the lock.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-impl<T> SendPtr<T> {
-    /// Writes `value` into slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds and claimed by exactly one caller, and the
-    /// backing buffer must stay untouched until all writers are done.
-    unsafe fn write(&self, i: usize, value: T) {
-        *self.0.add(i) = Some(value);
+    /// Runs the live batch's items as `participant` until none is left.
+    fn claim(&self, job: &Job<'_>, participant: usize, count: usize) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return;
+            }
+            job(participant, i);
+        }
     }
 }
 
-/// Signals batch completion when dropped — even when the job panics — so
-/// the dispatching thread can never deadlock waiting for a dead job. The
-/// notification happens while the mutex is held: the dispatcher may
-/// invalidate the `(Mutex, Condvar)` pair the moment it observes the final
-/// count, so notifying after unlocking could touch a freed condvar.
-struct DoneGuard<'a>(&'a (Mutex<usize>, Condvar));
+/// Closes the caller's batch when dropped, on return and on unwind alike:
+/// no worker joins after it, and it returns only once every joined worker
+/// has left, handing back a worker's panic.
+struct Close<'a> {
+    shared: &'a Shared,
+    count: usize,
+    panic: &'a mut Option<Box<dyn Any + Send>>,
+}
 
-impl Drop for DoneGuard<'_> {
+impl Drop for Close<'_> {
     fn drop(&mut self) {
-        let (lock, cv) = self.0;
-        let mut finished = lock.lock().expect("done counter poisoned");
-        *finished += 1;
-        cv.notify_all();
+        // On unwind items may be left: exhaust them, so no worker joins
+        // and the joined ones stop after their current item.
+        self.shared.next.fetch_max(self.count, Ordering::Relaxed);
+        let mut state = self.shared.lock();
+        while state.batch.as_ref().is_some_and(|b| b.left < b.joined) {
+            state = self
+                .shared
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *self.panic = state.batch.take().and_then(|b| b.panic);
     }
 }
 
-impl ThreadPool {
-    /// Spawns a pool with `threads` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "thread pool needs at least one worker");
-        let (sender, receiver) = mpsc::channel::<Message>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..threads)
-            .map(|_| {
-                let rx = Arc::clone(&receiver);
-                std::thread::spawn(move || loop {
-                    let msg = {
-                        let guard = rx.lock().expect("pool receiver poisoned");
-                        guard.recv()
-                    };
-                    match msg {
-                        Ok(Message::Run(job)) => {
-                            // A panicking job must not kill the worker: the
-                            // batch outcome is reported through the result
-                            // slots (a missing result panics the caller),
-                            // and the pool stays usable.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                        Ok(Message::Shutdown) | Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-        Self { workers, sender }
-    }
-
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_default_size() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(n)
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Runs `f(0..count)` across the pool and returns the results in index
-    /// order. The closure may borrow from the caller's stack — dispatch is
-    /// scoped: this call does not return until every participating worker
-    /// has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker panicked while processing an item.
-    pub fn run<T, F>(&self, count: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_with_state(count, || (), move |(), i| f(i))
-    }
-
-    /// Like [`ThreadPool::run`], but every participating worker first
-    /// builds a private mutable state with `init` (once per worker per
-    /// batch) and threads it through its items — the mechanism behind
-    /// reusable per-worker workspaces.
-    ///
-    /// Work is distributed dynamically through an atomic counter, so
-    /// uneven item costs balance out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker panicked while processing an item.
-    pub fn run_with_state<W, T, I, F>(&self, count: usize, init: I, f: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, usize) -> T + Sync,
-    {
-        if count == 0 {
-            return Vec::new();
-        }
-        let _span = robo_trace::span_items("batch.fanout", count);
-        let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        let next = AtomicUsize::new(0);
-        let done = (Mutex::new(0usize), Condvar::new());
-
-        let workers = self.workers.len().min(count);
-        let base = results.as_mut_ptr();
-        for _ in 0..workers {
-            let slots = SendPtr(base);
-            let (next, done, init, f) = (&next, &done, &init, &f);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // Declared first so it drops last: the worker's state (and
-                // any borrow it holds) is torn down before completion is
-                // signalled and the dispatcher's stack frame can unwind.
-                let _guard = DoneGuard(done);
-                let _span = robo_trace::span("batch.worker");
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let value = f(&mut state, i);
-                    // SAFETY: `i < count` and each index is claimed exactly
-                    // once; the dispatcher does not touch `results` until
-                    // all workers signalled completion.
-                    unsafe { slots.write(i, value) };
-                }
-            });
-            // SAFETY: the job is erased to 'static to travel through the
-            // channel, but this function blocks until every dispatched job
-            // has run to completion (DoneGuard fires even on panic), so the
-            // borrowed environment strictly outlives the job.
-            let job: Job = unsafe { std::mem::transmute(job) };
-            self.sender
-                .send(Message::Run(job))
-                .expect("pool workers gone");
-        }
-
-        let (lock, cv) = &done;
-        let mut finished = lock.lock().expect("done counter poisoned");
-        while *finished < workers {
-            finished = cv.wait(finished).expect("done counter poisoned");
-        }
-        drop(finished);
-
-        results
-            .into_iter()
-            .map(|x| x.expect("worker panicked before storing a result"))
-            .collect()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        for _ in &self.workers {
-            let _ = self.sender.send(Message::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+fn worker_loop(shared: &Shared) {
+    let mut state = shared.lock();
+    while !state.shutdown {
+        let open = state.batch.as_mut();
+        let Some(batch) = open.filter(|b| shared.next.load(Ordering::Relaxed) < b.count) else {
+            state = shared
+                .work
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        };
+        batch.joined += 1;
+        let (job, participant, count) = (batch.job, batch.joined, batch.count);
+        drop(state);
+        // A panicking share must not kill the worker: the caller resumes
+        // the panic, and the pool stays usable.
+        let share = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _span = robo_trace::span("batch.worker");
+            shared.claim(job, participant, count);
+        }));
+        state = shared.lock();
+        if let Some(batch) = state.batch.as_mut() {
+            batch.left += 1;
+            if let Err(payload) = share {
+                batch.panic.get_or_insert(payload);
+            }
+            if batch.left == batch.joined {
+                shared.done.notify_one();
+            }
         }
     }
 }
 
-/// A borrowed view of one evaluation point, as consumed by
-/// [`BatchEngine::dynamics_gradient_batch`] and, for every kernel of the
-/// family, by the engine's `DynamicsBackend::run_batch_into`.
+/// A borrowed view of one evaluation point, as consumed, for every kernel
+/// of the family, by the engine's `DynamicsBackend::run_batch_into`.
 #[derive(Debug, Clone, Copy)]
 pub struct GradientState<'a, S> {
     /// Joint positions.
@@ -255,8 +148,13 @@ pub struct GradientState<'a, S> {
     pub minv: &'a MatN<S>,
 }
 
-/// The shared batch-evaluation engine: a [`ThreadPool`] plus the
-/// per-worker-workspace convention.
+/// The shared batch-evaluation engine: a fixed set of persistent worker
+/// threads that join the caller's batches.
+///
+/// One batch is live in the pool at a time. A caller that finds the pool
+/// busy — another thread's batch, or a job calling the engine again — runs
+/// its batch alone, so the engine never deadlocks. Dropping the engine
+/// joins every worker.
 ///
 /// # Examples
 ///
@@ -267,9 +165,17 @@ pub struct GradientState<'a, S> {
 /// let squares = engine.run(8, |i| i * i);
 /// assert_eq!(squares[7], 49);
 /// ```
-#[derive(Debug)]
 pub struct BatchEngine {
-    pool: ThreadPool,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for BatchEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchEngine")
+            .field("threads", &self.threads())
+            .finish()
+    }
 }
 
 impl BatchEngine {
@@ -279,133 +185,212 @@ impl BatchEngine {
     ///
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Self {
-            pool: ThreadPool::new(threads),
-        }
+        assert!(threads > 0, "batch engine needs at least one worker");
+        let shared = Arc::new(Shared {
+            state: Mutex::default(),
+            next: AtomicUsize::new(0),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let workers = (0..threads)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("batch-{w}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn batch worker")
+            })
+            .collect();
+        Self { shared, workers }
     }
 
-    /// An engine sized to the machine's available parallelism.
-    pub fn with_default_size() -> Self {
-        Self {
-            pool: ThreadPool::with_default_size(),
-        }
-    }
-
-    /// The process-wide shared engine, created on first use and sized to
-    /// the machine's available parallelism. All library consumers (CPU
-    /// baseline, coprocessor streaming, trajectory optimization) share it,
-    /// so the process runs one pool rather than one per subsystem.
+    /// The process-wide shared engine, created on first use with one
+    /// worker per hardware thread, so the process runs one pool rather
+    /// than one per subsystem.
     pub fn global() -> &'static BatchEngine {
         static GLOBAL: OnceLock<BatchEngine> = OnceLock::new();
-        GLOBAL.get_or_init(BatchEngine::with_default_size)
+        GLOBAL.get_or_init(|| {
+            BatchEngine::new(std::thread::available_parallelism().map_or(4, |n| n.get()))
+        })
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads; a batch has up to `threads() + 1`
+    /// participants, the caller included.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.workers.len()
     }
 
-    /// The underlying pool.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
-    /// Runs a stateless batch; see [`ThreadPool::run`].
+    /// Runs `f(0..count)` on the caller and the pool and returns the
+    /// results in index order; see [`BatchEngine::for_each`].
     ///
     /// # Panics
     ///
-    /// Panics if a worker panicked while processing an item.
+    /// Resumes the panic of any item's `f`.
     pub fn run<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.pool.run(count, f)
+        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+        let unpoisoned = "no code panics under a slot lock";
+        self.for_each(count, |_, i| {
+            let value = f(i);
+            *slots[i].lock().expect(unpoisoned) = Some(value);
+        });
+        let slot = |s: Mutex<Option<T>>| s.into_inner().expect(unpoisoned).expect("every item ran");
+        slots.into_iter().map(slot).collect()
     }
 
-    /// Runs a batch with per-worker state; see
-    /// [`ThreadPool::run_with_state`]. `init` runs once per participating
-    /// worker per batch, so per-item costs are amortized across the batch.
+    /// Calls `f(participant, i)` once for every `i` in `0..count`. The
+    /// caller is participant 0 and starts at once; a parked worker joins
+    /// while items are left, as participant `1..=threads()`. No two calls
+    /// that can overlap share a participant, so `participant` can index
+    /// per-participant state that the caller builds once. Items are
+    /// claimed one at a time from a shared counter. A one-item batch, or
+    /// one that finds the pool busy, runs on the caller alone.
+    ///
+    /// `f` may borrow from the caller's stack: this call neither returns
+    /// nor unwinds until every joined worker has left the batch.
     ///
     /// # Panics
     ///
-    /// Panics if a worker panicked while processing an item.
-    pub fn run_with_state<W, T, I, F>(&self, count: usize, init: I, f: F) -> Vec<T>
+    /// Resumes the panic of a worker's share once the batch has ended.
+    pub fn for_each<F>(&self, count: usize, f: F)
     where
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, usize) -> T + Sync,
+        F: Fn(usize, usize) + Sync,
     {
-        self.pool.run_with_state(count, init, f)
+        if count == 0 {
+            return;
+        }
+        let _span = robo_trace::span_items("batch.fanout", count);
+        let job: &Job<'_> = &f;
+        // SAFETY: only the lifetime is erased. A worker calls `job` only
+        // between joining the batch and leaving it, and `Close` — dropped
+        // before `f`, on return and on unwind alike — waits until every
+        // joined worker has left and takes the batch, with `job`, back out
+        // of the pool before this frame can end.
+        let job = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
+        let mut state = self.shared.lock();
+        if count == 1 || state.batch.is_some() {
+            drop(state);
+            (0..count).for_each(|i| f(0, i));
+            return;
+        }
+        // Nobody claims from the counter now: the last batch's caller
+        // waited for each of its joined workers before retiring it.
+        self.shared.next.store(0, Ordering::Relaxed);
+        state.batch = Some(Batch {
+            job,
+            count,
+            joined: 0,
+            left: 0,
+            panic: None,
+        });
+        drop(state);
+        for _ in 0..self.threads().min(count - 1) {
+            self.shared.work.notify_one();
+        }
+        let mut worker_panic = None;
+        {
+            let _close = Close {
+                shared: &self.shared,
+                count,
+                panic: &mut worker_panic,
+            };
+            self.shared.claim(job, 0, count);
+        }
+        if let Some(payload) = worker_panic {
+            panic::resume_unwind(payload);
+        }
     }
+}
 
-    /// Evaluates the dynamics-gradient kernel (Algorithm 1) for a batch of
-    /// states in parallel, one reusable [`GradWorkspace`] per worker —
-    /// the paper's §6.1 batch structure with allocation-free per-item work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state's dimensions differ from `model.dof()`.
-    pub fn dynamics_gradient_batch<S: Scalar>(
-        &self,
-        model: &DynamicsModel<S>,
-        states: &[GradientState<'_, S>],
-    ) -> Vec<DynamicsGradient<S>> {
-        self.run_with_state(
-            states.len(),
-            || GradWorkspace::for_model(model),
-            |ws, i| {
-                let s = &states[i];
-                dynamics_gradient_into(model, s.q, s.qd, s.qdd, s.minv, ws);
-                DynamicsGradient {
-                    dqdd_dq: ws.dqdd_dq.clone(),
-                    dqdd_dqd: ws.dqdd_dqd.clone(),
-                    id_gradient: InverseDynamicsGradient {
-                        dtau_dq: ws.dtau_dq.clone(),
-                        dtau_dqd: ws.dtau_dqd.clone(),
-                    },
-                }
-            },
-        )
+impl Drop for BatchEngine {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_all();
+        for worker in self.workers.drain(..) {
+            // A worker catches every panic of its shares, so it only
+            // returns.
+            let _ = worker.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics_gradient_from_qdd;
-    use crate::mass_matrix;
-    use robo_model::robots;
+    use std::sync::mpsc;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
-    #[test]
-    fn computes_in_order() {
-        let pool = ThreadPool::new(3);
-        let out = pool.run(50, |i| 2 * i);
-        assert_eq!(out.len(), 50);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, 2 * i);
+    /// How long a blocking step may take before the test fails.
+    const BOUND: Duration = Duration::from_secs(10);
+
+    /// Runs `f` on a helper thread and fails, instead of hanging, if it
+    /// does not finish within [`BOUND`].
+    fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(BOUND).expect("the batch did not finish")
+    }
+
+    /// The message of a panic payload.
+    fn message(payload: Box<dyn Any + Send>) -> String {
+        match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(p) => p
+                .downcast::<String>()
+                .map_or_else(|_| String::new(), |s| *s),
         }
     }
 
+    /// A two-item batch on `engine` whose caller's share waits for a
+    /// worker's: it ends only if a worker joins.
+    fn joins(engine: &BatchEngine) {
+        let barrier = Barrier::new(2);
+        engine.for_each(2, |_, _| {
+            barrier.wait();
+        });
+    }
+
     #[test]
-    fn empty_batch() {
-        let pool = ThreadPool::new(2);
-        let out: Vec<usize> = pool.run(0, |i| i);
+    fn computes_in_order() {
+        let engine = BatchEngine::new(3);
+        let out = engine.run(50, |i| 2 * i);
+        assert_eq!(out, (0..50).map(|i| 2 * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_batch_touches_no_worker() {
+        let engine = BatchEngine::new(2);
+        let out: Vec<usize> = engine.run(0, |_| unreachable!("no item to run"));
         assert!(out.is_empty());
+        assert!(engine.shared.lock().batch.is_none());
+    }
+
+    #[test]
+    fn one_item_batch_runs_on_the_caller() {
+        let engine = BatchEngine::new(2);
+        let me = std::thread::current().id();
+        let out: Vec<ThreadId> = engine.run(1, |_| std::thread::current().id());
+        assert_eq!(out, vec![me]);
     }
 
     #[test]
     fn batch_smaller_than_pool() {
-        let pool = ThreadPool::new(8);
-        let out = pool.run(3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
+        let engine = BatchEngine::new(8);
+        assert_eq!(engine.run(3, |i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
     fn reusable_across_batches() {
-        let pool = ThreadPool::new(4);
+        let engine = BatchEngine::new(4);
         for round in 0..5 {
-            let out = pool.run(16, |i| i * round);
+            let out = engine.run(16, |i| i * round);
             assert_eq!(out[3], 3 * round);
         }
     }
@@ -413,118 +398,135 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_panics() {
-        let _ = ThreadPool::new(0);
+        let _ = BatchEngine::new(0);
     }
 
     #[test]
     fn scoped_run_borrows_caller_data() {
-        let pool = ThreadPool::new(4);
+        let engine = BatchEngine::new(4);
         let data: Vec<usize> = (0..64).collect();
-        let out = pool.run(data.len(), |i| data[i] * 3);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, 3 * i);
-        }
+        let out = engine.run(data.len(), |i| data[i] * 3);
+        assert_eq!(out, (0..64).map(|i| 3 * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_with_state_inits_once_per_participating_worker() {
-        let pool = ThreadPool::new(4);
-        let inits = AtomicUsize::new(0);
-        let out = pool.run_with_state(
-            100,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |count, i| {
-                *count += 1;
-                i
-            },
-        );
-        assert_eq!(out.len(), 100);
-        assert_eq!(inits.load(Ordering::SeqCst), 4);
-
-        // A single-item batch engages exactly one worker.
-        inits.store(0, Ordering::SeqCst);
-        let out = pool.run_with_state(
-            1,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-            },
-            |(), i| i,
-        );
-        assert_eq!(out, vec![0]);
-        assert_eq!(inits.load(Ordering::SeqCst), 1);
+    fn a_worker_joins_the_callers_batch() {
+        // The caller's share waits on a 2-party barrier: the batch ends
+        // only because the one worker joined and took the other item.
+        let engine = Arc::new(BatchEngine::new(1));
+        bounded(move || joins(&engine));
     }
 
     #[test]
-    fn empty_batch_with_state_skips_init() {
-        let pool = ThreadPool::new(2);
-        let inits = AtomicUsize::new(0);
-        let out: Vec<usize> = pool.run_with_state(
-            0,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-            },
-            |(), i| i,
-        );
-        assert!(out.is_empty());
-        assert_eq!(inits.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn drop_sends_shutdown_and_joins_all_workers() {
-        let pool = ThreadPool::new(4);
-        let sender = pool.sender.clone();
-        let _ = pool.run(8, |i| i);
-        drop(pool);
-        // Drop joined every worker, so the worker-held receiver is gone and
-        // the channel reports disconnection. (If any worker were still
-        // alive, join() inside drop would have blocked instead.)
-        assert!(sender.send(Message::Shutdown).is_err());
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_job() {
-        let pool = ThreadPool::new(2);
-        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(8, |i| {
-                assert!(i != 3, "injected failure");
-                i
-            })
-        }));
-        assert!(batch.is_err(), "missing result must surface as a panic");
-        // The workers caught the panic and are still serving.
-        let out = pool.run(4, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn engine_gradient_batch_matches_serial() {
-        let robot = robots::iiwa14();
-        let model = DynamicsModel::<f64>::new(&robot);
-        let n = model.dof();
-        type OwnedState = (Vec<f64>, Vec<f64>, Vec<f64>, MatN<f64>);
-        let states: Vec<OwnedState> = (0..6)
-            .map(|k| {
-                let q: Vec<f64> = (0..n).map(|i| 0.1 * (i + k) as f64).collect();
-                let qd: Vec<f64> = (0..n).map(|i| 0.05 * (i as f64) - 0.1).collect();
-                let qdd = vec![0.2; n];
-                let minv = mass_matrix(&model, &q).inverse_spd().unwrap();
-                (q, qd, qdd, minv)
-            })
-            .collect();
-        let views: Vec<GradientState<'_, f64>> = states
-            .iter()
-            .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
-            .collect();
+    fn every_item_runs_once_on_a_participant_in_range() {
         let engine = BatchEngine::new(3);
-        let batch = engine.dynamics_gradient_batch(&model, &views);
-        for (out, (q, qd, qdd, minv)) in batch.iter().zip(states.iter()) {
-            let serial = dynamics_gradient_from_qdd(&model, q, qd, qdd, minv);
-            assert_eq!(out.dqdd_dq, serial.dqdd_dq);
-            assert_eq!(out.dqdd_dqd, serial.dqdd_dqd);
-        }
+        let seen: Vec<Mutex<Vec<usize>>> = (0..=3).map(|_| Mutex::new(Vec::new())).collect();
+        engine.for_each(200, |p, i| seen[p].lock().unwrap().push(i));
+        let mut all: Vec<usize> = seen
+            .into_iter()
+            .flat_map(|s| s.into_inner().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_caller_panic_unwinds_after_its_joined_worker_left() {
+        let engine = Arc::new(BatchEngine::new(1));
+        let (joined_tx, joined_rx) = mpsc::channel::<()>();
+        let (returned_tx, returned_rx) = mpsc::channel::<()>();
+        let (verdict_tx, verdict_rx) = mpsc::channel::<bool>();
+        let (joined_rx, returned_rx) = (Mutex::new(joined_rx), Mutex::new(returned_rx));
+        let caller = Arc::clone(&engine);
+        let batch = bounded(move || {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                caller.for_each(2, |p, _| {
+                    if p == 0 {
+                        let joined = joined_rx.lock().unwrap().recv_timeout(BOUND);
+                        joined.expect("the worker joined");
+                        panic!("caller share");
+                    }
+                    joined_tx.send(()).unwrap();
+                    // Had the caller unwound past the batch, the test
+                    // thread would now signal in time.
+                    let returned = returned_rx.lock().unwrap();
+                    let returned = returned.recv_timeout(Duration::from_millis(200));
+                    verdict_tx.send(returned.is_ok()).unwrap();
+                });
+            }))
+            .map_err(message)
+        });
+        let _ = returned_tx.send(());
+        assert_eq!(batch, Err("caller share".to_owned()));
+        let early = verdict_rx.recv_timeout(BOUND).expect("the worker left");
+        assert!(!early, "the caller unwound before its joined worker left");
+        // The engine serves the next batch, and its worker still joins.
+        assert_eq!(engine.run(8, |i| i), (0..8).collect::<Vec<_>>());
+        bounded(move || joins(&engine));
+    }
+
+    #[test]
+    fn a_worker_panic_surfaces_in_the_caller() {
+        let engine = Arc::new(BatchEngine::new(1));
+        let caller = Arc::clone(&engine);
+        let batch = bounded(move || {
+            let (tx, rx) = mpsc::channel::<()>();
+            let rx = Mutex::new(rx);
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                caller.for_each(2, |p, _| {
+                    if p == 0 {
+                        // Wait for the worker, so it takes an item.
+                        let _ = rx.lock().unwrap().recv_timeout(BOUND);
+                    } else {
+                        let _ = tx.send(());
+                        panic!("worker share");
+                    }
+                });
+            }))
+            .map_err(message)
+        });
+        assert_eq!(batch, Err("worker share".to_owned()));
+        assert_eq!(engine.run(8, |i| i + 1), (1..9).collect::<Vec<_>>());
+        bounded(move || joins(&engine));
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_results_in_order() {
+        let engine = Arc::new(BatchEngine::new(2));
+        let all_in_order = bounded(move || {
+            let callers: Vec<_> = (0..4)
+                .map(|k| {
+                    let engine = Arc::clone(&engine);
+                    std::thread::spawn(move || {
+                        let want: Vec<usize> = (0..64).map(|i| i * k).collect();
+                        (0..50).all(|_| engine.run(64, |i| i * k) == want)
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .all(|c| c.join().expect("caller thread"))
+        });
+        assert!(all_in_order);
+    }
+
+    #[test]
+    fn a_job_that_calls_the_engine_again_gets_its_results_in_order() {
+        let engine = Arc::new(BatchEngine::new(2));
+        let out = bounded(move || engine.run(16, |i| engine.run(8, |j| 8 * i + j)));
+        let flat: Vec<usize> = out.into_iter().flatten().collect();
+        assert_eq!(flat, (0..128).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn drop_joins_every_worker() {
+        let engine = BatchEngine::new(4);
+        let _ = engine.run(8, |i| i);
+        let shared = Arc::downgrade(&engine.shared);
+        drop(engine);
+        // Each worker owns a handle to the shared state until its thread
+        // ends; after the joins none is left.
+        assert!(shared.upgrade().is_none());
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! lane-group path that runs [`SERVE_LANES`] states per wide kernel
 //! instruction, the ragged scalar tail, and the dispatch on the kernel
 //! tag. Each backend owns its warm workspaces, so steady-state calls are
-//! allocation-free; [`DynamicsBackend::fork`] hands each worker of the
-//! shared [`BatchEngine`] a private instance over the same immutable plan.
+//! allocation-free; [`DynamicsBackend::fork`] makes a private instance
+//! over the same immutable plan, and a [`WarmForks`] set holds one per
+//! participant of the shared [`BatchEngine`]'s batches, built once.
 
 use crate::batch::{BatchEngine, GradientState};
 use crate::fd::{aba_into, AbaWorkspace};
@@ -39,7 +40,7 @@ use crate::{
 use robo_model::RobotModel;
 use robo_spatial::{Lanes, MatN, Scalar, SERVE_LANES};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Error from an engine-boundary kernel call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -504,10 +505,10 @@ impl KernelOutput {
 /// A backend implements one compute entry,
 /// [`run_batch_into`](Self::run_batch_into); the single-state and
 /// gradient-only forms are provided wrappers over it. Backends own their
-/// warm workspaces (hence `&mut self`); sharing across the
-/// [`BatchEngine`]'s workers goes through [`DynamicsBackend::fork`], which
-/// hands each worker a private instance over the same immutable,
-/// `Arc`-shared per-robot plan (see [`gradient_batch_on_into`]).
+/// warm workspaces (hence `&mut self`); sharing across the participants
+/// of the [`BatchEngine`]'s batches goes through
+/// [`DynamicsBackend::fork`], which makes a private instance over the same
+/// immutable, `Arc`-shared per-robot plan (see [`WarmForks`]).
 pub trait DynamicsBackend: Send + Sync {
     /// Short name for reports (`"cpu"`, `"accel"`, `"fd"`, …).
     fn name(&self) -> &'static str;
@@ -515,8 +516,9 @@ pub trait DynamicsBackend: Send + Sync {
     /// The plan's joint count; inputs must match it.
     fn dof(&self) -> usize;
 
-    /// A private instance for one batch worker, sharing this backend's
-    /// immutable plan (model, netlists) but owning fresh workspaces.
+    /// A private instance for one batch participant, sharing this
+    /// backend's immutable plan (model, netlists) but owning fresh
+    /// workspaces.
     fn fork(&self) -> Box<dyn DynamicsBackend + '_>;
 
     /// States evaluated per wide kernel instruction by
@@ -635,55 +637,92 @@ fn with_scratch<R>(f: impl FnOnce(&mut BatchOutput) -> R) -> R {
     result
 }
 
-/// Computes a gradient batch data-parallel on `engine` into a flat output
-/// — two-level parallelism: workers claim chunks of whole lane groups
-/// ([`DynamicsBackend::serve_width`] states each, at least ~4 states per
-/// claim), and each chunk runs through a [`fork`](DynamicsBackend::fork)
-/// of `backend` (the paper's §6.1 batch structure).
+/// A caller-owned set of warm forks of one backend for one engine: a
+/// backend and a chunk output per participant of its batches (the caller
+/// and each worker), built and sized once, so [`gradient_batch_on_into`]
+/// forks and allocates nothing per call. A panic in a fork's backend
+/// poisons the set.
+pub struct WarmForks<'a> {
+    engine: &'a BatchEngine,
+    forks: Vec<Mutex<(Box<dyn DynamicsBackend + 'a>, BatchOutput)>>,
+}
+
+impl core::fmt::Debug for WarmForks<'_> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("WarmForks")
+            .field("forks", &self.forks.len())
+            .finish()
+    }
+}
+
+impl<'a> WarmForks<'a> {
+    /// One fork per participant of `engine`'s batches, each made by `fork`
+    /// (a [`DynamicsBackend::fork`], or a clone of an owned backend).
+    pub fn new(
+        engine: &'a BatchEngine,
+        mut fork: impl FnMut() -> Box<dyn DynamicsBackend + 'a>,
+    ) -> Self {
+        let forks = (0..=engine.threads())
+            .map(|_| {
+                let backend = fork();
+                let mut chunk = BatchOutput::new();
+                chunk.reset(KernelKind::Gradient, chunk_len(&*backend), backend.dof());
+                Mutex::new((backend, chunk))
+            })
+            .collect();
+        Self { engine, forks }
+    }
+}
+
+/// States per claimed chunk: whole lane groups, topped up to at least ~4
+/// states so narrow (or serial) widths don't pay a claim per state or two.
+fn chunk_len(backend: &dyn DynamicsBackend) -> usize {
+    let w = backend.serve_width().max(1);
+    w * 4usize.div_ceil(w)
+}
+
+/// Computes a gradient batch data-parallel on `forks`' engine into a flat
+/// output — two-level parallelism: the caller and the workers that join
+/// claim chunks of whole lane groups, and each participant runs its
+/// chunks through its own warm fork and copies their rows into `out` (the
+/// paper's §6.1 batch structure). Per-state results are bit-identical to
+/// the backend's own [`DynamicsBackend::gradient_batch_into`].
 ///
 /// # Errors
 ///
-/// Returns the first failing chunk's [`EngineError`]; `out` contents are
+/// Returns a failing chunk's [`EngineError`]; `out` contents are
 /// unspecified on error.
 ///
 /// # Panics
 ///
-/// Panics if a worker panicked while processing a chunk.
+/// Resumes a panic of any chunk's backend.
 pub fn gradient_batch_on_into(
-    backend: &dyn DynamicsBackend,
-    engine: &BatchEngine,
+    forks: &mut WarmForks<'_>,
     states: &[GradientState<'_, f64>],
     out: &mut BatchOutput,
 ) -> Result<(), EngineError> {
-    let dof = backend.dof();
-    // Whole lane groups per claimed chunk, topped up to at least ~4
-    // states so narrow (or serial) widths don't pay a claim per state or
-    // two.
-    let w = backend.serve_width().max(1);
-    let chunk_len = w * 4usize.div_ceil(w);
-    let parts = engine.run_with_state(
-        states.len().div_ceil(chunk_len),
-        || backend.fork(),
-        |backend, ci| {
-            let lo = ci * chunk_len;
-            let hi = usize::min(lo + chunk_len, states.len());
-            let mut part = BatchOutput::new();
-            backend
-                .gradient_batch_into(&states[lo..hi], &mut part)
-                .map(|()| part)
-        },
-    );
-    out.reset(KernelKind::Gradient, states.len(), dof);
-    let n2 = dof * dof;
-    for (ci, part) in parts.into_iter().enumerate() {
-        let mut part = part?;
-        let lo = ci * chunk_len * n2;
-        let hi = lo + part.count() * n2;
-        for (dst, src) in out.gradient_mut().into_iter().zip(part.gradient_mut()) {
-            dst[lo..hi].copy_from_slice(src);
+    let poisoned = "a fork is poisoned only by a panic in its backend";
+    let (backend, _) = forks.forks[0].get_mut().expect(poisoned);
+    let (n, len) = (backend.dof(), chunk_len(&**backend));
+    out.reset(KernelKind::Gradient, states.len(), n);
+    let (out, error) = (Mutex::new(out), Mutex::new(None));
+    let unpoisoned = "no code panics under this lock";
+    forks.engine.for_each(states.len().div_ceil(len), |p, ci| {
+        let chunk = &states[ci * len..states.len().min((ci + 1) * len)];
+        let mut fork = forks.forks[p].lock().expect(poisoned);
+        let (backend, part) = &mut *fork;
+        if let Err(e) = backend.gradient_batch_into(chunk, part) {
+            error.lock().expect(unpoisoned).get_or_insert(e);
+            return;
         }
-    }
-    Ok(())
+        let rows = ci * len * n * n..(ci * len + chunk.len()) * n * n;
+        let src = [&part.dqdd_dq, &part.dqdd_dqd, &part.dtau_dq, &part.dtau_dqd];
+        let mut out = out.lock().expect(unpoisoned);
+        for (dst, src) in out.gradient_mut().into_iter().zip(src) {
+            dst[rows.clone()].copy_from_slice(src);
+        }
+    });
+    error.into_inner().expect(unpoisoned).map_or(Ok(()), Err)
 }
 
 /// One morphology's kernel family at one scalar type: the datapath a
@@ -1293,8 +1332,9 @@ mod tests {
             .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
             .collect();
         let backend = CpuAnalytic::<f64>::new(&robot);
+        let mut forks = WarmForks::new(BatchEngine::global(), || backend.fork());
         let mut batch = BatchOutput::new();
-        gradient_batch_on_into(&backend, BatchEngine::global(), &states, &mut batch).unwrap();
+        gradient_batch_on_into(&mut forks, &states, &mut batch).unwrap();
         let mut serial = CpuAnalytic::<f64>::new(&robot);
         for (i, c) in cases.iter().enumerate() {
             let want = grad_of(&mut serial, c);
@@ -1339,8 +1379,9 @@ mod tests {
             .collect();
         let backend = CpuAnalytic::<f64>::new(&robot);
         let engine = BatchEngine::new(3);
+        let mut forks = WarmForks::new(&engine, || backend.fork());
         let mut parallel = BatchOutput::new();
-        gradient_batch_on_into(&backend, &engine, &states, &mut parallel).unwrap();
+        gradient_batch_on_into(&mut forks, &states, &mut parallel).unwrap();
         let mut serial = BatchOutput::new();
         CpuAnalytic::<f64>::new(&robot)
             .gradient_batch_into(&states, &mut serial)
@@ -1416,9 +1457,8 @@ mod tests {
         let mut backend = CpuAnalytic::<f64>::new(&robot);
         let mut out = BatchOutput::new();
         assert!(backend.gradient_batch_into(&states, &mut out).is_err());
-        assert!(
-            gradient_batch_on_into(&backend, BatchEngine::global(), &states, &mut out).is_err()
-        );
+        let mut forks = WarmForks::new(BatchEngine::global(), || Box::new(backend.clone()));
+        assert!(gradient_batch_on_into(&mut forks, &states, &mut out).is_err());
         for kernel in KernelKind::ALL {
             assert!(backend.run_batch_into(kernel, &states, &mut out).is_err());
         }

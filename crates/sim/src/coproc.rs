@@ -9,6 +9,7 @@
 //! the I/O data marshalling with the execution of each computation").
 
 use robomorphic_core::{Accelerator, FpgaPlatform};
+use std::sync::Mutex;
 
 /// An I/O channel between host and coprocessor.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,9 +245,10 @@ pub struct KernelInput<S> {
 /// The numeric simulations go through the engine layer: one
 /// [`AcceleratorBackend`](crate::AcceleratorBackend) is built over the
 /// `Arc`-shared simulator (widened once to `Lanes<S, SERVE_LANES>`), and
-/// each worker of the process-wide
-/// [`BatchEngine`](robo_dynamics::batch::BatchEngine) drives its own fork
-/// (private warm [`crate::SimWorkspace`]s, shared compiled netlists)
+/// each participant of a batch on the process-wide
+/// [`BatchEngine`](robo_dynamics::batch::BatchEngine) — the caller and
+/// every worker that joins — drives its own fork, built once per call
+/// (private warm [`crate::SimWorkspace`]s, shared compiled netlists),
 /// through [`AcceleratorBackend::compute_batch`](crate::AcceleratorBackend::compute_batch)
 /// — the engine's one lane path — over lane-group chunks: two-level
 /// (threads × lanes) parallelism mirroring the parallel accelerator
@@ -268,23 +270,30 @@ pub fn stream_batch<S: robo_spatial::Scalar>(
         system.accelerator().params().dof,
         "simulator and coprocessor system must target the same robot"
     );
+    let engine = robo_dynamics::batch::BatchEngine::global();
     let backend = crate::AcceleratorBackend::from_sim(sim.clone());
-    // One lane group per worker claim.
-    let chunk_len = robo_spatial::SERVE_LANES;
-    let parts = robo_dynamics::batch::BatchEngine::global().run_with_state(
-        inputs.len().div_ceil(chunk_len),
-        || backend.clone(),
-        |backend, ci| {
-            let lo = ci * chunk_len;
-            let hi = usize::min(lo + chunk_len, inputs.len());
-            let mut outs = Vec::with_capacity(hi - lo);
-            backend
-                .compute_batch(&inputs[lo..hi], &mut outs)
-                .expect("stream_batch input dimensions must match the robot");
-            outs
-        },
-    );
-    let outputs: Vec<crate::SimOutput<S>> = parts.into_iter().flatten().collect();
+    let backends: Vec<_> = (0..=engine.threads())
+        .map(|_| Mutex::new(backend.clone()))
+        .collect();
+    // One lane group per claim.
+    let chunks: Vec<_> = inputs
+        .chunks(robo_spatial::SERVE_LANES)
+        .map(|chunk| (chunk, Mutex::new(Vec::new())))
+        .collect();
+    let poisoned = "a panicking chunk ends the call";
+    engine.for_each(chunks.len(), |p, ci| {
+        let (chunk, outs) = &chunks[ci];
+        let mut outs = outs.lock().expect(poisoned);
+        backends[p]
+            .lock()
+            .expect(poisoned)
+            .compute_batch(chunk, &mut outs)
+            .expect("stream_batch input dimensions must match the robot");
+    });
+    let outputs: Vec<crate::SimOutput<S>> = chunks
+        .into_iter()
+        .flat_map(|(_, outs)| outs.into_inner().expect(poisoned))
+        .collect();
     let timeline = system.stream_timeline(inputs.len());
     (outputs, timeline)
 }

@@ -15,7 +15,9 @@
 //! comparison.
 
 use robo_dynamics::batch::{BatchEngine, GradientState};
-use robo_dynamics::engine::{gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend};
+use robo_dynamics::engine::{
+    gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, WarmForks,
+};
 use robo_dynamics::{
     forward_dynamics, forward_kinematics, link_origin_world, mass_matrix_inverse,
     position_jacobian, DynamicsModel,
@@ -175,9 +177,9 @@ pub fn solve<S: Scalar>(task: &ReachingTask, opts: &IlqrOptions) -> IlqrResult {
 /// a simulated (or real) accelerator in the loop, swapped in one line.
 ///
 /// The backward pass linearizes all time steps data-parallel on the shared
-/// batch engine (the per-time-step parallelism of §6.1); each worker
-/// receives a [`DynamicsBackend::fork`] of `backend` over the same shared
-/// plan.
+/// batch engine (the per-time-step parallelism of §6.1); each participant
+/// runs on its own [`DynamicsBackend::fork`] of `backend` over the same
+/// shared plan, built once per solve.
 ///
 /// # Panics
 ///
@@ -202,10 +204,11 @@ pub fn solve_with_backend(
     let mut rollout = roll(task, &model, &us);
     let mut costs = vec![rollout.cost];
     let mut reg = opts.initial_reg;
+    let mut forks = WarmForks::new(BatchEngine::global(), || backend.fork());
 
     for _ in 0..opts.iterations {
         let bwd_span = robo_trace::span_items("ilqr.backward", us.len());
-        let bwd = backward_pass(task, &model, backend, &rollout.xs, &us, reg);
+        let bwd = backward_pass(task, &model, &mut forks, &rollout.xs, &us, reg);
         drop(bwd_span);
         let Some((ks, kmats)) = bwd else {
             // Backward pass failed (e.g. fixed-point garbage made Q_uu
@@ -337,7 +340,7 @@ fn feedback_roll(
 fn backward_pass(
     task: &ReachingTask,
     model: &DynamicsModel<f64>,
-    backend: &dyn DynamicsBackend,
+    forks: &mut WarmForks<'_>,
     xs: &[Vec<f64>],
     us: &[Vec<f64>],
     reg: f64,
@@ -389,21 +392,17 @@ fn backward_pass(
     // maps to None, triggering the regularization retry in
     // `solve_with_backend`. Then the whole horizon goes through the
     // backend's SoA batch path — two-level (threads × lanes) parallelism:
-    // workers fork the backend over the shared plan, and wide backends run
+    // each participant runs its warm fork of the backend, and wide backends run
     // `serve_width()` time steps per kernel instruction (`SERVE_LANES`)
     // — filling one flat `BatchOutput` whose per-step blocks the Riccati
     // recursion below indexes directly. Non-finite gradients (e.g. fixed-point
     // garbage) also map to None.
-    let prep: Vec<Option<(Vec<f64>, MatN<f64>)>> = BatchEngine::global().run_with_state(
-        horizon,
-        || (),
-        |(), t| {
-            let (q, qd) = xs[t].split_at(n);
-            let qdd = forward_dynamics(model, q, qd, &us[t]).ok()?;
-            let minv = mass_matrix_inverse(model, q).ok()?;
-            Some((qdd, minv))
-        },
-    );
+    let prep: Vec<Option<(Vec<f64>, MatN<f64>)>> = BatchEngine::global().run(horizon, |t| {
+        let (q, qd) = xs[t].split_at(n);
+        let qdd = forward_dynamics(model, q, qd, &us[t]).ok()?;
+        let minv = mass_matrix_inverse(model, q).ok()?;
+        Some((qdd, minv))
+    });
     let mut prep_ok: Vec<(Vec<f64>, MatN<f64>)> = Vec::with_capacity(horizon);
     for p in prep {
         prep_ok.push(p?);
@@ -420,7 +419,7 @@ fn backward_pass(
         })
         .collect();
     let mut lin = BatchOutput::new();
-    gradient_batch_on_into(backend, BatchEngine::global(), &states, &mut lin).ok()?;
+    gradient_batch_on_into(forks, &states, &mut lin).ok()?;
     drop(states);
     for t in 0..horizon {
         if !lin.dqdd_dq_at(t).iter().all(|v| v.is_finite()) {

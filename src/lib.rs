@@ -85,7 +85,7 @@ pub mod engine {
     pub use robo_dynamics::batch::GradientState;
     pub use robo_dynamics::engine::{
         gradient_batch_on_into, BatchOutput, CpuAnalytic, DynamicsBackend, EngineError, FiniteDiff,
-        GradientBackend, GradientBatchOutput, GradientOutput, KernelKind, KernelOutput,
+        GradientBackend, GradientBatchOutput, GradientOutput, KernelKind, KernelOutput, WarmForks,
     };
     pub use robo_dynamics::MorphologyKey;
     pub use robo_sim::engine::{AcceleratorBackend, BackendKind, RobotPlan};

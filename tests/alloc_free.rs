@@ -326,6 +326,47 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
         }
     }
 
+    // The engine's two-level path on warm forks: every participant's fork
+    // and chunk output are built and sized once, so batches spread over
+    // the caller and the shared engine's workers allocate nothing — from
+    // the first call on, whichever worker joins. Only `out` is sized
+    // up front (11 states: two full chunks plus a ragged one).
+    let engine_states = [states.as_slice(), &states[..4]].concat();
+    let engine = robomorphic::dynamics::batch::BatchEngine::global();
+    // A thread's first steps allocate once (its thread-local destructor
+    // registration), so every worker is made to start before counting:
+    // each of `threads() + 1` participants holds one item at a barrier.
+    let started = std::sync::Barrier::new(engine.threads() + 1);
+    engine.for_each(engine.threads() + 1, |_, _| {
+        started.wait();
+    });
+    for kind in [
+        robomorphic::engine::BackendKind::Cpu,
+        robomorphic::engine::BackendKind::Accel,
+    ] {
+        let mut forks = robomorphic::engine::WarmForks::new(engine, || plan.backend(kind));
+        let mut engine_out = robomorphic::engine::BatchOutput::new();
+        engine_out.reset(
+            robomorphic::engine::KernelKind::Gradient,
+            engine_states.len(),
+            n,
+        );
+        let before = allocations();
+        for _ in 0..32 {
+            robomorphic::engine::gradient_batch_on_into(
+                &mut forks,
+                &engine_states,
+                &mut engine_out,
+            )
+            .expect("dimensions match the plan");
+        }
+        assert_eq!(
+            allocations(),
+            before,
+            "`{kind}` gradient_batch_on_into allocated on warm forks"
+        );
+    }
+
     // The serving tier end-to-end: once a morphology is registered (plan
     // build + shard/worker spawn) and one round trip has warmed the
     // worker's batch buffers, the whole steady-state serving path —

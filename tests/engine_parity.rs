@@ -256,9 +256,13 @@ fn every_backend_rejects_mismatched_dimensions() {
 #[test]
 fn batch_entry_point_matches_serial_calls() {
     // The trait's batch path (what stream_batch and iLQR's backward pass
-    // build on) must equal one-at-a-time calls for every backend.
+    // build on) must equal one-at-a-time calls for every backend, and the
+    // engine's chunked path must be bitwise equal to the backend's own
+    // batch at every chunk boundary: 0, 1, w−1, w, w+1 and 2w+3 states
+    // (w = 4, the lane width and chunk length), 48 and 256, on a
+    // one-worker engine and on the global one.
     use robomorphic::dynamics::batch::{BatchEngine, GradientState};
-    use robomorphic::engine::{gradient_batch_on_into, BatchOutput};
+    use robomorphic::engine::{gradient_batch_on_into, BatchOutput, WarmForks};
     let robot = robots::hyq();
     let plan = RobotPlan::new(&robot);
     let n = plan.dof();
@@ -272,7 +276,7 @@ fn batch_entry_point_matches_serial_calls() {
         (s >> 33) as f64 / (1u64 << 31) as f64 - 1.0
     };
     type OwnedState = (Vec<f64>, Vec<f64>, Vec<f64>, MatN<f64>);
-    let states: Vec<OwnedState> = (0..12)
+    let states: Vec<OwnedState> = (0..256)
         .map(|_| {
             let q: Vec<f64> = (0..n).map(|_| next()).collect();
             let qd: Vec<f64> = (0..n).map(|_| 1.5 * next()).collect();
@@ -285,19 +289,41 @@ fn batch_entry_point_matches_serial_calls() {
         .iter()
         .map(|(q, qd, qdd, minv)| GradientState { q, qd, qdd, minv })
         .collect();
+    fn gradients(b: &BatchOutput) -> (usize, [&Vec<f64>; 4]) {
+        (
+            b.count(),
+            [&b.dqdd_dq, &b.dqdd_dqd, &b.dtau_dq, &b.dtau_dqd],
+        )
+    }
 
+    let one_worker = BatchEngine::new(1);
     for kind in BackendKind::ALL {
         let mut backend = plan.backend(kind);
+        let mut own = BatchOutput::new();
         let mut flat = BatchOutput::new();
-        gradient_batch_on_into(backend.as_ref(), BatchEngine::global(), &views, &mut flat)
-            .expect("dimensions match");
-        let batch: Vec<_> = (0..flat.count()).map(|i| flat.gradient_at(i)).collect();
-        assert_eq!(batch.len(), states.len());
+        for engine in [&one_worker, BatchEngine::global()] {
+            let mut forks = WarmForks::new(engine, || plan.backend(kind));
+            for len in [0, 1, 3, 4, 5, 11, 48, 256] {
+                gradient_batch_on_into(&mut forks, &views[..len], &mut flat)
+                    .expect("dimensions match");
+                backend
+                    .gradient_batch_into(&views[..len], &mut own)
+                    .expect("dimensions match");
+                assert_eq!(
+                    gradients(&flat),
+                    gradients(&own),
+                    "`{kind}` at {len} states"
+                );
+            }
+        }
+        // `flat` now holds all 256 states from the global engine.
+        assert_eq!(flat.count(), states.len());
         let mut out = GradientOutput::for_dof(n);
-        for ((q, qd, qdd, minv), b) in states.iter().zip(&batch) {
+        for (i, (q, qd, qdd, minv)) in states.iter().enumerate() {
             backend
                 .gradient_into(q, qd, qdd, minv, &mut out)
                 .expect("dimensions match");
+            let b = flat.gradient_at(i);
             assert_eq!(out.dqdd_dq, b.dqdd_dq, "`{kind}` batch vs serial");
             assert_eq!(out.dqdd_dqd, b.dqdd_dqd);
         }
