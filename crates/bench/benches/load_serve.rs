@@ -3,9 +3,9 @@
 //! throughput of the coalescing micro-batcher against naive
 //! one-request-one-gradient dispatch.
 //!
-//! Two measurements, both against [`GradientServer`] with a single
-//! pinned worker so the comparison isolates the *coalescing* win (SIMD
-//! lane fill) from thread parallelism:
+//! Two measurements, both against [`GradientServer`] with a one-worker
+//! pool (one flush kit per shard) so the comparison isolates the
+//! *coalescing* win (SIMD lane fill) from thread parallelism:
 //!
 //! * **Closed-loop latency sweep** — N client threads, each keeping one
 //!   request in flight, round-tripping through the micro-batcher. Every
@@ -16,8 +16,8 @@
 //!   each sample into admit, queue, compute, respond and wake time,
 //!   recorded the same way (`serve_<robot>_c<N>_<stage>_p50_ns`); the
 //!   five add up to the round trip exactly, sample by sample. A batch
-//!   flushes on the worker or on a client blocked in `wait` (one does
-//!   when it finds its request queued and the worker parked), so queue
+//!   flushes on the pool worker or on a client blocked in `wait` (one
+//!   does when it finds its request queued and the kit free), so queue
 //!   runs from admission to the drain by whichever thread flushes, and
 //!   wake from the fulfil to `wait` returning. A lone client mostly
 //!   flushes its own request: then neither stage holds a cross-thread
@@ -31,12 +31,12 @@
 //!   outstanding slots so the shard queue never runs dry, first with the
 //!   default lane-group coalescing (`lane_groups_per_flush = 4`), then
 //!   with coalescing disabled (`= 0`: every request is dispatched alone,
-//!   the naive baseline). Identical offered load, identical worker
-//!   count. The pipelining loop blocks in `wait`, so it flushes a
-//!   batch itself whenever it finds the worker parked; the queue never
-//!   runs dry, so that is rare. The ratio is recorded as the speedup
-//!   `serve_batched_vs_naive_iiwa14`. The PR's acceptance floor is
-//!   ≥ 1.5× — the batched path must actually fill lanes.
+//!   the naive baseline). Identical offered load, identical pool and
+//!   kit count. The pipelining loop blocks in `wait`, so it flushes a
+//!   batch itself whenever it finds the kit free; the pool worker holds
+//!   the kit most of the time, so that is rare. The ratio is recorded
+//!   as the speedup `serve_batched_vs_naive_iiwa14`. The acceptance
+//!   floor is ≥ 1.5× — the batched path must actually fill lanes.
 //!
 //! Results are written to `BENCH_8.json` at the repository root
 //! (override with `BENCH_OUT`). `BENCH_QUICK=1` shrinks the sweep for CI
@@ -240,7 +240,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     // --- Closed-loop latency sweep --------------------------------------
     println!(
         "load_serve: stages admit (submit -> queued), queue (-> drained by the \
-         flushing thread: the worker, or a blocked client in its place), compute, \
+         flushing thread: the pool worker, or a blocked client with the free kit), compute, \
          respond, wake (fulfil -> wait returns)"
     );
     let per_client = if env.quick { 128 } else { 640 };
@@ -316,7 +316,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     println!("load_serve/serve_naive_saturated    median: {naive_ns:10.1} ns/req");
     println!(
         "load_serve/serve_batched_vs_naive_iiwa14 speedup: {} \
-         (window {window}, {total} req/run, 1 worker)",
+         (window {window}, {total} req/run, 1 pool worker)",
         speedup(naive_ns / batched_ns)
     );
     report

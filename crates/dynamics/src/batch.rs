@@ -205,12 +205,14 @@ impl BatchEngine {
     }
 
     /// The process-wide shared engine, created on first use with one
-    /// worker per hardware thread, so the process runs one pool rather
-    /// than one per subsystem.
+    /// worker per hardware thread beside the caller's (at least one), so
+    /// a batch runs one participant per core and the process runs one
+    /// pool rather than one per subsystem.
     pub fn global() -> &'static BatchEngine {
         static GLOBAL: OnceLock<BatchEngine> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            BatchEngine::new(std::thread::available_parallelism().map_or(4, |n| n.get()))
+            let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+            BatchEngine::new(cores.saturating_sub(1).max(1))
         })
     }
 

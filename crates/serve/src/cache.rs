@@ -9,10 +9,11 @@
 //! once the builder publishes.
 //!
 //! A published entry is a [`MorphShards`]: the one shared [`RobotPlan`]
-//! plus up to one shard per [`KernelKind`]. Shards spawn lazily on first
-//! submission of their kernel — registering a morphology costs one plan
-//! build regardless of how many kernels it later serves.
+//! plus up to one shard per [`KernelKind`]. Shards are built lazily on
+//! first submission of their kernel — registering a morphology costs one
+//! plan build regardless of how many kernels it later serves.
 
+use crate::pool::Pool;
 use crate::shard::Shard;
 use crate::ServeConfig;
 use robo_dynamics::engine::KernelKind;
@@ -24,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// One morphology's serving state: the shared plan and its per-kernel
 /// shards. Requests are coalesced per (morphology, kernel) — each kernel
-/// gets its own queue and workers, all over the same plan.
+/// gets its own queue and kits, all over the same plan.
 pub(crate) struct MorphShards {
     plan: Arc<RobotPlan>,
     shards: Mutex<[Option<Arc<Shard>>; KernelKind::ALL.len()]>,
@@ -42,21 +43,26 @@ impl MorphShards {
         &self.plan
     }
 
-    /// The kernel's shard, spawning it (queue + workers) on first use.
-    /// The plan is never rebuilt — every kernel's shard shares it.
-    pub(crate) fn shard(&self, kernel: KernelKind, cfg: &ServeConfig) -> Arc<Shard> {
+    /// The kernel's shard, building it (queue + kits) on `pool` on first
+    /// use. The plan is never rebuilt — every kernel's shard shares it.
+    pub(crate) fn shard(
+        &self,
+        kernel: KernelKind,
+        cfg: &ServeConfig,
+        pool: &Arc<Pool>,
+    ) -> Arc<Shard> {
         let mut shards = self.shards.lock().unwrap_or_else(|p| p.into_inner());
         match &shards[kernel.index()] {
             Some(s) => Arc::clone(s),
             None => {
-                let s = Shard::spawn(Arc::clone(&self.plan), kernel, cfg);
+                let s = Shard::new(Arc::clone(&self.plan), kernel, cfg, pool);
                 shards[kernel.index()] = Some(Arc::clone(&s));
                 s
             }
         }
     }
 
-    /// Every shard spawned so far, in kernel order.
+    /// Every shard built so far, in kernel order.
     pub(crate) fn live_shards(&self) -> Vec<Arc<Shard>> {
         self.shards
             .lock()

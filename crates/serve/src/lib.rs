@@ -20,13 +20,13 @@
 //!   c2 ──────────────────▶   one build per robot)        │
 //!  ────────              │        │                      │
 //!                        │        ▼ (morphology, kernel) │
-//!                        │  bounded queue ──▶ coalescer ──▶ lane-groups of
-//!                        │  (admission      (an idle       serve_width ×
-//!                        │   control,        worker, or    worker threads
-//!                        │   Overloaded      a waiter in   or the waiter's
-//!                        │   shed)           its place,    own thread, via
-//!                        │                   drains what   the family
-//!                        │                   is queued)    backend
+//!                        │  bounded queue ──▶ ready list ──▶ lane-groups of
+//!                        │  + one kit per    (shards with    serve_width, on
+//!                        │  pool worker      queued work     a pool worker
+//!                        │  (admission       and a free      (`workers` per
+//!                        │   control,        kit, taken in   server) or the
+//!                        │   Overloaded      turn)           waiter's own
+//!                        │   shed)                           thread
 //!                        └───────────────────────────────┘
 //!   c0 ◀───────────────── ResponseSlot::wait() ◀────────── serve.respond
 //! ```
@@ -38,25 +38,30 @@
 //!   **one** build. Everyone else gets the cached `Arc`.
 //! * **Per-(morphology, kernel) shards** — each request names a
 //!   [`KernelKind`] (`grad`, `id`, or `fd`) and is routed to that
-//!   kernel's own queue and workers, so gradient batches coalesce wide
-//!   while the latency-bound vector kernels drain without disturbing
-//!   them. The gradient shard is warmed at registration; `id`/`fd`
-//!   shards spawn lazily on first submission.
-//! * **Work-conserving micro-batcher** — each shard owns a bounded queue
-//!   and worker threads. A worker blocks only while its queue is empty;
-//!   once anything is queued it drains up to `max_batch` requests and
-//!   flushes at once. Batches grow from the requests that arrive *while a
-//!   flush runs*, so a busy shard fills lane groups and a lone request is
-//!   answered without waiting for company (a ragged, partial-lane flush).
-//!   Every flush is one kernel-tagged `run_batch_into` call; the engine
-//!   decides which kernels run in lane groups.
-//! * **The waiter runs its own batch** — a flush runs on a worker or on
-//!   a blocked client. A client in [`ResponseSlot::wait`] whose request
-//!   is still queued while a worker is parked does that worker's job on
-//!   its own thread: it drains the batch, flushes it with the shard's
-//!   spare warm backend and completes every slot in it, its own
-//!   included. A lone request so pays no cross-thread wake; a busy shard
-//!   keeps its configured flush concurrency. [`ResponseSlot::try_take`]
+//!   kernel's own queue, so gradient batches coalesce wide while the
+//!   latency-bound vector kernels drain without disturbing them. The
+//!   gradient shard is built at registration; `id`/`fd` shards are built
+//!   lazily on first submission. A shard holds one warm flush kit per
+//!   pool worker, and no thread.
+//! * **One flush pool per server** — [`ServeConfig::workers`] threads,
+//!   named `serve-<i>`, take shards from a ready list of shards with
+//!   queued work and a free kit. A pool worker takes a free kit and up to
+//!   `max_batch` requests, flushes them at once, and gives the kit back;
+//!   a shard with work left goes to the back of the list, so shards take
+//!   turns. The kit count alone bounds a shard's concurrent flushes, and
+//!   the pool alone sets the thread count, whatever the number of robots
+//!   and kernels served.
+//! * **Work-conserving micro-batcher** — nothing waits for company:
+//!   batches grow from the requests that arrive *while a flush runs*, so
+//!   a busy shard fills lane groups and a lone request is answered at
+//!   once (a ragged, partial-lane flush). Every flush is one
+//!   kernel-tagged `run_batch_into` call; the engine decides which
+//!   kernels run in lane groups.
+//! * **The waiter runs its own batch** — a client in
+//!   [`ResponseSlot::wait`] whose request is still queued while a kit is
+//!   free takes that kit and flushes on its own thread, completing every
+//!   slot in the batch, its own included, exactly as a pool worker would.
+//!   A lone request so pays no cross-thread wake. [`ResponseSlot::try_take`]
 //!   never flushes.
 //! * **Backpressure** — the queue is bounded; when it is full, submission
 //!   fails fast with [`ServeError::Overloaded`] and hands the request
@@ -68,18 +73,22 @@
 //!   admitted, dequeued, computed and fulfilled ([`ServeStages`]), so a
 //!   client can split its own round trip into admit, queue, compute,
 //!   respond and wake time without a profiler.
-//! * **Graceful shutdown** — dropping the server marks every shard
-//!   draining, workers flush whatever is queued (every accepted request is
-//!   answered), and threads are joined.
+//! * **Graceful shutdown** — dropping the server makes every shard refuse
+//!   admissions, the pool drains its ready list (every accepted request
+//!   is answered, also when blocked clients hold the kits), and its
+//!   threads are joined.
+//! * **Failure containment** — a backend panic in a pool worker's flush
+//!   ends that flush only: its kit and batch are dropped and the worker
+//!   goes on serving every other shard.
 //!
 //! The hot path is allocation-free once warm (see `tests/alloc_free.rs`):
 //! request and response travel through caller-owned, reusable
 //! [`GradientRequest`] buffers handed back by [`ResponseSlot::wait`], so
 //! steady-state serving does not touch the allocator, whichever thread
-//! flushes: every flush kit, the workers' and the waiters' spare, is
-//! sized for a full batch when the shard is built. The allowed
-//! allocation points are all cold: plan build, shard/worker spawn, slot
-//! creation, and first-use buffer sizing.
+//! flushes: every flush kit is sized for a full batch, and the shard's
+//! ready-list slot reserved, when the shard is built. The allowed
+//! allocation points are all cold: plan build, pool spawn, shard build,
+//! slot creation, and first-use buffer sizing.
 //!
 //! # Example
 //!
@@ -101,7 +110,7 @@
 //!
 //! server.submit(key, req, &slot).expect("admitted");
 //! // Blocks until the micro-batcher responds (here, most likely by
-//! // flushing on this thread in place of the parked worker).
+//! // flushing on this thread with a free kit).
 //! let req = slot.wait();
 //! assert_eq!(req.out.dqdd_dq.rows(), n);
 //! ```
@@ -113,6 +122,7 @@
 
 mod cache;
 mod error;
+mod pool;
 mod server;
 mod shard;
 mod slot;
@@ -130,13 +140,14 @@ use robo_spatial::ExecTier;
 ///
 /// The defaults target the serving sweet spot: accelerator backend and
 /// batches of up to `4 × serve_width` requests. There is no linger: an
-/// idle worker (or a blocked waiter in its place) flushes whatever is
-/// queued at once, and batches fill from the requests that arrive while
-/// a flush runs.
+/// idle pool worker (or a blocked waiter with a free kit) flushes
+/// whatever is queued at once, and batches fill from the requests that
+/// arrive while a flush runs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Micro-batcher worker threads per morphology shard. `0` (the
-    /// default) auto-sizes to the host parallelism, capped at 4.
+    /// Flush-pool threads per server, shared by every shard; each shard
+    /// holds as many flush kits. `0` (the default) auto-sizes to the host
+    /// parallelism, capped at 4.
     pub workers: usize,
     /// Bounded queue depth per shard; submissions beyond it shed with
     /// [`ServeError::Overloaded`].
@@ -146,8 +157,7 @@ pub struct ServeConfig {
     /// flush. `0` disables coalescing entirely (naive
     /// one-request-one-gradient dispatch — the load-generator baseline).
     pub lane_groups_per_flush: usize,
-    /// Engine backend each flush runs on (every worker's and the waiters'
-    /// spare).
+    /// Engine backend each flush runs on (every kit of every shard).
     pub backend: BackendKind,
     /// Selects nothing: every plan serves `Lanes<f64, SERVE_LANES>`,
     /// fixed at compile time. Kept only because the benchmark's harness
@@ -168,7 +178,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The worker-thread count a shard actually spawns (resolves the
+    /// The server's pool size, and each shard's kit count (resolves the
     /// `0 = auto` default against host parallelism).
     pub fn resolved_workers(&self) -> usize {
         if self.workers != 0 {

@@ -3,6 +3,7 @@
 
 use crate::cache::{MorphShards, PlanCache};
 use crate::error::{Rejected, ServeError};
+use crate::pool::{self, Pool};
 use crate::slot::{GradientRequest, ResponseSlot};
 use crate::ServeConfig;
 use robo_dynamics::engine::KernelKind;
@@ -11,6 +12,7 @@ use robo_model::RobotModel;
 use robo_sim::engine::RobotPlan;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Aggregated serving counters across every shard (see the field docs for
 /// which stage each counts).
@@ -26,12 +28,12 @@ pub struct ServeStats {
     pub completed: u64,
     /// Requests shed with [`ServeError::Overloaded`].
     pub shed: u64,
-    /// Micro-batcher flushes executed, by workers and by blocked waiters
-    /// alike.
+    /// Micro-batcher flushes executed, by pool workers and by blocked
+    /// waiters alike.
     pub flushes: u64,
     /// Flushes of a kernel that runs in lane groups whose batch was not a
-    /// whole number of them (an idle worker, or a blocked waiter in its
-    /// place, flushed what was queued before a lane group filled).
+    /// whole number of them (a pool worker or a blocked waiter flushed
+    /// what was queued before a lane group filled).
     pub ragged_flushes: u64,
     /// Deepest any shard queue has been — the backpressure observable to
     /// alert on before shedding starts.
@@ -41,25 +43,29 @@ pub struct ServeStats {
 struct ServerInner {
     config: ServeConfig,
     cache: PlanCache,
+    pool: Arc<Pool>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Drop for ServerInner {
     fn drop(&mut self) {
-        // Graceful shutdown: mark every shard draining first (so all
-        // workers start flushing concurrently), then join.
-        let shards = self.cache.shards();
-        for s in &shards {
+        // Graceful shutdown: every shard refuses admissions first, so
+        // nothing is listed once the pool stops; the pool then drains its
+        // ready list and its workers are joined.
+        for s in self.cache.shards() {
             s.begin_shutdown();
         }
-        for s in &shards {
-            s.join_workers();
+        self.pool.stop();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
 }
 
 /// The gradient-serving front end (see the [crate docs](crate) for the
-/// architecture). Cheap to clone — clones share the plan cache and
-/// shards; the last clone dropped drains and joins the workers.
+/// architecture). Cheap to clone — clones share the plan cache, shards
+/// and pool; the last clone dropped drains the shards and joins the
+/// pool's workers.
 #[derive(Clone)]
 pub struct GradientServer {
     inner: Arc<ServerInner>,
@@ -71,12 +77,25 @@ impl GradientServer {
         Self::with_config(ServeConfig::default())
     }
 
-    /// A server with explicit tuning.
+    /// A server with explicit tuning. Spawns its flush pool:
+    /// [`ServeConfig::resolved_workers`] threads named `serve-<i>`.
     pub fn with_config(config: ServeConfig) -> Self {
+        let pool = Pool::new();
+        let workers = (0..config.resolved_workers())
+            .map(|i| {
+                let pool = Arc::clone(&pool);
+                std::thread::Builder::new()
+                    .name(format!("serve-{i}"))
+                    .spawn(move || pool::work(&pool))
+                    .expect("spawn serve pool worker")
+            })
+            .collect();
         Self {
             inner: Arc::new(ServerInner {
                 config,
                 cache: PlanCache::new(),
+                pool,
+                workers,
             }),
         }
     }
@@ -91,8 +110,8 @@ impl GradientServer {
     /// for every kernel of the family share it); concurrent first calls
     /// coalesce onto exactly one build; later calls are a cache hit.
     ///
-    /// The gradient shard is warmed eagerly (it is the historical default
-    /// workload); `id`/`fd` shards spawn lazily on first submission.
+    /// The gradient shard is built eagerly (it is the historical default
+    /// workload); `id`/`fd` shards are built lazily on first submission.
     pub fn register(&self, robot: &RobotModel) -> MorphologyKey {
         let _span = robo_trace::span("serve.register");
         let key = MorphologyKey::of_model(&DynamicsModel::new(robot));
@@ -100,7 +119,7 @@ impl GradientServer {
             Arc::new(MorphShards::new(Arc::new(RobotPlan::new(robot))))
         });
         debug_assert_eq!(morph.plan().morphology_key(), key);
-        let _ = morph.shard(KernelKind::Gradient, &self.inner.config);
+        let _ = morph.shard(KernelKind::Gradient, &self.inner.config, &self.inner.pool);
         key
     }
 
@@ -113,9 +132,9 @@ impl GradientServer {
 
     /// Submits one kernel request for morphology `key`, routed to the
     /// (morphology, kernel) shard named by [`GradientRequest::kernel`]
-    /// (spawning that shard on first use). On admission the micro-batcher
+    /// (building that shard on first use). On admission the micro-batcher
     /// takes over and `slot` completes once the coalesced batch flushes,
-    /// on a worker or on a client blocked in [`ResponseSlot::wait`]; on
+    /// on a pool worker or on a client blocked in [`ResponseSlot::wait`]; on
     /// rejection the buffer comes back in [`Rejected`] with a typed
     /// [`ServeError`].
     ///
@@ -143,17 +162,18 @@ impl GradientServer {
                 req,
             });
         };
-        let shard = morph.shard(req.kernel, &self.inner.config);
+        let shard = morph.shard(req.kernel, &self.inner.config, &self.inner.pool);
         shard.enqueue(req, slot)
     }
 
     /// Convenience round trip: [`submit`](Self::submit) then
     /// [`ResponseSlot::wait`].
     ///
-    /// The batch may flush on the calling thread: if a worker is parked
-    /// when the caller starts waiting, the caller runs the kernel in its
-    /// place (see [`ResponseSlot::wait`]). A caller that must not compute
-    /// submits and polls [`ResponseSlot::try_take`] instead.
+    /// The batch may flush on the calling thread: if the request is still
+    /// queued and a flush kit is free when the caller starts waiting, the
+    /// caller runs the kernel itself (see [`ResponseSlot::wait`]). A caller
+    /// that must not compute submits and polls [`ResponseSlot::try_take`]
+    /// instead.
     ///
     /// # Errors
     ///

@@ -1,8 +1,9 @@
-//! Per-morphology shard: bounded admission queue, work-conserving
-//! micro-batcher workers, and the flush/respond hot path that a worker or
-//! a blocked waiter runs.
+//! Per-(morphology, kernel) shard: bounded admission queue, the warm
+//! flush kits, and the take–flush–return path that a pool worker or a
+//! blocked waiter runs.
 
 use crate::error::{Rejected, ServeError};
+use crate::pool::Pool;
 use crate::slot::{GradientRequest, ResponseSlot, ServeStages, SlotInner};
 use crate::ServeConfig;
 use robo_dynamics::batch::GradientState;
@@ -10,7 +11,7 @@ use robo_dynamics::engine::{check_dims, BatchOutput, DynamicsBackend, KernelKind
 use robo_sim::engine::{BackendKind, RobotPlan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Monotonic shard counters (all relaxed: they are observability, not
@@ -33,18 +34,19 @@ struct Pending {
 
 struct Queue {
     pending: VecDeque<Pending>,
+    /// The free flush kits, one per pool worker when none is out. A
+    /// flusher takes one with its batch and gives it back after the
+    /// flush, so the kit count alone bounds the shard's concurrent
+    /// flushes.
+    kits: Vec<FlushKit>,
+    /// On the pool's ready list, or popped from it and not yet visited.
+    listed: bool,
     shutdown: bool,
-    /// Workers parked in [`Shard::collect`]. Admission wakes one only if
-    /// some are: a busy worker comes back for the queue on its own. A
-    /// blocked waiter flushes only if some are
-    /// ([`Shard::flush_for_waiter`]).
-    idle: usize,
 }
 
-/// A warm backend plus the recycled scratch one flush needs. Each worker
-/// owns one and the shard keeps one spare for blocked waiters. Every kit
-/// is sized for a full batch when it is built, so its first flush is
-/// already allocation-free, whichever thread runs it.
+/// A warm backend plus the recycled scratch one flush needs. Every kit
+/// is sized for a full batch when its shard is built, so its first flush
+/// is already allocation-free, whichever thread runs it.
 struct FlushKit {
     backend: Box<dyn DynamicsBackend>,
     local: Vec<Pending>,
@@ -67,67 +69,46 @@ impl FlushKit {
 
 /// One (morphology, kernel) serving queue: the shared plan, the kernel of
 /// the multifunction family this queue runs, the bounded queue the
-/// micro-batcher coalesces from, the worker threads that drain it, and
-/// the spare flush kit a blocked waiter drains it with.
+/// micro-batcher coalesces from and the kits it flushes with, and the
+/// server's pool that flushes it.
 pub(crate) struct Shard {
     plan: Arc<RobotPlan>,
     kernel: KernelKind,
-    kind: BackendKind,
     capacity: usize,
     max_batch: usize,
+    pool: Arc<Pool>,
     queue: Mutex<Queue>,
-    work_cv: Condvar,
-    /// The kit of [`Shard::flush_for_waiter`]: one waiter flushes at a
-    /// time, and a panic in its flush poisons the kit for good.
-    spare: Mutex<FlushKit>,
     pub(crate) stats: ShardStats,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Shard {
-    /// Builds the shard for one kernel of the family, with no worker
-    /// threads yet (the unit tests drive `collect`/`flush` by hand).
-    fn new(plan: Arc<RobotPlan>, kernel: KernelKind, cfg: &ServeConfig) -> Self {
+    /// Builds the shard for one kernel of the family on `pool`, with one
+    /// warm kit per pool worker and a reserved ready-list slot.
+    pub(crate) fn new(
+        plan: Arc<RobotPlan>,
+        kernel: KernelKind,
+        cfg: &ServeConfig,
+        pool: &Arc<Pool>,
+    ) -> Arc<Self> {
         let max_batch = cfg.max_batch(plan.serve_width());
-        Self {
+        let kits = (0..cfg.resolved_workers())
+            .map(|_| FlushKit::new(&plan, cfg.backend, kernel, max_batch))
+            .collect();
+        pool.reserve();
+        Arc::new(Self {
             max_batch,
             capacity: cfg.queue_capacity.max(1),
             kernel,
-            kind: cfg.backend,
+            pool: Arc::clone(pool),
             queue: Mutex::new(Queue {
                 pending: VecDeque::with_capacity(cfg.queue_capacity.max(1)),
+                kits,
+                listed: false,
                 shutdown: false,
-                idle: 0,
             }),
-            work_cv: Condvar::new(),
-            spare: Mutex::new(FlushKit::new(&plan, cfg.backend, kernel, max_batch)),
             stats: ShardStats::default(),
-            workers: Mutex::new(Vec::new()),
             plan,
-        }
-    }
-
-    /// A fresh kit for this shard's kernel and backend.
-    fn kit(&self) -> FlushKit {
-        FlushKit::new(&self.plan, self.kind, self.kernel, self.max_batch)
-    }
-
-    /// Builds the shard for one kernel of the family and spawns its worker
-    /// threads.
-    pub(crate) fn spawn(plan: Arc<RobotPlan>, kernel: KernelKind, cfg: &ServeConfig) -> Arc<Self> {
-        let shard = Arc::new(Self::new(plan, kernel, cfg));
-        let key = shard.plan.morphology_key();
-        let handles: Vec<_> = (0..cfg.resolved_workers())
-            .map(|w| {
-                let shard = Arc::clone(&shard);
-                std::thread::Builder::new()
-                    .name(format!("serve-{key}-{kernel}-{w}"))
-                    .spawn(move || worker_loop(&shard))
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        *shard.workers.lock().unwrap_or_else(|p| p.into_inner()) = handles;
-        shard
+        })
     }
 
     fn lock_queue(&self) -> MutexGuard<'_, Queue> {
@@ -192,90 +173,100 @@ impl Shard {
             slot: Arc::clone(&slot.inner),
         });
         let depth = q.pending.len() as u64;
-        let wake = q.idle > 0;
-        drop(q);
+        self.list(q);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.high_water.fetch_max(depth, Ordering::Relaxed);
-        if wake {
-            self.work_cv.notify_one();
-        }
         Ok(())
     }
 
-    /// Marks the shard draining: no new admissions, workers flush what is
-    /// queued and exit. Every already-accepted request is still answered.
+    /// Refuses new admissions. Every already-accepted request is still
+    /// answered: by the pool, which drains its ready list before it
+    /// stops, or by the flushers holding the kits ([`Shard::give_back`]).
     pub(crate) fn begin_shutdown(&self) {
         self.lock_queue().shutdown = true;
-        self.work_cv.notify_all();
     }
 
-    /// Joins the worker threads (call after [`Shard::begin_shutdown`]).
-    pub(crate) fn join_workers(&self) {
-        let handles = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|p| p.into_inner()));
-        for h in handles {
-            let _ = h.join();
+    /// Puts the shard on the pool's ready list if work is queued, a kit
+    /// is free and it is not listed yet; then releases the queue and
+    /// wakes a parked pool worker if one is. A shard with no free kit
+    /// stays off the list: the kits' holders list it when they give them
+    /// back. Listing happens under the queue lock, so a shard that
+    /// refuses admissions is never listed after the pool stops.
+    fn list(self: &Arc<Self>, mut q: MutexGuard<'_, Queue>) {
+        let ready = !q.listed && !q.shutdown && !q.pending.is_empty() && !q.kits.is_empty();
+        let wake = ready && {
+            q.listed = true;
+            self.pool.push(Arc::clone(self))
+        };
+        drop(q);
+        if wake {
+            self.pool.wake();
         }
     }
 
-    /// The work-conserving batch policy: blocks only while the queue is
-    /// empty, then drains up to `max_batch` requests into `local` at once
-    /// and stamps them dequeued. Returns false once the shard is shut
-    /// down *and* drained.
-    ///
-    /// There is no deadline to wait out: batches grow from the requests
-    /// that queue while a flush runs, so a busy shard still fills lane
-    /// groups and an idle one answers a lone request straight away.
-    fn collect(&self, local: &mut Vec<Pending>) -> bool {
+    /// A pool worker's turn on a shard it took from the ready list.
+    pub(crate) fn visit(self: &Arc<Self>) {
         let mut q = self.lock_queue();
-        while q.pending.is_empty() {
-            if q.shutdown {
-                return false;
-            }
-            q.idle += 1;
-            q = self.work_cv.wait(q).unwrap_or_else(|p| p.into_inner());
-            q.idle -= 1;
+        q.listed = false;
+        self.flush_front(q);
+    }
+
+    /// A client blocked on `slot` flushes when its request is still
+    /// queued and a kit is free: it drains the front batch and flushes it
+    /// on its own thread, like any other flusher. Returns whether it
+    /// flushed. The batch need not hold the caller's own request, if more
+    /// than `max_batch` are queued ahead of it. With no free kit, the
+    /// request is left to the pool: the kits' holders list the shard when
+    /// they give them back.
+    pub(crate) fn flush_for_waiter(self: &Arc<Self>, slot: &Arc<SlotInner>) -> bool {
+        let q = self.lock_queue();
+        if !q.pending.iter().any(|p| Arc::ptr_eq(&p.slot, slot)) {
+            return false;
         }
-        self.drain(q, local);
+        self.flush_front(q)
+    }
+
+    /// The one take–flush–return path of every flusher: takes a free kit
+    /// and up to `max_batch` queued requests, lists the shard again if
+    /// work and another kit are left, flushes, and gives the kit back.
+    /// Returns false, touching nothing, if nothing is queued or no kit is
+    /// free.
+    fn flush_front(self: &Arc<Self>, mut q: MutexGuard<'_, Queue>) -> bool {
+        if q.pending.is_empty() {
+            return false;
+        }
+        let Some(mut kit) = q.kits.pop() else {
+            return false;
+        };
+        self.drain(&mut q, &mut kit.local);
+        self.list(q);
+        self.flush(&mut kit);
+        self.give_back(kit);
         true
     }
 
-    /// Moves up to `max_batch` queued requests into `local`, releases the
-    /// queue, and stamps them dequeued.
-    fn drain(&self, mut q: MutexGuard<'_, Queue>, local: &mut Vec<Pending>) {
+    /// Returns a kit after its flush and lists the shard if work is left.
+    /// While the shard refuses admissions the pool may already have
+    /// stopped, so the holder flushes what is left itself instead: every
+    /// admitted request is answered even when blocked clients hold every
+    /// kit as the pool stops.
+    fn give_back(self: &Arc<Self>, mut kit: FlushKit) {
+        let mut q = self.lock_queue();
+        while q.shutdown && !q.pending.is_empty() {
+            self.drain(&mut q, &mut kit.local);
+            drop(q);
+            self.flush(&mut kit);
+            q = self.lock_queue();
+        }
+        q.kits.push(kit);
+        self.list(q);
+    }
+
+    /// Moves up to `max_batch` queued requests into `local`.
+    fn drain(&self, q: &mut Queue, local: &mut Vec<Pending>) {
         let n = q.pending.len().min(self.max_batch);
         let _span = robo_trace::span_items("serve.coalesce", n);
         local.extend(q.pending.drain(..n));
-        drop(q);
-        let dequeued = Some(Instant::now());
-        for p in local.iter_mut() {
-            p.req.stages.dequeued = dequeued;
-        }
-    }
-
-    /// A client blocked on `slot` stands in for a parked worker: if its
-    /// request is still queued and a worker is parked, which would
-    /// otherwise have to be woken, the caller drains the front batch and
-    /// flushes it on its own thread with the spare kit. Returns whether
-    /// it flushed. The batch need not hold the caller's own request, if
-    /// more than `max_batch` are queued ahead of it.
-    ///
-    /// Does nothing while every worker is busy, so a busy shard keeps its
-    /// configured flush concurrency, and nothing while the spare kit is in
-    /// use by another waiter or poisoned by a panic in an earlier waiter's
-    /// flush. The workers serve the request then.
-    pub(crate) fn flush_for_waiter(&self, slot: &Arc<SlotInner>) -> bool {
-        // `WouldBlock` (another waiter is flushing) and `Poisoned` (a
-        // waiter's flush panicked) both leave the flush to the workers.
-        let Ok(mut kit) = self.spare.try_lock() else {
-            return false;
-        };
-        let q = self.lock_queue();
-        if q.idle == 0 || !q.pending.iter().any(|p| Arc::ptr_eq(&p.slot, slot)) {
-            return false;
-        }
-        self.drain(q, &mut kit.local);
-        self.flush(&mut kit);
-        true
     }
 
     /// Executes one coalesced batch (drained into `kit.local`) on the
@@ -294,6 +285,10 @@ impl Shard {
             batch,
         } = kit;
         let n = local.len();
+        let dequeued = Some(Instant::now());
+        for p in local.iter_mut() {
+            p.req.stages.dequeued = dequeued;
+        }
         let result = {
             let _span = robo_trace::span_items("serve.flush", n);
             let mut states = recycle_states(std::mem::take(states_buf));
@@ -349,15 +344,6 @@ fn check_finite(req: &GradientRequest) -> Result<(), ServeError> {
     }
 }
 
-/// Worker thread body: a private flush kit, fed by [`Shard::collect`]
-/// until shutdown drains the queue.
-fn worker_loop(shard: &Shard) {
-    let mut kit = shard.kit();
-    while shard.collect(&mut kit.local) {
-        shard.flush(&mut kit);
-    }
-}
-
 /// Reclaims the parked lane-view vector's allocation under a fresh borrow
 /// lifetime, so per-flush `GradientState` views never allocate.
 fn recycle_states<'a>(v: Vec<GradientState<'static, f64>>) -> Vec<GradientState<'a, f64>> {
@@ -385,22 +371,41 @@ fn park_states(mut v: Vec<GradientState<'_, f64>>) -> Vec<GradientState<'static,
 
 #[cfg(test)]
 mod tests {
-    //! The batch policy, driven by hand on a shard with no worker
-    //! threads: every assertion is deterministic. Tests of the waiter's
-    //! flush set `Queue::idle` by hand to stand for a parked worker.
+    //! The batch policy, driven by hand on shards of a pool with no
+    //! threads: every assertion is deterministic. Each test stops its pool
+    //! first, so `Pool::next` returns `None` instead of blocking once the
+    //! ready list is empty, and `work` (the pool workers' body) drains the
+    //! list on the test thread.
 
     use super::*;
-    use robo_dynamics::engine::KernelOutput;
+    use crate::pool::work;
+    use robo_dynamics::engine::{EngineError, KernelOutput};
     use robo_dynamics::{mass_matrix_inverse, rnea};
     use robo_model::robots;
     use std::time::Duration;
 
-    fn shard(kernel: KernelKind, cfg: &ServeConfig) -> Arc<Shard> {
-        Arc::new(Shard::new(
+    /// A stopped pool with no threads.
+    fn pool() -> Arc<Pool> {
+        let pool = Pool::new();
+        pool.stop();
+        pool
+    }
+
+    fn shard_on(pool: &Arc<Pool>, kernel: KernelKind, cfg: &ServeConfig) -> Arc<Shard> {
+        Shard::new(
             Arc::new(RobotPlan::new(&robots::iiwa14())),
             kernel,
             cfg,
-        ))
+            pool,
+        )
+    }
+
+    fn one_kit(backend: BackendKind) -> ServeConfig {
+        ServeConfig {
+            workers: 1,
+            backend,
+            ..ServeConfig::default()
+        }
     }
 
     /// A request for evaluation point `k`; `fd`'s third slot carries
@@ -433,13 +438,13 @@ mod tests {
     }
 
     /// Asserts `got` holds the bitwise answer of a direct `run_into` on
-    /// point `k`.
-    fn assert_bitwise(shard: &Shard, k: usize, got: &GradientRequest) {
+    /// point `k` with a `kind` backend.
+    fn assert_bitwise(shard: &Shard, kind: BackendKind, k: usize, got: &GradientRequest) {
         let req = request(&shard.plan, shard.kernel, k);
         let mut want = KernelOutput::new();
         shard
             .plan
-            .backend(shard.kind)
+            .backend(kind)
             .run_into(
                 shard.kernel,
                 &req.q,
@@ -462,21 +467,21 @@ mod tests {
     }
 
     /// Asserts each slot holds the bitwise answer for point `k`.
-    fn assert_answered(shard: &Shard, slots: &[ResponseSlot]) {
+    fn assert_answered(shard: &Shard, kind: BackendKind, slots: &[ResponseSlot]) {
         for (k, slot) in slots.iter().enumerate() {
-            assert_bitwise(shard, k, &slot.try_take().expect("answered"));
+            assert_bitwise(shard, kind, k, &slot.try_take().expect("answered"));
         }
     }
 
     /// Runs `slot.wait()` on a thread of its own and returns what it
-    /// returned. The bound turns a waiter that parks with no worker to
-    /// wake it into a failure instead of a hang.
+    /// returned. The bound turns a waiter that parks with nothing to
+    /// serve it into a failure instead of a hang.
     fn wait_on_own_thread(slot: ResponseSlot) -> GradientRequest {
         let (tx, rx) = std::sync::mpsc::channel();
         let waiter = std::thread::spawn(move || tx.send(slot.wait()).expect("the test listens"));
         let got = rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("with a worker parked, the waiter answers itself");
+            .expect("with a kit free, the waiter answers itself");
         waiter.join().expect("the waiter thread");
         got
     }
@@ -485,31 +490,90 @@ mod tests {
         shard.stats.flushes.load(Ordering::Relaxed)
     }
 
-    #[test]
-    fn a_lone_request_is_collected_without_waiting() {
-        // No worker and no other thread: a batcher that waited for a
-        // deadline or a fuller batch would stall (or hang) right here.
-        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
-        let _slots = fill(&shard, 1);
-        let mut local = Vec::new();
-        assert!(shard.collect(&mut local));
-        assert_eq!(local.len(), 1);
-        let st = local[0].req.stages;
-        assert!(st.enqueued.unwrap() <= st.dequeued.unwrap());
-        assert_eq!((st.computed, st.fulfilled), (None, None));
+    /// Whether `pool`'s next ready shard is `shard`.
+    fn next_is(pool: &Pool, shard: &Arc<Shard>) -> bool {
+        pool.next().is_some_and(|s| Arc::ptr_eq(&s, shard))
+    }
+
+    /// A backend whose every batch panics, standing in for a backend bug.
+    struct Panicking;
+
+    impl DynamicsBackend for Panicking {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn dof(&self) -> usize {
+            7
+        }
+
+        fn fork(&self) -> Box<dyn DynamicsBackend + '_> {
+            Box::new(Panicking)
+        }
+
+        fn run_batch_into(
+            &mut self,
+            _: KernelKind,
+            _: &[GradientState<'_, f64>],
+            _: &mut BatchOutput,
+        ) -> Result<(), EngineError> {
+            panic!("a backend bug inside a flush")
+        }
+    }
+
+    fn panicking_kit() -> FlushKit {
+        FlushKit {
+            backend: Box::new(Panicking),
+            local: Vec::new(),
+            states: Vec::new(),
+            batch: BatchOutput::new(),
+        }
     }
 
     #[test]
-    fn one_collect_takes_exactly_max_batch() {
-        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
-        let max_batch = shard.max_batch;
-        let _slots = fill(&shard, max_batch + 3);
-        let mut local = Vec::new();
-        assert!(shard.collect(&mut local));
-        assert_eq!(local.len(), max_batch);
-        local.clear();
-        assert!(shard.collect(&mut local));
-        assert_eq!(local.len(), 3, "the rest go in the next batch");
+    fn a_lone_request_is_flushed_without_waiting() {
+        // One pool visit and no other thread: a batcher that waited for
+        // a deadline or a fuller batch would stall (or hang) right here.
+        let pool = pool();
+        let shard = shard_on(&pool, KernelKind::Gradient, &ServeConfig::default());
+        let slots = fill(&shard, 1);
+        let next = pool
+            .next()
+            .expect("queued work and a free kit list the shard");
+        assert!(Arc::ptr_eq(&next, &shard));
+        next.visit();
+        assert_eq!(flushes(&shard), 1);
+        let got = slots[0].try_take().expect("answered");
+        let st = got.stages;
+        assert!(st.enqueued.unwrap() <= st.dequeued.unwrap());
+        assert!(st.dequeued.unwrap() <= st.computed.unwrap());
+        assert!(st.computed.unwrap() <= st.fulfilled.unwrap());
+        assert_bitwise(&shard, BackendKind::Accel, 0, &got);
+        assert!(pool.next().is_none(), "nothing is left to list");
+    }
+
+    #[test]
+    fn a_shard_with_work_left_goes_back_on_the_ready_list_and_shards_take_turns() {
+        let pool = pool();
+        let cfg = one_kit(BackendKind::Accel);
+        let grad = shard_on(&pool, KernelKind::Gradient, &cfg);
+        let id = shard_on(&pool, KernelKind::InverseDynamics, &cfg);
+        let max_batch = grad.max_batch;
+        let grad_slots = fill(&grad, max_batch + 3);
+        let id_slots = fill(&id, 1);
+
+        assert!(next_is(&pool, &grad));
+        grad.visit();
+        assert_eq!(flushes(&grad), 1, "one flush takes exactly max_batch");
+        // The rest of `grad` queued behind `id`, which listed meanwhile.
+        assert!(next_is(&pool, &id));
+        id.visit();
+        assert!(next_is(&pool, &grad));
+        grad.visit();
+        assert_eq!(flushes(&grad), 2, "the rest go in the next batch");
+        assert!(pool.next().is_none());
+        assert_answered(&grad, BackendKind::Accel, &grad_slots);
+        assert_answered(&id, BackendKind::Accel, &id_slots);
     }
 
     #[test]
@@ -517,20 +581,14 @@ mod tests {
         for kind in [BackendKind::Cpu, BackendKind::Accel] {
             for kernel in [KernelKind::InverseDynamics, KernelKind::ForwardDynamics] {
                 for extra in 0..3 {
-                    let cfg = ServeConfig {
-                        backend: kind,
-                        ..ServeConfig::default()
-                    };
-                    let shard = shard(kernel, &cfg);
+                    let pool = pool();
+                    let shard = shard_on(&pool, kernel, &one_kit(kind));
                     let count = 2 * shard.plan.serve_width() + extra;
                     assert!(count <= shard.max_batch);
                     let slots = fill(&shard, count);
-                    let mut kit = shard.kit();
-                    assert!(shard.collect(&mut kit.local));
-                    assert_eq!(kit.local.len(), count);
-                    shard.flush(&mut kit);
+                    work(&pool);
                     assert_eq!(flushes(&shard), 1);
-                    assert_answered(&shard, &slots);
+                    assert_answered(&shard, kind, &slots);
                 }
             }
         }
@@ -544,7 +602,8 @@ mod tests {
             backend: BackendKind::Cpu,
             ..ServeConfig::default()
         };
-        let shard = shard(KernelKind::Gradient, &cfg);
+        let pool = pool();
+        let shard = shard_on(&pool, KernelKind::Gradient, &cfg);
         let slots = fill(&shard, capacity);
         let extra = ResponseSlot::new();
         let req = request(&shard.plan, shard.kernel, capacity);
@@ -565,36 +624,31 @@ mod tests {
             capacity as u64
         );
 
-        // Drain on this thread, as a worker does after shutdown.
+        // Drain on this thread, as the pool does after shutdown.
         shard.begin_shutdown();
-        worker_loop(&shard);
+        work(&pool);
         assert_eq!(
             shard.stats.completed.load(Ordering::Relaxed),
             capacity as u64
         );
-        assert_answered(&shard, &slots);
+        assert_answered(&shard, BackendKind::Cpu, &slots);
     }
 
     #[test]
-    fn a_waiter_flushes_its_own_request_in_place_of_a_parked_worker() {
+    fn a_waiter_flushes_its_own_request_when_a_kit_is_free() {
         for kind in [BackendKind::Cpu, BackendKind::Accel] {
-            let cfg = ServeConfig {
-                backend: kind,
-                ..ServeConfig::default()
-            };
-            let shard = shard(KernelKind::Gradient, &cfg);
-            shard.lock_queue().idle = 1;
+            let shard = shard_on(&pool(), KernelKind::Gradient, &one_kit(kind));
             let slot = ResponseSlot::new();
             let submitted = Instant::now();
             shard
                 .enqueue(request(&shard.plan, shard.kernel, 0), &slot)
                 .expect("under capacity");
-            // No worker thread exists: only the waiter can flush.
+            // No pool thread exists: only the waiter can flush.
             let got = wait_on_own_thread(slot);
             let woke = Instant::now();
             assert_eq!(flushes(&shard), 1);
             assert_eq!(shard.stats.completed.load(Ordering::Relaxed), 1);
-            assert_bitwise(&shard, 0, &got);
+            assert_bitwise(&shard, kind, 0, &got);
             let stages = got
                 .stages
                 .split(submitted, woke)
@@ -604,55 +658,116 @@ mod tests {
     }
 
     #[test]
-    fn a_waiter_leaves_a_shard_with_no_parked_worker_alone() {
-        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
+    fn a_blocked_client_with_no_free_kit_leaves_its_request_to_the_pool() {
+        let pool = pool();
+        let shard = shard_on(&pool, KernelKind::Gradient, &one_kit(BackendKind::Accel));
+        // The only kit is out, as with a flusher mid-flush.
+        let kit = shard.lock_queue().kits.pop().expect("one kit per worker");
         let slots = fill(&shard, 1);
-        assert_eq!(shard.lock_queue().idle, 0);
+        assert!(
+            pool.next().is_none(),
+            "no free kit: the shard is not listed"
+        );
         assert!(!shard.flush_for_waiter(&slots[0].inner));
         assert_eq!(flushes(&shard), 0);
         assert_eq!(shard.lock_queue().pending.len(), 1, "still queued");
         assert!(slots[0].is_pending());
+
+        // The holder gives the kit back and lists the shard for the pool.
+        shard.give_back(kit);
+        assert!(next_is(&pool, &shard));
+        shard.visit();
+        assert_answered(&shard, BackendKind::Accel, &slots);
     }
 
     #[test]
     fn a_waiter_behind_a_full_batch_flushes_it_then_its_own() {
-        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
-        shard.lock_queue().idle = 1;
+        let shard = shard_on(&pool(), KernelKind::Gradient, &ServeConfig::default());
         let max_batch = shard.max_batch;
         let mut slots = fill(&shard, max_batch + 1);
         let mine = slots.pop().expect("the last request is the waiter's");
         let got = wait_on_own_thread(mine);
         assert_eq!(flushes(&shard), 2, "the front batch, then the waiter's");
-        assert_bitwise(&shard, max_batch, &got);
-        assert_answered(&shard, &slots);
+        assert_bitwise(&shard, BackendKind::Accel, max_batch, &got);
+        assert_answered(&shard, BackendKind::Accel, &slots);
         assert!(shard.lock_queue().pending.is_empty());
     }
 
     #[test]
-    fn a_poisoned_spare_kit_leaves_the_flush_to_the_workers() {
-        let shard = shard(KernelKind::Gradient, &ServeConfig::default());
-        let poisoner = Arc::clone(&shard);
-        std::thread::spawn(move || {
-            let _kit = poisoner.spare.lock();
-            panic!("a backend panic inside a waiter-run flush");
-        })
-        .join()
-        .expect_err("the flush panicked");
-        assert!(shard.spare.is_poisoned());
-
-        shard.lock_queue().idle = 1;
-        let slots = fill(&shard, 1);
-        assert!(
-            !shard.flush_for_waiter(&slots[0].inner),
-            "a poisoned kit is unavailable"
-        );
-        assert_eq!(flushes(&shard), 0);
-        assert!(slots[0].is_pending());
-
-        // The workers keep serving: drain on this thread as one does.
-        shard.lock_queue().idle = 0;
+    fn shutdown_with_every_kit_held_still_answers_every_request() {
+        let pool = pool();
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let shard = shard_on(&pool, KernelKind::Gradient, &cfg);
+        // Blocked clients hold both kits, mid-flush, as the pool stops.
+        let held: Vec<FlushKit> = std::mem::take(&mut shard.lock_queue().kits);
+        assert_eq!(held.len(), 2);
+        let slots = fill(&shard, shard.max_batch + 2);
         shard.begin_shutdown();
-        worker_loop(&shard);
-        assert_answered(&shard, &slots);
+        work(&pool);
+        assert_eq!(flushes(&shard), 0, "the pool found nothing listed");
+
+        // The first holder to give its kit back flushes what is left.
+        for kit in held {
+            shard.give_back(kit);
+        }
+        assert_eq!(flushes(&shard), 2);
+        assert_answered(&shard, BackendKind::Accel, &slots);
+        assert_eq!(shard.lock_queue().kits.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_backend_leaves_another_shard_served_by_the_same_pool() {
+        let pool = pool();
+        let cfg = one_kit(BackendKind::Cpu);
+        let broken = shard_on(&pool, KernelKind::Gradient, &cfg);
+        let healthy = shard_on(&pool, KernelKind::InverseDynamics, &cfg);
+        broken.lock_queue().kits[0] = panicking_kit();
+        let lost = fill(&broken, 1);
+        let slots = fill(&healthy, 1);
+
+        // The worker body catches the panic and goes on to the next shard.
+        work(&pool);
+        assert_eq!(flushes(&broken), 0);
+        assert!(lost[0].is_pending(), "the panicked batch is not answered");
+        assert!(broken.lock_queue().kits.is_empty(), "its kit is dropped");
+        assert_answered(&healthy, BackendKind::Cpu, &slots);
+
+        let slots = fill(&healthy, 1);
+        work(&pool);
+        assert_answered(&healthy, BackendKind::Cpu, &slots);
+    }
+
+    #[test]
+    fn a_waiter_flush_that_panics_loses_only_its_kit() {
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let shard = shard_on(&pool(), KernelKind::Gradient, &cfg);
+        // A flusher takes the last kit first.
+        *shard.lock_queue().kits.last_mut().expect("two kits") = panicking_kit();
+        let lost = fill(&shard, 1).pop().expect("one slot");
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let waiter = std::thread::spawn(move || {
+            let _unwinds_with_the_waiter = tx;
+            lost.wait()
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(60)),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+            "the waiter flushes and its flush panics"
+        );
+        waiter.join().expect_err("the panic surfaces in the waiter");
+        assert_eq!(shard.lock_queue().kits.len(), 1, "only its kit is gone");
+
+        // The next waiter flushes with the kit that is left.
+        let slot = ResponseSlot::new();
+        shard
+            .enqueue(request(&shard.plan, shard.kernel, 0), &slot)
+            .expect("under capacity");
+        assert_bitwise(&shard, BackendKind::Accel, 0, &wait_on_own_thread(slot));
     }
 }

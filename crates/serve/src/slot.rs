@@ -76,7 +76,7 @@ impl GradientRequest {
 /// `wait` returns — they cut one round trip into the five stages of
 /// [`ServeStages::NAMES`]; see [`ServeStages::split`].
 ///
-/// A batch is flushed by a worker thread or by a client blocked in
+/// A batch is flushed by a pool worker or by a client blocked in
 /// [`ResponseSlot::wait`] (see there); the stamps mean the same either
 /// way. Queue runs from admission until *whichever thread flushes* drains
 /// the request, and wake from the fulfil until `wait` returns. When the
@@ -217,15 +217,15 @@ impl ResponseSlot {
     /// buffer (outputs filled), resetting the slot to idle.
     ///
     /// A blocked caller may run its own batch. If the request is still
-    /// queued and the shard has a parked worker, which would otherwise
-    /// have to be woken, the caller does that worker's job on its own
-    /// thread: it drains up to a batch of queued requests and flushes
-    /// them, completing every slot in the batch, its own included. A
-    /// lone request then pays no cross-thread wake. A busy shard is left
-    /// to its workers, so it keeps its configured flush concurrency.
-    /// Otherwise the caller parks until a worker answers. A caller that
-    /// must not compute polls [`try_take`](Self::try_take) instead, which
-    /// never flushes.
+    /// queued and one of the shard's flush kits is free, the caller takes
+    /// the kit and flushes on its own thread, as a pool worker would: it
+    /// drains up to a batch of queued requests and flushes them,
+    /// completing every slot in the batch, its own included. A lone
+    /// request then pays no cross-thread wake. With every kit in use the
+    /// caller parks until the flush that answers it, by the pool or by
+    /// another waiter; the kit count keeps bounding the shard's
+    /// concurrent flushes. A caller that must not compute polls
+    /// [`try_take`](Self::try_take) instead, which never flushes.
     ///
     /// # Panics
     ///
@@ -233,9 +233,9 @@ impl ResponseSlot {
     /// protocol bug, not a runtime condition.
     ///
     /// A backend panic during a flush this caller runs surfaces here, in
-    /// the caller. As with a panic on a worker, the other requests of
-    /// that batch are then never answered. The shard keeps serving: its
-    /// workers are untouched, and later waiters leave the flush to them.
+    /// the caller. As with a panic on a pool worker, the other requests
+    /// of that batch are then never answered and that flush's kit is
+    /// lost. The shard keeps serving with the kits it has left.
     pub fn wait(&self) -> GradientRequest {
         let mut st = self.inner.lock();
         // Cleared once an attempt to flush finds nothing to do: from then

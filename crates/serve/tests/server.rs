@@ -60,10 +60,10 @@ fn concurrent_cold_registrations_build_exactly_one_plan() {
 
 #[test]
 fn overload_sheds_typed_and_drain_answers_the_admitted() {
-    // A client that submits without waiting outruns the one worker (each
-    // flush wakes a thread and runs the kernel), so the two-deep queue
-    // soon turns a submission away. The shard's unit test of the same
-    // name pins the exact shed point with no worker at all.
+    // A client that submits without waiting outruns the one pool worker
+    // (each flush wakes a thread and runs the kernel), so the two-deep
+    // queue soon turns a submission away. The shard's unit test of the
+    // same name pins the exact shed point with no pool thread at all.
     let capacity = 2;
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,

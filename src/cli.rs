@@ -191,80 +191,28 @@ pub fn cmd_convert(source: &str, dest: &str) -> Result<String, CliError> {
     ))
 }
 
-/// `robomorphic check <robot>` — model validation plus a zero-config
-/// self-collision sanity check, with the gradient spot-check on the
-/// default (CPU) engine backend.
+/// `robomorphic check <robot> [--backend B] [--kernel K] [--trace F]` —
+/// model validation plus a zero-config self-collision sanity check, then
+/// a spot-check of one member of the multifunction kernel family through
+/// the chosen [`DynamicsBackend`](robo_dynamics::engine::DynamicsBackend)
+/// of a once-built [`robo_sim::RobotPlan`]: `grad` runs the gradient
+/// against the finite-difference oracle, `id`/`fd` run the backend's
+/// kernel against the CPU analytical reference (RNEA / ABA).
 ///
-/// # Errors
-///
-/// Propagates loading failures.
-pub fn cmd_check(source: &str) -> Result<String, CliError> {
-    cmd_check_with(source, robo_sim::BackendKind::Cpu)
-}
-
-/// `robomorphic check <robot> --backend {cpu,accel,fd}` — like
-/// [`cmd_check`], but running the gradient spot-check through the chosen
-/// [`DynamicsBackend`](robo_dynamics::engine::DynamicsBackend) of a
-/// once-built [`robo_sim::RobotPlan`].
-///
-/// # Errors
-///
-/// Propagates loading failures.
-pub fn cmd_check_with(source: &str, kind: robo_sim::BackendKind) -> Result<String, CliError> {
-    cmd_check_traced(source, kind, None)
-}
-
-/// `robomorphic check <robot> --kernel {id,fd,grad}` — like
-/// [`cmd_check_with`], spot-checking the chosen member of the
-/// multifunction kernel family: `grad` runs the gradient against the
-/// finite-difference oracle, `id`/`fd` run the backend's kernel against
-/// the CPU analytical reference (RNEA / ABA).
-///
-/// # Errors
-///
-/// Propagates loading failures.
-pub fn cmd_check_kernel(
-    source: &str,
-    kind: robo_sim::BackendKind,
-    kernel: robo_dynamics::engine::KernelKind,
-) -> Result<String, CliError> {
-    check_body(source, kind, kernel)
-}
-
-/// `robomorphic check <robot> ... --trace <out.json>` — like
-/// [`cmd_check_with`], additionally recording a `robo-trace` span trace
-/// of the whole run (plan build through gradient spot-check) and writing
-/// it as Chrome-trace JSON, viewable in Perfetto or `about:tracing`.
+/// With `trace_out`, also records a `robo-trace` span trace of the whole
+/// run (plan build through the spot-check) and writes it there as
+/// Chrome-trace JSON, viewable in Perfetto or `about:tracing`.
 ///
 /// # Errors
 ///
 /// Propagates loading failures; returns [`CliError::Usage`] when tracing
 /// was requested but the binary was built without the `trace` feature,
 /// and [`CliError::Io`] when the trace file cannot be written.
-pub fn cmd_check_traced(
+pub fn cmd_check(
     source: &str,
     kind: robo_sim::BackendKind,
-    trace_out: Option<&str>,
-) -> Result<String, CliError> {
-    cmd_check_traced_kernel(
-        source,
-        kind,
-        trace_out,
-        robo_dynamics::engine::KernelKind::Gradient,
-    )
-}
-
-/// The full `check` command: backend, optional trace, and the kernel of
-/// the family to spot-check (see [`cmd_check_kernel`]).
-///
-/// # Errors
-///
-/// As for [`cmd_check_traced`].
-pub fn cmd_check_traced_kernel(
-    source: &str,
-    kind: robo_sim::BackendKind,
-    trace_out: Option<&str>,
     kernel: robo_dynamics::engine::KernelKind,
+    trace_out: Option<&str>,
 ) -> Result<String, CliError> {
     if trace_out.is_some() && !robo_trace::install() {
         return Err(CliError::Usage(
@@ -497,6 +445,7 @@ pub fn cmd_serve(
     });
     let wall = start.elapsed();
     let stats = server.stats();
+    let workers = server.config().resolved_workers();
     drop(server);
 
     latencies_ns.sort_unstable();
@@ -514,8 +463,7 @@ pub fn cmd_serve(
     );
     let _ = writeln!(
         out,
-        "  {clients} client(s) x {requests} round trip(s), {} worker(s)",
-        server_workers(),
+        "  {clients} client(s) x {requests} round trip(s), pool of {workers} worker(s)"
     );
     let _ = writeln!(
         out,
@@ -530,10 +478,6 @@ pub fn cmd_serve(
         total as f64 / wall.as_secs_f64()
     );
     Ok(out)
-}
-
-fn server_workers() -> usize {
-    robo_serve::ServeConfig::default().resolved_workers()
 }
 
 /// The usage string.
@@ -576,9 +520,10 @@ gradient spot-check) and writes it to F as Chrome-trace JSON — open it in
 Perfetto (ui.perfetto.dev) or chrome://tracing.
 
 serve coalesces the clients' concurrent requests into wide lane-group
-batches (an idle worker flushes whatever is queued at once; requests
-that arrive during a flush share the next one) and reports p50/p99
-latency, throughput, and the coalescing/backpressure counters.
+batches (an idle pool worker, or a waiting client with a free kit,
+flushes whatever is queued at once; requests that arrive during a flush
+share the next one) and reports p50/p99 latency, throughput, and the
+coalescing/backpressure counters.
 Defaults: --clients 4, --requests 64, --backend accel.
 "
 }
@@ -659,7 +604,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         [cmd, source, dest] if cmd == "convert" => cmd_convert(source, dest),
         [cmd, rest @ ..] if cmd == "check" && !rest.is_empty() => {
             let f = Flags::parse("check", rest, robo_sim::BackendKind::Cpu, &["--trace"])?;
-            cmd_check_traced_kernel(f.source, f.backend, f.value("--trace"), f.kernel)
+            cmd_check(f.source, f.backend, f.kernel, f.value("--trace"))
         }
         [cmd, rest @ ..] if cmd == "serve" && !rest.is_empty() => {
             let f = Flags::parse(

@@ -7,8 +7,12 @@
 //! real-time control loops (and honest stand-ins for the accelerator's
 //! statically-provisioned registers).
 //!
-//! Kept as its own integration binary with a single `#[test]` so no
-//! concurrent test can allocate while the counter is being watched.
+//! The counter sees every thread of the process, so this binary runs
+//! without the libtest harness (`harness = false` in `Cargo.toml`): its
+//! `main` runs the audit on the main thread, and no harness thread can
+//! allocate while the counter is being watched. The only other threads
+//! are the ones the audited code starts itself (the batch engine's
+//! workers, a server's flush pool), whose allocations must count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,6 +23,7 @@ use robomorphic::dynamics::{
     AbaWorkspace, DynamicsModel, FdWorkspace, GradWorkspace, RneaWorkspace,
 };
 use robomorphic::model::robots;
+use robomorphic::serve::GradientRequest;
 use robomorphic::sim::{AcceleratorSim, SimWorkspace};
 
 struct CountingAlloc;
@@ -64,7 +69,22 @@ fn compiled_batch_warm(
     ws.eval_batch_into(compiled, states, out);
 }
 
-#[test]
+/// Runs the audit and reports it in libtest's format, as the one test
+/// of this binary.
+fn main() {
+    const NAME: &str = "workspace_kernels_are_allocation_free_after_warmup";
+    if std::env::args().any(|arg| arg == "--list") {
+        println!("{NAME}: test");
+        return;
+    }
+    println!("\nrunning 1 test");
+    workspace_kernels_are_allocation_free_after_warmup();
+    println!(
+        "test {NAME} ... ok\n\ntest result: ok. 1 passed; 0 failed; 0 ignored; 0 measured; \
+         0 filtered out\n"
+    );
+}
+
 fn workspace_kernels_are_allocation_free_after_warmup() {
     let robot = robots::iiwa14();
     let model = DynamicsModel::<f64>::new(&robot);
@@ -368,16 +388,16 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
     }
 
     // The serving tier end-to-end: once a morphology is registered (plan
-    // build + shard/worker spawn) and one round trip has warmed the
-    // worker's batch buffers, the whole steady-state serving path —
-    // enqueue → coalesce → flush → respond → wait, stage stamps
-    // included — is allocation-free,
-    // *including* the response handoff: the filled request buffer moves
-    // back through the reusable ResponseSlot by value, no boxing. The
-    // allowed allocation points are all cold: registration, slot
-    // creation, and first-flush output sizing. (The worker thread shares
-    // this global counter, so a hidden per-flush allocation on its side
-    // would trip the assert just as well.)
+    // build + shard build) and a few round trips have run, the whole
+    // steady-state serving path — enqueue → ready list → coalesce →
+    // flush → respond → wait, stage stamps included — is
+    // allocation-free, *including* the response handoff: the filled
+    // request buffer moves back through the reusable ResponseSlot by
+    // value, no boxing. The allowed allocation points are all cold: pool
+    // spawn, registration, slot creation, and first-flush output sizing.
+    // (The pool's worker shares this global counter, so a hidden
+    // per-flush or per-listing allocation on its side would trip the
+    // assert just as well.)
     for kind in [
         robomorphic::engine::BackendKind::Cpu,
         robomorphic::engine::BackendKind::Accel,
@@ -390,27 +410,39 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
             });
         let key = server.register(&robot);
         let slot = robomorphic::serve::ResponseSlot::new();
-        let mut req = robomorphic::serve::GradientRequest::for_dof(n);
+        let mut req = GradientRequest::for_dof(n);
         req.q.copy_from_slice(&q);
         req.qd.copy_from_slice(&qd);
         req.qdd.copy_from_slice(&qdd);
         req.minv = minv.clone();
+        // A polled round trip is flushed by the pool's worker, a waited
+        // one by this thread: the warm-up runs both, so the worker has
+        // started (a new thread's first steps allocate) and run every step
+        // of its loop before counting, and the counted loop covers both.
+        let round_trips = |mut req: GradientRequest| {
+            server.submit(key, req, &slot).expect("admitted");
+            req = loop {
+                match slot.try_take() {
+                    Some(req) => break req,
+                    None => std::thread::yield_now(),
+                }
+            };
+            server.serve(key, req, &slot).expect("admitted")
+        };
         for _ in 0..4 {
-            req = server.serve(key, req, &slot).expect("warm-up round trip");
+            req = round_trips(req);
         }
         let before = allocations();
         for _ in 0..16 {
-            req = server
-                .serve(key, req, &slot)
-                .expect("steady-state round trip");
+            req = round_trips(req);
         }
         assert_eq!(
             allocations(),
             before,
             "`{kind}` serving round trip allocated in steady state"
         );
-        // Shutdown (drain + join) happens outside the counted region and
-        // may allocate freely.
+        // Shutdown (drain + pool join) happens outside the counted region
+        // and may allocate freely.
         drop(server);
     }
 

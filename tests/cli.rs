@@ -48,7 +48,13 @@ fn convert_round_trips_through_robo() {
 
 #[test]
 fn check_validates_builtin() {
-    let out = cli::cmd_check("iiwa14").expect("checks");
+    let out = cli::cmd_check(
+        "iiwa14",
+        robomorphic::engine::BackendKind::Cpu,
+        robomorphic::engine::KernelKind::Gradient,
+        None,
+    )
+    .expect("checks");
     assert!(out.contains("mass matrix positive definite at q = 0: ok"));
     assert!(out.contains("(ok)"));
     assert!(!out.contains("FAIL"));

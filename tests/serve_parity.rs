@@ -1,13 +1,13 @@
 //! Parity of the serving tier: a gradient served through the
 //! micro-batcher — coalesced into wide lane-groups, or flushed ragged by
-//! a worker or a blocked waiter that found fewer requests queued — must
-//! be **bit-identical** to a direct `gradient_into` call on the same
-//! backend.
+//! a pool worker or a blocked waiter that found fewer requests queued —
+//! must be **bit-identical** to a direct `gradient_into` call on the same
+//! backend, with one pool worker (one flush kit per shard) or two.
 //!
 //! The serving path adds queuing, SoA lane marshalling, and a block copy
 //! back into the caller's buffer, but no arithmetic of its own, so exact
 //! equality (not a tolerance) is the contract. Pipelined submissions from
-//! many slots produce multi-request flushes of whatever size the worker
+//! many slots produce multi-request flushes of whatever size a flusher
 //! drains, full or partial-lane (ragged); every response is asserted per
 //! backend. The vector kernels (`id`, `fd`) go through the same flush,
 //! so batches of them are held to the same exact contract against a
@@ -37,11 +37,12 @@ fn fill_request(plan: &RobotPlan, vals: &[f64], k: usize, req: &mut GradientRequ
     req.minv = mass_matrix_inverse(plan.model(), &req.q).expect("SPD");
 }
 
-/// Serves `count` pipelined requests and asserts each response is
-/// bit-identical to the direct (unbatched) backend call.
-fn check_parity(backend: BackendKind, vals: &[f64], count: usize) {
+/// Serves `count` pipelined requests on a `workers`-thread pool and
+/// asserts each response is bit-identical to the direct (unbatched)
+/// backend call.
+fn check_parity(backend: BackendKind, workers: usize, vals: &[f64], count: usize) {
     let server = GradientServer::with_config(ServeConfig {
-        workers: 1,
+        workers,
         backend,
         queue_capacity: count.max(4),
         ..ServeConfig::default()
@@ -49,7 +50,7 @@ fn check_parity(backend: BackendKind, vals: &[f64], count: usize) {
     let key = server.register(&robots::iiwa14());
     let plan = server.plan(key).expect("registered");
 
-    // All slots submitted before any wait: the worker drains what has
+    // All slots submitted before any wait: a flusher drains what has
     // queued each time it comes round, so flushes hold one or more
     // requests (full and ragged).
     let slots: Vec<ResponseSlot> = (0..count).map(|_| ResponseSlot::new()).collect();
@@ -76,17 +77,18 @@ fn check_parity(backend: BackendKind, vals: &[f64], count: usize) {
 }
 
 /// Pipelines `2 · serve_width + extra` requests of a vector kernel
-/// (flushed in as many batches as the worker drains them) and asserts
+/// (flushed in as many batches as the flushers drain them) and asserts
 /// each response is bit-identical to a direct `run_into` on the same
 /// backend.
 fn check_vector_kernel_parity(
     backend: BackendKind,
+    workers: usize,
     kernel: KernelKind,
     vals: &[f64],
     extra: usize,
 ) {
     let server = GradientServer::with_config(ServeConfig {
-        workers: 1,
+        workers,
         backend,
         ..ServeConfig::default()
     });
@@ -142,13 +144,14 @@ fn check_vector_kernel_parity(
 /// call, and every admitted request is answered.
 fn check_waiters_and_pollers(
     backend: BackendKind,
+    workers: usize,
     vals: &[f64],
     waiters: usize,
     pollers: usize,
     rounds: usize,
 ) {
     let server = GradientServer::with_config(ServeConfig {
-        workers: 1,
+        workers,
         backend,
         ..ServeConfig::default()
     });
@@ -201,18 +204,19 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Batched (full lane groups and ragged flushes, as the worker drains
-    /// them) parity per backend.
+    /// Batched (full lane groups and ragged flushes, as the flushers
+    /// drain them) parity per backend.
     #[test]
     fn served_gradients_are_bit_identical_to_direct_calls(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
         extra in 1usize..4,
+        workers in 1usize..3,
     ) {
         for backend in [BackendKind::Cpu, BackendKind::Accel] {
             // One full lane group plus a ragged tail of `extra`.
             let plan = RobotPlan::new(&robots::iiwa14());
             let count = plan.serve_width() + extra;
-            check_parity(backend, &vals, count);
+            check_parity(backend, workers, &vals, count);
         }
     }
 
@@ -222,10 +226,11 @@ proptest! {
     fn served_id_and_fd_batches_are_bit_identical_to_direct_calls(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
         extra in 0usize..3,
+        workers in 1usize..3,
     ) {
         for backend in [BackendKind::Cpu, BackendKind::Accel] {
             for kernel in [KernelKind::InverseDynamics, KernelKind::ForwardDynamics] {
-                check_vector_kernel_parity(backend, kernel, &vals, extra);
+                check_vector_kernel_parity(backend, workers, kernel, &vals, extra);
             }
         }
     }
@@ -235,9 +240,10 @@ proptest! {
     #[test]
     fn waiters_and_pollers_sharing_a_shard_get_exact_answers(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
+        workers in 1usize..3,
     ) {
         for backend in [BackendKind::Cpu, BackendKind::Accel] {
-            check_waiters_and_pollers(backend, &vals, 2, 2, 16);
+            check_waiters_and_pollers(backend, workers, &vals, 2, 2, 16);
         }
     }
 
@@ -247,9 +253,10 @@ proptest! {
     #[test]
     fn ragged_linger_flushes_stay_exact(
         vals in proptest::collection::vec(-1.0..1.0f64, 64),
+        workers in 1usize..3,
     ) {
         for backend in [BackendKind::Cpu, BackendKind::Accel] {
-            check_parity(backend, &vals, 3);
+            check_parity(backend, workers, &vals, 3);
         }
     }
 }
