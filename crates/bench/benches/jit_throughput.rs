@@ -1,14 +1,14 @@
-//! Copy-and-patch template JIT vs the `match` interpreter.
+//! Register-allocating JIT vs the `match` interpreter.
 //!
 //! Every compiled `f64` tape runs a JIT-emitted function on x86-64
-//! Linux: [`CompiledNetlist::compile`] lowers each fused instruction
-//! **inline** to 2–4 SSE scalar instructions with the operand byte
-//! offsets patched into their disp32 fields — a straight-line leaf
-//! function with no dispatch, no calls, and no operand-table traffic.
-//! The lowering preserves the interpreter's semantics exactly (two
-//! rounding steps for fused opcodes, sign-bit negation, all reads before
-//! the single store, fusion order), so the comparison is bit-identical
-//! by construction and measures execution overhead alone.
+//! Linux AVX hosts: [`CompiledNetlist::compile`] lowers the fused tape
+//! into one straight-line function that keeps values in `xmm` registers,
+//! spills to its own stack frame, and reads its inputs and writes its
+//! outputs in place — no dispatch, no calls, no register file. The
+//! lowering preserves the interpreter's semantics exactly (two rounding
+//! steps for fused opcodes, sign-bit negation, all reads before the one
+//! write, fusion order), so the comparison is bit-identical by
+//! construction and measures execution overhead alone.
 //!
 //! Two comparisons, all single-threaded, each on one tape through
 //! `eval_into_regs_interp` (the oracle) and `eval_into_regs` (the
@@ -115,8 +115,13 @@ fn run_once(env: &BenchEnv) -> BenchReport {
 
     match tape.jit_report() {
         Some(r) => println!(
-            "jit_throughput: pipeline tape emitted: {} instrs, {} code bytes, {} patches",
-            r.instrs, r.code_bytes, r.patches
+            "jit_throughput: pipeline tape emitted: {} instrs, {} code bytes ({:.1} B/instr), \
+             {} spills, {} reloads",
+            r.instrs,
+            r.code_bytes,
+            r.bytes_per_instr(),
+            r.spills,
+            r.reloads
         ),
         None => println!("jit_throughput: pipeline tape runs the interpreter (no JIT)"),
     }

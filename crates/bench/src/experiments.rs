@@ -702,7 +702,7 @@ pub fn codegen_stats() -> String {
         "X-unit DSP muls (min..max, dense=36)",
         "opt: nodes pre->post",
         "tape: instrs pre->post fusion",
-        "jit: code B / patches",
+        "jit: code B (B/instr) / spills",
         "top-level instances",
         "verilog lint",
     ]);
@@ -713,9 +713,7 @@ pub fn codegen_stats() -> String {
         let mut nodes_after = 0;
         let mut tape_before = 0;
         let mut tape_after = 0;
-        let mut jit_bytes = 0;
-        let mut jit_patches = 0;
-        let mut jit_ok = true;
+        let mut jit = Some(robo_codegen::JitReport::default());
         let mut lint_ok = true;
         for j in 0..robot.dof() {
             let (opt, report) = optimize_with_report(&generate_x_unit(&robot, j));
@@ -728,13 +726,7 @@ pub fn codegen_stats() -> String {
             nodes_after += report.nodes_after;
             tape_before += compiled.tape_len() + compiled.fusion_counts().total();
             tape_after += compiled.tape_len();
-            match compiled.jit_report() {
-                Some(r) => {
-                    jit_bytes += r.code_bytes;
-                    jit_patches += r.patches;
-                }
-                None => jit_ok = false,
-            }
+            jit = jit.zip(compiled.jit_report()).map(|(a, b)| a + b);
             lint_ok &= lint(&to_verilog(&opt, RtlFormat::q16_16())).is_ok();
         }
         let accel = GradientTemplate::new().customize(&robot);
@@ -744,11 +736,14 @@ pub fn codegen_stats() -> String {
             format!("{lo}..{hi}"),
             format!("{nodes_before}->{nodes_after}"),
             format!("{tape_before}->{tape_after}"),
-            if jit_ok {
-                format!("{jit_bytes} / {jit_patches}")
-            } else {
-                "n/a".to_string()
-            },
+            jit.map_or("n/a".to_string(), |r| {
+                format!(
+                    "{} ({:.1}) / {}",
+                    r.code_bytes,
+                    r.bytes_per_instr(),
+                    r.spills
+                )
+            }),
             top.manifest.len().to_string(),
             if lint_ok { "ok" } else { "FAIL" }.to_string(),
         ]);
@@ -758,9 +753,9 @@ pub fn codegen_stats() -> String {
     t.note("matches the reference transform exactly (tested in robo-codegen)");
     t.note("tape column: peephole fusion (mul+add etc.) shrinking the compiled");
     t.note("register tape, two rounding steps preserved (bit-identical, not FMA)");
-    t.note("jit column: machine-code bytes / patched immediates the template JIT");
-    t.note("emits at compile time across the robot's X-unit f64 tapes (scalar SSE");
-    t.note("row; n/a when the host has no JIT backend)");
+    t.note("jit column: machine-code bytes (per tape instruction) / frame spills the");
+    t.note("register-allocating JIT emits at compile time across the robot's X-unit");
+    t.note("f64 tapes (scalar VEX row; n/a when the host has no JIT backend)");
     t.note(format!(
         "wide batches: Lanes<S, {}> on every host (this one: {})",
         robo_spatial::SERVE_LANES,

@@ -13,20 +13,27 @@
 //! * **a flat tape** — nodes become fixed-width instructions executed in
 //!   one linear sweep (the software analogue of Dadu-RBD-style compiled
 //!   dataflow pipelines);
-//! * **one emitted function per tape** — on x86-64 Linux the template JIT
-//!   (`crate::jit`) lowers the tape of every float lane type with an
-//!   inline encoding into straight-line native code at compile time; every
-//!   other tape runs the `match` interpreter, which stays the bit-exact
-//!   oracle;
+//! * **one emitted function per tape** — on x86-64 Linux the JIT
+//!   (`crate::jit`) lowers the tape of every float lane type with a row
+//!   (`f64` and `f32` on AVX hosts, `Lanes<f64, 4>` on AVX2 hosts) into
+//!   one straight-line function at compile time: it reads the caller's
+//!   `inputs` and writes its `outputs` in place, keeps values in
+//!   registers and spills to its own stack frame, so it needs no register
+//!   file. Every other tape runs the `match` interpreter over a register
+//!   file, which stays the bit-exact oracle;
 //! * **liveness-based register reuse** — values are assigned to a small
-//!   recycled slot file instead of one slot per node, so the working set
-//!   stays cache-resident;
+//!   recycled slot file instead of one slot per node, so the interpreter's
+//!   working set stays cache-resident and the JIT's allocator sees few
+//!   names;
 //! * **zero steady-state heap allocations** — [`CompiledNetlist::eval_into`]
 //!   through a warm [`EvalWorkspace`] never touches the allocator (proved
 //!   by the counting-allocator suite in `tests/alloc_free.rs`);
 //! * **lane batching** — [`CompiledNetlist::eval_batch_into`] sweeps
 //!   [`SERVE_LANES`] states per instruction through the tape widened to
-//!   [`Lanes`].
+//!   [`Lanes`];
+//! * **re-targeting without recompiling** — the constants are kept as
+//!   `f64`, so [`CompiledNetlist::cast`] carries a compiled tape to any
+//!   other scalar type by converting them and emitting again.
 //!
 //! Evaluation order is exactly the netlist's topological node order, so
 //! compiled results are bit-identical to the interpreter's in every scalar
@@ -327,11 +334,15 @@ impl<S: Scalar> EvalWorkspace<S> {
 pub struct CompiledNetlist<S> {
     name: String,
     input_names: Vec<String>,
+    /// The constant table at `S`, converted once from `const_values`.
     consts: Vec<S>,
+    /// The constant table's `f64` values, so [`CompiledNetlist::cast`]
+    /// converts them again without the netlist.
+    const_values: Vec<f64>,
     tape: Vec<Instr>,
-    /// The tape emitted as one native function by the template JIT —
-    /// `None` when `S` has no inline lowering on this host, and the
-    /// interpreter then serves every evaluation.
+    /// The tape emitted as one native function by the JIT — `None` when
+    /// `S` has no inline lowering on this host, and the interpreter then
+    /// serves every evaluation.
     jit: Option<JitTape<S>>,
     num_regs: usize,
     outputs: Vec<(String, u32)>,
@@ -410,17 +421,15 @@ impl<S: Scalar> CompiledNetlist<S> {
         }
 
         // Constant table, deduplicated by bit pattern, converted to `S`
-        // once here rather than per evaluation.
-        let mut const_bits: Vec<u64> = Vec::new();
-        let mut consts: Vec<S> = Vec::new();
+        // once below rather than per evaluation.
+        let mut const_values: Vec<f64> = Vec::new();
         let mut intern_const = |c: f64| -> u32 {
             let bits = c.to_bits();
-            match const_bits.iter().position(|b| *b == bits) {
+            match const_values.iter().position(|b| b.to_bits() == bits) {
                 Some(i) => i as u32,
                 None => {
-                    const_bits.push(bits);
-                    consts.push(S::from_f64(c));
-                    (const_bits.len() - 1) as u32
+                    const_values.push(c);
+                    (const_values.len() - 1) as u32
                 }
             }
         };
@@ -513,13 +522,36 @@ impl<S: Scalar> CompiledNetlist<S> {
             let _span = robo_trace::span_items("tape.fuse", tape.len());
             fuse_tape(&mut tape, &outputs)
         };
-        let num_regs = alloc.next as usize;
-        let jit = JitTape::emit(&tape, num_regs, consts.len());
+        Self::assemble(
+            netlist.name().to_owned(),
+            input_names,
+            const_values,
+            tape,
+            alloc.next as usize,
+            outputs,
+            fusion,
+        )
+    }
 
+    /// The compiled form at `S` of a lowered tape: converts the constants
+    /// and emits the tape where `S` has a row.
+    fn assemble(
+        name: String,
+        input_names: Vec<String>,
+        const_values: Vec<f64>,
+        tape: Vec<Instr>,
+        num_regs: usize,
+        outputs: Vec<(String, u32)>,
+        fusion: FusionCounts,
+    ) -> Self {
+        let consts: Vec<S> = const_values.iter().map(|&c| S::from_f64(c)).collect();
+        let out_regs: Vec<u32> = outputs.iter().map(|(_, reg)| *reg).collect();
+        let jit = JitTape::emit(&tape, num_regs, input_names.len(), consts.len(), &out_regs);
         Self {
-            name: netlist.name().to_owned(),
+            name,
             input_names,
             consts,
+            const_values,
             tape,
             jit,
             num_regs,
@@ -529,8 +561,8 @@ impl<S: Scalar> CompiledNetlist<S> {
     }
 
     /// A no-op kept for source compatibility: [`CompiledNetlist::compile`]
-    /// and [`CompiledNetlist::widen_to`] already emit the JIT form
-    /// wherever it exists. Returns whether the tape runs emitted code.
+    /// and [`CompiledNetlist::cast`] already emit the JIT form wherever it
+    /// exists. Returns whether the tape runs emitted code.
     pub fn enable_jit(&mut self) -> bool {
         self.jit.is_some()
     }
@@ -583,47 +615,51 @@ impl<S: Scalar> CompiledNetlist<S> {
 
     /// Re-targets this tape at the portable wide scalar `Lanes<S, W>`,
     /// evaluating `W` independent states per instruction. Shorthand for
-    /// [`CompiledNetlist::widen_to`] at the portable lane type.
+    /// [`CompiledNetlist::cast`] at the portable lane type.
     pub fn widen<const W: usize>(&self) -> CompiledNetlist<Lanes<S, W>> {
-        self.widen_to::<Lanes<S, W>>()
+        self.cast()
     }
 
-    /// Re-targets this tape at any wide scalar over the same element type.
-    ///
-    /// The instruction stream, register assignment, and fusion are reused
-    /// verbatim and emitted again at `V`'s inline lowering where it has
-    /// one; constants are splat per lane, so every lane of a wide
+    /// Re-targets this tape at scalar type `T` without recompiling: the
+    /// instruction stream, register assignment and fusion are reused
+    /// verbatim, the constants are converted from their `f64` values with
+    /// `T::from_f64`, and the tape is emitted again at `T`'s row where it
+    /// has one. That is exactly what [`CompiledNetlist::compile`] at `T`
+    /// builds; at a lane type, `from_f64` splats, so every lane of a wide
     /// evaluation is bit-identical to a scalar run of the same tape.
-    pub fn widen_to<V: WideScalar<Elem = S>>(&self) -> CompiledNetlist<V> {
-        CompiledNetlist {
-            name: self.name.clone(),
-            input_names: self.input_names.clone(),
-            consts: self.consts.iter().map(|&c| V::splat(c)).collect(),
-            tape: self.tape.clone(),
-            jit: JitTape::emit(&self.tape, self.num_regs, self.consts.len()),
-            num_regs: self.num_regs,
-            outputs: self.outputs.clone(),
-            fusion: self.fusion,
-        }
+    pub fn cast<T: Scalar>(&self) -> CompiledNetlist<T> {
+        CompiledNetlist::assemble(
+            self.name.clone(),
+            self.input_names.clone(),
+            self.const_values.clone(),
+            self.tape.clone(),
+            self.num_regs,
+            self.outputs.clone(),
+            self.fusion,
+        )
     }
 
-    /// Evaluates the tape into `outputs`, reusing the workspace's register
-    /// file. Zero heap allocations once the workspace is warm.
+    /// Evaluates the tape into `outputs`. The emitted function reads
+    /// `inputs` and writes `outputs` in place and leaves the workspace
+    /// untouched; the interpreter runs in the workspace's register file.
+    /// Zero heap allocations once the workspace is warm.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` or `outputs` lengths do not match
     /// [`CompiledNetlist::input_names`] / [`CompiledNetlist::num_outputs`].
     pub fn eval_into(&self, inputs: &[S], ws: &mut EvalWorkspace<S>, outputs: &mut [S]) {
-        if ws.regs.len() < self.num_regs {
-            ws.regs.resize(self.num_regs, S::zero());
+        if !self.eval_emitted(inputs, outputs) {
+            if ws.regs.len() < self.num_regs {
+                ws.regs.resize(self.num_regs, S::zero());
+            }
+            self.eval_into_regs_interp(inputs, &mut ws.regs, outputs);
         }
-        self.eval_into_regs(inputs, &mut ws.regs, outputs);
     }
 
     /// Like [`CompiledNetlist::eval_into`], but with a caller-provided
-    /// register slice (at least [`CompiledNetlist::num_regs`] long) — the
-    /// form the simulator uses with stack-allocated register files.
+    /// register slice (at least [`CompiledNetlist::num_regs`] long), which
+    /// only the interpreter uses.
     ///
     /// Executes the JIT-emitted function when the tape has one, the
     /// interpreter otherwise — bit-identical to
@@ -634,45 +670,46 @@ impl<S: Scalar> CompiledNetlist<S> {
     ///
     /// Panics if a slice length is insufficient.
     pub fn eval_into_regs(&self, inputs: &[S], regs: &mut [S], outputs: &mut [S]) {
-        self.eval_regs_with(inputs, regs, outputs, |regs| self.run_tape(regs));
+        assert!(regs.len() >= self.num_regs, "register file too small");
+        if !self.eval_emitted(inputs, outputs) {
+            self.eval_into_regs_interp(inputs, regs, outputs);
+        }
     }
 
-    /// The one executor choice: the emitted function when the tape has
-    /// one, the interpreter otherwise. Both are bit-identical.
-    fn run_tape(&self, regs: &mut [S]) {
+    /// Runs the emitted function, which reads `inputs` and writes
+    /// `outputs` in place with no register file, and returns `true`; when
+    /// the tape runs the interpreter, touches nothing and returns `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length does not match the tape.
+    #[inline]
+    pub fn eval_emitted(&self, inputs: &[S], outputs: &mut [S]) -> bool {
         match &self.jit {
-            Some(jit) => jit.run(regs, &self.consts),
-            None => self.interpret(regs),
+            Some(jit) => {
+                jit.run(inputs, outputs, &self.consts);
+                true
+            }
+            None => false,
         }
     }
 
     /// The `match`-dispatch interpreter over the same tape — the oracle
     /// the JIT-emitted [`CompiledNetlist::eval_into_regs`] is proven
     /// bit-identical to (`tests/tier_parity.rs`), and the executor of
-    /// every tape without an emitted function.
+    /// every tape without an emitted function. Loads `inputs` into the
+    /// register file, runs the tape over it, and reads the outputs back.
     ///
     /// # Panics
     ///
     /// Panics if a slice length is insufficient.
     pub fn eval_into_regs_interp(&self, inputs: &[S], regs: &mut [S], outputs: &mut [S]) {
-        self.eval_regs_with(inputs, regs, outputs, |regs| self.interpret(regs));
-    }
-
-    /// Loads `inputs`, runs `run` over the register file, and reads the
-    /// outputs back.
-    fn eval_regs_with(
-        &self,
-        inputs: &[S],
-        regs: &mut [S],
-        outputs: &mut [S],
-        run: impl FnOnce(&mut [S]),
-    ) {
         let n_in = self.input_names.len();
         assert_eq!(inputs.len(), n_in, "input slot count mismatch");
         assert_eq!(outputs.len(), self.outputs.len(), "output count mismatch");
         assert!(regs.len() >= self.num_regs, "register file too small");
         regs[..n_in].copy_from_slice(inputs);
-        run(regs);
+        self.interpret(regs);
         for (slot, (_, reg)) in outputs.iter_mut().zip(&self.outputs) {
             *slot = regs[*reg as usize];
         }
@@ -768,9 +805,6 @@ impl<S: Scalar> CompiledNetlist<S> {
             states.len() * n_out,
             "flat output buffer length mismatch"
         );
-        if ws.wide_regs.regs.len() < self.num_regs {
-            ws.wide_regs.regs.resize(self.num_regs, V::zero());
-        }
         let full = states.len() / w;
 
         // A scalar gather/scatter costs `4 · (n_in + n_out)` strided
@@ -782,50 +816,43 @@ impl<S: Scalar> CompiledNetlist<S> {
 
         for chunk in 0..full {
             let base = chunk * w;
+            let group = &states[base..base + w];
+            for state in group {
+                assert_eq!(state.as_ref().len(), n_in, "input slot count mismatch");
+            }
             #[cfg(target_arch = "x86_64")]
             if f64x4_fast {
-                let mut rows = [core::ptr::null::<f64>(); 4];
-                for (l, state) in states[base..base + w].iter().enumerate() {
-                    let state = state.as_ref();
-                    assert_eq!(state.len(), n_in, "input slot count mismatch");
-                    rows[l] = state.as_ptr().cast::<f64>();
-                }
+                let rows = core::array::from_fn(|l| group[l].as_ref().as_ptr().cast::<f64>());
+                let out_rows =
+                    core::array::from_fn(|l| out[(base + l) * n_out..].as_mut_ptr().cast::<f64>());
                 // SAFETY: `f64x4_fast` proves AVX2 was detected and `V`
-                // *is* `Lanes<f64, 4>`, so the register file really holds
+                // *is* `Lanes<f64, 4>`, so `wide_in`/`wide_out` really hold
                 // 32-byte-aligned (by its `repr`) `Lanes<f64, 4>` and `S`
                 // is `f64` (pointer casts are between identical types).
                 // Each row was length-checked against `n_in` just above,
-                // the register file holds `num_regs >= n_in` entries,
-                // every output slot is a register of the compiled tape
-                // (below `num_regs`), and each output row is the
-                // `n_out`-long subslice of `out` for one state.
+                // `wide_in` holds `n_in` and `wide_out` `n_out` entries
+                // (built so by `for_netlist`, for a tape of this length),
+                // and each output row starts `n_out` elements before the
+                // next, inside `out`, whose length was checked above.
                 unsafe {
-                    let regs = ws.wide_regs.regs.as_mut_ptr().cast::<Lanes<f64, 4>>();
-                    avx2::gather4_f64(rows, n_in, regs);
-                    ws.wide.run_tape(&mut ws.wide_regs.regs);
-                    // Re-derived: the tape run borrowed the register file.
-                    let regs = ws.wide_regs.regs.as_ptr().cast::<Lanes<f64, 4>>();
-                    let out_rows = core::array::from_fn(|l| {
-                        out[(base + l) * n_out..(base + l + 1) * n_out]
-                            .as_mut_ptr()
-                            .cast::<f64>()
-                    });
-                    avx2::scatter4_f64(regs, &ws.out_slots, out_rows);
+                    avx2::gather4_f64(rows, n_in, ws.wide_in.as_mut_ptr().cast());
+                    ws.wide
+                        .eval_into(&ws.wide_in, &mut ws.wide_regs, &mut ws.wide_out);
+                    avx2::scatter4_f64(ws.wide_out.as_ptr().cast(), n_out, out_rows);
                 }
                 continue;
             }
-            for (l, state) in states[base..base + w].iter().enumerate() {
-                let state = state.as_ref();
-                assert_eq!(state.len(), n_in, "input slot count mismatch");
-                for (k, lane) in ws.wide_regs.regs[..n_in].iter_mut().enumerate() {
-                    lane.set_lane(l, state[k]);
+            for (l, state) in group.iter().enumerate() {
+                for (lane, &x) in ws.wide_in.iter_mut().zip(state.as_ref()) {
+                    lane.set_lane(l, x);
                 }
             }
-            ws.wide.run_tape(&mut ws.wide_regs.regs);
+            ws.wide
+                .eval_into(&ws.wide_in, &mut ws.wide_regs, &mut ws.wide_out);
             for l in 0..w {
                 let row = &mut out[(base + l) * n_out..(base + l + 1) * n_out];
-                for (slot, reg) in row.iter_mut().zip(&ws.out_slots) {
-                    *slot = ws.wide_regs.regs[*reg as usize].lane(l);
+                for (slot, v) in row.iter_mut().zip(&ws.wide_out) {
+                    *slot = v.lane(l);
                 }
             }
         }
@@ -876,8 +903,8 @@ mod avx2 {
         )
     }
 
-    /// Lane-transposes one four-state group straight into the first
-    /// `n_in` wide registers: `regs[k].lane(l) = rows[l][k]`, via 4×4
+    /// Lane-transposes one four-state group into `n_in` wide values:
+    /// `regs[k].lane(l) = rows[l][k]`, via 4×4
     /// `ymm` transposes of four-input chunks (a scalar gather costs four
     /// strided moves per input and dominated the batch path's overhead).
     ///
@@ -925,34 +952,34 @@ mod avx2 {
         }
     }
 
-    /// Scatters one evaluated four-state group from the wide register
-    /// file into per-state output rows: `rows[l][o] = regs[slots[o]].lane(l)`,
-    /// via 4×4 `ymm` transposes of four-output chunks.
+    /// Scatters one evaluated four-state group's outputs into per-state
+    /// output rows: `rows[l][o] = src[o].lane(l)`, via 4×4 `ymm`
+    /// transposes of four-output chunks.
     ///
     /// # Safety
     ///
-    /// AVX2 must be available; every `slots[o]` must index a readable
-    /// `Lanes<f64, 4>` behind `regs` (32-byte-aligned by its `repr`), and each
-    /// `rows[l]` must point to at least `slots.len()` writable `f64`s.
+    /// AVX2 must be available; `src` must point to at least `n_out`
+    /// readable `Lanes<f64, 4>` (32-byte-aligned by its `repr`), and each
+    /// `rows[l]` to at least `n_out` writable `f64`s.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scatter4_f64(
-        regs: *const Lanes<f64, 4>,
-        slots: &[u32],
+        src: *const Lanes<f64, 4>,
+        n_out: usize,
         rows: [*mut f64; 4],
     ) {
-        let n_out = slots.len();
+        let src = src.cast::<f64>();
         let mut o = 0;
         while o + 4 <= n_out {
-            // SAFETY: `o + 4 <= n_out` keeps the slot reads in range of
-            // `slots`, every slot is caller-guaranteed in bounds of
-            // `regs` (aligned loads), and the four row stores write
-            // `rows[l][o..o + 4]` — within the guaranteed row length.
+            // SAFETY: `o + 4 <= n_out` keeps the four aligned loads inside
+            // `src`'s caller-guaranteed `n_out` bundles, and the four row
+            // stores write `rows[l][o..o + 4]` — within the guaranteed
+            // row length.
             unsafe {
                 let (r0, r1, r2, r3) = transpose4(
-                    _mm256_load_pd(regs.add(slots[o] as usize).cast::<f64>()),
-                    _mm256_load_pd(regs.add(slots[o + 1] as usize).cast::<f64>()),
-                    _mm256_load_pd(regs.add(slots[o + 2] as usize).cast::<f64>()),
-                    _mm256_load_pd(regs.add(slots[o + 3] as usize).cast::<f64>()),
+                    _mm256_load_pd(src.add(4 * o)),
+                    _mm256_load_pd(src.add(4 * o + 4)),
+                    _mm256_load_pd(src.add(4 * o + 8)),
+                    _mm256_load_pd(src.add(4 * o + 12)),
                 );
                 _mm256_storeu_pd(rows[0].add(o), r0);
                 _mm256_storeu_pd(rows[1].add(o), r1);
@@ -962,14 +989,14 @@ mod avx2 {
             o += 4;
         }
         while o < n_out {
-            // SAFETY: `o < n_out`, the slot is in bounds of `regs`, and
-            // each row write lands at `rows[l][o]`.
+            // SAFETY: `o < n_out`, so bundle `o` is readable and each row
+            // write lands at `rows[l][o]`.
             unsafe {
-                let src = regs.add(slots[o] as usize).cast::<f64>();
-                *rows[0].add(o) = *src;
-                *rows[1].add(o) = *src.add(1);
-                *rows[2].add(o) = *src.add(2);
-                *rows[3].add(o) = *src.add(3);
+                let lanes = src.add(4 * o);
+                *rows[0].add(o) = *lanes;
+                *rows[1].add(o) = *lanes.add(1);
+                *rows[2].add(o) = *lanes.add(2);
+                *rows[3].add(o) = *lanes.add(3);
             }
             o += 1;
         }
@@ -977,33 +1004,34 @@ mod avx2 {
 }
 
 /// Reusable buffers for [`CompiledNetlist::eval_batch_into`]: the tape
-/// widened to lane type `V`, its wide register file (states are
-/// lane-transposed straight into the input registers and results read
-/// straight out of the output registers — no staging copies), and a
-/// scalar register file for the ragged tail. Build once per worker;
-/// every evaluation through it is allocation-free.
+/// widened to lane type `V`, one lane group's inputs and outputs (states
+/// are lane-transposed straight into the inputs the emitted function
+/// reads, and results read straight out of the outputs it writes — no
+/// staging copies), and the interpreter's register files for tapes
+/// without an emitted function. Build once per worker; every evaluation
+/// through it is allocation-free.
 ///
 /// `V` is any [`WideScalar`] over the netlist's element type; the
 /// serving paths use `Lanes<S, SERVE_LANES>`.
 #[derive(Debug, Clone)]
 pub struct BatchEvalWorkspace<V: WideScalar> {
     wide: CompiledNetlist<V>,
+    wide_in: Vec<V>,
+    wide_out: Vec<V>,
     wide_regs: EvalWorkspace<V>,
     scalar_regs: EvalWorkspace<V::Elem>,
-    /// Output register slots in declaration order — the scatter reads
-    /// `wide_regs[out_slots[o]]` for output `o`.
-    out_slots: Vec<u32>,
 }
 
 impl<V: WideScalar> BatchEvalWorkspace<V> {
     /// Widens `compiled` to `V` and pre-sizes every buffer, so even the
     /// first batch evaluation allocates nothing.
     pub fn for_netlist(compiled: &CompiledNetlist<V::Elem>) -> Self {
-        let wide = compiled.widen_to::<V>();
+        let wide = compiled.cast::<V>();
         Self {
+            wide_in: vec![V::zero(); wide.input_names.len()],
+            wide_out: vec![V::zero(); wide.num_outputs()],
             wide_regs: EvalWorkspace::for_netlist(&wide),
             scalar_regs: EvalWorkspace::for_netlist(compiled),
-            out_slots: compiled.outputs.iter().map(|(_, reg)| *reg).collect(),
             wide,
         }
     }
@@ -1027,6 +1055,7 @@ impl<V: WideScalar> BatchEvalWorkspace<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jit::JitReport;
     use crate::opt::optimize;
     use std::collections::HashMap;
 
@@ -1296,15 +1325,21 @@ mod tests {
             Instr::Neg { a: 2, dst: 11 },
         ];
         let num_regs = 12;
-        let consts = vec![S::from_f64(1.375), S::from_f64(-0.5)];
+        let const_values = vec![1.375, -0.5];
+        let consts = const_values
+            .iter()
+            .map(|&c| S::from_f64(c))
+            .collect::<Vec<_>>();
+        let out_regs: Vec<u32> = (0..num_regs as u32).collect();
         CompiledNetlist {
             name: "every_opcode".to_owned(),
             input_names: ["a", "b", "c"].map(str::to_owned).to_vec(),
-            jit: JitTape::emit(&tape, num_regs, consts.len()),
+            jit: JitTape::emit(&tape, num_regs, 3, consts.len(), &out_regs),
             consts,
+            const_values,
             tape,
             num_regs,
-            outputs: (0..num_regs as u32).map(|r| (format!("r{r}"), r)).collect(),
+            outputs: out_regs.iter().map(|r| (format!("r{r}"), *r)).collect(),
             fusion: FusionCounts::default(),
         }
     }
@@ -1354,13 +1389,21 @@ mod tests {
     }
 
     fn wide_row<V: WideScalar>(emits: bool) {
-        let tape = every_opcode_tape::<V::Elem>().widen_to::<V>();
+        let tape = every_opcode_tape::<V::Elem>().cast::<V>();
         let lane_bits = |v: V| {
             (0..V::WIDTH)
                 .map(|l| v.lane(l).to_f64().to_bits())
                 .collect()
         };
         row_matches_interp(&tape, &wide_inputs::<V>(3), lane_bits, emits);
+    }
+
+    /// Whether `f64` and `f32` have their scalar VEX rows on this host.
+    fn avx() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
     }
 
     #[test]
@@ -1371,7 +1414,7 @@ mod tests {
                 let inputs: Vec<S> = (0..3)
                     .map(|k| S::from_f64(EDGE_INPUTS[(start + k) % EDGE_INPUTS.len()]))
                     .collect();
-                row_matches_interp(&tape, &inputs, |x| vec![x.to_f64().to_bits()], true);
+                row_matches_interp(&tape, &inputs, |x| vec![x.to_f64().to_bits()], avx());
             }
         }
         scalar_row::<f64>();
@@ -1386,6 +1429,170 @@ mod tests {
             every_opcode_tape::<f64>().widen::<2>().jit_report(),
         ] {
             assert!(tape.is_none());
+        }
+    }
+
+    /// SplitMix64: a seeded generator for the random tapes below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// A random straight-line tape over all ten opcodes (seed 0 is the
+    /// empty tape). Operands come from registers already holding a value
+    /// and favour the latest write; destinations recycle operands and
+    /// live registers. Every third seed instead writes its registers in
+    /// turn, so 24–40 values stay live, far more than the JIT has
+    /// registers. Constants include 0, −0 and ±1; outputs may repeat, and
+    /// may name an input never written.
+    fn random_tape<S: Scalar>(seed: u64) -> CompiledNetlist<S> {
+        let mut rng = Rng(seed);
+        let n_in = 1 + rng.below(6);
+        let spread = seed % 3 == 0;
+        let num_regs = n_in + if spread { 24 } else { 2 } + rng.below(17);
+        let const_values = vec![0.0, -0.0, 1.0, -1.0, 0.375, -3.5e7];
+        let n_instrs = match seed {
+            0 => 0,
+            _ if spread => 60 + rng.below(61),
+            _ => rng.below(91),
+        };
+        let mut defined: Vec<u32> = (0..n_in as u32).collect();
+        let mut written = vec![false; num_regs];
+        let mut last = 0;
+        let mut tape = Vec::with_capacity(n_instrs);
+        for i in 0..n_instrs {
+            let mut operand = |rng: &mut Rng| match rng.below(3) {
+                0 if !spread => last,
+                _ => rng.pick(&defined),
+            };
+            let a = operand(&mut rng);
+            let b = if rng.below(6) == 0 {
+                a
+            } else {
+                operand(&mut rng)
+            };
+            let c = operand(&mut rng);
+            let idx = rng.below(const_values.len()) as u32;
+            let dst = match rng.below(5) {
+                _ if spread => (n_in + i % (num_regs - n_in)) as u32,
+                0 => rng.pick(&[a, b, c]),
+                1 => rng.pick(&defined),
+                2 => last,
+                _ => rng.below(num_regs) as u32,
+            };
+            tape.push(match rng.below(10) {
+                0 => Instr::Const { idx, dst },
+                1 => Instr::Mul { a, b, dst },
+                2 => Instr::MulConst { a, idx, dst },
+                3 => Instr::Add { a, b, dst },
+                4 => Instr::Sub { a, b, dst },
+                5 => Instr::Neg { a, dst },
+                6 => Instr::MulAdd { a, b, c, dst },
+                7 => Instr::MulConstAdd { a, idx, c, dst },
+                8 => Instr::AddAdd { a, b, c, dst },
+                _ => Instr::NegAdd { a, c, dst },
+            });
+            if !written[dst as usize] && dst as usize >= n_in {
+                defined.push(dst);
+            }
+            written[dst as usize] = true;
+            last = dst;
+        }
+        let mut out_regs: Vec<u32> = (0..1 + rng.below(8)).map(|_| rng.pick(&defined)).collect();
+        if let Some(r) = (0..n_in).find(|&r| !written[r]) {
+            out_regs.push(r as u32);
+        }
+        CompiledNetlist::assemble(
+            format!("random{seed}"),
+            (0..n_in).map(|k| format!("x{k}")).collect(),
+            const_values,
+            tape,
+            num_regs,
+            out_regs.iter().map(|r| (format!("r{r}"), *r)).collect(),
+            FusionCounts::default(),
+        )
+    }
+
+    /// Finite inputs: ±0, subnormals, and magnitudes whose products
+    /// overflow to ±∞ at each element width.
+    const FUZZ_F64: [f64; 12] = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.5, -2.25, 0.1, -7.0, 3.0e-39,
+    ];
+    const FUZZ_F32: [f64; 12] = [
+        0.0, -0.0, 1e-45, -1e-45, 1.1e-38, 3e38, -3e38, 1e20, 1.5, -2.25, 0.1, -7.0,
+    ];
+
+    /// Runs `tape` through its emitted function and the interpreter;
+    /// every output must agree bit for bit, except that any two NaNs are
+    /// equal (the fusion pass's documented liberty).
+    fn same_as_interp<S: Scalar>(
+        tape: &CompiledNetlist<S>,
+        inputs: &[S],
+        lanes: &dyn Fn(S) -> Vec<f64>,
+    ) {
+        let mut regs = vec![S::zero(); tape.num_regs()];
+        let mut emitted = vec![S::zero(); tape.num_outputs()];
+        let mut interp = vec![S::zero(); tape.num_outputs()];
+        tape.eval_into_regs(inputs, &mut regs, &mut emitted);
+        tape.eval_into_regs_interp(inputs, &mut regs, &mut interp);
+        for (o, (e, i)) in emitted.iter().zip(&interp).enumerate() {
+            for (x, y) in lanes(*e).into_iter().zip(lanes(*i)) {
+                assert!(
+                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                    "{}: output {o}: emitted {x:e} vs interpreted {y:e}\n{:?}",
+                    tape.name(),
+                    tape.tape
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_tapes_lower_bit_exactly_in_every_row() {
+        let jit = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+        let avx2 = ExecTier::detect() == ExecTier::Avx2;
+        let mut emitted = JitReport::default();
+        for seed in 0..600 {
+            let mut rng = Rng(!seed);
+            let f64_tape = random_tape::<f64>(seed);
+            let f32_tape = random_tape::<f32>(seed);
+            let wide_tape = f64_tape.cast::<Lanes<f64, 4>>();
+            if jit && avx2 {
+                emitted = emitted + f64_tape.jit_report().expect("f64 emits");
+                assert!(f32_tape.jit_report().is_some() && wide_tape.jit_report().is_some());
+            }
+            let n_in = f64_tape.input_names().len();
+            for _ in 0..4 {
+                let x: Vec<f64> = (0..n_in).map(|_| rng.pick(&FUZZ_F64)).collect();
+                same_as_interp(&f64_tape, &x, &|v| vec![v]);
+                let x: Vec<f32> = (0..n_in).map(|_| rng.pick(&FUZZ_F32) as f32).collect();
+                same_as_interp(&f32_tape, &x, &|v| vec![f64::from(v)]);
+                let x: Vec<Lanes<f64, 4>> = (0..n_in)
+                    .map(|_| Lanes::from_fn(|_| rng.pick(&FUZZ_F64)))
+                    .collect();
+                same_as_interp(&wide_tape, &x, &|v| v.lanes().to_vec());
+            }
+        }
+        if jit && avx2 {
+            assert!(
+                emitted.spills > 0 && emitted.reloads > 0,
+                "the random tapes must exercise the spill path: {emitted:?}"
+            );
         }
     }
 

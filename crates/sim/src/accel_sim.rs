@@ -212,9 +212,20 @@ impl<S: Scalar> AcceleratorSim<S> {
     ///
     /// Panics if the robot has more than 64 links.
     pub fn with_design(robot: &RobotModel, design: Accelerator) -> Self {
-        let n = robot.dof();
-        assert!(n <= 64, "robots with more than 64 links are not supported");
+        assert!(
+            robot.dof() <= 64,
+            "robots with more than 64 links are not supported"
+        );
         let shared_mask = superposition_pattern(robot);
+        let x_units = (0..robot.dof())
+            .map(|i| XUnit::with_mask(robot, i, shared_mask))
+            .collect();
+        Self::assemble(robot, design, x_units)
+    }
+
+    /// The simulator for `robot` around already-built functional units.
+    fn assemble(robot: &RobotModel, design: Accelerator, x_units: Vec<XUnit<S>>) -> Self {
+        let n = robot.dof();
         let mut ancestor_mask = vec![0u64; n];
         for i in 0..n {
             let mut mask = 1u64 << i;
@@ -226,9 +237,7 @@ impl<S: Scalar> AcceleratorSim<S> {
         Self {
             robot: robot.clone(),
             design,
-            x_units: (0..n)
-                .map(|i| XUnit::with_mask(robot, i, shared_mask))
-                .collect(),
+            x_units,
             inertias: robot.links().iter().map(|l| l.inertia.cast()).collect(),
             subspaces: robot
                 .links()
@@ -259,28 +268,29 @@ impl<S: Scalar> AcceleratorSim<S> {
     }
 
     /// Re-targets the simulator at the wide scalar `Lanes<S, W>` for the
-    /// SoA serving path: the same customized design is rebuilt at the wide
-    /// type, then every functional unit's accumulation mode and evaluator
-    /// backend are carried over. All unit constants are derived from
-    /// snapped `f64` probes through `S::from_f64` — a lane splat on
-    /// `Lanes` — so one wide run is bit-identical, lane for lane, to `W`
-    /// scalar runs through `self`.
+    /// SoA serving path (see [`AcceleratorSim::cast_to`]). All unit
+    /// constants are derived from snapped `f64` values through
+    /// `S::from_f64` — a lane splat on `Lanes` — so one wide run is
+    /// bit-identical, lane for lane, to `W` scalar runs through `self`.
     pub fn widen<const W: usize>(&self) -> AcceleratorSim<Lanes<S, W>> {
         self.cast_to::<Lanes<S, W>>()
     }
 
     /// Re-targets the simulator at any scalar type — the general form of
     /// [`AcceleratorSim::widen`], also used by the engine's backend core
-    /// to rebuild the design at its lane type. All unit
-    /// constants are derived from snapped `f64` probes through
-    /// `T::from_f64`, so the cast is exact for every supported scalar.
+    /// to carry the design to its lane type. Every functional unit is cast
+    /// ([`XUnit::cast`]), not regenerated: its tapes are re-emitted at `T`
+    /// and its constants converted from snapped `f64` values through
+    /// `T::from_f64`, so the cast is exact for every supported scalar, and
+    /// each unit keeps its accumulation mode and evaluator.
     pub fn cast_to<T: Scalar>(&self) -> AcceleratorSim<T> {
-        let mut cast = AcceleratorSim::<T>::with_design(&self.robot, self.design.clone());
-        for (w, s) in cast.x_units.iter_mut().zip(&self.x_units) {
-            w.set_accumulation(s.accumulation());
-            w.set_backend(s.backend());
-        }
-        cast
+        let x_units = self
+            .x_units
+            .iter()
+            .enumerate()
+            .map(|(i, unit)| unit.cast(&self.robot, i))
+            .collect();
+        AcceleratorSim::<T>::assemble(&self.robot, self.design.clone(), x_units)
     }
 
     /// Degrees of freedom.

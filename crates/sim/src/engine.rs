@@ -370,7 +370,7 @@ impl RobotPlan {
         ExecTier::detect()
     }
 
-    /// The template JIT's emission report, summed over every X-unit tape
+    /// The JIT's emission report, summed over every X-unit tape
     /// the accelerator backends execute — the scalar simulator's and the
     /// widened one's. `None` when any of those tapes runs the interpreter
     /// instead (`Lanes<f64, 4>` has no inline lowering on this host, or

@@ -56,9 +56,11 @@ pub enum XUnitBackend {
     Coefficients,
 }
 
-/// Register budget for the stack-allocated file the compiled tapes run in.
-/// The widest built-in unit (a superposed Atlas joint) needs well under
-/// this; construction asserts the bound so evaluation never re-checks it.
+/// Register budget for the stack-allocated file a compiled tape runs in
+/// where it has no emitted function (fixed point, `Lanes<f32, 4>`, hosts
+/// without the JIT): the interpreter's register file. The widest built-in
+/// unit (a superposed Atlas joint) needs well under this; construction
+/// asserts the bound so evaluation never re-checks it.
 const STACK_REGS: usize = 96;
 
 /// Coefficients of one matrix entry: `α·cos + β·sin + γ`.
@@ -103,29 +105,6 @@ impl<S: Scalar> XUnit<S> {
             x_pattern(robot, i).is_subset_of(&mask),
             "mask must cover joint {i}'s structural pattern"
         );
-        // The affine decomposition: X(s,c) = c·A + s·B + C, recovered from
-        // three algebraic probe evaluations (s, c treated as independent).
-        // Coefficients are snapped exactly like the netlist generator's, so
-        // both backends model the identical folded circuit (trig residues
-        // like cos(π/2) ≈ 6e-17 are dead wires in hardware).
-        let probe = |s: f64, c: f64| robot.joint_transform_sincos::<f64>(i, s, c).to_mat6();
-        let m00 = probe(0.0, 0.0); // C
-        let m01 = probe(0.0, 1.0); // A + C
-        let m10 = probe(1.0, 0.0); // B + C
-        let mut coeffs = [[EntryCoeffs {
-            alpha: S::zero(),
-            beta: S::zero(),
-            gamma: S::zero(),
-        }; 6]; 6];
-        for r in 0..6 {
-            for cidx in 0..6 {
-                coeffs[r][cidx] = EntryCoeffs {
-                    alpha: S::from_f64(snap(m01.m[r][cidx] - m00.m[r][cidx])),
-                    beta: S::from_f64(snap(m10.m[r][cidx] - m00.m[r][cidx])),
-                    gamma: S::from_f64(snap(m00.m[r][cidx])),
-                };
-            }
-        }
         let fwd = CompiledNetlist::compile(&optimize(&generate_x_unit_with_mask(robot, i, mask)));
         let bwd = CompiledNetlist::compile(&optimize(&generate_xt_unit_with_mask(robot, i, mask)));
         assert!(
@@ -133,13 +112,31 @@ impl<S: Scalar> XUnit<S> {
             "compiled unit exceeds the stack register budget"
         );
         Self {
-            coeffs,
+            coeffs: affine_coeffs(robot, i),
             mask,
             joint: robot.links()[i].joint,
             accumulation: Accumulation::PerOperation,
             backend: XUnitBackend::Compiled,
             fwd,
             bwd,
+        }
+    }
+
+    /// This unit (joint `i` of `robot`, the robot it was built for) at
+    /// scalar type `T`, without regenerating its netlists: the
+    /// coefficients are re-derived from the same snapped probes and the
+    /// two tapes are cast ([`CompiledNetlist::cast`]). Bit-identical to
+    /// [`XUnit::with_mask`] at `T`; the accumulation mode and evaluator
+    /// carry over.
+    pub fn cast<T: Scalar>(&self, robot: &RobotModel, i: usize) -> XUnit<T> {
+        XUnit {
+            coeffs: affine_coeffs(robot, i),
+            mask: self.mask,
+            joint: self.joint,
+            accumulation: self.accumulation,
+            backend: self.backend,
+            fwd: self.fwd.cast(),
+            bwd: self.bwd.cast(),
         }
     }
 
@@ -181,18 +178,19 @@ impl<S: Scalar> XUnit<S> {
         self.backend == XUnitBackend::Compiled && self.accumulation == Accumulation::PerOperation
     }
 
-    /// Runs one of the compiled tapes entirely on the stack: inputs in
-    /// netlist declaration order (`sin_q`, `cos_q`, `v0..v5`), a
-    /// fixed-size register file, outputs `o0..o5`.
+    /// Runs one of the compiled tapes on the stack: inputs in netlist
+    /// declaration order (`sin_q`, `cos_q`, `v0..v5`), outputs `o0..o5`.
+    /// Where the tape has an emitted function this is one call that keeps
+    /// the values in registers and reads and writes the two arrays in
+    /// place; only the interpreter needs the stack register file.
     #[inline]
     fn run_compiled(&self, tape: &CompiledNetlist<S>, sin_q: S, cos_q: S, v: [S; 6]) -> [S; 6] {
-        let mut inputs = [S::zero(); 8];
-        inputs[0] = sin_q;
-        inputs[1] = cos_q;
-        inputs[2..].copy_from_slice(&v);
-        let mut regs = [S::zero(); STACK_REGS];
+        let inputs = [sin_q, cos_q, v[0], v[1], v[2], v[3], v[4], v[5]];
         let mut out = [S::zero(); 6];
-        tape.eval_into_regs(&inputs, &mut regs, &mut out);
+        if !tape.eval_emitted(&inputs, &mut out) {
+            let mut regs = [S::zero(); STACK_REGS];
+            tape.eval_into_regs_interp(&inputs, &mut regs, &mut out);
+        }
         out
     }
 
@@ -276,6 +274,26 @@ impl<S: Scalar> XUnit<S> {
         }
         Force::from_array(out)
     }
+}
+
+/// The affine decomposition of joint `i`'s transform, `X(s,c) = c·A +
+/// s·B + C`, recovered from three algebraic probe evaluations (s, c
+/// treated as independent). Coefficients are snapped exactly like the
+/// netlist generator's, so both backends model the identical folded
+/// circuit (trig residues like cos(π/2) ≈ 6e-17 are dead wires in
+/// hardware).
+fn affine_coeffs<S: Scalar>(robot: &RobotModel, i: usize) -> [[EntryCoeffs<S>; 6]; 6] {
+    let probe = |s: f64, c: f64| robot.joint_transform_sincos::<f64>(i, s, c).to_mat6();
+    let m00 = probe(0.0, 0.0); // C
+    let m01 = probe(0.0, 1.0); // A + C
+    let m10 = probe(1.0, 0.0); // B + C
+    core::array::from_fn(|r| {
+        core::array::from_fn(|c| EntryCoeffs {
+            alpha: S::from_f64(snap(m01.m[r][c] - m00.m[r][c])),
+            beta: S::from_f64(snap(m10.m[r][c] - m00.m[r][c])),
+            gamma: S::from_f64(snap(m00.m[r][c])),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -428,6 +446,32 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cast_units_match_freshly_built_ones() {
+        use robo_spatial::Lanes;
+        let robot = robots::hyq();
+        let sup = superposition_pattern(&robot);
+        for i in 0..robot.dof() {
+            let unit = XUnit::<f64>::with_mask(&robot, i, sup);
+            let cast = unit.cast::<Lanes<f64, 4>>(&robot, i);
+            let fresh = XUnit::<Lanes<f64, 4>>::with_mask(&robot, i, sup);
+            for (c, f) in [(&cast.fwd, &fresh.fwd), (&cast.bwd, &fresh.bwd)] {
+                assert_eq!(
+                    (c.tape_len(), c.num_regs(), c.jit_report()),
+                    (f.tape_len(), f.num_regs(), f.jit_report()),
+                    "joint {i}"
+                );
+            }
+            assert_eq!(cast.coeffs, fresh.coeffs, "joint {i}");
+            let m = Motion::from_array([0.3, -1.2, 0.7, 2.0, -0.4, 1e-310]).cast::<Lanes<f64, 4>>();
+            let (s, c) = cast.inputs_for(Lanes::splat(0.8));
+            assert_eq!(
+                cast.apply_motion(s, c, m).to_array(),
+                fresh.apply_motion(s, c, m).to_array()
+            );
         }
     }
 

@@ -5,7 +5,7 @@
 //! paper fixes an accelerator's datapath width at design time. The tier
 //! names what the host's vector unit is, so traces and bench reports can
 //! say which machine their numbers came from (on x86-64, whether the
-//! template JIT's VEX.256 row for `Lanes<f64, 4>` is available).
+//! JIT's VEX.256 row for `Lanes<f64, 4>` is available).
 
 use core::fmt;
 

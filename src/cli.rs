@@ -271,9 +271,13 @@ fn check_body(
         Some(report) => {
             let _ = writeln!(
                 out,
-                "  jit: active ({} instrs, {} code bytes, {} patches across the scalar and \
-                 wide X-unit tapes)",
-                report.instrs, report.code_bytes, report.patches
+                "  jit: active ({} instrs, {} code bytes = {:.1} B/instr, {} spills, {} reloads \
+                 across the scalar and wide X-unit tapes)",
+                report.instrs,
+                report.code_bytes,
+                report.bytes_per_instr(),
+                report.spills,
+                report.reloads
             );
         }
         None => {

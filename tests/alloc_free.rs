@@ -157,15 +157,19 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
 
     // The compiled netlist evaluator: a warm EvalWorkspace makes
     // eval_into pure register traffic. (compute_gradient_into above
-    // already exercises the compiled tapes inside the simulator, on
-    // stack-allocated register files.) On x86-64 Linux the tape runs its
+    // already exercises the compiled tapes inside the simulator, one
+    // emitted call per unit.) On x86-64 Linux AVX hosts the tape runs its
     // JIT-emitted function: emission allocates (the code buffer and its
-    // mapping), but only inside compile and widen, outside every counted
+    // mapping), but only inside compile and cast, outside every counted
     // region below.
     let compiled = CompiledNetlist::<f64>::compile(&optimize(&generate_x_unit(&robot, 1)));
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    let jit_host = std::arch::is_x86_feature_detected!("avx");
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+    let jit_host = false;
     assert_eq!(
         compiled.jit_report().is_some(),
-        cfg!(all(target_arch = "x86_64", target_os = "linux")),
+        jit_host,
         "JIT availability must match the platform"
     );
     let mut tape_ws = EvalWorkspace::for_netlist(&compiled);
