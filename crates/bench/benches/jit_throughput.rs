@@ -21,6 +21,13 @@
 //!   RNEA/FD/∇ID multifunction family tape, the largest tape in the
 //!   workspace; `family_jit_vs_interp` is informational.
 //!
+//! Plus the X-unit banks the simulator calls: over the seven iiwa14
+//! units (superposed mask), `xunit_single4_iiwa14` makes four emitted
+//! calls of each unit's single-product `X·v` tape and
+//! `xunit_bank4_iiwa14` one call of its four-product forward bank
+//! ([`Tape::replicate`]), interleaved; `xunit_bank_vs_single_iiwa14` is
+//! their ratio (informational).
+//!
 //! Results (median ns per state), the speedup ratios, and the host
 //! provenance block go to `BENCH_10.json` at the repository root
 //! (override with `BENCH_OUT`). `BENCH_QUICK=1` shrinks the run for CI
@@ -33,7 +40,10 @@
 
 use robo_bench::harness::{self, tape_states, time_median_ns_interleaved, BenchEnv};
 use robo_bench::report::{speedup, BenchReport, HostInfo};
-use robo_codegen::{generate_kernel_family, generate_x_pipeline, optimize, CompiledNetlist};
+use robo_codegen::{
+    generate_kernel_family, generate_x_pipeline, generate_x_unit_with_mask, optimize,
+    CompiledNetlist, Tape,
+};
 use robo_dynamics::engine::KernelKind;
 use robo_model::robots;
 use robo_sparsity::superposition_pattern;
@@ -106,12 +116,56 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     );
     let (family_interp, family_jit) = (medians[0], medians[1]);
 
+    // The iiwa14 X-units: four single-product calls vs one bank call.
+    let singles: Vec<CompiledNetlist<f64>> = (0..robot.dof())
+        .map(|j| CompiledNetlist::compile(&optimize(&generate_x_unit_with_mask(&robot, j, sup))))
+        .collect();
+    let banks = CompiledNetlist::<f64>::emit_all(
+        singles
+            .iter()
+            .map(|t| t.tape().replicate(4, 2))
+            .collect::<Vec<Tape>>(),
+    );
+    let single_in: Vec<f64> = (0..8).map(|k| 0.23 * k as f64 - 0.8).collect();
+    let bank_in: Vec<f64> = (0..26).map(|k| 0.23 * (k % 8) as f64 - 0.8).collect();
+    let (mut single_regs, mut bank_regs) = (vec![0.0; 64], vec![0.0; 256]);
+    let (mut single_out, mut bank_out) = ([0.0; 6], [0.0; 24]);
+    let medians = time_median_ns_interleaved(
+        env.reps,
+        1,
+        &mut [
+            &mut || {
+                for _ in 0..env.tape_batch {
+                    for unit in &singles {
+                        for _ in 0..4 {
+                            unit.eval_into_regs(&single_in, &mut single_regs, &mut single_out);
+                            black_box(&single_out);
+                        }
+                    }
+                }
+            },
+            &mut || {
+                for _ in 0..env.tape_batch {
+                    for bank in &banks {
+                        bank.eval_into_regs(&bank_in, &mut bank_regs, &mut bank_out);
+                        black_box(&bank_out);
+                    }
+                }
+            },
+        ],
+    );
+    let per_round = env.tape_batch as f64;
+    let (xunit_single4, xunit_bank4) = (medians[0] / per_round, medians[1] / per_round);
+
     report.record_median_ns("tape_interp_scalar", tape_interp);
     report.record_median_ns("tape_jit_scalar", tape_jit);
     report.record_median_ns("family_interp_scalar", family_interp);
     report.record_median_ns("family_jit_scalar", family_jit);
     report.record_speedup("jit_vs_interp", tape_interp / tape_jit);
     report.record_speedup("family_jit_vs_interp", family_interp / family_jit);
+    report.record_median_ns("xunit_single4_iiwa14", xunit_single4);
+    report.record_median_ns("xunit_bank4_iiwa14", xunit_bank4);
+    report.record_speedup("xunit_bank_vs_single_iiwa14", xunit_single4 / xunit_bank4);
 
     match tape.jit_report() {
         Some(r) => println!(
@@ -133,7 +187,19 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     ] {
         println!("jit_throughput/{name:<24} median: {ns:10.1} ns/state");
     }
-    for name in ["jit_vs_interp", "family_jit_vs_interp"] {
+    println!(
+        "jit_throughput/xunit_single4_iiwa14      median: {xunit_single4:10.1} ns per 7 units \
+         (4 single-product calls each)"
+    );
+    println!(
+        "jit_throughput/xunit_bank4_iiwa14        median: {xunit_bank4:10.1} ns per 7 units \
+         (1 four-product bank call each)"
+    );
+    for name in [
+        "jit_vs_interp",
+        "family_jit_vs_interp",
+        "xunit_bank_vs_single_iiwa14",
+    ] {
         let ratio = report.speedup_of(name).expect("just recorded");
         println!("jit_throughput/{name:<24} speedup: {}", speedup(ratio));
     }

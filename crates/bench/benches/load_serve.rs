@@ -26,7 +26,11 @@
 //!   between round trips, and `serve_direct_vs_c1_<robot>` = direct ns /
 //!   c1 p50 ns records what share of a lone client's latency is the
 //!   kernel itself (gated: a batcher that holds a lone request back, or
-//!   makes it pay two thread wake-ups, sinks it).
+//!   makes it pay two thread wake-ups, sinks it). One more lone client
+//!   round-trips through [`GradientServer::serve`] instead of `submit` +
+//!   `wait`: admission then lists nothing and wakes no pool worker, and
+//!   `serve_<robot>_c1_via_serve_p50_ns` / `_p99_ns` record it
+//!   (informational; no baseline gates them).
 //! * **Saturated throughput** — one driver pipelines a deep window of
 //!   outstanding slots so the shard queue never runs dry, first with the
 //!   default lane-group coalescing (`lane_groups_per_flush = 4`), then
@@ -108,9 +112,15 @@ struct Sample {
 }
 
 /// Closed-loop sweep point: `clients` threads, one request in flight
-/// each, `per_client` round trips. With one client, a direct call on the
+/// each, `per_client` round trips, each a `submit` + `wait` or (with
+/// `via_serve`) one `serve`. With one client, a direct call on the
 /// server's backend is timed before every round trip.
-fn closed_loop(robot: &RobotModel, clients: usize, per_client: usize) -> Vec<Sample> {
+fn closed_loop(
+    robot: &RobotModel,
+    clients: usize,
+    per_client: usize,
+    via_serve: bool,
+) -> Vec<Sample> {
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
@@ -141,8 +151,13 @@ fn closed_loop(robot: &RobotModel, clients: usize, per_client: usize) -> Vec<Sam
                             ns(start.elapsed())
                         });
                         let submitted = Instant::now();
-                        submit_retry(&server, key, req, &slot);
-                        req = slot.wait();
+                        req = match via_serve {
+                            true => server.serve(key, req, &slot).expect("admitted"),
+                            false => {
+                                submit_retry(&server, key, req, &slot);
+                                slot.wait()
+                            }
+                        };
                         let woke = Instant::now();
                         if round == 0 {
                             continue;
@@ -253,9 +268,14 @@ fn run_once(env: &BenchEnv) -> BenchReport {
         ]
     };
     for (name, robot, client_counts) in &sweeps {
-        for &clients in client_counts {
-            let samples = closed_loop(robot, clients, per_client);
-            let stem = format!("serve_{name}_c{clients}");
+        let points = client_counts.iter().map(|&c| (c, false));
+        // One more lone client, through `serve`.
+        for (clients, via_serve) in points.chain([(1, true)]) {
+            let samples = closed_loop(robot, clients, per_client, via_serve);
+            let stem = match via_serve {
+                true => format!("serve_{name}_c{clients}_via_serve"),
+                false => format!("serve_{name}_c{clients}"),
+            };
             let mut round_trip: Vec<f64> = samples.iter().map(|s| s.round_trip).collect();
             let e2e_mean = mean(&round_trip);
             let p50 = percentile(&mut round_trip, 0.50);
@@ -283,7 +303,7 @@ fn run_once(env: &BenchEnv) -> BenchReport {
                 e2e_mean / 1e3
             );
             let mut direct: Vec<f64> = samples.iter().filter_map(|s| s.direct).collect();
-            if !direct.is_empty() {
+            if !direct.is_empty() && !via_serve {
                 let direct = median(&mut direct);
                 report.record_median_ns(format!("serve_direct_{name}_ns"), direct);
                 report.record_speedup(format!("serve_direct_vs_c1_{name}"), direct / p50);

@@ -19,8 +19,12 @@
 //!   one straight-line function at compile time: it reads the caller's
 //!   `inputs` and writes its `outputs` in place, keeps values in
 //!   registers and spills to its own stack frame, so it needs no register
-//!   file. Every other tape runs the `match` interpreter over a register
-//!   file, which stays the bit-exact oracle;
+//!   file. The tapes of one batch ([`CompiledNetlist::emit_all`]) share
+//!   one executable mapping. Every other tape runs the `match`
+//!   interpreter over a register file, which stays the bit-exact oracle;
+//! * **banks** — [`Tape::replicate`] runs several copies of one tape as
+//!   one, on shared and per-copy inputs, each copy bit-identical to a
+//!   run of the original, so one call does the work of several;
 //! * **liveness-based register reuse** — values are assigned to a small
 //!   recycled slot file instead of one slot per node, so the interpreter's
 //!   working set stays cache-resident and the JIT's allocator sees few
@@ -42,6 +46,7 @@
 use crate::jit::JitTape;
 use crate::netlist::{Netlist, Node};
 use robo_spatial::{ExecTier, Lanes, Scalar, WideScalar, SERVE_LANES};
+use std::sync::Arc;
 
 /// One tape instruction. Operands and destinations are register-file
 /// slots; `Const`/`MulConst`/`MulConstAdd` reference the hoisted constant
@@ -128,6 +133,31 @@ impl Instr {
             | Instr::AddAdd { dst, .. }
             | Instr::NegAdd { dst, .. } => dst,
         }
+    }
+
+    /// This instruction with every register it reads passed through
+    /// `read` and its destination replaced by `to`.
+    pub(crate) fn renamed(mut self, read: impl Fn(u32) -> u32, to: u32) -> Instr {
+        match &mut self {
+            Instr::Const { dst, .. } => *dst = to,
+            Instr::MulConst { a, dst, .. } | Instr::Neg { a, dst } => {
+                *a = read(*a);
+                *dst = to;
+            }
+            Instr::Mul { a, b, dst } | Instr::Add { a, b, dst } | Instr::Sub { a, b, dst } => {
+                (*a, *b) = (read(*a), read(*b));
+                *dst = to;
+            }
+            Instr::MulConstAdd { a, c, dst, .. } | Instr::NegAdd { a, c, dst } => {
+                (*a, *c) = (read(*a), read(*c));
+                *dst = to;
+            }
+            Instr::MulAdd { a, b, c, dst } | Instr::AddAdd { a, b, c, dst } => {
+                (*a, *b, *c) = (read(*a), read(*b), read(*c));
+                *dst = to;
+            }
+        }
+        self
     }
 
     /// Calls `f` with every register this instruction reads.
@@ -303,12 +333,39 @@ impl<S: Scalar> EvalWorkspace<S> {
     }
 
     /// A workspace pre-sized for `compiled`, so even the first evaluation
-    /// through it allocates nothing.
+    /// through it allocates nothing. Only a tape that runs the interpreter
+    /// reads a register file; one with an emitted function gets none.
     pub fn for_netlist(compiled: &CompiledNetlist<S>) -> Self {
+        let len = match compiled.jit {
+            Some(_) => 0,
+            None => compiled.num_regs(),
+        };
         Self {
-            regs: vec![S::zero(); compiled.num_regs()],
+            regs: vec![S::zero(); len],
         }
     }
+}
+
+/// A netlist lowered to a fused, register-allocated tape, before it is
+/// given a scalar type: the instruction stream, the input and output
+/// names, and the constants as `f64`. [`CompiledNetlist`] is a tape at one
+/// scalar type, with its constants converted and, where the type has a
+/// JIT row, its emitted function.
+///
+/// Building a tape is the scalar-independent half of
+/// [`CompiledNetlist::compile`]; [`Tape::replicate`] banks copies of one,
+/// and [`CompiledNetlist::emit_all`] gives a batch of tapes one code
+/// mapping.
+#[derive(Debug, Clone)]
+pub struct Tape {
+    pub(crate) name: String,
+    pub(crate) input_names: Vec<String>,
+    /// The constant table, deduplicated by bit pattern.
+    pub(crate) const_values: Vec<f64>,
+    pub(crate) instrs: Vec<Instr>,
+    pub(crate) num_regs: usize,
+    pub(crate) outputs: Vec<(String, u32)>,
+    pub(crate) fusion: FusionCounts,
 }
 
 /// A netlist compiled to a flat, register-allocated tape for one scalar
@@ -332,21 +389,15 @@ impl<S: Scalar> EvalWorkspace<S> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist<S> {
-    name: String,
-    input_names: Vec<String>,
-    /// The constant table at `S`, converted once from `const_values`.
+    /// Shared by every cast of this tape.
+    tape: Arc<Tape>,
+    /// The constant table at `S`, converted once from the tape's `f64`
+    /// values.
     consts: Vec<S>,
-    /// The constant table's `f64` values, so [`CompiledNetlist::cast`]
-    /// converts them again without the netlist.
-    const_values: Vec<f64>,
-    tape: Vec<Instr>,
     /// The tape emitted as one native function by the JIT — `None` when
     /// `S` has no inline lowering on this host, and the interpreter then
     /// serves every evaluation.
     jit: Option<JitTape<S>>,
-    num_regs: usize,
-    outputs: Vec<(String, u32)>,
-    fusion: FusionCounts,
 }
 
 /// Register allocator state during compilation.
@@ -369,17 +420,19 @@ impl RegAlloc {
     }
 }
 
-impl<S: Scalar> CompiledNetlist<S> {
-    /// Compiles a netlist for scalar type `S`.
+impl Tape {
+    /// Lowers a netlist to a fused tape: inputs interned to slots,
+    /// constants deduplicated, nodes in topological order on recycled
+    /// registers, then the fusion pass.
     ///
     /// Run [`crate::optimize`] first when the netlist may contain dead or
-    /// redundant nodes — compilation itself preserves the given program
-    /// (it only skips nodes nothing consumes).
+    /// redundant nodes — lowering itself preserves the given program (it
+    /// only skips nodes nothing consumes).
     ///
     /// # Panics
     ///
     /// Panics if the netlist has more than `u32::MAX` nodes.
-    pub fn compile(netlist: &Netlist) -> Self {
+    pub fn lower(netlist: &Netlist) -> Self {
         let nodes = netlist.nodes();
         assert!(nodes.len() < u32::MAX as usize, "netlist too large");
         let _span = robo_trace::span_items("tape.compile", nodes.len());
@@ -522,42 +575,227 @@ impl<S: Scalar> CompiledNetlist<S> {
             let _span = robo_trace::span_items("tape.fuse", tape.len());
             fuse_tape(&mut tape, &outputs)
         };
-        Self::assemble(
-            netlist.name().to_owned(),
+        Tape {
+            name: netlist.name().to_owned(),
             input_names,
             const_values,
-            tape,
-            alloc.next as usize,
-            outputs,
-            fusion,
-        )
-    }
-
-    /// The compiled form at `S` of a lowered tape: converts the constants
-    /// and emits the tape where `S` has a row.
-    fn assemble(
-        name: String,
-        input_names: Vec<String>,
-        const_values: Vec<f64>,
-        tape: Vec<Instr>,
-        num_regs: usize,
-        outputs: Vec<(String, u32)>,
-        fusion: FusionCounts,
-    ) -> Self {
-        let consts: Vec<S> = const_values.iter().map(|&c| S::from_f64(c)).collect();
-        let out_regs: Vec<u32> = outputs.iter().map(|(_, reg)| *reg).collect();
-        let jit = JitTape::emit(&tape, num_regs, input_names.len(), consts.len(), &out_regs);
-        Self {
-            name,
-            input_names,
-            consts,
-            const_values,
-            tape,
-            jit,
-            num_regs,
+            instrs: tape,
+            num_regs: alloc.next as usize,
             outputs,
             fusion,
         }
+    }
+
+    /// `copies` copies of this tape as one tape — a bank: the first
+    /// `shared` inputs are read by every copy, the other inputs are given
+    /// to each copy in turn, and each copy writes its own block of
+    /// outputs.
+    ///
+    /// Every copy runs this tape's instruction stream on registers of its
+    /// own, so copy `k`'s outputs are bit-identical to a run of this tape
+    /// on the shared inputs and copy `k`'s own ones. A copy that recycles
+    /// a shared input's register writes a private register instead, so
+    /// the next copy still reads the input. Nothing is re-optimized or
+    /// re-fused across copies.
+    ///
+    /// Inputs are the shared ones, then copy 0's others, copy 1's, and so
+    /// on, named `name[k]`; outputs are copy 0's block, copy 1's, and so
+    /// on, named the same way. The constant table is shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `copies` is zero or `shared` exceeds the input count.
+    pub fn replicate(&self, copies: usize, shared: usize) -> Tape {
+        let n_in = self.input_names.len();
+        assert!(copies > 0, "a bank holds at least one copy");
+        assert!(shared <= n_in, "more shared inputs than inputs");
+        let own = n_in - shared;
+        let temps = self.num_regs - n_in;
+        let mut input_names = self.input_names[..shared].to_vec();
+        for k in 0..copies {
+            input_names.extend(self.input_names[shared..].iter().map(|n| copy_name(n, k)));
+        }
+        let mut next = input_names.len();
+        let mut instrs = Vec::with_capacity(copies * self.instrs.len());
+        let mut outputs = Vec::with_capacity(copies * self.outputs.len());
+        let mut map = vec![0u32; self.num_regs];
+        for k in 0..copies {
+            // Copy `k`'s registers: the shared inputs, its own inputs, and
+            // a fresh block for the temporaries.
+            for (r, to) in map.iter_mut().enumerate() {
+                *to = match r {
+                    r if r < shared => r,
+                    r if r < n_in => shared + k * own + (r - shared),
+                    r => next + (r - n_in),
+                } as u32;
+            }
+            next += temps;
+            for &ins in &self.instrs {
+                // Reads see the registers as they were before the write.
+                let d = ins.dst() as usize;
+                let fresh = d < shared && map[d] as usize == d;
+                let dst = if fresh { next as u32 } else { map[d] };
+                instrs.push(ins.renamed(|r| map[r as usize], dst));
+                if fresh {
+                    map[d] = dst;
+                    next += 1;
+                }
+            }
+            outputs.extend(
+                self.outputs
+                    .iter()
+                    .map(|(name, r)| (copy_name(name, k), map[*r as usize])),
+            );
+        }
+        let num_regs = recycle_registers(&mut instrs, input_names.len(), next, &mut outputs);
+        let f = self.fusion;
+        Tape {
+            name: format!("{}_x{copies}", self.name),
+            input_names,
+            const_values: self.const_values.clone(),
+            instrs,
+            num_regs,
+            outputs,
+            fusion: FusionCounts {
+                mul_add: copies * f.mul_add,
+                mul_const_add: copies * f.mul_const_add,
+                add_add: copies * f.add_add,
+                neg_add: copies * f.neg_add,
+            },
+        }
+    }
+}
+
+/// Reassigns the registers of `instrs` (over `num_regs` registers, the
+/// first `n_inputs` holding the inputs) so that a register is reused once
+/// the value in it is dead, as lowering assigns them; returns the new
+/// register count. Every instruction still reads the values it read and
+/// no live value is overwritten, so the tape computes exactly what it
+/// did. A bank's copies each start on fresh registers; this folds them
+/// back into the few a single copy needs, which keeps the interpreter's
+/// register file small.
+fn recycle_registers(
+    instrs: &mut [Instr],
+    n_inputs: usize,
+    num_regs: usize,
+    outputs: &mut [(String, u32)],
+) -> usize {
+    const END: usize = usize::MAX;
+    // Every write is a new value; inputs are values `0..n_inputs`.
+    let mut value_in: Vec<usize> = (0..num_regs).collect();
+    let mut last_read = vec![0usize; n_inputs + instrs.len()];
+    for (i, ins) in instrs.iter().enumerate() {
+        ins.for_each_read(|r| last_read[value_in[r as usize]] = i);
+        value_in[ins.dst() as usize] = n_inputs + i;
+    }
+    for (_, r) in outputs.iter() {
+        last_read[value_in[*r as usize]] = END;
+    }
+    // Assign registers in order, freeing each value's at its last read.
+    let mut home = vec![0u32; n_inputs + instrs.len()];
+    for (v, h) in home.iter_mut().enumerate().take(n_inputs) {
+        *h = v as u32;
+    }
+    value_in = (0..num_regs).collect();
+    let mut free = Vec::new();
+    let mut next = n_inputs as u32;
+    for (i, ins) in instrs.iter_mut().enumerate() {
+        let mut dying = [usize::MAX; 3];
+        let mut n = 0;
+        ins.for_each_read(|r| {
+            let v = value_in[r as usize];
+            if last_read[v] == i && !dying[..n].contains(&v) {
+                dying[n] = v;
+                n += 1;
+            }
+        });
+        for &v in &dying[..n] {
+            free.push(home[v]);
+        }
+        let v = n_inputs + i;
+        home[v] = free.pop().unwrap_or_else(|| {
+            next += 1;
+            next - 1
+        });
+        let d = ins.dst() as usize;
+        *ins = ins.renamed(|r| home[value_in[r as usize]], home[v]);
+        value_in[d] = v;
+        if last_read[v] == 0 {
+            // Written and never read (a value's reads come after its
+            // write): its register is free at once.
+            free.push(home[v]);
+        }
+    }
+    for (_, r) in outputs.iter_mut() {
+        *r = home[value_in[*r as usize]];
+    }
+    next as usize
+}
+
+/// `name[k]`: the name of copy `k`'s input or output `name` in a bank.
+/// Built by hand: a plan names a few hundred bank ports, and the
+/// formatting machinery would cost more than the replication itself.
+fn copy_name(name: &str, k: usize) -> String {
+    let digits = k.checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut out = String::with_capacity(name.len() + digits + 2);
+    out.push_str(name);
+    out.push('[');
+    for d in (0..digits).rev() {
+        out.push(char::from(b'0' + (k / 10usize.pow(d as u32) % 10) as u8));
+    }
+    out.push(']');
+    out
+}
+
+impl<S: Scalar> CompiledNetlist<S> {
+    /// Compiles a netlist for scalar type `S`: [`Tape::lower`], then
+    /// [`CompiledNetlist::emit_all`] with a batch of one.
+    ///
+    /// Run [`crate::optimize`] first when the netlist may contain dead or
+    /// redundant nodes — compilation itself preserves the given program
+    /// (it only skips nodes nothing consumes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has more than `u32::MAX` nodes.
+    pub fn compile(netlist: &Netlist) -> Self {
+        Self::emit_all(vec![Tape::lower(netlist)])
+            .pop()
+            .expect("one tape in, one out")
+    }
+
+    /// Gives each tape its constants at `S` and, where `S` has a JIT row
+    /// on this host, its emitted function — every function of the batch
+    /// in one executable mapping, which is filled and then flipped to
+    /// read+execute once. A tape whose lowering fails, and every tape of
+    /// a batch whose mapping fails, runs the interpreter.
+    pub fn emit_all(tapes: Vec<Tape>) -> Vec<Self> {
+        Self::emit_shared(tapes.into_iter().map(Arc::new).collect())
+    }
+
+    fn emit_shared(tapes: Vec<Arc<Tape>>) -> Vec<Self> {
+        let jits = JitTape::emit_all(&tapes);
+        tapes
+            .into_iter()
+            .zip(jits)
+            .map(|(tape, jit)| Self {
+                consts: tape.const_values.iter().map(|&c| S::from_f64(c)).collect(),
+                tape,
+                jit,
+            })
+            .collect()
+    }
+
+    /// [`CompiledNetlist::cast`] for a batch: every tape at `T`, their
+    /// functions in one executable mapping, as
+    /// [`CompiledNetlist::emit_all`] builds them.
+    pub fn cast_all<T: Scalar>(tapes: &[&Self]) -> Vec<CompiledNetlist<T>> {
+        CompiledNetlist::emit_shared(tapes.iter().map(|t| Arc::clone(&t.tape)).collect())
+    }
+
+    /// The scalar-independent tape this was emitted from.
+    pub fn tape(&self) -> &Tape {
+        &self.tape
     }
 
     /// A no-op kept for source compatibility: [`CompiledNetlist::compile`]
@@ -576,41 +814,41 @@ impl<S: Scalar> CompiledNetlist<S> {
 
     /// The module name of the source netlist.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.tape.name
     }
 
     /// Input names in slot order — the order the `inputs` slice of
     /// [`CompiledNetlist::eval_into`] must follow.
     pub fn input_names(&self) -> &[String] {
-        &self.input_names
+        &self.tape.input_names
     }
 
     /// Output names in declaration order — the order results are written
     /// into the `outputs` slice.
     pub fn output_names(&self) -> impl Iterator<Item = &str> {
-        self.outputs.iter().map(|(n, _)| n.as_str())
+        self.tape.outputs.iter().map(|(n, _)| n.as_str())
     }
 
     /// Number of declared outputs.
     pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
+        self.tape.outputs.len()
     }
 
     /// Size of the recycled register file (inputs included). With liveness
     /// reuse this is far below the node count.
     pub fn num_regs(&self) -> usize {
-        self.num_regs
+        self.tape.num_regs
     }
 
     /// Number of tape instructions (live non-input nodes, after fusion).
     pub fn tape_len(&self) -> usize {
-        self.tape.len()
+        self.tape.instrs.len()
     }
 
     /// What the post-compile fusion pass folded. The pre-fusion tape length
     /// is `tape_len() + fusion_counts().total()`.
     pub fn fusion_counts(&self) -> FusionCounts {
-        self.fusion
+        self.tape.fusion
     }
 
     /// Re-targets this tape at the portable wide scalar `Lanes<S, W>`,
@@ -628,15 +866,7 @@ impl<S: Scalar> CompiledNetlist<S> {
     /// builds; at a lane type, `from_f64` splats, so every lane of a wide
     /// evaluation is bit-identical to a scalar run of the same tape.
     pub fn cast<T: Scalar>(&self) -> CompiledNetlist<T> {
-        CompiledNetlist::assemble(
-            self.name.clone(),
-            self.input_names.clone(),
-            self.const_values.clone(),
-            self.tape.clone(),
-            self.num_regs,
-            self.outputs.clone(),
-            self.fusion,
-        )
+        Self::cast_all(&[self]).pop().expect("one tape in, one out")
     }
 
     /// Evaluates the tape into `outputs`. The emitted function reads
@@ -650,8 +880,8 @@ impl<S: Scalar> CompiledNetlist<S> {
     /// [`CompiledNetlist::input_names`] / [`CompiledNetlist::num_outputs`].
     pub fn eval_into(&self, inputs: &[S], ws: &mut EvalWorkspace<S>, outputs: &mut [S]) {
         if !self.eval_emitted(inputs, outputs) {
-            if ws.regs.len() < self.num_regs {
-                ws.regs.resize(self.num_regs, S::zero());
+            if ws.regs.len() < self.tape.num_regs {
+                ws.regs.resize(self.tape.num_regs, S::zero());
             }
             self.eval_into_regs_interp(inputs, &mut ws.regs, outputs);
         }
@@ -670,7 +900,7 @@ impl<S: Scalar> CompiledNetlist<S> {
     ///
     /// Panics if a slice length is insufficient.
     pub fn eval_into_regs(&self, inputs: &[S], regs: &mut [S], outputs: &mut [S]) {
-        assert!(regs.len() >= self.num_regs, "register file too small");
+        assert!(regs.len() >= self.tape.num_regs, "register file too small");
         if !self.eval_emitted(inputs, outputs) {
             self.eval_into_regs_interp(inputs, regs, outputs);
         }
@@ -704,20 +934,24 @@ impl<S: Scalar> CompiledNetlist<S> {
     ///
     /// Panics if a slice length is insufficient.
     pub fn eval_into_regs_interp(&self, inputs: &[S], regs: &mut [S], outputs: &mut [S]) {
-        let n_in = self.input_names.len();
+        let n_in = self.tape.input_names.len();
         assert_eq!(inputs.len(), n_in, "input slot count mismatch");
-        assert_eq!(outputs.len(), self.outputs.len(), "output count mismatch");
-        assert!(regs.len() >= self.num_regs, "register file too small");
+        assert_eq!(
+            outputs.len(),
+            self.tape.outputs.len(),
+            "output count mismatch"
+        );
+        assert!(regs.len() >= self.tape.num_regs, "register file too small");
         regs[..n_in].copy_from_slice(inputs);
         self.interpret(regs);
-        for (slot, (_, reg)) in outputs.iter_mut().zip(&self.outputs) {
+        for (slot, (_, reg)) in outputs.iter_mut().zip(&self.tape.outputs) {
             *slot = regs[*reg as usize];
         }
     }
 
     /// The interpreter loop over a prepared register file.
     fn interpret(&self, regs: &mut [S]) {
-        for instr in &self.tape {
+        for instr in &self.tape.instrs {
             match *instr {
                 Instr::Const { idx, dst } => regs[dst as usize] = self.consts[idx as usize],
                 Instr::Mul { a, b, dst } => {
@@ -760,7 +994,7 @@ impl<S: Scalar> CompiledNetlist<S> {
     /// Panics if `inputs` length does not match the input slot count.
     pub fn eval(&self, inputs: &[S]) -> Vec<S> {
         let mut ws = EvalWorkspace::for_netlist(self);
-        let mut out = vec![S::zero(); self.outputs.len()];
+        let mut out = vec![S::zero(); self.tape.outputs.len()];
         self.eval_into(inputs, &mut ws, &mut out);
         out
     }
@@ -793,11 +1027,11 @@ impl<S: Scalar> CompiledNetlist<S> {
     ) {
         let _span = robo_trace::span_items("tape.eval", states.len());
         let w = V::WIDTH;
-        let n_in = self.input_names.len();
-        let n_out = self.outputs.len();
+        let n_in = self.tape.input_names.len();
+        let n_out = self.tape.outputs.len();
         assert_eq!(
-            ws.wide.tape.len(),
-            self.tape.len(),
+            ws.wide.tape.instrs.len(),
+            self.tape.instrs.len(),
             "workspace built for a different netlist"
         );
         assert_eq!(
@@ -1028,7 +1262,7 @@ impl<V: WideScalar> BatchEvalWorkspace<V> {
     pub fn for_netlist(compiled: &CompiledNetlist<V::Elem>) -> Self {
         let wide = compiled.cast::<V>();
         Self {
-            wide_in: vec![V::zero(); wide.input_names.len()],
+            wide_in: vec![V::zero(); wide.tape.input_names.len()],
             wide_out: vec![V::zero(); wide.num_outputs()],
             wide_regs: EvalWorkspace::for_netlist(&wide),
             scalar_regs: EvalWorkspace::for_netlist(compiled),
@@ -1091,7 +1325,7 @@ mod tests {
         let s2 = n.push(Node::Add(s1, c));
         n.output("o", s2).unwrap();
         let compiled = CompiledNetlist::<f64>::compile(&n);
-        assert_eq!(compiled.consts.len(), 1);
+        assert_eq!(compiled.tape().const_values.len(), 1);
         assert_eq!(compiled.eval(&[1.0]), vec![7.5]);
     }
 
@@ -1325,23 +1559,36 @@ mod tests {
             Instr::Neg { a: 2, dst: 11 },
         ];
         let num_regs = 12;
-        let const_values = vec![1.375, -0.5];
-        let consts = const_values
-            .iter()
-            .map(|&c| S::from_f64(c))
-            .collect::<Vec<_>>();
-        let out_regs: Vec<u32> = (0..num_regs as u32).collect();
-        CompiledNetlist {
-            name: "every_opcode".to_owned(),
-            input_names: ["a", "b", "c"].map(str::to_owned).to_vec(),
-            jit: JitTape::emit(&tape, num_regs, 3, consts.len(), &out_regs),
-            consts,
-            const_values,
+        hand_built(
+            "every_opcode",
+            &["a", "b", "c"],
+            vec![1.375, -0.5],
             tape,
+            num_regs,
+            &(0..num_regs as u32).collect::<Vec<_>>(),
+        )
+    }
+
+    /// A hand-built tape, emitted at `S` where it has a row.
+    fn hand_built<S: Scalar>(
+        name: &str,
+        inputs: &[&str],
+        const_values: Vec<f64>,
+        instrs: Vec<Instr>,
+        num_regs: usize,
+        out_regs: &[u32],
+    ) -> CompiledNetlist<S> {
+        CompiledNetlist::emit_all(vec![Tape {
+            name: name.to_owned(),
+            input_names: inputs.iter().map(|n| (*n).to_owned()).collect(),
+            const_values,
+            instrs,
             num_regs,
             outputs: out_regs.iter().map(|r| (format!("r{r}"), *r)).collect(),
             fusion: FusionCounts::default(),
-        }
+        }])
+        .pop()
+        .expect("one tape in, one out")
     }
 
     /// Runs `tape` through its emitted function and the interpreter and
@@ -1463,7 +1710,7 @@ mod tests {
     fn random_tape<S: Scalar>(seed: u64) -> CompiledNetlist<S> {
         let mut rng = Rng(seed);
         let n_in = 1 + rng.below(6);
-        let spread = seed % 3 == 0;
+        let spread = seed.is_multiple_of(3);
         let num_regs = n_in + if spread { 24 } else { 2 } + rng.below(17);
         let const_values = vec![0.0, -0.0, 1.0, -1.0, 0.375, -3.5e7];
         let n_instrs = match seed {
@@ -1476,7 +1723,7 @@ mod tests {
         let mut last = 0;
         let mut tape = Vec::with_capacity(n_instrs);
         for i in 0..n_instrs {
-            let mut operand = |rng: &mut Rng| match rng.below(3) {
+            let operand = |rng: &mut Rng| match rng.below(3) {
                 0 if !spread => last,
                 _ => rng.pick(&defined),
             };
@@ -1517,14 +1764,15 @@ mod tests {
         if let Some(r) = (0..n_in).find(|&r| !written[r]) {
             out_regs.push(r as u32);
         }
-        CompiledNetlist::assemble(
-            format!("random{seed}"),
-            (0..n_in).map(|k| format!("x{k}")).collect(),
+        let names: Vec<String> = (0..n_in).map(|k| format!("x{k}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        hand_built(
+            &format!("random{seed}"),
+            &names,
             const_values,
             tape,
             num_regs,
-            out_regs.iter().map(|r| (format!("r{r}"), *r)).collect(),
-            FusionCounts::default(),
+            &out_regs,
         )
     }
 
@@ -1556,7 +1804,7 @@ mod tests {
                     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
                     "{}: output {o}: emitted {x:e} vs interpreted {y:e}\n{:?}",
                     tape.name(),
-                    tape.tape
+                    tape.tape.instrs
                 );
             }
         }
@@ -1594,6 +1842,168 @@ mod tests {
                 "the random tapes must exercise the spill path: {emitted:?}"
             );
         }
+    }
+
+    /// Runs a bank of `single`'s copies, emitted and interpreted, and
+    /// checks each copy's output block against an interpreted run of
+    /// `single` on the shared inputs and that copy's own.
+    fn bank_matches_copies<S: Scalar>(
+        single: &CompiledNetlist<S>,
+        bank: &CompiledNetlist<S>,
+        copies: usize,
+        shared: usize,
+        inputs: &[S],
+        lanes: &dyn Fn(S) -> Vec<f64>,
+    ) {
+        same_as_interp(bank, inputs, lanes);
+        let n_in = single.input_names().len();
+        let own = n_in - shared;
+        let n_out = single.num_outputs();
+        let mut out = vec![S::zero(); bank.num_outputs()];
+        bank.eval_into_regs(inputs, &mut vec![S::zero(); bank.num_regs()], &mut out);
+        for k in 0..copies {
+            let mut x = inputs[..shared].to_vec();
+            x.extend_from_slice(&inputs[shared + k * own..shared + (k + 1) * own]);
+            let mut want = vec![S::zero(); n_out];
+            single.eval_into_regs_interp(
+                &x,
+                &mut vec![S::zero(); n_in.max(single.num_regs())],
+                &mut want,
+            );
+            for (o, (g, w)) in out[k * n_out..(k + 1) * n_out]
+                .iter()
+                .zip(&want)
+                .enumerate()
+            {
+                for (g, w) in lanes(*g).into_iter().zip(lanes(*w)) {
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "{}: copy {k} output {o}: bank {g:e} vs single {w:e}",
+                        bank.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_tapes_match_their_copies_bit_for_bit_in_every_row() {
+        use robo_fixed::Fix32_16;
+        for seed in 0..300 {
+            let mut rng = Rng(seed ^ 0x5eed);
+            let tape = random_tape::<f64>(seed).tape().clone();
+            let n_in = tape.input_names.len();
+            let shared = rng.below(n_in + 1);
+            let copies = 1 + rng.below(4);
+            let bank = tape.replicate(copies, shared);
+            assert_eq!(bank.input_names.len(), shared + copies * (n_in - shared));
+            assert_eq!(bank.outputs.len(), copies * tape.outputs.len());
+            assert_eq!(bank.instrs.len(), copies * tape.instrs.len());
+            if shared < n_in {
+                let last = &bank.input_names[bank.input_names.len() - (n_in - shared)];
+                assert_eq!(
+                    *last,
+                    format!("{}[{}]", tape.input_names[shared], copies - 1)
+                );
+            }
+            let n = bank.input_names.len();
+            let mut both = CompiledNetlist::<f64>::emit_all(vec![tape.clone(), bank.clone()]);
+            let (single, wide_bank) = (both.remove(0), both.remove(0));
+            let x: Vec<f64> = (0..n).map(|_| rng.pick(&FUZZ_F64)).collect();
+            bank_matches_copies(&single, &wide_bank, copies, shared, &x, &|v| vec![v]);
+            let x: Vec<f32> = (0..n).map(|_| rng.pick(&FUZZ_F32) as f32).collect();
+            bank_matches_copies(
+                &single.cast::<f32>(),
+                &wide_bank.cast::<f32>(),
+                copies,
+                shared,
+                &x,
+                &|v| vec![f64::from(v)],
+            );
+            let x: Vec<Lanes<f64, 4>> = (0..n)
+                .map(|_| Lanes::from_fn(|_| rng.pick(&FUZZ_F64)))
+                .collect();
+            bank_matches_copies(
+                &single.cast::<Lanes<f64, 4>>(),
+                &wide_bank.cast::<Lanes<f64, 4>>(),
+                copies,
+                shared,
+                &x,
+                &|v| v.lanes().to_vec(),
+            );
+            let x: Vec<Fix32_16> = (0..n)
+                .map(|_| Fix32_16::from_f64(rng.pick(&[0.0, -0.0, 1.5, -2.25, 0.1, -7.0, 3e4])))
+                .collect();
+            bank_matches_copies(
+                &single.cast::<Fix32_16>(),
+                &wide_bank.cast::<Fix32_16>(),
+                copies,
+                shared,
+                &x,
+                &|v| vec![v.to_f64()],
+            );
+        }
+    }
+
+    #[test]
+    fn copy_names_carry_the_copy_index() {
+        assert_eq!(copy_name("sin_q", 0), "sin_q[0]");
+        assert_eq!(copy_name("v3", 7), "v3[7]");
+        assert_eq!(copy_name("o", 10), "o[10]");
+        assert_eq!(copy_name("", 1234), "[1234]");
+    }
+
+    #[test]
+    fn a_batch_emits_into_one_mapping() {
+        let tapes = vec![Tape::lower(&tiny()); 5];
+        let batch = CompiledNetlist::<f64>::emit_all(tapes);
+        let Some(report) = batch
+            .iter()
+            .map(CompiledNetlist::jit_report)
+            .sum::<Option<JitReport>>()
+        else {
+            assert!(!cfg!(all(target_arch = "x86_64", target_os = "linux")) || !avx());
+            return;
+        };
+        assert_eq!(report.mappings, 1);
+        assert_eq!(report.instrs, 5 * batch[0].tape_len());
+        for tape in &batch {
+            assert_eq!(tape.eval(&[3.0, 4.0, 5.0]), vec![-22.0]);
+        }
+        let alone = CompiledNetlist::<f64>::compile(&tiny());
+        assert_eq!(alone.jit_report().map(|r| r.mappings), Some(1));
+    }
+
+    #[test]
+    fn only_interpreted_tapes_get_a_register_file() {
+        use robo_fixed::Fix32_16;
+        let emitted = CompiledNetlist::<f64>::compile(&tiny());
+        let ws = EvalWorkspace::for_netlist(&emitted);
+        let batch = BatchEvalWorkspace::<Lanes<f64, 4>>::for_netlist(&emitted);
+        if emitted.jit_report().is_some() {
+            assert!(ws.regs.is_empty());
+            assert!(batch.scalar_regs.regs.is_empty());
+        }
+        if batch.wide.jit_report().is_some() {
+            assert!(batch.wide_regs.regs.is_empty());
+        }
+        let fixed = CompiledNetlist::<Fix32_16>::compile(&tiny());
+        assert!(fixed.jit_report().is_none());
+        let mut ws = EvalWorkspace::for_netlist(&fixed);
+        assert_eq!(ws.regs.len(), fixed.num_regs());
+        let (ptr, cap) = (ws.regs.as_ptr(), ws.regs.capacity());
+        let vals = [1.5, -2.0, 0.25].map(Fix32_16::from_f64);
+        let mut out = [Fix32_16::from_f64(0.0)];
+        fixed.eval_into(&vals, &mut ws, &mut out);
+        assert_eq!(out[0], fixed.eval(&vals)[0]);
+        assert_eq!(
+            (ws.regs.as_ptr(), ws.regs.capacity()),
+            (ptr, cap),
+            "no regrowth"
+        );
+        let batch = BatchEvalWorkspace::<Lanes<Fix32_16, 4>>::for_netlist(&fixed);
+        assert_eq!(batch.wide_regs.regs.len(), fixed.num_regs());
+        assert_eq!(batch.scalar_regs.regs.len(), fixed.num_regs());
     }
 
     #[test]

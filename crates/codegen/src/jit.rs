@@ -55,7 +55,7 @@
 //!
 //! # Safety argument
 //!
-//! [`JitTape::emit`] checks every register index against the register
+//! [`JitTape::emit_all`] checks every register index against the register
 //! count, every constant index against the constant table length, that
 //! every non-input register is written before it is read, and that every
 //! output names an input or a written register; it panics on a violation
@@ -74,23 +74,30 @@
 //!
 //! Code lives in an anonymous private mapping obtained with raw Linux
 //! syscalls (`mmap`/`mprotect`/`munmap` — `libc` is deliberately not a
-//! dependency). The mapping is created read+write, filled, and then
-//! flipped to read+execute before the entry pointer is ever formed; it
-//! is **never writable and executable at the same time**, and the flip
-//! is a full `mprotect` so there is no writable alias left behind. x86
-//! instruction caches are coherent with stores from the same core after
-//! an `mprotect` round trip, so no explicit icache flush is needed.
+//! dependency). A batch of tapes emitted together
+//! ([`JitTape::emit_all`]) shares one mapping: every function is lowered
+//! first, each entry aligned to 16 bytes with `int3` between them, and
+//! the mapping is created read+write, filled once, and then flipped to
+//! read+execute before any entry pointer is ever formed; it is **never
+//! writable and executable at the same time**, and the flip is a full
+//! `mprotect` so there is no writable alias left behind. Each tape keeps
+//! an `Arc` of the mapping, so it is unmapped with the batch's last tape.
+//! x86 instruction caches are coherent with stores from the same core
+//! after an `mprotect` round trip, so no explicit icache flush is needed.
+//! One mapping per batch rather than per tape is what keeps a plan's
+//! build cheap: each mapping costs an `mmap`, a first-touch fault, an
+//! `mprotect` and, at drop, an `munmap`.
 //!
 //! # Fallback rules
 //!
-//! [`JitTape::emit`] returns `None` — and the tape runs the interpreter —
-//! whenever the target is not x86-64 Linux, the scalar type has no row
-//! on this host (fixed point, every `Lanes` type but `Lanes<f64, 4>`,
-//! `f64` and `f32` on a pre-AVX host, `Lanes<f64, 4>` without AVX2), the
-//! `mmap` or the `mprotect` flip fails, or a displacement or the frame
-//! would overflow 32 bits.
+//! [`JitTape::emit_all`] gives a tape no function — and it runs the
+//! interpreter — whenever the target is not x86-64 Linux, the scalar type
+//! has no row on this host (fixed point, every `Lanes` type but
+//! `Lanes<f64, 4>`, `f64` and `f32` on a pre-AVX host, `Lanes<f64, 4>`
+//! without AVX2), the batch's `mmap` or `mprotect` flip fails, or a
+//! displacement or the tape's frame would overflow 32 bits.
 
-use crate::compiled::Instr;
+use crate::compiled::{Instr, Tape};
 
 /// Emitted-code statistics for one JIT-compiled tape, surfaced through
 /// [`CompiledNetlist::jit_report`](crate::CompiledNetlist::jit_report)
@@ -105,6 +112,11 @@ pub struct JitReport {
     pub spills: usize,
     /// Spilled values loaded back from the frame.
     pub reloads: usize,
+    /// Executable mappings the tapes occupy. A batch emitted together
+    /// shares one ([`CompiledNetlist::emit_all`](crate::CompiledNetlist::emit_all));
+    /// its first tape's report counts it, so a sum over every tape of the
+    /// batches counts each mapping once.
+    pub mappings: usize,
 }
 
 impl JitReport {
@@ -125,6 +137,7 @@ impl std::ops::Add for JitReport {
             code_bytes: self.code_bytes + rhs.code_bytes,
             spills: self.spills + rhs.spills,
             reloads: self.reloads + rhs.reloads,
+            mappings: self.mappings + rhs.mappings,
         }
     }
 }
@@ -137,8 +150,9 @@ impl std::iter::Sum for JitReport {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod native {
-    use super::{Instr, JitReport};
+    use super::{Instr, JitReport, Tape};
     use core::any::TypeId;
+    use core::borrow::Borrow;
     use core::ptr::NonNull;
     use robo_spatial::{Lanes, Scalar};
     use std::sync::Arc;
@@ -203,7 +217,7 @@ mod native {
         len: usize,
     }
 
-    // SAFETY: after construction (`JitTape::emit` finishes before any
+    // SAFETY: after construction (`JitTape::emit_all` finishes before any
     // sharing) the mapping is read+execute only — no `&mut` access
     // exists anywhere, so moving the owner across threads is sound.
     unsafe impl Send for CodeBuf {}
@@ -701,15 +715,17 @@ mod native {
     /// that keeps values in registers, spills to its own stack frame, and
     /// reads `inputs` and writes `outputs` in place. Every instruction
     /// reads its operands before its one write; fused opcodes run as two
-    /// rounded steps through `TMP`. Returns the code and its report, or
-    /// `None` if a displacement or the frame overflows 32 bits.
+    /// rounded steps through `TMP`. Appends the function to `code` and
+    /// returns its report, or `None` (with `code` untouched) if a
+    /// displacement or the frame overflows 32 bits.
     fn lower(
         row: &'static Row,
         tape: &[Instr],
         num_regs: usize,
         out_regs: &[u32],
         negates: bool,
-    ) -> Option<(Vec<u8>, JitReport)> {
+        code: &mut Vec<u8>,
+    ) -> Option<JitReport> {
         let end = u32::try_from(tape.len()).ok()?;
         let mut regs = vec![
             TapeReg {
@@ -825,7 +841,8 @@ mod native {
         // Frame: `sub rsp` in page steps, touching each page so no access
         // can skip the stack's guard page; the body; `add rsp`; `ret`.
         let frame = disp(e.slots, row.size)?;
-        let mut code = Vec::with_capacity(e.code.len() + 32 + 12 * (frame as usize / PAGE));
+        let start = code.len();
+        code.reserve(e.code.len() + 32 + 12 * (frame as usize / PAGE));
         let mut left = frame;
         while left > 0 {
             let step = left.min(PAGE as i32);
@@ -845,21 +862,23 @@ mod native {
             code.extend_from_slice(&frame.to_le_bytes());
         }
         code.push(0xC3); // ret
-        let report = JitReport {
+        Some(JitReport {
             instrs: tape.len(),
-            code_bytes: code.len(),
+            code_bytes: code.len() - start,
             spills: e.spills,
             reloads: e.reloads,
-        };
-        Some((code, report))
+            mappings: 0,
+        })
     }
 
-    /// A compiled tape emitted as one contiguous native function.
+    /// A compiled tape emitted as one contiguous native function, in a
+    /// mapping shared with the rest of its batch.
     ///
     /// Cloning is cheap: the code mapping is `Arc`-shared.
     #[derive(Debug)]
     pub(crate) struct JitTape<S> {
-        /// Keeps the executable mapping alive; `entry` points into it.
+        /// Keeps the executable mapping, shared by every tape of the batch
+        /// it was emitted with, alive; `entry` points into it.
         code: Arc<CodeBuf>,
         entry: unsafe extern "C" fn(*const S, *mut S, *const S),
         /// The input, output and constant counts every emitted address
@@ -883,33 +902,60 @@ mod native {
         }
     }
 
+    /// Function entries start on this boundary; the gaps hold `int3`.
+    const ENTRY_ALIGN: usize = 16;
+
     impl<S: Scalar> JitTape<S> {
-        /// Emits `tape` as native code for `S`'s row: inputs are registers
-        /// `0..n_inputs`, output `o` is register `out_regs[o]` at the end.
-        /// Returns `None` (the tape then runs the interpreter) if `S` has
-        /// no row on this host, a displacement overflows, or the mapping
-        /// cannot be created or protected.
+        /// Emits each tape as native code for `S`'s row, every function
+        /// in one mapping: the code is assembled, mapped read+write,
+        /// copied in, and flipped to read+execute once. Each tape's
+        /// inputs are registers `0..n_inputs` and output `o` is register
+        /// `outputs[o]` at the end. A tape's entry is `None` (it then runs
+        /// the interpreter) if a displacement overflows; every entry is
+        /// `None` if `S` has no row on this host or the mapping cannot be
+        /// created or protected.
         ///
         /// # Panics
         ///
-        /// Panics if the tape breaks an invariant `check_tape` states — a
+        /// Panics if a tape breaks an invariant `check_tape` states — a
         /// compiler invariant violation, never a user error.
-        pub(crate) fn emit(
-            tape: &[Instr],
-            num_regs: usize,
-            n_inputs: usize,
-            n_consts: usize,
-            out_regs: &[u32],
-        ) -> Option<Self> {
-            let row = row_for::<S>()?;
-            let _span = robo_trace::span_items("tape.jit.emit", tape.len());
-            let negates = check_tape(tape, num_regs, n_inputs, n_consts, out_regs);
-            let (code, report) = {
-                let _span = robo_trace::span_items("tape.jit.lower", tape.len());
-                lower(row, tape, num_regs, out_regs, negates)?
+        pub(crate) fn emit_all<T: Borrow<Tape>>(tapes: &[T]) -> Vec<Option<Self>> {
+            let none = || tapes.iter().map(|_| None).collect();
+            let Some(row) = row_for::<S>() else {
+                return none();
             };
-
-            let buf = CodeBuf::map_rw(code.len().div_ceil(PAGE) * PAGE)?;
+            let instrs = tapes.iter().map(|t| t.borrow().instrs.len()).sum();
+            let _span = robo_trace::span_items("tape.jit.emit", instrs);
+            let mut code = Vec::new();
+            let mut funcs = Vec::with_capacity(tapes.len());
+            {
+                let _span = robo_trace::span_items("tape.jit.lower", instrs);
+                for tape in tapes {
+                    let tape = tape.borrow();
+                    let out_regs: Vec<u32> = tape.outputs.iter().map(|(_, r)| *r).collect();
+                    let n_consts = tape.const_values.len();
+                    let n_inputs = tape.input_names.len();
+                    let negates =
+                        check_tape(&tape.instrs, tape.num_regs, n_inputs, n_consts, &out_regs);
+                    code.resize(code.len().next_multiple_of(ENTRY_ALIGN), 0xCC); // int3
+                    let start = code.len();
+                    let report = lower(
+                        row,
+                        &tape.instrs,
+                        tape.num_regs,
+                        &out_regs,
+                        negates,
+                        &mut code,
+                    );
+                    funcs.push(report.map(|r| (start, r, n_inputs, out_regs.len(), n_consts)));
+                }
+            }
+            if funcs.iter().all(Option::is_none) {
+                return none();
+            }
+            let Some(buf) = CodeBuf::map_rw(code.len().div_ceil(PAGE) * PAGE) else {
+                return none();
+            };
             // SAFETY: `buf` is a fresh read+write mapping at least
             // `code.len()` bytes long, disjoint from `code`'s heap
             // allocation.
@@ -917,26 +963,38 @@ mod native {
             {
                 let _span = robo_trace::span("tape.jit.protect");
                 if !buf.protect_rx() {
-                    return None;
+                    return none();
                 }
             }
-            // SAFETY: the mapping now holds, read+execute, a complete
-            // x86-64 function with the `extern "C"` signature
-            // `fn(*const S, *mut S, *const S)` (emitted by `lower` above);
-            // the pointer is its first instruction.
-            let entry = unsafe {
-                core::mem::transmute::<*mut u8, unsafe extern "C" fn(*const S, *mut S, *const S)>(
-                    buf.ptr.as_ptr(),
-                )
-            };
-            Some(Self {
-                code: Arc::new(buf),
-                entry,
-                n_inputs,
-                n_outputs: out_regs.len(),
-                n_consts,
-                report,
-            })
+            let buf = Arc::new(buf);
+            let mut mappings = 1;
+            funcs
+                .into_iter()
+                .map(|func| {
+                    let (start, mut report, n_inputs, n_outputs, n_consts) = func?;
+                    report.mappings = core::mem::take(&mut mappings);
+                    // SAFETY: the mapping now holds, read+execute, a
+                    // complete x86-64 function with the `extern "C"`
+                    // signature `fn(*const S, *mut S, *const S)` starting
+                    // `start` bytes in (emitted there by `lower` above, and
+                    // `start < code.len()`); the pointer is its first
+                    // instruction.
+                    let entry = unsafe {
+                        core::mem::transmute::<
+                            *mut u8,
+                            unsafe extern "C" fn(*const S, *mut S, *const S),
+                        >(buf.ptr.as_ptr().add(start))
+                    };
+                    Some(Self {
+                        code: Arc::clone(&buf),
+                        entry,
+                        n_inputs,
+                        n_outputs,
+                        n_consts,
+                        report,
+                    })
+                })
+                .collect()
         }
 
         /// Executes the emitted function: reads `inputs` and `consts`,
@@ -978,22 +1036,74 @@ mod native {
     mod tests {
         use super::*;
 
+        /// A tape over `n_inputs` inputs and `n_consts` constants.
+        fn tape(
+            instrs: &[Instr],
+            num_regs: usize,
+            n_inputs: usize,
+            n_consts: usize,
+            outs: &[u32],
+        ) -> Tape {
+            Tape {
+                name: "t".to_owned(),
+                input_names: (0..n_inputs).map(|k| format!("x{k}")).collect(),
+                const_values: vec![0.0; n_consts],
+                instrs: instrs.to_vec(),
+                num_regs,
+                outputs: outs.iter().map(|r| (format!("r{r}"), *r)).collect(),
+                fusion: Default::default(),
+            }
+        }
+
         fn emit(
-            tape: &[Instr],
+            instrs: &[Instr],
             num_regs: usize,
             n_inputs: usize,
             n_consts: usize,
             outs: &[u32],
         ) -> JitTape<f64> {
-            JitTape::emit(tape, num_regs, n_inputs, n_consts, outs)
+            let tape = tape(instrs, num_regs, n_inputs, n_consts, outs);
+            JitTape::emit_all(&[tape])
+                .pop()
+                .flatten()
                 .expect("x86-64 Linux AVX host emits f64")
         }
 
         /// The emitted function's bytes.
         fn bytes(jit: &JitTape<f64>) -> &[u8] {
-            // SAFETY: the mapping is readable (read+execute), at least
-            // `code_bytes` long, and alive as long as `jit`.
-            unsafe { core::slice::from_raw_parts(jit.code.ptr.as_ptr(), jit.report.code_bytes) }
+            // SAFETY: the function lies inside the mapping, which is
+            // readable (read+execute) and alive as long as `jit`; it is
+            // `code_bytes` long from its entry.
+            unsafe { core::slice::from_raw_parts(jit.entry as *const u8, jit.report.code_bytes) }
+        }
+
+        #[test]
+        fn a_batch_shares_one_mapping_and_each_entry_runs_its_own_tape() {
+            let tapes: Vec<Tape> = (1..=3)
+                .map(|k| {
+                    let adds = vec![Instr::Add { a: 0, b: 1, dst: 1 }; k];
+                    tape(&adds, 2, 2, 0, &[1])
+                })
+                .collect();
+            let jits: Vec<JitTape<f64>> = JitTape::emit_all(&tapes)
+                .into_iter()
+                .map(|j| j.expect("emits"))
+                .collect();
+            let base = Arc::as_ptr(&jits[0].code);
+            let mut entries = Vec::new();
+            for (k, jit) in jits.iter().enumerate() {
+                assert!(core::ptr::eq(Arc::as_ptr(&jit.code), base), "one mapping");
+                assert_eq!(jit.report().mappings, usize::from(k == 0));
+                assert_eq!(jit.entry as usize % ENTRY_ALIGN, 0);
+                entries.push(jit.entry as usize);
+                let mut out = [0.0];
+                jit.run(&[1.0, 0.5], &mut out, &[]);
+                assert_eq!(out[0], 0.5 + (k + 1) as f64);
+            }
+            entries.dedup();
+            assert_eq!(entries.len(), 3);
+            let total: JitReport = jits.iter().map(JitTape::report).sum();
+            assert_eq!((total.instrs, total.mappings), (6, 1));
         }
 
         #[test]
@@ -1122,11 +1232,11 @@ pub(crate) use native::JitTape;
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod fallback {
-    use super::{Instr, JitReport};
+    use super::{JitReport, Tape};
     use robo_spatial::Scalar;
 
     /// Uninhabited stand-in on targets without the JIT backend:
-    /// [`JitTape::emit`] always returns `None`, so no value of this type
+    /// [`JitTape::emit_all`] always returns `None`s, so no value of this type
     /// ever exists and every tape runs the interpreter.
     #[derive(Debug)]
     pub(crate) struct JitTape<S> {
@@ -1141,15 +1251,10 @@ mod fallback {
     }
 
     impl<S: Scalar> JitTape<S> {
-        /// No JIT backend on this target: always `None`.
-        pub(crate) fn emit(
-            _tape: &[Instr],
-            _num_regs: usize,
-            _n_inputs: usize,
-            _n_consts: usize,
-            _out_regs: &[u32],
-        ) -> Option<Self> {
-            None
+        /// No JIT backend on this target: every tape runs the
+        /// interpreter.
+        pub(crate) fn emit_all<T>(tapes: &[T]) -> Vec<Option<Self>> {
+            tapes.iter().map(|_| None).collect()
         }
 
         /// Unreachable: no `JitTape` value exists on this target.

@@ -62,7 +62,7 @@ mod top;
 mod verilog;
 mod xunit_gen;
 
-pub use compiled::{BatchEvalWorkspace, CompiledNetlist, EvalWorkspace, FusionCounts};
+pub use compiled::{BatchEvalWorkspace, CompiledNetlist, EvalWorkspace, FusionCounts, Tape};
 pub use jit::JitReport;
 pub use netlist::{Netlist, NetlistError, NetlistStats, Node, NodeId};
 pub use opt::{optimize, optimize_with_report, OptReport};

@@ -35,6 +35,7 @@ use crate::compiled::FusionCounts;
 use crate::netlist::{Netlist, NetlistStats, Node, NodeId};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Before/after statistics of an optimization run — the pre/post pruned
 /// multiplier counts of the paper's Figure 9, measured on the IR.
@@ -115,18 +116,60 @@ impl Key {
     }
 }
 
+/// The multiply–rotate hash rustc uses for its interners. A hash-cons key
+/// is a tag and one or two small integers, on which the default SipHash
+/// spends most of a pass (a plan optimizes two netlists per joint). The
+/// keys are node ids and constant bit patterns of one netlist; a
+/// collision costs a probe, never a wrong rewrite, so SipHash's
+/// resistance to crafted keys is not needed here.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One forward rewrite pass: simplification + CSE, building a fresh node
 /// list and an old→new id map.
 struct Rewriter {
     nodes: Vec<Node>,
-    seen: HashMap<Key, NodeId>,
+    seen: HashMap<Key, NodeId, BuildHasherDefault<FxHasher>>,
 }
 
 impl Rewriter {
-    fn new() -> Self {
+    /// A rewriter sized for a netlist of `len` nodes.
+    fn new(len: usize) -> Self {
         Self {
-            nodes: Vec::new(),
-            seen: HashMap::new(),
+            nodes: Vec::with_capacity(len),
+            seen: HashMap::with_capacity_and_hasher(len, BuildHasherDefault::default()),
         }
     }
 
@@ -223,7 +266,7 @@ impl Rewriter {
 
 /// Runs one simplify+CSE pass followed by dead-node elimination.
 fn pass(netlist: &Netlist) -> Netlist {
-    let mut rw = Rewriter::new();
+    let mut rw = Rewriter::new(netlist.nodes().len());
     let mut map = Vec::with_capacity(netlist.nodes().len());
     for node in netlist.nodes() {
         let remapped = match node {

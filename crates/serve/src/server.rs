@@ -4,6 +4,7 @@
 use crate::cache::{MorphShards, PlanCache};
 use crate::error::{Rejected, ServeError};
 use crate::pool::{self, Pool};
+use crate::shard::Listing;
 use crate::slot::{GradientRequest, ResponseSlot};
 use crate::ServeConfig;
 use robo_dynamics::engine::KernelKind;
@@ -38,6 +39,29 @@ pub struct ServeStats {
     /// Deepest any shard queue has been — the backpressure observable to
     /// alert on before shedding starts.
     pub queue_high_water: u64,
+}
+
+impl ServeStats {
+    /// What happened between `before` (an earlier snapshot of the same
+    /// server) and `self`: every counter is the difference, and
+    /// `queue_high_water` keeps the current mark, which is a maximum, not
+    /// a count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter of `before` exceeds `self`'s (the snapshots
+    /// are out of order or from different servers).
+    pub fn since(&self, before: &ServeStats) -> ServeStats {
+        ServeStats {
+            plans_built: self.plans_built - before.plans_built,
+            submitted: self.submitted - before.submitted,
+            completed: self.completed - before.completed,
+            shed: self.shed - before.shed,
+            flushes: self.flushes - before.flushes,
+            ragged_flushes: self.ragged_flushes - before.ragged_flushes,
+            queue_high_water: self.queue_high_water,
+        }
+    }
 }
 
 struct ServerInner {
@@ -156,24 +180,20 @@ impl GradientServer {
         req: GradientRequest,
         slot: &ResponseSlot,
     ) -> Result<(), Rejected> {
-        let Some(morph) = self.inner.cache.get(key) else {
-            return Err(Rejected {
-                error: ServeError::UnknownMorphology(key),
-                req,
-            });
-        };
-        let shard = morph.shard(req.kernel, &self.inner.config, &self.inner.pool);
-        shard.enqueue(req, slot)
+        self.admit(key, req, slot, Listing::Wake)
     }
 
     /// Convenience round trip: [`submit`](Self::submit) then
-    /// [`ResponseSlot::wait`].
+    /// [`ResponseSlot::wait`], without waking the pool.
     ///
-    /// The batch may flush on the calling thread: if the request is still
-    /// queued and a flush kit is free when the caller starts waiting, the
-    /// caller runs the kernel itself (see [`ResponseSlot::wait`]). A caller
-    /// that must not compute submits and polls [`ResponseSlot::try_take`]
-    /// instead.
+    /// The caller is about to wait, so admission neither lists the shard
+    /// nor wakes a pool worker: if a flush kit is free when the caller
+    /// starts waiting, the caller runs the batch itself (see
+    /// [`ResponseSlot::wait`]). With every kit in use it parks, and the
+    /// kits' holders list the shard when they give their kits back (during
+    /// shutdown they flush what is left themselves). A lone request thus
+    /// wakes no other thread. A caller that must not compute submits and
+    /// polls [`ResponseSlot::try_take`] instead.
     ///
     /// # Errors
     ///
@@ -185,8 +205,27 @@ impl GradientServer {
         req: GradientRequest,
         slot: &ResponseSlot,
     ) -> Result<GradientRequest, Rejected> {
-        self.submit(key, req, slot)?;
+        self.admit(key, req, slot, Listing::Waiter)?;
         Ok(slot.wait())
+    }
+
+    /// Routes `req` to its shard and queues it; `listing` says who flushes.
+    #[allow(clippy::result_large_err)]
+    fn admit(
+        &self,
+        key: MorphologyKey,
+        req: GradientRequest,
+        slot: &ResponseSlot,
+        listing: Listing,
+    ) -> Result<(), Rejected> {
+        let Some(morph) = self.inner.cache.get(key) else {
+            return Err(Rejected {
+                error: ServeError::UnknownMorphology(key),
+                req,
+            });
+        };
+        let shard = morph.shard(req.kernel, &self.inner.config, &self.inner.pool);
+        shard.enqueue(req, slot, listing)
     }
 
     /// Aggregated counters across all shards.
@@ -222,5 +261,44 @@ impl std::fmt::Debug for GradientServer {
             .field("config", &self.inner.config)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_since_subtracts_counters_and_keeps_the_high_water_mark() {
+        let before = ServeStats {
+            plans_built: 1,
+            submitted: 10,
+            completed: 9,
+            shed: 2,
+            flushes: 4,
+            ragged_flushes: 3,
+            queue_high_water: 7,
+        };
+        let now = ServeStats {
+            plans_built: 2,
+            submitted: 25,
+            completed: 25,
+            shed: 2,
+            flushes: 9,
+            ragged_flushes: 5,
+            queue_high_water: 6,
+        };
+        let want = ServeStats {
+            plans_built: 1,
+            submitted: 15,
+            completed: 16,
+            shed: 0,
+            flushes: 5,
+            ragged_flushes: 2,
+            queue_high_water: 6,
+        };
+        assert_eq!(now.since(&before), want);
+        assert_eq!(now.since(&ServeStats::default()), now);
+        assert_eq!(now.since(&now).submitted, 0);
     }
 }

@@ -26,6 +26,17 @@ pub(crate) struct ShardStats {
     pub(crate) high_water: AtomicU64,
 }
 
+/// Who flushes a newly admitted request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Listing {
+    /// The pool: admission lists the shard and wakes a parked worker.
+    Wake,
+    /// The submitting client, which waits next: admission leaves the
+    /// ready list alone, and the waiter flushes with a free kit or parks
+    /// until a kit holder lists the shard.
+    Waiter,
+}
+
 /// One admitted request waiting for a flush.
 struct Pending {
     req: GradientRequest,
@@ -124,6 +135,7 @@ impl Shard {
         self: &Arc<Self>,
         mut req: GradientRequest,
         slot: &ResponseSlot,
+        listing: Listing,
     ) -> Result<(), Rejected> {
         let _span = robo_trace::span("serve.enqueue");
         debug_assert_eq!(
@@ -173,7 +185,10 @@ impl Shard {
             slot: Arc::clone(&slot.inner),
         });
         let depth = q.pending.len() as u64;
-        self.list(q);
+        match listing {
+            Listing::Wake => self.list(q),
+            Listing::Waiter => drop(q),
+        }
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.high_water.fetch_max(depth, Ordering::Relaxed);
         Ok(())
@@ -431,7 +446,9 @@ mod tests {
             .map(|k| {
                 let slot = ResponseSlot::new();
                 let req = request(&shard.plan, shard.kernel, k);
-                shard.enqueue(req, &slot).expect("under capacity");
+                shard
+                    .enqueue(req, &slot, Listing::Wake)
+                    .expect("under capacity");
                 slot
             })
             .collect()
@@ -608,7 +625,9 @@ mod tests {
         let extra = ResponseSlot::new();
         let req = request(&shard.plan, shard.kernel, capacity);
         let sent = req.q.clone();
-        let rejected = shard.enqueue(req, &extra).expect_err("queue is full");
+        let rejected = shard
+            .enqueue(req, &extra, Listing::Wake)
+            .expect_err("queue is full");
         assert_eq!(
             rejected.error,
             ServeError::Overloaded {
@@ -641,7 +660,7 @@ mod tests {
             let slot = ResponseSlot::new();
             let submitted = Instant::now();
             shard
-                .enqueue(request(&shard.plan, shard.kernel, 0), &slot)
+                .enqueue(request(&shard.plan, shard.kernel, 0), &slot, Listing::Wake)
                 .expect("under capacity");
             // No pool thread exists: only the waiter can flush.
             let got = wait_on_own_thread(slot);
@@ -678,6 +697,41 @@ mod tests {
         assert!(next_is(&pool, &shard));
         shard.visit();
         assert_answered(&shard, BackendKind::Accel, &slots);
+    }
+
+    #[test]
+    fn a_waiter_admission_lists_nothing_and_a_kit_holder_lists_it_later() {
+        let pool = pool();
+        let shard = shard_on(&pool, KernelKind::Gradient, &one_kit(BackendKind::Accel));
+        let slot = ResponseSlot::new();
+        let req = request(&shard.plan, shard.kernel, 0);
+        shard
+            .enqueue(req, &slot, Listing::Waiter)
+            .expect("admitted");
+        assert!(
+            pool.next().is_none(),
+            "a kit is free, yet nothing is listed"
+        );
+        assert!(!shard.lock_queue().listed);
+        // The waiter flushes its own request with the free kit.
+        let got = wait_on_own_thread(slot);
+        assert_bitwise(&shard, BackendKind::Accel, 0, &got);
+        assert_eq!(flushes(&shard), 1);
+
+        // With the kit out, a waiter's request stays unlisted until the
+        // holder gives the kit back.
+        let kit = shard.lock_queue().kits.pop().expect("one kit per worker");
+        let slot = ResponseSlot::new();
+        let req = request(&shard.plan, shard.kernel, 0);
+        shard
+            .enqueue(req, &slot, Listing::Waiter)
+            .expect("admitted");
+        assert!(!shard.flush_for_waiter(&slot.inner), "no free kit");
+        assert!(pool.next().is_none());
+        shard.give_back(kit);
+        assert!(next_is(&pool, &shard));
+        shard.visit();
+        assert_answered(&shard, BackendKind::Accel, &[slot]);
     }
 
     #[test]
@@ -766,7 +820,7 @@ mod tests {
         // The next waiter flushes with the kit that is left.
         let slot = ResponseSlot::new();
         shard
-            .enqueue(request(&shard.plan, shard.kernel, 0), &slot)
+            .enqueue(request(&shard.plan, shard.kernel, 0), &slot, Listing::Wake)
             .expect("under capacity");
         assert_bitwise(&shard, BackendKind::Accel, 0, &wait_on_own_thread(slot));
     }

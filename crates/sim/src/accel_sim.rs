@@ -8,9 +8,23 @@
 //! functional units in the accelerator's (fixed-point) scalar type, and all
 //! timing taken from the design's static [`CycleSchedule`].
 //!
+//! # Call plan
+//!
+//! A link's products go through its unit's banks together, as the
+//! datapaths share one `X·` unit per link (§5.2): per link, the ID sweep
+//! makes one forward-bank call (`v_λ`, `a_λ`) and one transposed-bank
+//! call (`f`, and the ∂/∂q seed `S ×* f`); per column `j` and link `i`,
+//! the ∇ID forward step makes one forward-bank call (∂v and ∂a, for ∂q
+//! and ∂q̇) where `i` descends from `j` strictly — at `i == j` it reuses
+//! the sweep's `X·v_λ` and `X·a_λ` — and the backward step one
+//! transposed-bank call (`∂f` for ∂q and ∂q̇) per link with a parent. An
+//! iiwa14 gradient makes 76 calls, a hyq gradient 128; `id` and `fd` make
+//! the sweep's (13 on iiwa14). Every output is bit-identical to one
+//! single-product call per product.
+//!
 //! [`CycleSchedule`]: robomorphic_core::CycleSchedule
 
-use crate::xunit::XUnit;
+use crate::xunit::{self, XUnit};
 use robo_model::RobotModel;
 use robo_sparsity::superposition_pattern;
 use robo_spatial::{Force, Lanes, MatN, Motion, Scalar, SpatialInertia};
@@ -61,6 +75,7 @@ pub struct SimWorkspace<S> {
     v: Vec<Motion<S>>,
     a: Vec<Motion<S>>,
     f: Vec<Force<S>>,
+    swept: Vec<Swept<S>>,
     zero_qdd: Vec<S>,
     dv_q: Vec<Motion<S>>,
     da_q: Vec<Motion<S>>,
@@ -90,6 +105,7 @@ impl<S: Scalar> SimWorkspace<S> {
             v: Vec::new(),
             a: Vec::new(),
             f: Vec::new(),
+            swept: Vec::new(),
             zero_qdd: Vec::new(),
             dv_q: Vec::new(),
             da_q: Vec::new(),
@@ -115,6 +131,7 @@ impl<S: Scalar> SimWorkspace<S> {
             v: vec![Motion::zero(); n],
             a: vec![Motion::zero(); n],
             f: vec![Force::zero(); n],
+            swept: vec![Swept::zero(); n],
             zero_qdd: vec![S::zero(); n],
             dv_q: vec![Motion::zero(); n],
             da_q: vec![Motion::zero(); n],
@@ -134,6 +151,36 @@ impl<S: Scalar> SimWorkspace<S> {
             dqdd_dq: self.dqdd_dq,
             dqdd_dqd: self.dqdd_dqd,
             cycles,
+        }
+    }
+}
+
+/// What the ID sweep leaves per link for the ∇ID datapaths, so no column
+/// computes it again.
+#[derive(Debug, Clone, Copy)]
+struct Swept<S> {
+    /// `X·v_λ`; the root's is `X·0` (`−0` where an entry is negative),
+    /// not the sweep's `0`.
+    xv: Motion<S>,
+    /// `X·a_λ`; the root's is `X·a_base`.
+    xa: Motion<S>,
+    /// `S·q̇`.
+    sqd: Motion<S>,
+    /// `I·v`.
+    iv: Force<S>,
+    /// `Xᵀ(S ×* f)`, the backward seed of column `i` (links with a
+    /// parent, and only when the gradient asked for it).
+    seed: Force<S>,
+}
+
+impl<S: Scalar> Swept<S> {
+    fn zero() -> Self {
+        Self {
+            xv: Motion::zero(),
+            xa: Motion::zero(),
+            sqd: Motion::zero(),
+            iv: Force::zero(),
+            seed: Force::zero(),
         }
     }
 }
@@ -201,7 +248,8 @@ impl<S: Scalar> AcceleratorSim<S> {
     }
 
     /// The JIT's emission report summed over every functional unit's
-    /// compiled tapes; `None` when any of them runs the interpreter.
+    /// banks; `None` when any of them runs the interpreter. The units
+    /// share one code mapping (`mappings` reads 1).
     pub fn jit_report(&self) -> Option<robo_codegen::JitReport> {
         self.x_units.iter().map(crate::XUnit::jit_report).sum()
     }
@@ -216,10 +264,8 @@ impl<S: Scalar> AcceleratorSim<S> {
             robot.dof() <= 64,
             "robots with more than 64 links are not supported"
         );
-        let shared_mask = superposition_pattern(robot);
-        let x_units = (0..robot.dof())
-            .map(|i| XUnit::with_mask(robot, i, shared_mask))
-            .collect();
+        let mask = superposition_pattern(robot);
+        let x_units = xunit::build_units(robot, (0..robot.dof()).map(|i| (i, mask)));
         Self::assemble(robot, design, x_units)
     }
 
@@ -279,17 +325,13 @@ impl<S: Scalar> AcceleratorSim<S> {
     /// Re-targets the simulator at any scalar type — the general form of
     /// [`AcceleratorSim::widen`], also used by the engine's backend core
     /// to carry the design to its lane type. Every functional unit is cast
-    /// ([`XUnit::cast`]), not regenerated: its tapes are re-emitted at `T`
-    /// and its constants converted from snapped `f64` values through
-    /// `T::from_f64`, so the cast is exact for every supported scalar, and
-    /// each unit keeps its accumulation mode and evaluator.
+    /// ([`XUnit::cast`]), not regenerated: its banks are re-emitted at `T`
+    /// (all of them into one code mapping, as at build) and its constants
+    /// converted from snapped `f64` values through `T::from_f64`, so the
+    /// cast is exact for every supported scalar, and each unit keeps its
+    /// accumulation mode and evaluator.
     pub fn cast_to<T: Scalar>(&self) -> AcceleratorSim<T> {
-        let x_units = self
-            .x_units
-            .iter()
-            .enumerate()
-            .map(|(i, unit)| unit.cast(&self.robot, i))
-            .collect();
+        let x_units = xunit::cast_units(&self.robot, self.x_units.iter().enumerate());
         AcceleratorSim::<T>::assemble(&self.robot, self.design.clone(), x_units)
     }
 
@@ -347,6 +389,7 @@ impl<S: Scalar> AcceleratorSim<S> {
             v,
             a,
             f,
+            swept,
             dv_q,
             da_q,
             df_q,
@@ -362,86 +405,61 @@ impl<S: Scalar> AcceleratorSim<S> {
         trig.extend((0..n).map(|i| self.x_units[i].inputs_for(q[i])));
 
         // --- ID chain (runs one link ahead of the datapaths) -------------
-        self.id_sweep(qd, qdd, trig, v, a, f, tau);
+        self.id_sweep(qd, qdd, trig, v, a, f, tau, Some(swept));
 
         // --- ∇ID datapaths -------------------------------------------------
+        // Every column writes the `dv`/`da` of the links it influences
+        // before it reads them, and reads no other link's; only `df` is
+        // read on every link.
         dtau_dq.resize_zeroed(n, n);
         dtau_dqd.resize_zeroed(n, n);
-        dv_q.clear();
         dv_q.resize(n, Motion::zero());
-        da_q.clear();
         da_q.resize(n, Motion::zero());
-        df_q.clear();
         df_q.resize(n, Force::zero());
-        dv_qd.clear();
         dv_qd.resize(n, Motion::zero());
-        da_qd.clear();
         da_qd.resize(n, Motion::zero());
-        df_qd.clear();
         df_qd.resize(n, Force::zero());
 
         for j in 0..n {
-            for slot in 0..n {
-                dv_q[slot] = Motion::zero();
-                da_q[slot] = Motion::zero();
-                df_q[slot] = Force::zero();
-                dv_qd[slot] = Motion::zero();
-                da_qd[slot] = Motion::zero();
-                df_qd[slot] = Force::zero();
-            }
-
             for i in 0..n {
                 if !self.influences(j, i) {
+                    df_q[i] = Force::zero();
+                    df_qd[i] = Force::zero();
                     continue;
                 }
-                let (s_q, c_q) = trig[i];
-                let xu = &self.x_units[i];
                 let s = self.subspaces[i];
-                let s_qd = s.scale(qd[i]);
-                let parent = self.parents[i];
-
-                let (mut dv_q_i, mut dv_qd_i, mut da_q_i, mut da_qd_i) = match parent {
-                    Some(p) if self.influences(j, p) => (
-                        xu.apply_motion(s_q, c_q, dv_q[p]),
-                        xu.apply_motion(s_q, c_q, dv_qd[p]),
-                        xu.apply_motion(s_q, c_q, da_q[p]),
-                        xu.apply_motion(s_q, c_q, da_qd[p]),
-                    ),
-                    _ => (
-                        Motion::zero(),
-                        Motion::zero(),
-                        Motion::zero(),
-                        Motion::zero(),
-                    ),
+                let link = &swept[i];
+                let zero = Motion::zero();
+                let (mut dv_q_i, mut dv_qd_i, mut da_q_i, mut da_qd_i) = match self.parents[i] {
+                    // `j`'s parent is the one parent outside column `j`.
+                    Some(p) if i != j => {
+                        let (s_q, c_q) = trig[i];
+                        let [dv, dvd, da, dad] = self.x_units[i].apply_motion4(
+                            s_q,
+                            c_q,
+                            [dv_q[p], dv_qd[p], da_q[p], da_qd[p]],
+                        );
+                        (dv, dvd, da, dad)
+                    }
+                    _ => (zero, zero, zero, zero),
                 };
 
                 if i == j {
-                    let v_parent = match parent {
-                        Some(p) => v[p],
-                        None => Motion::zero(),
-                    };
-                    let a_parent = match parent {
-                        Some(p) => a[p],
-                        None => self.base_acceleration,
-                    };
-                    let xv = xu.apply_motion(s_q, c_q, v_parent);
-                    let xa = xu.apply_motion(s_q, c_q, a_parent);
-                    dv_q_i -= s.cross_motion(xv);
-                    da_q_i -= s.cross_motion(xa);
+                    dv_q_i -= s.cross_motion(link.xv);
+                    da_q_i -= s.cross_motion(link.xa);
                     dv_qd_i += s;
                     da_qd_i += v[i].cross_motion(s);
                 }
 
-                da_q_i += dv_q_i.cross_motion(s_qd);
-                da_qd_i += dv_qd_i.cross_motion(s_qd);
+                da_q_i += dv_q_i.cross_motion(link.sqd);
+                da_qd_i += dv_qd_i.cross_motion(link.sqd);
 
                 let inertia = &self.inertias[i];
-                let iv = inertia.apply(v[i]);
                 df_q[i] = inertia.apply(da_q_i)
-                    + dv_q_i.cross_force(iv)
+                    + dv_q_i.cross_force(link.iv)
                     + v[i].cross_force(inertia.apply(dv_q_i));
                 df_qd[i] = inertia.apply(da_qd_i)
-                    + dv_qd_i.cross_force(iv)
+                    + dv_qd_i.cross_force(link.iv)
                     + v[i].cross_force(inertia.apply(dv_qd_i));
 
                 dv_q[i] = dv_q_i;
@@ -455,13 +473,11 @@ impl<S: Scalar> AcceleratorSim<S> {
                 dtau_dqd[(i, j)] = self.subspaces[i].dot(df_qd[i]);
                 if let Some(p) = self.parents[i] {
                     let (s_q, c_q) = trig[i];
-                    let xu = &self.x_units[i];
-                    let mut dfp_q = xu.tr_apply_force(s_q, c_q, df_q[i]);
+                    let [mut dfp_q, dfp_qd] =
+                        self.x_units[i].tr_apply_force2(s_q, c_q, [df_q[i], df_qd[i]]);
                     if i == j {
-                        let seed = self.subspaces[i].cross_force(f[i]);
-                        dfp_q += xu.tr_apply_force(s_q, c_q, seed);
+                        dfp_q += swept[i].seed;
                     }
-                    let dfp_qd = xu.tr_apply_force(s_q, c_q, df_qd[i]);
                     df_q[p] += dfp_q;
                     df_qd[p] += dfp_qd;
                 }
@@ -492,6 +508,11 @@ impl<S: Scalar> AcceleratorSim<S> {
     /// the backward `Xᵀ` accumulation, extracting `τ_i = sᵢ·fᵢ` as each
     /// link's force becomes final. This is the stage every kernel in the
     /// multifunction family shares.
+    ///
+    /// Each link makes one forward-bank call and, below the root, one
+    /// transposed-bank call. For the gradient, `swept` keeps the products
+    /// its datapaths reuse, and the transposed call also carries the
+    /// column seed `Xᵀ(S ×* f)`; for `id` and `fd` that slot takes `+0`.
     #[allow(clippy::too_many_arguments)]
     fn id_sweep(
         &self,
@@ -502,6 +523,7 @@ impl<S: Scalar> AcceleratorSim<S> {
         a: &mut Vec<Motion<S>>,
         f: &mut Vec<Force<S>>,
         tau: &mut Vec<S>,
+        mut swept: Option<&mut Vec<Swept<S>>>,
     ) {
         let n = self.dof();
         v.clear();
@@ -512,24 +534,31 @@ impl<S: Scalar> AcceleratorSim<S> {
         f.resize(n, Force::zero());
         tau.clear();
         tau.resize(n, S::zero());
+        if let Some(swept) = swept.as_deref_mut() {
+            // Every entry the datapaths read is written below.
+            swept.resize(n, Swept::zero());
+        }
+        let zero = Motion::zero();
         for i in 0..n {
             let (s_q, c_q) = trig[i];
-            let xu = &self.x_units[i];
             let s = self.subspaces[i];
-            let s_qd = s.scale(qd[i]);
-            let (vp, ap) = match self.parents[i] {
-                Some(p) => (
-                    xu.apply_motion(s_q, c_q, v[p]),
-                    xu.apply_motion(s_q, c_q, a[p]),
-                ),
-                None => (
-                    Motion::zero(),
-                    xu.apply_motion(s_q, c_q, self.base_acceleration),
-                ),
+            let sqd = s.scale(qd[i]);
+            let (v_p, a_p) = match self.parents[i] {
+                Some(p) => (v[p], a[p]),
+                None => (zero, self.base_acceleration),
             };
-            v[i] = vp + s_qd;
-            a[i] = ap + s.scale(qdd[i]) + v[i].cross_motion(s_qd);
-            f[i] = self.inertias[i].apply(a[i]) + v[i].cross_force(self.inertias[i].apply(v[i]));
+            let [xv, xa, _, _] = self.x_units[i].apply_motion4(s_q, c_q, [v_p, a_p, zero, zero]);
+            // The root's `v_λ` is 0 itself, not `X·0`.
+            let vp = if self.parents[i].is_some() { xv } else { zero };
+            v[i] = vp + sqd;
+            a[i] = xa + s.scale(qdd[i]) + v[i].cross_motion(sqd);
+            let inertia = &self.inertias[i];
+            let iv = inertia.apply(v[i]);
+            f[i] = inertia.apply(a[i]) + v[i].cross_force(iv);
+            if let Some(swept) = swept.as_deref_mut() {
+                let link = &mut swept[i];
+                (link.xv, link.xa, link.sqd, link.iv) = (xv, xa, sqd, iv);
+            }
         }
         // Reverse order makes `f[i]` final when link `i` is reached (every
         // child has a larger index), so the torque extraction can fuse into
@@ -539,7 +568,14 @@ impl<S: Scalar> AcceleratorSim<S> {
             tau[i] = self.subspaces[i].dot(f[i]);
             if let Some(p) = self.parents[i] {
                 let (s_q, c_q) = trig[i];
-                let fp = self.x_units[i].tr_apply_force(s_q, c_q, f[i]);
+                let seed = match swept {
+                    Some(_) => self.subspaces[i].cross_force(f[i]),
+                    None => Force::zero(),
+                };
+                let [fp, seed] = self.x_units[i].tr_apply_force2(s_q, c_q, [f[i], seed]);
+                if let Some(swept) = swept.as_deref_mut() {
+                    swept[i].seed = seed;
+                }
                 f[p] += fp;
             }
         }
@@ -578,7 +614,7 @@ impl<S: Scalar> AcceleratorSim<S> {
         } = ws;
         trig.clear();
         trig.extend((0..n).map(|i| self.x_units[i].inputs_for(q[i])));
-        self.id_sweep(qd, qdd, trig, v, a, f, tau);
+        self.id_sweep(qd, qdd, trig, v, a, f, tau, None);
         self.id_chain_cycles()
     }
 
@@ -620,7 +656,7 @@ impl<S: Scalar> AcceleratorSim<S> {
         trig.extend((0..n).map(|i| self.x_units[i].inputs_for(q[i])));
         zero_qdd.clear();
         zero_qdd.resize(n, S::zero());
-        self.id_sweep(qd, zero_qdd, trig, v, a, f, bias);
+        self.id_sweep(qd, zero_qdd, trig, v, a, f, bias, None);
         // The MAC stage: q̈_i = Σ_k M⁻¹_ik (τ_k − c_k).
         qdd.clear();
         qdd.resize(n, S::zero());
@@ -885,6 +921,269 @@ mod tests {
                     qdd[i]
                 );
             }
+        }
+    }
+
+    /// The gradient, RNEA and FD of `sim` as the simulator computed them
+    /// before its units were banked: one unit call per product, every
+    /// column recomputing the sweep's products. The oracle the banked
+    /// call plan must match bit for bit.
+    struct PerProduct<'a, S: Scalar>(&'a AcceleratorSim<S>);
+
+    impl<S: Scalar> PerProduct<'_, S> {
+        fn trig(&self, q: &[S]) -> Vec<(S, S)> {
+            (0..q.len())
+                .map(|i| self.0.x_units[i].inputs_for(q[i]))
+                .collect()
+        }
+
+        /// `(v, a, f, τ)` of the ID chain.
+        #[allow(clippy::type_complexity)]
+        fn sweep(
+            &self,
+            q: &[S],
+            qd: &[S],
+            qdd: &[S],
+        ) -> (Vec<Motion<S>>, Vec<Motion<S>>, Vec<Force<S>>, Vec<S>) {
+            let sim = self.0;
+            let n = sim.dof();
+            let trig = self.trig(q);
+            let (mut v, mut a) = (vec![Motion::zero(); n], vec![Motion::zero(); n]);
+            let (mut f, mut tau) = (vec![Force::zero(); n], vec![S::zero(); n]);
+            for i in 0..n {
+                let (s_q, c_q) = trig[i];
+                let xu = &sim.x_units[i];
+                let s = sim.subspaces[i];
+                let s_qd = s.scale(qd[i]);
+                let (vp, ap) = match sim.parents[i] {
+                    Some(p) => (
+                        xu.apply_motion(s_q, c_q, v[p]),
+                        xu.apply_motion(s_q, c_q, a[p]),
+                    ),
+                    None => (
+                        Motion::zero(),
+                        xu.apply_motion(s_q, c_q, sim.base_acceleration),
+                    ),
+                };
+                v[i] = vp + s_qd;
+                a[i] = ap + s.scale(qdd[i]) + v[i].cross_motion(s_qd);
+                f[i] = sim.inertias[i].apply(a[i]) + v[i].cross_force(sim.inertias[i].apply(v[i]));
+            }
+            for i in (0..n).rev() {
+                tau[i] = sim.subspaces[i].dot(f[i]);
+                if let Some(p) = sim.parents[i] {
+                    let (s_q, c_q) = trig[i];
+                    let fp = sim.x_units[i].tr_apply_force(s_q, c_q, f[i]);
+                    f[p] += fp;
+                }
+            }
+            (v, a, f, tau)
+        }
+
+        fn fd(&self, q: &[S], qd: &[S], tau: &[S], minv: &MatN<S>) -> Vec<S> {
+            let n = self.0.dof();
+            let (_, _, _, bias) = self.sweep(q, qd, &vec![S::zero(); n]);
+            (0..n)
+                .map(|i| {
+                    let mut acc = S::zero();
+                    for k in 0..n {
+                        acc += minv[(i, k)] * (tau[k] - bias[k]);
+                    }
+                    acc
+                })
+                .collect()
+        }
+
+        /// `[∂τ/∂q, ∂τ/∂q̇, ∂q̈/∂q, ∂q̈/∂q̇]`.
+        fn grad(&self, q: &[S], qd: &[S], qdd: &[S], minv: &MatN<S>) -> [MatN<S>; 4] {
+            let sim = self.0;
+            let n = sim.dof();
+            let trig = self.trig(q);
+            let (v, a, f, _) = self.sweep(q, qd, qdd);
+            let mut dtau_dq = MatN::zeros(n, n);
+            let mut dtau_dqd = MatN::zeros(n, n);
+            for j in 0..n {
+                let mut dv_q = vec![Motion::zero(); n];
+                let mut da_q = vec![Motion::zero(); n];
+                let mut df_q = vec![Force::zero(); n];
+                let mut dv_qd = vec![Motion::zero(); n];
+                let mut da_qd = vec![Motion::zero(); n];
+                let mut df_qd = vec![Force::zero(); n];
+                for i in 0..n {
+                    if !sim.influences(j, i) {
+                        continue;
+                    }
+                    let (s_q, c_q) = trig[i];
+                    let xu = &sim.x_units[i];
+                    let s = sim.subspaces[i];
+                    let s_qd = s.scale(qd[i]);
+                    let parent = sim.parents[i];
+                    let (mut dv_q_i, mut dv_qd_i, mut da_q_i, mut da_qd_i) = match parent {
+                        Some(p) if sim.influences(j, p) => (
+                            xu.apply_motion(s_q, c_q, dv_q[p]),
+                            xu.apply_motion(s_q, c_q, dv_qd[p]),
+                            xu.apply_motion(s_q, c_q, da_q[p]),
+                            xu.apply_motion(s_q, c_q, da_qd[p]),
+                        ),
+                        _ => (
+                            Motion::zero(),
+                            Motion::zero(),
+                            Motion::zero(),
+                            Motion::zero(),
+                        ),
+                    };
+                    if i == j {
+                        let v_parent = parent.map_or(Motion::zero(), |p| v[p]);
+                        let a_parent = parent.map_or(sim.base_acceleration, |p| a[p]);
+                        let xv = xu.apply_motion(s_q, c_q, v_parent);
+                        let xa = xu.apply_motion(s_q, c_q, a_parent);
+                        dv_q_i -= s.cross_motion(xv);
+                        da_q_i -= s.cross_motion(xa);
+                        dv_qd_i += s;
+                        da_qd_i += v[i].cross_motion(s);
+                    }
+                    da_q_i += dv_q_i.cross_motion(s_qd);
+                    da_qd_i += dv_qd_i.cross_motion(s_qd);
+                    let inertia = &sim.inertias[i];
+                    let iv = inertia.apply(v[i]);
+                    df_q[i] = inertia.apply(da_q_i)
+                        + dv_q_i.cross_force(iv)
+                        + v[i].cross_force(inertia.apply(dv_q_i));
+                    df_qd[i] = inertia.apply(da_qd_i)
+                        + dv_qd_i.cross_force(iv)
+                        + v[i].cross_force(inertia.apply(dv_qd_i));
+                    dv_q[i] = dv_q_i;
+                    dv_qd[i] = dv_qd_i;
+                    da_q[i] = da_q_i;
+                    da_qd[i] = da_qd_i;
+                }
+                for i in (0..n).rev() {
+                    dtau_dq[(i, j)] = sim.subspaces[i].dot(df_q[i]);
+                    dtau_dqd[(i, j)] = sim.subspaces[i].dot(df_qd[i]);
+                    if let Some(p) = sim.parents[i] {
+                        let (s_q, c_q) = trig[i];
+                        let xu = &sim.x_units[i];
+                        let mut dfp_q = xu.tr_apply_force(s_q, c_q, df_q[i]);
+                        if i == j {
+                            let seed = sim.subspaces[i].cross_force(f[i]);
+                            dfp_q += xu.tr_apply_force(s_q, c_q, seed);
+                        }
+                        let dfp_qd = xu.tr_apply_force(s_q, c_q, df_qd[i]);
+                        df_q[p] += dfp_q;
+                        df_qd[p] += dfp_qd;
+                    }
+                }
+            }
+            let mut dqdd_dq = MatN::zeros(n, n);
+            let mut dqdd_dqd = MatN::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    let (mut acc_q, mut acc_qd) = (S::zero(), S::zero());
+                    for k in 0..n {
+                        acc_q += minv[(i, k)] * dtau_dq[(k, j)];
+                        acc_qd += minv[(i, k)] * dtau_dqd[(k, j)];
+                    }
+                    dqdd_dq[(i, j)] = -acc_q;
+                    dqdd_dqd[(i, j)] = -acc_qd;
+                }
+            }
+            [dtau_dq, dtau_dqd, dqdd_dq, dqdd_dqd]
+        }
+    }
+
+    /// Random kernel inputs for `sim` drawn from `draw`, which mixes ±0
+    /// into ordinary magnitudes.
+    fn banked_matches_per_product<S: Scalar>(
+        sim: &AcceleratorSim<S>,
+        draw: &mut dyn FnMut() -> S,
+        bits: &dyn Fn(S) -> Vec<u64>,
+    ) {
+        let n = sim.dof();
+        let name = sim.robot().name().to_owned();
+        let mut ws = SimWorkspace::for_sim(sim);
+        let oracle = PerProduct(sim);
+        let same = |got: &[S], want: &[S], what: &str| {
+            for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(bits(*g), bits(*w), "{name} {what}[{k}]");
+            }
+        };
+        for _ in 0..4 {
+            let vec_of = |draw: &mut dyn FnMut() -> S| (0..n).map(|_| draw()).collect::<Vec<S>>();
+            let (q, qd, third) = (vec_of(draw), vec_of(draw), vec_of(draw));
+            let mut minv = MatN::zeros(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    minv[(r, c)] = draw();
+                }
+            }
+            sim.compute_gradient_into(&q, &qd, &third, &minv, &mut ws);
+            let want = oracle.grad(&q, &qd, &third, &minv);
+            let got = [&ws.dtau_dq, &ws.dtau_dqd, &ws.dqdd_dq, &ws.dqdd_dqd];
+            for (what, (g, w)) in ["dtau_dq", "dtau_dqd", "dqdd_dq", "dqdd_dqd"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                same(g.as_slice(), w.as_slice(), what);
+            }
+            sim.compute_rnea_into(&q, &qd, &third, &mut ws);
+            same(&ws.tau, &oracle.sweep(&q, &qd, &third).3, "tau");
+            sim.compute_fd_into(&q, &qd, &third, &minv, &mut ws);
+            same(&ws.qdd, &oracle.fd(&q, &qd, &third, &minv), "qdd");
+        }
+    }
+
+    #[test]
+    fn call_plan_makes_one_bank_call_per_link_and_step() {
+        use crate::xunit::BANK_CALLS;
+        let calls = |run: &mut dyn FnMut()| {
+            BANK_CALLS.with(|c| c.set(0));
+            run();
+            BANK_CALLS.with(core::cell::Cell::get)
+        };
+        // (robot, gradient calls, ID-sweep calls): the sweep makes one
+        // forward call per link and one transposed call per link with a
+        // parent; see the module docs for the ∇ID datapaths'.
+        for (robot, grad, sweep) in [(robots::iiwa14(), 76, 13), (robots::hyq(), 128, 20)] {
+            let (q, qd, qdd, minv, _) = reference_case(&robot, 7);
+            let sim = AcceleratorSim::<f64>::new(&robot);
+            let mut ws = SimWorkspace::for_sim(&sim);
+            let name = robot.name();
+            let got = calls(&mut || {
+                sim.compute_gradient_into(&q, &qd, &qdd, &minv, &mut ws);
+            });
+            assert_eq!(got, grad, "{name} gradient");
+            let got = calls(&mut || {
+                sim.compute_rnea_into(&q, &qd, &qdd, &mut ws);
+            });
+            assert_eq!(got, sweep, "{name} rnea");
+            let got = calls(&mut || {
+                sim.compute_fd_into(&q, &qd, &qdd, &minv, &mut ws);
+            });
+            assert_eq!(got, sweep, "{name} fd");
+        }
+    }
+
+    #[test]
+    fn banked_call_plan_is_bit_identical_to_one_call_per_product() {
+        use robo_spatial::Lanes;
+        const PICKS: [f64; 6] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0];
+        for robot in [robots::iiwa14(), robots::hyq(), robots::atlas()] {
+            let mut seed = 0x0bad_5eed;
+            let mut x = move || {
+                let u = lcg(&mut seed);
+                let pick = ((u + 1.0) * 4.0) as usize;
+                PICKS.get(pick).copied().unwrap_or(1.5 * lcg(&mut seed))
+            };
+            let sim = AcceleratorSim::<f64>::new(&robot);
+            banked_matches_per_product(&sim, &mut || x(), &|v| vec![v.to_bits()]);
+            let wide = sim.widen::<4>();
+            banked_matches_per_product(&wide, &mut || Lanes::from_fn(|_| x()), &|v| {
+                v.lanes().map(f64::to_bits).to_vec()
+            });
+            let fixed = AcceleratorSim::<Fix32_16>::new(&robot);
+            banked_matches_per_product(&fixed, &mut || Fix32_16::from_f64(x()), &|v| {
+                vec![v.raw() as u64]
+            });
         }
     }
 

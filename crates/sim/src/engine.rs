@@ -370,9 +370,10 @@ impl RobotPlan {
         ExecTier::detect()
     }
 
-    /// The JIT's emission report, summed over every X-unit tape
-    /// the accelerator backends execute — the scalar simulator's and the
-    /// widened one's. `None` when any of those tapes runs the interpreter
+    /// The JIT's emission report, summed over every X-unit bank the
+    /// accelerator backends execute — the scalar simulator's and the
+    /// widened one's, one executable mapping each (`mappings` reads 2).
+    /// `None` when any of those tapes runs the interpreter
     /// instead (`Lanes<f64, 4>` has no inline lowering on this host, or
     /// the code buffer could not be mapped).
     pub fn jit_report(&self) -> Option<JitReport> {
@@ -711,6 +712,8 @@ mod tests {
         let scalar = plan.sim().jit_report().expect("scalar tapes emitted");
         assert!(both.instrs > scalar.instrs, "{both:?} vs {scalar:?}");
         assert!(both.code_bytes > scalar.code_bytes);
+        // Each simulator's banks share one executable mapping.
+        assert_eq!((scalar.mappings, both.mappings), (1, 2));
     }
 
     #[test]

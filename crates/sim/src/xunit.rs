@@ -18,10 +18,24 @@
 //! reference oracle, and the model of wide MAC accumulation). The two are
 //! bit-identical in every scalar type because fold-eligible coefficients
 //! are snapped to exact 0/±1 on both sides.
+//!
+//! # Banks
+//!
+//! The paper's ∇ID datapaths push all of a link's derivative vectors
+//! through that link's unit on one pair of `sin`/`cos` inputs (Fig. 8,
+//! §5.2). The compiled unit does the same: its forward tape is a *bank*
+//! of [`FWD_BANK`] copies of the single `X·v` tape, and its transposed
+//! tape a bank of [`BWD_BANK`] copies of the single `Xᵀ·f` tape
+//! ([`Tape::replicate`]), so one call applies `X(q)` to four motion
+//! vectors ([`XUnit::apply_motion4`]) or `X(q)ᵀ` to two force vectors
+//! ([`XUnit::tr_apply_force2`]). Every copy keeps the single tape's exact
+//! operation sequence, so each product is bit-identical to a call of the
+//! single tape; a slot the caller does not need takes `+0` and its
+//! output is discarded.
 
 use robo_codegen::{
     generate_x_unit_with_mask, generate_xt_unit_with_mask, optimize, snap, CompiledNetlist,
-    JitReport,
+    JitReport, Tape,
 };
 use robo_model::{JointType, RobotModel};
 use robo_sparsity::{x_pattern, Mask6};
@@ -56,12 +70,30 @@ pub enum XUnitBackend {
     Coefficients,
 }
 
-/// Register budget for the stack-allocated file a compiled tape runs in
+/// Register budget for the stack-allocated file a compiled bank runs in
 /// where it has no emitted function (fixed point, `Lanes<f32, 4>`, hosts
 /// without the JIT): the interpreter's register file. The widest built-in
-/// unit (a superposed Atlas joint) needs well under this; construction
-/// asserts the bound so evaluation never re-checks it.
+/// bank (the forward bank of a superposed Atlas joint) needs well under
+/// this; construction asserts the bound so evaluation never re-checks it.
 const STACK_REGS: usize = 96;
+
+/// Motion vectors one forward-bank call transforms.
+pub(crate) const FWD_BANK: usize = 4;
+/// Force vectors one transposed-bank call transforms.
+pub(crate) const BWD_BANK: usize = 2;
+/// Inputs every copy of a bank shares: `sin_q`, `cos_q`.
+const SHARED: usize = 2;
+/// Inputs of one forward-bank call: the trig pair, then six per vector.
+const FWD_INPUTS: usize = SHARED + 6 * FWD_BANK;
+/// Inputs of one transposed-bank call.
+const BWD_INPUTS: usize = SHARED + 6 * BWD_BANK;
+
+#[cfg(test)]
+thread_local! {
+    /// Bank calls made on this thread, so tests can count a kernel's call
+    /// plan.
+    pub(crate) static BANK_CALLS: core::cell::Cell<usize> = const { core::cell::Cell::new(0) };
+}
 
 /// Coefficients of one matrix entry: `α·cos + β·sin + γ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,10 +112,78 @@ pub struct XUnit<S> {
     joint: JointType,
     accumulation: Accumulation,
     backend: XUnitBackend,
-    /// Compiled forward tape (`X·v`), from the optimized netlist.
+    /// Forward bank: [`FWD_BANK`] copies of the optimized netlist's `X·v`
+    /// tape.
     fwd: CompiledNetlist<S>,
-    /// Compiled transposed tape (`Xᵀ·f`).
+    /// Transposed bank: [`BWD_BANK`] copies of the `Xᵀ·f` tape.
     bwd: CompiledNetlist<S>,
+}
+
+/// The units of `robot`'s `joints` (index and mask), every unit's
+/// forward and transposed bank emitted in one code mapping, with
+/// per-operation accumulation on the compiled evaluator.
+pub(crate) fn build_units<S: Scalar>(
+    robot: &RobotModel,
+    joints: impl Iterator<Item = (usize, Mask6)> + Clone,
+) -> Vec<XUnit<S>> {
+    let tapes = joints
+        .clone()
+        .flat_map(|(i, mask)| {
+            let fwd = Tape::lower(&optimize(&generate_x_unit_with_mask(robot, i, mask)));
+            let bwd = Tape::lower(&optimize(&generate_xt_unit_with_mask(robot, i, mask)));
+            [
+                fwd.replicate(FWD_BANK, SHARED),
+                bwd.replicate(BWD_BANK, SHARED),
+            ]
+        })
+        .collect();
+    assemble_units(robot, joints, CompiledNetlist::emit_all(tapes))
+}
+
+/// `units` (joint index and unit of `robot`) at scalar type `T`, every
+/// bank emitted again in one code mapping; see [`XUnit::cast`].
+pub(crate) fn cast_units<'a, S: Scalar, T: Scalar>(
+    robot: &RobotModel,
+    units: impl Iterator<Item = (usize, &'a XUnit<S>)> + Clone,
+) -> Vec<XUnit<T>> {
+    let banks: Vec<_> = units.clone().flat_map(|(_, u)| [&u.fwd, &u.bwd]).collect();
+    let joints = units.clone().map(|(i, u)| (i, u.mask));
+    let mut out = assemble_units(robot, joints, CompiledNetlist::cast_all(&banks));
+    for (unit, (_, from)) in out.iter_mut().zip(units) {
+        unit.accumulation = from.accumulation;
+        unit.backend = from.backend;
+    }
+    out
+}
+
+/// Units for `robot`'s `joints` around their emitted banks (two per
+/// unit, in order), with per-operation accumulation on the compiled
+/// evaluator.
+fn assemble_units<S: Scalar>(
+    robot: &RobotModel,
+    joints: impl Iterator<Item = (usize, Mask6)>,
+    banks: Vec<CompiledNetlist<S>>,
+) -> Vec<XUnit<S>> {
+    let mut banks = banks.into_iter();
+    joints
+        .map(|(i, mask)| {
+            let fwd = banks.next().expect("a forward bank per unit");
+            let bwd = banks.next().expect("a transposed bank per unit");
+            assert!(
+                fwd.num_regs() <= STACK_REGS && bwd.num_regs() <= STACK_REGS,
+                "compiled unit exceeds the stack register budget"
+            );
+            XUnit {
+                coeffs: affine_coeffs(robot, i),
+                mask,
+                joint: robot.links()[i].joint,
+                accumulation: Accumulation::PerOperation,
+                backend: XUnitBackend::Compiled,
+                fwd,
+                bwd,
+            }
+        })
+        .collect()
 }
 
 impl<S: Scalar> XUnit<S> {
@@ -105,39 +205,21 @@ impl<S: Scalar> XUnit<S> {
             x_pattern(robot, i).is_subset_of(&mask),
             "mask must cover joint {i}'s structural pattern"
         );
-        let fwd = CompiledNetlist::compile(&optimize(&generate_x_unit_with_mask(robot, i, mask)));
-        let bwd = CompiledNetlist::compile(&optimize(&generate_xt_unit_with_mask(robot, i, mask)));
-        assert!(
-            fwd.num_regs() <= STACK_REGS && bwd.num_regs() <= STACK_REGS,
-            "compiled unit exceeds the stack register budget"
-        );
-        Self {
-            coeffs: affine_coeffs(robot, i),
-            mask,
-            joint: robot.links()[i].joint,
-            accumulation: Accumulation::PerOperation,
-            backend: XUnitBackend::Compiled,
-            fwd,
-            bwd,
-        }
+        build_units(robot, core::iter::once((i, mask)))
+            .pop()
+            .expect("one unit")
     }
 
     /// This unit (joint `i` of `robot`, the robot it was built for) at
     /// scalar type `T`, without regenerating its netlists: the
     /// coefficients are re-derived from the same snapped probes and the
-    /// two tapes are cast ([`CompiledNetlist::cast`]). Bit-identical to
-    /// [`XUnit::with_mask`] at `T`; the accumulation mode and evaluator
-    /// carry over.
+    /// two banks are emitted again at `T` ([`CompiledNetlist::cast_all`]).
+    /// Bit-identical to [`XUnit::with_mask`] at `T`; the accumulation mode
+    /// and evaluator carry over.
     pub fn cast<T: Scalar>(&self, robot: &RobotModel, i: usize) -> XUnit<T> {
-        XUnit {
-            coeffs: affine_coeffs(robot, i),
-            mask: self.mask,
-            joint: self.joint,
-            accumulation: self.accumulation,
-            backend: self.backend,
-            fwd: self.fwd.cast(),
-            bwd: self.bwd.cast(),
-        }
+        cast_units(robot, core::iter::once((i, self)))
+            .pop()
+            .expect("one unit")
     }
 
     /// The structural mask this unit was pruned to.
@@ -165,33 +247,84 @@ impl<S: Scalar> XUnit<S> {
         self.backend
     }
 
-    /// The JIT's emission report summed over both compiled tapes; `None`
-    /// unless both run emitted code.
+    /// The JIT's emission report summed over both banks; `None` unless
+    /// both run emitted code.
     pub fn jit_report(&self) -> Option<JitReport> {
         Some(self.fwd.jit_report()? + self.bwd.jit_report()?)
     }
 
-    /// The compiled tape models per-operation rounding only; wide MAC
+    /// The compiled banks model per-operation rounding only; wide MAC
     /// accumulation always takes the coefficient path.
     #[inline]
     fn use_compiled(&self) -> bool {
         self.backend == XUnitBackend::Compiled && self.accumulation == Accumulation::PerOperation
     }
 
-    /// Runs one of the compiled tapes on the stack: inputs in netlist
-    /// declaration order (`sin_q`, `cos_q`, `v0..v5`), outputs `o0..o5`.
-    /// Where the tape has an emitted function this is one call that keeps
-    /// the values in registers and reads and writes the two arrays in
-    /// place; only the interpreter needs the stack register file.
-    #[inline]
-    fn run_compiled(&self, tape: &CompiledNetlist<S>, sin_q: S, cos_q: S, v: [S; 6]) -> [S; 6] {
-        let inputs = [sin_q, cos_q, v[0], v[1], v[2], v[3], v[4], v[5]];
-        let mut out = [S::zero(); 6];
-        if !tape.eval_emitted(&inputs, &mut out) {
+    /// Runs one of the banks: inputs in bank order (`sin_q`, `cos_q`,
+    /// then six per vector), outputs six per vector. Where the bank has an
+    /// emitted function this is one call that keeps the values in
+    /// registers and reads and writes the two arrays in place; only the
+    /// interpreter needs the stack register file.
+    #[inline(always)]
+    fn run_compiled(tape: &CompiledNetlist<S>, inputs: &[S], out: &mut [S]) {
+        #[cfg(test)]
+        BANK_CALLS.with(|calls| calls.set(calls.get() + 1));
+        if !tape.eval_emitted(inputs, out) {
             let mut regs = [S::zero(); STACK_REGS];
-            tape.eval_into_regs_interp(&inputs, &mut regs, &mut out);
+            tape.eval_into_regs_interp(inputs, &mut regs, out);
         }
-        out
+    }
+
+    /// `X(q)·m` for four motion vectors: one forward-bank call on
+    /// the compiled path, each product bit-identical to
+    /// [`XUnit::apply_motion`] on its own. The coefficient oracle and
+    /// [`Wide`](Accumulation::Wide) accumulation take one product at a
+    /// time.
+    // Always inlined, as is `tr_apply_force2`: as calls, the two
+    // by-value vector arrays cost ~7% of an iiwa14 gradient.
+    #[inline(always)]
+    pub fn apply_motion4(
+        &self,
+        sin_q: S,
+        cos_q: S,
+        m: [Motion<S>; FWD_BANK],
+    ) -> [Motion<S>; FWD_BANK] {
+        if !self.use_compiled() {
+            return m.map(|m| self.apply_motion_coeffs(sin_q, cos_q, m));
+        }
+        let mut inputs = [S::zero(); FWD_INPUTS];
+        inputs[0] = sin_q;
+        inputs[1] = cos_q;
+        for (k, m) in m.iter().enumerate() {
+            inputs[SHARED + 6 * k..SHARED + 6 * (k + 1)].copy_from_slice(&m.to_array());
+        }
+        let mut out = [S::zero(); 6 * FWD_BANK];
+        Self::run_compiled(&self.fwd, &inputs, &mut out);
+        core::array::from_fn(|k| Motion::from_array(core::array::from_fn(|r| out[6 * k + r])))
+    }
+
+    /// `X(q)ᵀ·f` for two force vectors: one transposed-bank call
+    /// on the compiled path, as [`XUnit::apply_motion4`] is for the
+    /// forward bank.
+    #[inline(always)]
+    pub fn tr_apply_force2(
+        &self,
+        sin_q: S,
+        cos_q: S,
+        f: [Force<S>; BWD_BANK],
+    ) -> [Force<S>; BWD_BANK] {
+        if !self.use_compiled() {
+            return f.map(|f| self.tr_apply_force_coeffs(sin_q, cos_q, f));
+        }
+        let mut inputs = [S::zero(); BWD_INPUTS];
+        inputs[0] = sin_q;
+        inputs[1] = cos_q;
+        for (k, f) in f.iter().enumerate() {
+            inputs[SHARED + 6 * k..SHARED + 6 * (k + 1)].copy_from_slice(&f.to_array());
+        }
+        let mut out = [S::zero(); 6 * BWD_BANK];
+        Self::run_compiled(&self.bwd, &inputs, &mut out);
+        core::array::from_fn(|k| Force::from_array(core::array::from_fn(|r| out[6 * k + r])))
     }
 
     /// Forms the live matrix entries from the trig inputs (the constant
@@ -228,13 +361,24 @@ impl<S: Scalar> XUnit<S> {
         }
     }
 
-    /// Evaluates `X(q)·m` through the pruned tree. Heap-free: a row never
-    /// has more than six live products, so the pair list lives on the
-    /// stack (like the hardware's fixed wiring).
+    /// Evaluates `X(q)·m` through the pruned tree: on the compiled path,
+    /// a forward-bank call with the other slots at `+0`.
     pub fn apply_motion(&self, sin_q: S, cos_q: S, m: Motion<S>) -> Motion<S> {
-        if self.use_compiled() {
-            return Motion::from_array(self.run_compiled(&self.fwd, sin_q, cos_q, m.to_array()));
-        }
+        let z = Motion::zero();
+        self.apply_motion4(sin_q, cos_q, [m, z, z, z])[0]
+    }
+
+    /// Evaluates the backward-pass operation `X(q)ᵀ·f` through the same
+    /// (transposed) tree: on the compiled path, a transposed-bank call
+    /// with the other slot at `+0`.
+    pub fn tr_apply_force(&self, sin_q: S, cos_q: S, f: Force<S>) -> Force<S> {
+        self.tr_apply_force2(sin_q, cos_q, [f, Force::zero()])[0]
+    }
+
+    /// `X(q)·m` from the cached coefficients. Heap-free: a row never has
+    /// more than six live products, so the pair list lives on the stack
+    /// (like the hardware's fixed wiring).
+    fn apply_motion_coeffs(&self, sin_q: S, cos_q: S, m: Motion<S>) -> Motion<S> {
         let x = self.entries(sin_q, cos_q);
         let v = m.to_array();
         let mut out = [S::zero(); 6];
@@ -252,12 +396,9 @@ impl<S: Scalar> XUnit<S> {
         Motion::from_array(out)
     }
 
-    /// Evaluates the backward-pass operation `X(q)ᵀ·f` through the same
-    /// (transposed) tree. Heap-free, like [`XUnit::apply_motion`].
-    pub fn tr_apply_force(&self, sin_q: S, cos_q: S, f: Force<S>) -> Force<S> {
-        if self.use_compiled() {
-            return Force::from_array(self.run_compiled(&self.bwd, sin_q, cos_q, f.to_array()));
-        }
+    /// `X(q)ᵀ·f` from the cached coefficients, like
+    /// [`XUnit::apply_motion_coeffs`].
+    fn tr_apply_force_coeffs(&self, sin_q: S, cos_q: S, f: Force<S>) -> Force<S> {
         let x = self.entries(sin_q, cos_q);
         let v = f.to_array();
         let mut out = [S::zero(); 6];
@@ -454,24 +595,184 @@ mod tests {
         use robo_spatial::Lanes;
         let robot = robots::hyq();
         let sup = superposition_pattern(&robot);
-        for i in 0..robot.dof() {
-            let unit = XUnit::<f64>::with_mask(&robot, i, sup);
+        let units = build_units::<f64>(&robot, (0..robot.dof()).map(|i| (i, sup)));
+        let cast_all = cast_units::<f64, Lanes<f64, 4>>(&robot, units.iter().enumerate());
+        for (i, unit) in units.iter().enumerate() {
             let cast = unit.cast::<Lanes<f64, 4>>(&robot, i);
             let fresh = XUnit::<Lanes<f64, 4>>::with_mask(&robot, i, sup);
-            for (c, f) in [(&cast.fwd, &fresh.fwd), (&cast.bwd, &fresh.bwd)] {
+            for built in [&cast, &cast_all[i]] {
+                for (c, f) in [(&built.fwd, &fresh.fwd), (&built.bwd, &fresh.bwd)] {
+                    let report = |t: &CompiledNetlist<_>| {
+                        t.jit_report()
+                            .map(|r| (r.instrs, r.code_bytes, r.spills, r.reloads))
+                    };
+                    assert_eq!(
+                        (c.tape_len(), c.num_regs(), c.num_outputs(), report(c)),
+                        (f.tape_len(), f.num_regs(), f.num_outputs(), report(f)),
+                        "joint {i}"
+                    );
+                }
+                assert_eq!(built.coeffs, fresh.coeffs, "joint {i}");
+                let m = |k: f64| {
+                    Motion::from_array([0.3, -1.2, 0.7 * k, 2.0, -0.4, 1e-310 * k])
+                        .cast::<Lanes<f64, 4>>()
+                };
+                let (s, c) = built.inputs_for(Lanes::splat(0.8));
+                let ms = [m(1.0), m(-2.0), m(0.0), m(-0.0)];
+                let bits = |v: [Motion<Lanes<f64, 4>>; FWD_BANK]| {
+                    v.map(|m| m.to_array().map(|x| x.lanes().map(f64::to_bits)))
+                };
                 assert_eq!(
-                    (c.tape_len(), c.num_regs(), c.jit_report()),
-                    (f.tape_len(), f.num_regs(), f.jit_report()),
-                    "joint {i}"
+                    bits(built.apply_motion4(s, c, ms)),
+                    bits(fresh.apply_motion4(s, c, ms))
+                );
+                let fs = [
+                    Force::new(ms[0].ang, ms[1].lin),
+                    Force::new(ms[2].lin, ms[3].ang),
+                ];
+                assert_eq!(
+                    built.tr_apply_force2(s, c, fs).map(|f| f.to_array()),
+                    fresh.tr_apply_force2(s, c, fs).map(|f| f.to_array())
                 );
             }
-            assert_eq!(cast.coeffs, fresh.coeffs, "joint {i}");
-            let m = Motion::from_array([0.3, -1.2, 0.7, 2.0, -0.4, 1e-310]).cast::<Lanes<f64, 4>>();
-            let (s, c) = cast.inputs_for(Lanes::splat(0.8));
-            assert_eq!(
-                cast.apply_motion(s, c, m).to_array(),
-                fresh.apply_motion(s, c, m).to_array()
+        }
+        let sim_report: Option<JitReport> = cast_all.iter().map(XUnit::jit_report).sum();
+        if let Some(report) = sim_report {
+            assert_eq!(report.mappings, 1, "one mapping for every unit's banks");
+        }
+    }
+
+    /// Values a bank's inputs mix: ±0, subnormals, ±1e300 and ordinary
+    /// magnitudes.
+    const EDGES: [f64; 10] = [
+        0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 0.75, -1.3, 2.5, -0.1,
+    ];
+
+    /// The bits of `x`, with every NaN alike: overflowing inputs can make
+    /// `∞ − ∞`, and only the payload of a NaN may differ between the
+    /// emitted code and the interpreter.
+    fn fbits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// Checks every bank output of `unit` (joint `i` of `robot`, pruned to
+    /// `mask`) against one interpreter run per product of the unit's
+    /// single-product tapes, bit for bit.
+    fn banks_match_single_runs<S: Scalar>(
+        robot: &RobotModel,
+        i: usize,
+        mask: Mask6,
+        draw: &mut dyn FnMut() -> S,
+        bits: &dyn Fn(S) -> Vec<u64>,
+    ) {
+        let unit = XUnit::<S>::with_mask(robot, i, mask);
+        let single = |netlist| CompiledNetlist::<S>::compile(&optimize(&netlist));
+        let fwd = single(generate_x_unit_with_mask(robot, i, mask));
+        let bwd = single(generate_xt_unit_with_mask(robot, i, mask));
+        let run = |tape: &CompiledNetlist<S>, s: S, c: S, v: [S; 6]| {
+            let inputs = [s, c, v[0], v[1], v[2], v[3], v[4], v[5]];
+            let mut out = [S::zero(); 6];
+            tape.eval_into_regs_interp(&inputs, &mut vec![S::zero(); tape.num_regs()], &mut out);
+            out.map(bits)
+        };
+        for _ in 0..3 {
+            let (s, c) = (draw(), draw());
+            let vec6 = |draw: &mut dyn FnMut() -> S| core::array::from_fn::<S, 6, _>(|_| draw());
+            let ms: [Motion<S>; FWD_BANK] =
+                core::array::from_fn(|_| Motion::from_array(vec6(draw)));
+            for (k, got) in unit.apply_motion4(s, c, ms).iter().enumerate() {
+                let want = run(&fwd, s, c, ms[k].to_array());
+                assert_eq!(
+                    got.to_array().map(bits),
+                    want,
+                    "{} joint {i} X· slot {k}",
+                    robot.name()
+                );
+            }
+            let fs: [Force<S>; BWD_BANK] = core::array::from_fn(|_| Force::from_array(vec6(draw)));
+            for (k, got) in unit.tr_apply_force2(s, c, fs).iter().enumerate() {
+                let want = run(&bwd, s, c, fs[k].to_array());
+                assert_eq!(
+                    got.to_array().map(bits),
+                    want,
+                    "{} joint {i} Xᵀ· slot {k}",
+                    robot.name()
+                );
+            }
+        }
+    }
+
+    /// A serial chain of `n` links with random joint types (prismatic
+    /// ones included) and placements.
+    fn random_chain(n: usize, seed: &mut u64) -> RobotModel {
+        use robo_spatial::{Mat3, Transform, Vec3};
+        let mut pick = |k: usize| (rand_motion(seed).ang.x.abs() * k as f64) as usize % k;
+        let mut b = robo_model::RobotBuilder::new(format!("random_chain{n}"));
+        for i in 0..n {
+            // Every chain holds a prismatic joint.
+            let joint = match i {
+                0 => [
+                    JointType::PrismaticX,
+                    JointType::PrismaticY,
+                    JointType::PrismaticZ,
+                ][pick(3)],
+                _ => JointType::ALL[pick(6)],
+            };
+            let placement = Transform::new(
+                Mat3::coord_rotation_x((30.0 * pick(7) as f64).to_radians()),
+                Vec3::new(0.1 * pick(3) as f64, 0.2, 0.25),
             );
+            b = b
+                .link(format!("link{i}"), i.checked_sub(1), joint)
+                .placement(placement)
+                .uniform_rod_inertia(1.5, 0.25);
+        }
+        b.build().expect("random chain is valid")
+    }
+
+    #[test]
+    fn banks_match_single_product_interpreter_runs_bitwise() {
+        use robo_spatial::Lanes;
+        let mut seed = 0x1234_5678;
+        let mut models = vec![robots::iiwa14(), robots::hyq(), robots::atlas()];
+        models.extend((2..5).map(|n| random_chain(n, &mut seed)));
+        let mut next = 0usize;
+        let mut x = move || {
+            next = next
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            EDGES[(next >> 33) % EDGES.len()]
+        };
+        for robot in &models {
+            let sup = superposition_pattern(robot);
+            for i in 0..robot.dof() {
+                for mask in [x_pattern(robot, i), sup] {
+                    banks_match_single_runs::<f64>(robot, i, mask, &mut || x(), &|v| {
+                        vec![fbits(v)]
+                    });
+                    banks_match_single_runs::<f32>(robot, i, mask, &mut || x() as f32, &|v| {
+                        vec![fbits(f64::from(v))]
+                    });
+                    banks_match_single_runs::<Lanes<f64, 4>>(
+                        robot,
+                        i,
+                        mask,
+                        &mut || Lanes::from_fn(|_| x()),
+                        &|v| v.lanes().map(fbits).to_vec(),
+                    );
+                    banks_match_single_runs::<Fix32_16>(
+                        robot,
+                        i,
+                        mask,
+                        &mut || Fix32_16::from_f64(x().clamp(-3e4, 3e4)),
+                        &|v| vec![v.raw() as u64],
+                    );
+                }
+            }
         }
     }
 

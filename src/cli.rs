@@ -272,12 +272,13 @@ fn check_body(
             let _ = writeln!(
                 out,
                 "  jit: active ({} instrs, {} code bytes = {:.1} B/instr, {} spills, {} reloads \
-                 across the scalar and wide X-unit tapes)",
+                 across the scalar and wide X-unit banks; {} executable mappings per plan)",
                 report.instrs,
                 report.code_bytes,
                 report.bytes_per_instr(),
                 report.spills,
-                report.reloads
+                report.reloads,
+                report.mappings
             );
         }
         None => {
@@ -516,8 +517,9 @@ serve routes every client request to that kernel's shard.
 Wide batches run four states per instruction (Lanes<f64, 4>),
 bit-identical to one-state calls. On x86-64 Linux every f64 tape, and
 on AVX2 hosts every Lanes<f64, 4> tape, runs as one JIT-emitted native
-function; check prints `jit: active` or `jit: fell back` for the plan's
-tapes.
+function; check prints `jit: active` (with the executable mappings the
+plan's X-unit banks occupy: one per simulator) or `jit: fell back` for
+the plan's tapes.
 
 --trace records a span trace of the whole check (plan build through the
 gradient spot-check) and writes it to F as Chrome-trace JSON — open it in
